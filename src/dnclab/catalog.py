@@ -64,6 +64,11 @@ def sphere(k: int, ambient: int | None = None, n_samples: int = 8, seed: int = 7
             j[1 + i, k + 1 + i] = 1.0
         return j
 
+    def hvp(x, v):
+        h = np.zeros((1 + extra, ambient))
+        h[0, :] = 2.0 * np.asarray(v, dtype=float)
+        return h
+
     def projector(x):
         y = np.zeros(ambient)
         head = x[: k + 1]
@@ -75,7 +80,7 @@ def sphere(k: int, ambient: int | None = None, n_samples: int = 8, seed: int = 7
         name=f"S^{k}" + (f"@R^{ambient}" if extra else ""),
         ambient_dim=ambient,
         dim=k,
-        constraints=SmoothMap(ambient, 1 + extra, g, jac, f"sphere{k}"),
+        constraints=SmoothMap(ambient, 1 + extra, g, jac, f"sphere{k}", hvp),
         samples=_unit_samples(k, ambient, n_samples, seed),
         projector=projector,
     )
@@ -138,7 +143,7 @@ def linear_subspace(ambient: int, n: int, n_samples: int = 6, seed: int = 5) -> 
         f"E_{n}@R^{ambient}",
         ambient,
         n,
-        SmoothMap(ambient, ambient - n, g, jac, "linear"),
+        SmoothMap(ambient, ambient - n, g, jac, "linear", lambda x, v: np.zeros((ambient - n, ambient))),
         samples,
         projector=projector,
     )

@@ -29,7 +29,7 @@ from .errors import (
     NotTransverse,
 )
 from .flags import DimensionSequence, Flag, flag_groupoid, flag_product, flag_subsequence
-from .geometry import ImplicitManifold, SmoothMap, newton_project
+from .geometry import ImplicitManifold, SmoothMap, compose_maps, linear_map, newton_project
 
 __all__ = [
     "NormalityWitness",
@@ -55,6 +55,8 @@ __all__ = [
 
 NEST_TOL = 1e-8
 MEMBER_TOL = 1e-7
+# |lam| below which a divided difference is its lam = 0 limit, the derivative
+FIBER_EPS = 1e-9
 
 
 @dataclass
@@ -112,28 +114,31 @@ class Filtration:
 
 
 def _stack_maps(a: SmoothMap, b: SmoothMap, name: str) -> SmoothMap:
-    jac = None
+    jac = hvp = None
     if a.jac is not None and b.jac is not None:
         jac = lambda x: np.vstack([np.atleast_2d(a.jac(x)), np.atleast_2d(b.jac(x))])
+        if a.hvp is not None and b.hvp is not None:
+            hvp = lambda x, v: np.vstack([np.atleast_2d(a.hvp(x, v)), np.atleast_2d(b.hvp(x, v))])
     return SmoothMap(
         a.domain_dim,
         a.codomain_dim + b.codomain_dim,
         lambda x: np.concatenate([a(x), b(x)]),
         jac,
         name,
+        hvp,
     )
+
+
+def _restrict(g: SmoothMap, start: int, total: int, name: str = "") -> SmoothMap:
+    """z -> g(z[start : start + g.domain_dim]) on a total-coordinate space."""
+    pick = linear_map(np.eye(total)[start : start + g.domain_dim], "coords")
+    return compose_maps(g, pick, name or g.name)
 
 
 def _subspace_manifold(basis: np.ndarray, ambient: int, name: str, samples, region=None) -> ImplicitManifold:
     """Linear submanifold spanned by the (orthonormalized) columns of basis."""
     q = linalg.orthonormalize(basis)
     normal = linalg.nullspace(q.T)
-
-    def g(x):
-        return normal.T @ x
-
-    def jac(x):
-        return normal.T
 
     def projector(x):
         return q @ (q.T @ x)
@@ -142,7 +147,7 @@ def _subspace_manifold(basis: np.ndarray, ambient: int, name: str, samples, regi
         name,
         ambient,
         q.shape[1],
-        SmoothMap(ambient, normal.shape[1], g, jac, name),
+        linear_map(normal.T, name),
         samples,
         region=region,
         projector=projector,
@@ -154,7 +159,7 @@ def _full_space(ambient: int, samples, region=None) -> ImplicitManifold:
         f"R^{ambient}",
         ambient,
         ambient,
-        SmoothMap(ambient, 0, lambda x: np.zeros(0), lambda x: np.zeros((0, ambient)), "free"),
+        linear_map(np.zeros((0, ambient)), "free"),
         samples,
         region=region,
         projector=lambda x: np.asarray(x, dtype=float),
@@ -215,7 +220,7 @@ def make_filtration_linear(flag: Flag, margin: int = 5) -> Filtration:
         v_contains=[(lambda x: True) for _ in range(flag.depth)],
         u_contains=[(lambda x: True) for _ in range(flag.depth)],
     )
-    ident = SmoothMap(ambient, ambient, lambda x: np.asarray(x, float), lambda x: np.eye(ambient), "id")
+    ident = linear_map(np.eye(ambient), "id")
     return Filtration(
         delta=flag.delta,
         levels=levels,
@@ -336,7 +341,7 @@ def make_filtration_sphere(flag: Flag, margin: int = 5) -> Filtration:
         d = flag.delta[n]
         return lambda x: float(np.linalg.norm(x[:d])) >= 1e-6
 
-    ident = SmoothMap(ambient, ambient, lambda x: np.asarray(x, float), lambda x: np.eye(ambient), "incl")
+    ident = linear_map(np.eye(ambient), "incl")
     return Filtration(
         delta=delta,
         levels=levels,
@@ -356,21 +361,8 @@ def make_filtration_sphere(flag: Flag, margin: int = 5) -> Filtration:
 
 def _product_manifold(a: ImplicitManifold, b: ImplicitManifold, name: str) -> ImplicitManifold:
     da = a.ambient_dim
-
-    def g(z):
-        return np.concatenate([a.constraints(z[:da]), b.constraints(z[da:])])
-
-    jac = None
-    if a.constraints.jac is not None and b.constraints.jac is not None:
-
-        def jac(z):
-            ja = np.atleast_2d(a.constraints.jac(z[:da]))
-            jb = np.atleast_2d(b.constraints.jac(z[da:]))
-            out = np.zeros((ja.shape[0] + jb.shape[0], da + b.ambient_dim))
-            out[: ja.shape[0], :da] = ja
-            out[ja.shape[0] :, da:] = jb
-            return out
-
+    n = da + b.ambient_dim
+    constraints = _stack_maps(_restrict(a.constraints, 0, n), _restrict(b.constraints, da, n), name)
     samples = [np.concatenate([x, y]) for x, y in zip(a.samples, b.samples)]
     region = None
     if a.region is not None or b.region is not None:
@@ -380,22 +372,25 @@ def _product_manifold(a: ImplicitManifold, b: ImplicitManifold, name: str) -> Im
     projector = None
     if a.projector is not None and b.projector is not None:
         projector = lambda z: np.concatenate([a.projector(z[:da]), b.projector(z[da:])])
-    return ImplicitManifold(
-        name,
-        da + b.ambient_dim,
-        a.dim + b.dim,
-        SmoothMap(da + b.ambient_dim, g(np.zeros(da + b.ambient_dim)).size, g, jac, name),
-        samples,
-        region=region,
-        projector=projector,
-    )
+    return ImplicitManifold(name, n, a.dim + b.dim, constraints, samples, region=region, projector=projector)
 
 
-def _interleave_vectors(x: np.ndarray, y: np.ndarray, total: int) -> np.ndarray:
-    out = np.zeros(total)
-    out[0 : 2 * x.size : 2] = x
-    out[1 : 2 * y.size + 1 : 2] = y
+def _interleave(x: np.ndarray, y: np.ndarray, total: int) -> np.ndarray:
+    """Rows of x at even and rows of y at odd positions, zero-padded to
+    ``total`` rows: the coordinate order of the interleaved flag models."""
+    out = np.zeros((total,) + x.shape[1:])
+    out[0 : 2 * len(x) : 2] = x
+    out[1 : 2 * len(y) + 1 : 2] = y
     return out
+
+
+def _interleave_maps(a: SmoothMap, b: SmoothMap, total: int, name: str) -> SmoothMap:
+    jac = hvp = None
+    if a.jac is not None and b.jac is not None:
+        jac = lambda z: _interleave(np.atleast_2d(a.jac(z)), np.atleast_2d(b.jac(z)), total)
+        if a.hvp is not None and b.hvp is not None:
+            hvp = lambda z, v: _interleave(np.atleast_2d(a.hvp(z, v)), np.atleast_2d(b.hvp(z, v)), total)
+    return SmoothMap(a.domain_dim, total, lambda z: _interleave(a(z), b(z), total), jac, name, hvp)
 
 
 def make_filtration_product(fa: Filtration, fb: Filtration) -> Filtration:
@@ -455,13 +450,11 @@ def make_filtration_product(fa: Filtration, fb: Filtration) -> Filtration:
         # combining cutting maps needs one shared model truncation; callers
         # align the flag margins when they want the combined claim
         lvl = 2 * fa.fredholm.level_dim
-        fmap_a, fmap_b = fa.fredholm.map, fb.fredholm.map
-
-        def fmap(z):
-            return _interleave_vectors(fmap_a(z[:da]), fmap_b(z[da:]), lvl)
-
+        n = total.ambient_dim
         fredholm = FredholmData(
-            SmoothMap(total.ambient_dim, lvl, fmap, name="f×f'"),
+            _interleave_maps(
+                _restrict(fa.fredholm.map, 0, n), _restrict(fb.fredholm.map, da, n), lvl, "f×f'"
+            ),
             flag_product(fa.fredholm.flag, fb.fredholm.flag),
             lvl,
         )
@@ -501,17 +494,50 @@ def pair_groupoid_filtration(f: Filtration) -> Filtration:
     return make_filtration_product(f, f)
 
 
-def _divided_difference(g: SmoothMap, ambient: int, eps: float = 1e-9) -> Callable:
+def _differential(g: SmoothMap, ambient: int) -> SmoothMap:
+    """(x, v) -> Dg(x) v, with Jacobian [hvp(x, v), Dg(x)]."""
+
+    def fn(z):
+        return g.jacobian(z[:ambient]) @ z[ambient:]
+
+    jac = None
+    if g.jac is not None and g.hvp is not None:
+
+        def jac(z):
+            x, v = z[:ambient], z[ambient:]
+            return np.hstack([np.atleast_2d(g.hvp(x, v)), np.atleast_2d(g.jac(x))])
+
+    return SmoothMap(2 * ambient, g.codomain_dim, fn, jac, f"D{g.name}")
+
+
+def _divided_difference(g: SmoothMap, ambient: int, eps: float = FIBER_EPS) -> SmoothMap:
     """(x, w, lam) -> (g(x) - g(x - lam w)) / lam, smoothly extended across
-    lam = 0 by the directional derivative."""
+    lam = 0 by the directional derivative.  The value and its Jacobian take
+    the same branch at every lam."""
+
+    def split(z):
+        return z[:ambient], z[ambient : 2 * ambient], z[2 * ambient]
 
     def dd(z):
-        x, w, lam = z[:ambient], z[ambient : 2 * ambient], z[2 * ambient]
+        x, w, lam = split(z)
         if abs(lam) < eps:
             return g.jacobian(x) @ w
         return (g(x) - g(x - lam * w)) / lam
 
-    return dd
+    jac = None
+    if g.jac is not None and g.hvp is not None:
+
+        def jac(z):
+            x, w, lam = split(z)
+            if abs(lam) < eps:
+                h = np.atleast_2d(g.hvp(x, w))
+                return np.hstack([h, np.atleast_2d(g.jac(x)), (-0.5 * (h @ w))[:, None]])
+            y = x - lam * w
+            j_x, j_y = np.atleast_2d(g.jac(x)), np.atleast_2d(g.jac(y))
+            d_lam = (j_y @ w) / lam - (g(x) - g(y)) / lam**2
+            return np.hstack([(j_x - j_y) / lam, j_y, d_lam[:, None]])
+
+    return SmoothMap(2 * ambient + 1, g.codomain_dim, dd, jac, f"Δ{g.name}")
 
 
 def tangent_filtration(f: Filtration) -> Filtration:
@@ -523,11 +549,7 @@ def tangent_filtration(f: Filtration) -> Filtration:
 
     def lift_manifold(m: ImplicitManifold, name: str) -> ImplicitManifold:
         g = m.constraints
-
-        def constraints(z):
-            x, v = z[:d], z[d:]
-            return np.concatenate([g(x), g.jacobian(x) @ v])
-
+        constraints = _stack_maps(_restrict(g, 0, 2 * d), _differential(g, d), name)
         samples = []
         for x in m.samples:
             tb = m.tangent_basis(x)
@@ -537,9 +559,7 @@ def tangent_filtration(f: Filtration) -> Filtration:
         region = None
         if m.region is not None:
             region = lambda z: m.region(z[:d])
-        return ImplicitManifold(
-            name, 2 * d, 2 * m.dim, SmoothMap(2 * d, 2 * g.codomain_dim, constraints, name=name), samples, region=region
-        )
+        return ImplicitManifold(name, 2 * d, 2 * m.dim, constraints, samples, region=region)
 
     levels = [lift_manifold(m, f"T{m.name}") for m in f.levels]
     total = lift_manifold(f.total, f"T{f.total.name}")
@@ -570,13 +590,8 @@ def tangent_filtration(f: Filtration) -> Filtration:
     fredholm = None
     if f.fredholm is not None:
         fm, lvl = f.fredholm.map, f.fredholm.level_dim
-
-        def dfmap(z):
-            x, v = z[:d], z[d:]
-            return _interleave_vectors(fm(x), fm.jacobian(x) @ v, 2 * lvl)
-
         fredholm = FredholmData(
-            SmoothMap(2 * d, 2 * lvl, dfmap, name="Df"),
+            _interleave_maps(_restrict(fm, 0, 2 * d), _differential(fm, d), 2 * lvl, "Df"),
             flag_product(f.fredholm.flag, f.fredholm.flag),
             2 * lvl,
         )
@@ -615,11 +630,7 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
 
     def glue_manifold(m: ImplicitManifold, name: str) -> ImplicitManifold:
         g = m.constraints
-        dd = _divided_difference(g, d)
-
-        def constraints(z):
-            return np.concatenate([g(z[:d]), dd(z)])
-
+        constraints = _stack_maps(_restrict(g, 0, 2 * d + 1), _divided_difference(g, d), name)
         samples = []
         for i, x in enumerate(m.samples):
             y = m.samples[(i + 1) % len(m.samples)]
@@ -631,14 +642,7 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
         region = None
         if m.region is not None:
             region = lambda z, r=m.region: r(z[:d]) and r(z[:d] - z[2 * d] * z[d : 2 * d])
-        return ImplicitManifold(
-            name,
-            2 * d + 1,
-            2 * m.dim + 1,
-            SmoothMap(2 * d + 1, 2 * g.codomain_dim, constraints, name=name),
-            samples,
-            region=region,
-        )
+        return ImplicitManifold(name, 2 * d + 1, 2 * m.dim + 1, constraints, samples, region=region)
 
     levels = [glue_manifold(m, f"𝕋{m.name}") for m in f.levels]
     total = glue_manifold(f.total, f"𝕋{f.total.name}")
@@ -651,7 +655,7 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
             x, w, lam = z[:d], z[d : 2 * d], z[2 * d]
             cur = np.atleast_2d(fr(x))
             k = cur.shape[1]
-            if abs(lam) < 1e-9:
+            if abs(lam) < FIBER_EPS:
                 h = 1e-6 * (1.0 + float(np.linalg.norm(w)))
                 dcur = (np.atleast_2d(fr(x + h * w)) - np.atleast_2d(fr(x - h * w))) / (2 * h)
             else:
@@ -672,16 +676,10 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
     fredholm = None
     if f.fredholm is not None:
         fm, lvl = f.fredholm.map, f.fredholm.level_dim
-        dd_f = _divided_difference(fm, d)
-
-        def gmap(z):
-            out = np.zeros(2 * lvl + 1)
-            out[0] = z[2 * d]
-            out[1:] = _interleave_vectors(fm(z[:d]), dd_f(z), 2 * lvl)
-            return out
-
+        fiber = linear_map(np.eye(2 * d + 1)[2 * d :], "λ")
+        pairs = _interleave_maps(_restrict(fm, 0, 2 * d + 1), _divided_difference(fm, d), 2 * lvl, "𝔻f")
         fredholm = FredholmData(
-            SmoothMap(2 * d + 1, 2 * lvl + 1, gmap, name="𝔻f"),
+            _stack_maps(fiber, pairs, "𝔻f"),
             flag_groupoid(f.fredholm.flag),
             2 * lvl + 1,
         )
@@ -796,17 +794,7 @@ def pullback_filtration_covering(cov: CoveringMap, f: Filtration, rtol: float | 
         raise NotCovering(f"fiber cardinality not constant on samples: {sorted(fibers)}")
 
     def pull_manifold(m: ImplicitManifold, name: str) -> ImplicitManifold:
-        stacked = _stack_maps(
-            cov.total.constraints,
-            SmoothMap(
-                cov.total.ambient_dim,
-                m.constraints.codomain_dim,
-                lambda x: m.constraints(cov.projection(x)),
-                None,
-                name,
-            ),
-            name,
-        )
+        stacked = _stack_maps(cov.total.constraints, compose_maps(m.constraints, cov.projection, name), name)
         samples = [z for s in m.samples for z in cov.lift(s)]
         return ImplicitManifold(name, cov.total.ambient_dim, m.dim, stacked, samples)
 
@@ -833,13 +821,8 @@ def pullback_filtration_covering(cov: CoveringMap, f: Filtration, rtol: float | 
 
     fredholm = None
     if f.fredholm is not None:
-        fm = f.fredholm.map
-
-        def fmap(z):
-            return fm(cov.projection(z))
-
         fredholm = FredholmData(
-            SmoothMap(cov.total.ambient_dim, f.fredholm.level_dim, fmap, name="f∘p"),
+            compose_maps(f.fredholm.map, cov.projection, "f∘p"),
             f.fredholm.flag,
             f.fredholm.level_dim,
         )
@@ -888,17 +871,7 @@ def pullback_filtration_fredholm(
         )
 
     def pre_manifold(m: ImplicitManifold, name: str) -> ImplicitManifold:
-        stacked = _stack_maps(
-            n_total.constraints,
-            SmoothMap(
-                n_total.ambient_dim,
-                m.constraints.codomain_dim,
-                lambda x: m.constraints(g(x)),
-                None,
-                name,
-            ),
-            name,
-        )
+        stacked = _stack_maps(n_total.constraints, compose_maps(m.constraints, g, name), name)
         return ImplicitManifold(name, n_total.ambient_dim, index_p + m.dim, stacked, [])
 
     levels = []
@@ -925,15 +898,8 @@ def pullback_filtration_fredholm(
 
     fredholm = None
     if f.fredholm is not None:
-        fm = f.fredholm.map
         fredholm = FredholmData(
-            SmoothMap(
-                n_total.ambient_dim,
-                f.fredholm.level_dim,
-                lambda x: fm(g(x)),
-                None,
-                "f∘g",
-            ),
+            compose_maps(f.fredholm.map, g, "f∘g"),
             f.fredholm.flag,
             f.fredholm.level_dim,
         )
@@ -962,11 +928,7 @@ def example_v_filtration(f: Filtration, k: int = 2) -> Filtration:
     d = f.total.ambient_dim
 
     def shift_manifold(m: ImplicitManifold, name: str) -> ImplicitManifold:
-        stacked = _stack_maps(
-            SmoothMap(d + k, m.constraints.codomain_dim, lambda z: m.constraints(z[:d]), None, name),
-            SmoothMap(d + k, k, lambda z: z[d:], lambda z: np.hstack([np.zeros((k, d)), np.eye(k)]), name),
-            name,
-        )
+        stacked = _stack_maps(_restrict(m.constraints, 0, d + k), linear_map(np.eye(d + k)[d:], name), name)
         samples = [np.concatenate([s, np.zeros(k)]) for s in m.samples]
         projector = None
         if m.projector is not None:
@@ -974,15 +936,11 @@ def example_v_filtration(f: Filtration, k: int = 2) -> Filtration:
         return ImplicitManifold(name, d + k, m.dim, stacked, samples, projector=projector)
 
     levels = [shift_manifold(m, f"{m.name}×0") for m in f.levels]
-
-    def total_constraints(z):
-        return f.total.constraints(z[:d])
-
     total = ImplicitManifold(
         f"{f.total.name}×R^{k}",
         d + k,
         f.total.dim + k,
-        SmoothMap(d + k, f.total.constraints.codomain_dim, total_constraints, name="total"),
+        _restrict(f.total.constraints, 0, d + k, "total"),
         [np.concatenate([s, 0.5 + 0.1 * np.arange(k)]) for s in f.total.samples],
     )
 
@@ -1193,6 +1151,7 @@ def _check_fredholm(f: Filtration, depth: int, rtol) -> dict:
     ok = True
     for n in range(1, depth + 1):
         basis = linalg.orthonormalize(flag.level(n).space.basis_matrix(lvl_dim))
+        normal = linalg.nullspace(basis.T, rtol)
         lvl = f.level(n)
         for s in lvl.samples:
             y = fm(s)
@@ -1200,8 +1159,7 @@ def _check_fredholm(f: Filtration, depth: int, rtol) -> dict:
             a = fm.jacobian(s) @ f.total.tangent_basis(s, rtol)
             transverse = linalg.rank(np.hstack([a, basis]), rtol) == lvl_dim
             # preimage direction: tangent of the cut-out set matches the level
-            normal = linalg.nullspace(basis.T, rtol)
-            cut = linalg.nullspace(normal.T @ (fm.jacobian(s) @ f.total.tangent_basis(s, rtol)), rtol)
+            cut = linalg.nullspace(normal.T @ a, rtol)
             cut_dim = cut.shape[1]
             good = member <= MEMBER_TOL and transverse and cut_dim == f.delta[n]
             ok = ok and good

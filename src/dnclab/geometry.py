@@ -3,8 +3,16 @@
 Manifolds are zero sets of constraint maps with full-rank Jacobians at
 stored sample points; tangent spaces are constraint-Jacobian kernels, and
 normal bundles of submanifold pairs are realized by orthogonal complement
-representatives inside the bigger tangent space.  All derivative claims are
-checked by central differences with an O(h^2) error contract.
+representatives inside the bigger tangent space.
+
+Derivatives are exact wherever a map supplies them: a :class:`SmoothMap`
+may carry its Jacobian (``jac``) and the derivative of its Jacobian along a
+vector (``hvp``), and maps built from other maps (compositions, stacks, the
+tangent and tangent-groupoid lifts) propagate both by the chain rule.
+Central differences with an O(h^2) error contract are the verifier of those
+exact derivatives (:func:`verify_analytic_jacobian`,
+``SmoothMap.jacobian(check=True)``) and the fallback for maps that supply
+none.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ __all__ = [
     "check_block_structure",
     "is_transversal_nonlinear",
     "compose_maps",
+    "linear_map",
 ]
 
 ON_MANIFOLD_TOL = 1e-8
@@ -66,13 +75,20 @@ def numeric_jacobian(fn: Callable, x, h: float | None = None, richardson: bool =
 @dataclass
 class SmoothMap:
     """A C^2 map contract between coordinate spaces, with an optional
-    analytic Jacobian that is validated against finite differences."""
+    analytic Jacobian that is validated against finite differences.
+
+    ``hvp(x, v)``, when supplied, is the codomain x domain Jacobian of
+    ``x -> Dfn(x) v``: the second derivative contracted with ``v``.  Lifts
+    that differentiate the map once more (tangent and divided-difference
+    constraints) need it for an exact Jacobian of their own.
+    """
 
     domain_dim: int
     codomain_dim: int
     fn: Callable
     jac: Callable | None = None
     name: str = ""
+    hvp: Callable | None = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -101,12 +117,29 @@ class SmoothMap:
 
 
 def compose_maps(g: SmoothMap, f: SmoothMap, name: str = "") -> SmoothMap:
+    """g ∘ f, with the chain-rule Jacobian (and second derivative along a
+    vector) whenever both factors carry theirs."""
     if f.codomain_dim != g.domain_dim:
         raise DomainError("composition dimensions do not match")
-    jac = None
+    jac = hvp = None
     if f.jac is not None and g.jac is not None:
         jac = lambda x: np.atleast_2d(g.jac(f(x))) @ np.atleast_2d(f.jac(x))
-    return SmoothMap(f.domain_dim, g.codomain_dim, lambda x: g(f(x)), jac, name or f"{g.name}∘{f.name}")
+        if f.hvp is not None and g.hvp is not None:
+
+            def hvp(x, v):
+                y, jf = f(x), np.atleast_2d(f.jac(x))
+                outer = np.atleast_2d(g.hvp(y, jf @ v)) @ jf
+                return outer + np.atleast_2d(g.jac(y)) @ np.atleast_2d(f.hvp(x, v))
+
+    name = name or f"{g.name}∘{f.name}"
+    return SmoothMap(f.domain_dim, g.codomain_dim, lambda x: g(f(x)), jac, name, hvp)
+
+
+def linear_map(a, name: str = "") -> SmoothMap:
+    """x -> a x, with its constant Jacobian and vanishing second derivative."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    zero = np.zeros(a.shape)
+    return SmoothMap(a.shape[1], a.shape[0], lambda x: a @ x, lambda x: a, name, lambda x, v: zero)
 
 
 def jacobian_consistency_slope(f: SmoothMap, x, h0: float = 0.1, points: int = 10) -> float:
@@ -348,22 +381,6 @@ def check_block_structure(fp: PairMap, m, h: float | None = None) -> float:
     _, nu_out = fp.target.adapted_frame(q)
     block = nu_out.T @ (j @ t_in)
     return float(np.max(np.abs(block), initial=0.0))
-
-
-def adapted_jacobian(fp: PairMap, m, h: float | None = None) -> dict:
-    """Full differential at a submanifold point in adapted frames; the
-    diagonal blocks are the base and fiber actions, the coupling sits below."""
-    m = fp.source.small.require(m)
-    q = fp.target.small.require(fp.f(m))
-    j = fp.f.jacobian(m, h)
-    t_in, nu_in = fp.source.adapted_frame(m)
-    t_out, nu_out = fp.target.adapted_frame(q)
-    return {
-        "base": t_out.T @ (j @ t_in),
-        "fiber": nu_out.T @ (j @ nu_in),
-        "coupling": t_out.T @ (j @ nu_in),
-        "defect": nu_out.T @ (j @ t_in),
-    }
 
 
 def is_transversal_nonlinear(

@@ -21,7 +21,7 @@ def rank(a: np.ndarray, rtol: float | None = None) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > (rtol or RANK_RTOL) * s[0]))
+    return int(np.sum(s > (RANK_RTOL if rtol is None else rtol) * s[0]))
 
 
 def nullspace(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
@@ -30,7 +30,7 @@ def nullspace(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
     if a.size == 0:
         return np.eye(a.shape[1])
     u, s, vh = np.linalg.svd(a)
-    tol = (rtol or RANK_RTOL) * (s[0] if s.size else 1.0)
+    tol = (RANK_RTOL if rtol is None else rtol) * (s[0] if s.size else 1.0)
     r = int(np.sum(s > tol))
     return vh[r:].T
 
@@ -41,7 +41,7 @@ def orthonormalize(vectors: np.ndarray, rtol: float | None = None) -> np.ndarray
     if v.size == 0:
         return v.reshape(v.shape[0], 0)
     u, s, _ = np.linalg.svd(v, full_matrices=False)
-    tol = (rtol or RANK_RTOL) * (s[0] if s.size else 1.0)
+    tol = (RANK_RTOL if rtol is None else rtol) * (s[0] if s.size else 1.0)
     return u[:, s > tol]
 
 

@@ -8,6 +8,7 @@ kept on the objects for console display only.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -29,8 +30,8 @@ class SuiteConfig:
     report_path: str | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tolerance must be finite and positive, got {self.tol}")
         if self.samples < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.samples}")
         if self.seed < 0 or self.seed >= 2**64:

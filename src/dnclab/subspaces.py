@@ -138,12 +138,6 @@ def coordinate_span(n: int) -> ComplementedSubspace:
     )
 
 
-def coordinate_tail(n: int) -> ComplementedSubspace:
-    """Coordinates beyond n, complemented by the leading span."""
-    inner = coordinate_span(n)
-    return ComplementedSubspace(inner.complement, inner.space)
-
-
 def _interleave(v: np.ndarray, parity: int) -> np.ndarray:
     out = np.zeros(2 * v.size)
     out[parity : 2 * v.size + parity : 2] = v

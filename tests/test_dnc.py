@@ -13,6 +13,8 @@ from dnclab.errors import (
     PreconditionFailed,
     RadiusExceeded,
 )
+from dnclab.report import SuiteConfig
+from dnclab.suites import run_suite
 
 
 @pytest.fixture()
@@ -183,6 +185,31 @@ class TestProductSplit:
             dnc.dnc_product_join(
                 dnc.DncPoint.interior(np.zeros(2), 1.0), dnc.DncPoint.interior(np.zeros(2), 2.0)
             )
+
+    def test_suite_counts_only_fiber_mismatch_as_rejection(self, monkeypatch):
+        # an unrelated error on the mismatched join must not read as a pass
+        real = dnc.dnc_product_join
+
+        def join(pa, pb):
+            if pa.lam != pb.lam:
+                raise ValueError("unrelated failure")
+            return real(pa, pb)
+
+        monkeypatch.setattr(dnc, "dnc_product_join", join)
+        with pytest.raises(ValueError):
+            run_suite(SuiteConfig("dnc-product", samples=8))
+
+    def test_suite_fails_when_mismatch_is_accepted(self, monkeypatch):
+        real = dnc.dnc_product_join
+
+        def join(pa, pb):
+            if pa.lam != pb.lam:
+                pb = dnc.DncPoint.interior(pb.point, pa.lam)
+            return real(pa, pb)
+
+        monkeypatch.setattr(dnc, "dnc_product_join", join)
+        rep = run_suite(SuiteConfig("dnc-product", samples=8))
+        assert rep.checks[0].status == "fail"
 
 
 class TestGroupoid:

@@ -191,6 +191,75 @@ class TestTangentTowers:
                 assert la.constraint_norm(s) <= 1e-10
 
 
+class TestExactLiftJacobians:
+    """The lifted constraint and cutting maps carry chain-rule Jacobians;
+    each is checked against Richardson central differences."""
+
+    TOWERS = {
+        "pair-groupoid": filt.pair_groupoid_filtration,
+        "tangent": filt.tangent_filtration,
+        "tangent-groupoid": filt.tangent_groupoid_filtration,
+    }
+
+    @pytest.fixture(scope="class")
+    def depth5(self):
+        return filt.make_filtration_sphere(fl.standard_flag([2, 4, 8, 16, 32]))
+
+    @staticmethod
+    def check_points(lvl, groupoid):
+        # first samples of each kind: for groupoid levels lam = 0.5 and
+        # lam = 0, plus a lam = 0.5 point moved to lam = 1e-3
+        points = lvl.samples[:2]
+        if groupoid:
+            small = points[0].copy()
+            small[-1] = 1e-3
+            points = points + [small]
+        return points
+
+    @pytest.mark.parametrize("kind", sorted(TOWERS))
+    def test_every_map_has_jac(self, depth5, kind):
+        f = self.TOWERS[kind](depth5)
+        for m in [lvl.constraints for lvl in f.levels] + [f.total.constraints, f.fredholm.map]:
+            assert m.jac is not None, m.name
+
+    @pytest.mark.parametrize("kind", sorted(TOWERS))
+    def test_jacobians_match_finite_differences(self, depth5, kind):
+        f = self.TOWERS[kind](depth5)
+        groupoid = kind == "tangent-groupoid"
+        for lvl in f.levels + [f.total]:
+            for z in self.check_points(lvl, groupoid):
+                lvl.constraints.jacobian(z, check=True)
+                f.fredholm.map.jacobian(z, check=True)
+
+    def test_tangent_of_product_is_exact(self, sphere_filtration):
+        # the second derivative travels through restrictions, stacks and
+        # interleavings
+        f = filt.tangent_filtration(filt.pair_groupoid_filtration(sphere_filtration))
+        maps = [(lvl.constraints, lvl.samples[0]) for lvl in f.levels]
+        maps.append((f.fredholm.map, f.levels[0].samples[0]))
+        for m, z in maps:
+            assert m.jac is not None, m.name
+            m.jacobian(z, check=True)
+
+    def test_groupoid_samples_cover_both_fiber_kinds(self, depth5):
+        f = filt.tangent_groupoid_filtration(depth5)
+        lams = {float(z[-1]) for z in self.check_points(f.level(1), True)}
+        assert lams == {0.0, 0.5, 1e-3}
+
+    def test_divided_difference_branches_meet(self, depth5):
+        # the lam = 0 branch is the limit of the quotient branch to first
+        # order in lam, for the value and for the Jacobian (a wrong sign or
+        # factor in either branch shows as an O(1) gap)
+        dd = filt._divided_difference(depth5.total.constraints, depth5.total.ambient_dim)
+        z = filt.tangent_groupoid_filtration(depth5).total.samples[0].copy()
+        z[-1] = 0.0
+        for lam in (1e-3, 1e-5):
+            near = z.copy()
+            near[-1] = lam
+            assert np.max(np.abs(dd(near) - dd(z) - lam * dd.jac(z)[:, -1])) <= 1e-8
+            assert np.max(np.abs(dd.jac(near) - dd.jac(z))) <= 1e2 * lam
+
+
 class TestSubsequence:
     def test_reindexing(self, sphere_filtration):
         ss = filt.subsequence_filtration(sphere_filtration, (1, 3))

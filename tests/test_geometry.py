@@ -4,7 +4,7 @@ pairs, tubular maps, pushforwards and the triangularity defect."""
 import numpy as np
 import pytest
 
-from dnclab import catalog, geometry as geo
+from dnclab import catalog, geometry as geo, linalg
 from dnclab.errors import NoConvergence, OffManifold
 
 
@@ -39,6 +39,62 @@ class TestJacobian:
         rich = geo.numeric_jacobian(fn, [1.0], h=1e-3, richardson=True)
         exact = np.e
         assert abs(rich[0, 0] - exact) < abs(plain[0, 0] - exact)
+
+
+def jac_along(f, x, v, h=1e-6):
+    """Central difference of the Jacobian along v: the reference for hvp."""
+    return (f.jac(x + h * v) - f.jac(x - h * v)) / (2 * h)
+
+
+class TestSecondDerivative:
+    @pytest.mark.parametrize(
+        "manifold",
+        [catalog.sphere(3, ambient=6), catalog.sphere(2), catalog.linear_subspace(5, 2)],
+        ids=lambda m: m.name,
+    )
+    def test_catalog_hvp_matches_jacobian_difference(self, manifold):
+        rng = np.random.Generator(np.random.Philox(key=3))
+        g = manifold.constraints
+        for x in manifold.samples[:3]:
+            v = rng.normal(size=x.size)
+            assert np.max(np.abs(g.hvp(x, v) - jac_along(g, x, v))) <= 1e-8
+
+    def test_compose_propagates_hvp_by_chain_rule(self):
+        inner = geo.SmoothMap(
+            2,
+            3,
+            lambda x: np.array([x[0] ** 2, x[0] * x[1], np.sin(x[1])]),
+            lambda x: np.array([[2 * x[0], 0.0], [x[1], x[0]], [0.0, np.cos(x[1])]]),
+            "inner",
+            lambda x, v: np.array([[2 * v[0], 0.0], [v[1], v[0]], [0.0, -np.sin(x[1]) * v[1]]]),
+        )
+        h = geo.compose_maps(catalog.sphere(2).constraints, inner)
+        x, v = np.array([0.3, -0.7]), np.array([1.1, 0.4])
+        assert h.hvp is not None
+        h.jacobian(x, check=True)
+        assert np.max(np.abs(h.hvp(x, v) - jac_along(h, x, v))) <= 1e-8
+
+    def test_compose_without_second_derivative_has_none(self):
+        bare = geo.SmoothMap(2, 2, lambda x: x**2, lambda x: np.diag(2 * x), "bare")
+        h = geo.compose_maps(catalog.sphere(1).constraints, bare)
+        assert h.jac is not None and h.hvp is None
+
+    def test_linear_map(self):
+        a = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
+        f = geo.linear_map(a, "a")
+        x = np.array([0.5, 1.0, -2.0])
+        assert np.array_equal(f(x), a @ x)
+        assert np.array_equal(f.jacobian(x, check=True), a)
+        assert not np.any(f.hvp(x, x))
+
+
+class TestRankThreshold:
+    def test_zero_rtol_is_honoured(self):
+        a = np.diag([1.0, 1e-12])
+        assert linalg.rank(a) == 1
+        assert linalg.rank(a, rtol=0.0) == 2
+        assert linalg.nullspace(a, rtol=0.0).shape[1] == 0
+        assert linalg.orthonormalize(a, rtol=0.0).shape[1] == 2
 
 
 class TestImplicitManifolds:

@@ -56,6 +56,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SuiteConfig("x", tol=0.0)
         with pytest.raises(ConfigError):
+            SuiteConfig("x", tol=float("nan"))
+        with pytest.raises(ConfigError):
             SuiteConfig("x", samples=0)
         with pytest.raises(ConfigError):
             SuiteConfig("x", seed=-1)
@@ -124,6 +126,10 @@ class TestCli:
 
     def test_bad_config_exit_two(self):
         assert cli.main(["verify", "--suite", "dnc-product", "--tol", "0"]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_exit_two(self, tol):
+        assert cli.main(["verify", "--suite", "flag-laws", f"--tol={tol}"]) == 2
 
     def test_report_file_written(self, tmp_path):
         path = tmp_path / "rep.json"
