@@ -67,7 +67,7 @@ def _write(path: str | None, payload) -> None:
         sys.stdout.write(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnclab",
         description="desk-scale verification laboratory for deformation spaces, "
@@ -92,8 +92,12 @@ def main(argv: list[str] | None = None) -> int:
     p_demo.add_argument("--seed", type=int, default=42)
     p_demo.add_argument("--samples", type=int, default=32)
 
-    try:
-        args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:  # the flag defaults read DNCLAB_* variables, so building the parser can fail too
+        args = _parser().parse_args(argv)
         if args.command == "list-suites":
             for entry in list_suites():
                 print(f"{entry['suite']}: {entry['claim']}")
@@ -127,8 +131,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "demo":
             from .filtration import filtration_from_spec, verify_filtration
 
-            delta = [int(x) for x in args.delta.split(",") if x.strip()]
-            depth = args.depth or len(delta)
+            SuiteConfig(seed=args.seed, samples=args.samples)  # the same bounds as verify
+            try:
+                delta = [int(x) for x in args.delta.split(",") if x.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--delta must be comma-separated integers, got {args.delta!r}") from exc
+            depth = len(delta) if args.depth is None else args.depth
             spec = {"kind": "sphere", "delta": delta, "depth": depth}
             filtr = filtration_from_spec(spec)
             report = verify_filtration(filtr, n_samples=args.samples, seed=args.seed)

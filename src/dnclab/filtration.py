@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    ConfigError,
     DepthMismatch,
     DimensionTooSmall,
     EmptyFirstLevel,
@@ -1226,20 +1227,27 @@ def filtration_from_spec(spec: dict) -> Filtration:
     """
     from .flags import standard_flag
 
-    kind = spec["kind"]
+    kind = spec.get("kind")
     delta = spec.get("delta")
     depth = spec.get("depth")
+    if depth is not None and int(depth) < 1:
+        raise ConfigError(f"depth must be at least 1, got {depth}")
     if delta is not None and depth is not None:
         delta = list(delta)[: int(depth)]
+
+    def flag():
+        try:
+            return standard_flag(delta)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad dimension sequence {delta!r}: {exc}") from exc
+
     if kind == "linear":
-        return make_filtration_linear(standard_flag(delta), margin=spec.get("margin", 5))
+        return make_filtration_linear(flag(), margin=spec.get("margin", 5))
     if kind == "sphere":
-        return make_filtration_sphere(standard_flag(delta), margin=spec.get("margin", 5))
+        return make_filtration_sphere(flag(), margin=spec.get("margin", 5))
     if kind == "open":
         radius = float(spec.get("radius", 1.0))
-        return make_filtration_open_subset(
-            lambda x: float(np.linalg.norm(x)) < radius, standard_flag(delta)
-        )
+        return make_filtration_open_subset(lambda x: float(np.linalg.norm(x)) < radius, flag())
     if kind == "product":
         return make_filtration_product(
             filtration_from_spec(spec["first"]), filtration_from_spec(spec["second"])
@@ -1252,4 +1260,4 @@ def filtration_from_spec(spec: dict) -> Filtration:
         return tangent_groupoid_filtration(filtration_from_spec(spec["base"]))
     if kind == "shifted-product":
         return example_v_filtration(filtration_from_spec(spec["base"]), k=spec.get("k", 2))
-    raise KeyError(f"unknown filtration kind {kind!r}")
+    raise ConfigError(f"unknown filtration kind {kind!r}")

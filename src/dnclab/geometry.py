@@ -142,26 +142,31 @@ def linear_map(a, name: str = "") -> SmoothMap:
     return SmoothMap(a.shape[1], a.shape[0], lambda x: a @ x, lambda x: a, name, lambda x, v: zero)
 
 
-def jacobian_consistency_slope(f: SmoothMap, x, h0: float = 0.1, points: int = 10) -> float:
-    """Log-log slope of the finite-difference error against the analytic
-    Jacobian over a halving step sequence; O(h^2) convergence means >= 1.9."""
+def _fd_errors(f: SmoothMap, x, h0: float, points: int):
+    """The analytic Jacobian of ``f`` at ``x``, a halving step sequence from
+    ``h0``, and the largest finite-difference error against the Jacobian at
+    each step."""
     if f.jac is None:
         raise DomainError("map carries no analytic jacobian to compare against")
     exact = np.atleast_2d(np.asarray(f.jac(np.asarray(x, float)), dtype=float))
     hs = h0 * 0.5 ** np.arange(points)
-    errs = [np.max(np.abs(numeric_jacobian(f.fn, x, h) - exact)) for h in hs]
-    return linalg.loglog_slope(hs, np.asarray(errs))
+    errs = np.asarray([np.max(np.abs(numeric_jacobian(f.fn, x, h) - exact)) for h in hs])
+    return exact, hs, errs
+
+
+def jacobian_consistency_slope(f: SmoothMap, x, h0: float = 0.1, points: int = 10) -> float:
+    """Log-log slope of the finite-difference error against the analytic
+    Jacobian over a halving step sequence; O(h^2) convergence means >= 1.9."""
+    _, hs, errs = _fd_errors(f, x, h0, points)
+    return linalg.loglog_slope(hs, errs)
 
 
 def verify_analytic_jacobian(f: SmoothMap, x, h0: float = 0.1, points: int = 10, floor: float = 1e-9) -> bool:
     """Accept the supplied analytic Jacobian when the finite-difference error
     either decays at second order or sits at rounding level throughout (maps
     with vanishing third derivatives have no truncation error to fit)."""
-    exact = np.atleast_2d(np.asarray(f.jac(np.asarray(x, float)), dtype=float))
-    scale = 1.0 + float(np.max(np.abs(exact)))
-    hs = h0 * 0.5 ** np.arange(points)
-    errs = np.asarray([np.max(np.abs(numeric_jacobian(f.fn, x, h) - exact)) for h in hs])
-    if np.all(errs <= floor * scale):
+    exact, hs, errs = _fd_errors(f, x, h0, points)
+    if np.all(errs <= floor * (1.0 + float(np.max(np.abs(exact))))):
         return True
     return linalg.loglog_slope(hs, errs) >= 1.9
 

@@ -10,13 +10,16 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["SuiteConfig", "CheckResult", "SuiteReport", "canonical_json", "rng_for"]
+__all__ = ["SuiteConfig", "CheckResult", "SuiteReport", "canonical_json", "rng_for", "MAX_TRUNCATION"]
+
+# A truncation of n levels makes 2n x 2n dense blocks; 1024 levels is 32 MiB.
+MAX_TRUNCATION = 1024
 
 
 @dataclass(frozen=True)
@@ -36,15 +39,13 @@ class SuiteConfig:
             raise ConfigError(f"sample count must be >= 1, got {self.samples}")
         if self.seed < 0 or self.seed >= 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if self.truncation < 4:
-            raise ConfigError("truncation level must be at least 4")
+        if not 4 <= self.truncation <= MAX_TRUNCATION:
+            raise ConfigError(f"truncation level must be between 4 and {MAX_TRUNCATION}, got {self.truncation}")
         if self.depth < 1:
             raise ConfigError("depth must be at least 1")
 
     def with_suite(self, suite: str) -> "SuiteConfig":
-        return SuiteConfig(
-            suite, self.seed, self.truncation, self.depth, self.tol, self.samples, self.report_path
-        )
+        return replace(self, suite=suite)
 
     def to_json(self) -> dict:
         return {
@@ -68,7 +69,7 @@ def rng_for(config: SuiteConfig, check_index: int) -> np.random.Generator:
 class CheckResult:
     name: str
     claim: str
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "error" (the suite raised)
     residuals: dict = field(default_factory=dict)
     runtime_ms: float = 0.0  # console only; not part of the canonical report
 

@@ -16,10 +16,33 @@ from . import flags as fl
 from . import geometry as geo
 from . import operators as ops
 from . import subspaces as sub
-from .errors import FiberMismatch, NotCovering, NotTransverse, PreconditionFailed, UnknownSuite
+from .errors import FiberMismatch, LabError, NotCovering, NotTransverse, PreconditionFailed, UnknownSuite
 from .report import CheckResult, SuiteConfig, SuiteReport, rng_for
 
 __all__ = ["SUITES", "list_suites", "run_suite", "run_all"]
+
+
+class _Recorder:
+    """A suite's checks, in order.  Each record carries its verdict and the
+    time since the previous record (since creation for the first), which
+    the console shows and the canonical report leaves out."""
+
+    def __init__(self):
+        self.results: list[CheckResult] = []
+        self._t0 = time.perf_counter()
+
+    def __call__(self, name: str, claim: str, ok, residuals: dict) -> list[CheckResult]:
+        return self._record(name, claim, "pass" if ok else "fail", residuals)
+
+    def error(self, exc: LabError, claim: str) -> list[CheckResult]:
+        """Record a suite that raised: one check naming the exception."""
+        return self._record("suite-error", claim, "error", {"exception": type(exc).__name__, "message": str(exc)})
+
+    def _record(self, name: str, claim: str, status: str, residuals: dict) -> list[CheckResult]:
+        now = time.perf_counter()
+        self.results.append(CheckResult(name, claim, status, residuals, (now - self._t0) * 1000))
+        self._t0 = now
+        return self.results
 
 
 # -- randomized operator instances -----------------------------------------------
@@ -76,6 +99,11 @@ def _poly_pair_map(pair) -> geo.PairMap:
     return geo.PairMap(f, pair, pair)
 
 
+def _stretch_pair_map(pair) -> geo.PairMap:
+    """(x, y) -> (x, 2y): linear, preserving the axis pair."""
+    return geo.PairMap(geo.linear_map(np.diag([1.0, 2.0]), "lin"), pair, pair)
+
+
 def _sphere_twist_map(alpha: float = 0.7) -> geo.SmoothMap:
     """Rotation about the vertical axis by an angle proportional to height:
     preserves the sphere and fixes the equator pointwise."""
@@ -106,17 +134,11 @@ def _diag_z_fixture():
         "diag",
         2,
         1,
-        geo.SmoothMap(2, 1, lambda p: np.array([p[1] - p[0]]), lambda p: np.array([[-1.0, 1.0]]), "diag"),
+        geo.linear_map([[-1.0, 1.0]], "diag"),
         samples=[np.array([0.0, 0.0]), np.array([0.5, 0.5]), np.array([-0.75, -0.75])],
         projector=lambda p: np.full(2, 0.5 * (p[0] + p[1])),
     )
-    z0 = geo.ImplicitManifold(
-        "origin",
-        2,
-        0,
-        geo.SmoothMap(2, 2, lambda p: np.asarray(p, float), lambda p: np.eye(2), "origin"),
-        samples=[np.array([0.0, 0.0])],
-    )
+    z0 = geo.ImplicitManifold("origin", 2, 0, geo.linear_map(np.eye(2), "origin"), samples=[np.array([0.0, 0.0])])
     return geo.ManifoldPair(z, z0)
 
 
@@ -125,30 +147,28 @@ def _sphere_delta(config: SuiteConfig) -> list[int]:
     return base[: max(2, min(config.depth, len(base)))]
 
 
+def _statuses(rep: filt.FiltrationReport) -> dict:
+    return {k: v["status"] for k, v in rep.conditions.items()}
+
+
 # -- suites ---------------------------------------------------------------------
 
 
 def suite_block_index_zero(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-
-    t0 = time.perf_counter()
+    check = _Recorder()
     rng = rng_for(config, 0)
     failures = 0
     for _ in range(config.samples):
         b = ops.block_lower_triangular(_random_glk(rng), _random_bounded(rng), _random_glk(rng))
         if b.fredholm_index(level=config.truncation) != 0:
             failures += 1
-    checks.append(
-        CheckResult(
-            "structure-group-diagonal-index-zero",
-            "lower triangular operators with invertible compact-perturbation diagonal have index zero",
-            "pass" if failures == 0 else "fail",
-            {"instances": config.samples, "failures": failures},
-            (time.perf_counter() - t0) * 1000,
-        )
+    check(
+        "structure-group-diagonal-index-zero",
+        "lower triangular operators with invertible compact-perturbation diagonal have index zero",
+        failures == 0,
+        {"instances": config.samples, "failures": failures},
     )
 
-    t0 = time.perf_counter()
     rng = rng_for(config, 1)
     failures = 0
     for _ in range(config.samples):
@@ -161,21 +181,16 @@ def suite_block_index_zero(config: SuiteConfig) -> list[CheckResult]:
         )
         if lhs != rhs:
             failures += 1
-    checks.append(
-        CheckResult(
-            "interleaved-index-additivity",
-            "the flattened index equals the sum of the diagonal indices, independent of the coupling",
-            "pass" if failures == 0 else "fail",
-            {"instances": config.samples, "failures": failures},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "interleaved-index-additivity",
+        "the flattened index equals the sum of the diagonal indices, independent of the coupling",
+        failures == 0,
+        {"instances": config.samples, "failures": failures},
     )
-    return checks
 
 
 def suite_retraction(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
+    check = _Recorder()
     rng = rng_for(config, 0)
     n = config.samples
     grid = np.linspace(0.0, 1.0, 101)
@@ -198,22 +213,17 @@ def suite_retraction(config: SuiteConfig) -> list[CheckResult]:
         b1 = ops.retraction_path(b, 1.0)
         endpoint_exact = endpoint_exact and b0.P == b.P and b0.F == b.F and b0.F2 == b.F2
         endpoint_exact = endpoint_exact and b1.P.approx_equal(ops.identity().scale(0.0), 0.0)
-    ok = min_ratio >= 1e-8 and endpoint_exact
-    checks.append(
-        CheckResult(
-            "retraction-invertibility-along-path",
-            "scaling the coupling to zero keeps lower triangular structure-group elements invertible",
-            "pass" if ok else "fail",
-            {
-                "instances": n,
-                "grid_points": 101,
-                "min_singular_ratio": min_ratio,
-                "endpoints_exact": endpoint_exact,
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "retraction-invertibility-along-path",
+        "scaling the coupling to zero keeps lower triangular structure-group elements invertible",
+        min_ratio >= 1e-8 and endpoint_exact,
+        {
+            "instances": n,
+            "grid_points": 101,
+            "min_singular_ratio": min_ratio,
+            "endpoints_exact": endpoint_exact,
+        },
     )
-    return checks
 
 
 def _transversal_instance(rng):
@@ -224,8 +234,7 @@ def _transversal_instance(rng):
 
 
 def suite_block_transversality(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
+    check = _Recorder()
     rng = rng_for(config, 0)
     n = config.samples
     failures = 0
@@ -255,28 +264,22 @@ def suite_block_transversality(config: SuiteConfig) -> list[CheckResult]:
             failures += 1
         pre = ops.block_preimage_with_complement(b, v1, v2)
         complements_ok = complements_ok and pre.verify()
-    ok = failures == 0 and worst_resid <= 1e-10 and complements_ok
-    checks.append(
-        CheckResult(
-            "block-transversality-and-witnesses",
-            "factor transversality passes to the lower triangular sum; witnesses split exactly and "
-            "factor complements complement the preimage",
-            "pass" if ok else "fail",
-            {
-                "instances": n,
-                "failures": failures,
-                "max_witness_residual": worst_resid,
-                "complements_verified": complements_ok,
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "block-transversality-and-witnesses",
+        "factor transversality passes to the lower triangular sum; witnesses split exactly and "
+        "factor complements complement the preimage",
+        failures == 0 and worst_resid <= 1e-10 and complements_ok,
+        {
+            "instances": n,
+            "failures": failures,
+            "max_witness_residual": worst_resid,
+            "complements_verified": complements_ok,
+        },
     )
-    return checks
 
 
 def suite_composition_transversality(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
+    check = _Recorder()
     rng = rng_for(config, 0)
     n = config.samples
     mismatches = 0
@@ -290,27 +293,22 @@ def suite_composition_transversality(config: SuiteConfig) -> list[CheckResult]:
         outcomes[lhs] += 1
         if lhs != rhs:
             mismatches += 1
-    checks.append(
-        CheckResult(
-            "composition-transversality-iff",
-            "a map is transversal to the preimage of a subspace exactly when the composition is "
-            "transversal to the subspace",
-            "pass" if mismatches == 0 else "fail",
-            {
-                "instances": n,
-                "mismatches": mismatches,
-                "true_cases": outcomes[True],
-                "false_cases": outcomes[False],
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "composition-transversality-iff",
+        "a map is transversal to the preimage of a subspace exactly when the composition is "
+        "transversal to the subspace",
+        mismatches == 0,
+        {
+            "instances": n,
+            "mismatches": mismatches,
+            "true_cases": outcomes[True],
+            "false_cases": outcomes[False],
+        },
     )
-    return checks
 
 
 def suite_dnc_vspace_iso(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
+    check = _Recorder()
     rng = rng_for(config, 0)
     n = config.samples
     ambient, e0 = 6, 3
@@ -328,28 +326,20 @@ def suite_dnc_vspace_iso(config: SuiteConfig) -> list[CheckResult]:
         w, t = dnc.dnc_vspace_iso(e0, p)
         back = dnc.dnc_vspace_iso_inverse(e0, w, t)
         lam_ok = lam_ok and back.lam == p.lam
-        if p.kind == "interior":
-            worst = max(worst, float(np.max(np.abs(back.point - p.point))))
-        else:
-            worst = max(worst, float(np.max(np.abs(back.point - p.point))))
+        worst = max(worst, float(np.max(np.abs(back.point - p.point))))
+        if p.kind == "boundary":
             worst = max(worst, float(np.max(np.abs(back.normal - p.normal))))
-    ok = worst <= 1e-12 and lam_ok
-    checks.append(
-        CheckResult(
-            "linear-pair-trivialization-roundtrip",
-            "the deformation space of a complemented linear pair trivializes over the scalar line, "
-            "with exact inverse and preserved fiber coordinate",
-            "pass" if ok else "fail",
-            {"points": n, "max_roundtrip_error": worst, "fiber_preserved": lam_ok},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "linear-pair-trivialization-roundtrip",
+        "the deformation space of a complemented linear pair trivializes over the scalar line, "
+        "with exact inverse and preserved fiber coordinate",
+        worst <= 1e-12 and lam_ok,
+        {"points": n, "max_roundtrip_error": worst, "fiber_preserved": lam_ok},
     )
-    return checks
 
 
 def suite_dnc_product(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
+    check = _Recorder()
     rng = rng_for(config, 0)
     n = config.samples
     d1, d2 = 3, 4
@@ -375,27 +365,21 @@ def suite_dnc_product(config: SuiteConfig) -> list[CheckResult]:
         mismatch_raised = False
     except FiberMismatch:
         mismatch_raised = True
-    ok = worst <= 1e-10 and lam_ok and mismatch_raised
-    checks.append(
-        CheckResult(
-            "product-split-join-roundtrip",
-            "deformation spaces of product pairs split into fibered products over the scalar line",
-            "pass" if ok else "fail",
-            {
-                "points": n,
-                "max_roundtrip_error": worst,
-                "fiber_preserved": lam_ok,
-                "fiber_mismatch_rejected": mismatch_raised,
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "product-split-join-roundtrip",
+        "deformation spaces of product pairs split into fibered products over the scalar line",
+        worst <= 1e-10 and lam_ok and mismatch_raised,
+        {
+            "points": n,
+            "max_roundtrip_error": worst,
+            "fiber_preserved": lam_ok,
+            "fiber_mismatch_rejected": mismatch_raised,
+        },
     )
-    return checks
 
 
 def suite_trivial_bundle(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
+    check = _Recorder()
     rng = rng_for(config, 0)
     n = config.samples
     dm, k = 3, 2
@@ -436,32 +420,22 @@ def suite_trivial_bundle(config: SuiteConfig) -> list[CheckResult]:
                 float(np.max(np.abs(su - a * su1 - b * su2))),
                 float(np.max(np.abs(sw - a * sw1 - b * sw2))),
             )
-    ok = worst <= 1e-10 and lin_worst <= 1e-10
-    checks.append(
-        CheckResult(
-            "trivial-bundle-split-roundtrip-linearity",
-            "the groupoid of a trivial product is a vector bundle over the base groupoid: the split "
-            "is exact, fiber-linear, and preserves the fiber coordinate",
-            "pass" if ok else "fail",
-            {"points": n, "max_roundtrip_error": worst, "max_linearity_defect": lin_worst},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "trivial-bundle-split-roundtrip-linearity",
+        "the groupoid of a trivial product is a vector bundle over the base groupoid: the split "
+        "is exact, fiber-linear, and preserves the fiber coordinate",
+        worst <= 1e-10 and lin_worst <= 1e-10,
+        {"points": n, "max_roundtrip_error": worst, "max_linearity_defect": lin_worst},
     )
-    return checks
 
 
 def suite_dnc_functoriality(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
+    check = _Recorder()
     pair = _axis_pair()
     n = max(10, min(config.samples, 50))
 
-    t0 = time.perf_counter()
     rng = rng_for(config, 0)
-    fp = geo.PairMap(
-        geo.SmoothMap(2, 2, lambda z: np.array([z[0] + z[1] ** 2, z[1] * (1.0 + z[0] ** 2)]), name="f"),
-        pair,
-        pair,
-    )
+    fp = _poly_pair_map(pair)
     gp = geo.PairMap(
         geo.SmoothMap(2, 2, lambda z: np.array([2.0 * z[0] + z[1] ** 2, z[1] * (1.0 + z[1])]), name="g"),
         pair,
@@ -483,18 +457,14 @@ def suite_dnc_functoriality(config: SuiteConfig) -> list[CheckResult]:
             worst = max(worst, float(np.max(np.abs(lhs.normal - rhs.normal))))
         if lhs.lam != rhs.lam or lhs.lam != p.lam:
             worst = np.inf
-    checks.append(
-        CheckResult(
-            "deformation-functor-composition",
-            "the induced deformation-space maps compose functorially and intertwine the projection "
-            "to the scalar line",
-            "pass" if worst <= 1e-6 else "fail",
-            {"points": n, "max_composition_error": worst, "tolerance": 1e-6},
-            (time.perf_counter() - t0) * 1000,
-        )
+    check(
+        "deformation-functor-composition",
+        "the induced deformation-space maps compose functorially and intertwine the projection "
+        "to the scalar line",
+        worst <= 1e-6,
+        {"points": n, "max_composition_error": worst, "tolerance": 1e-6},
     )
 
-    t0 = time.perf_counter()
     rng = rng_for(config, 1)
     f = geo.SmoothMap(
         2,
@@ -517,20 +487,16 @@ def suite_dnc_functoriality(config: SuiteConfig) -> list[CheckResult]:
         lhs = dnc.tg_map(f, dnc.tg_compose(a, b))
         rhs = dnc.tg_compose(dnc.tg_map(f, a), dnc.tg_map(f, b))
         worst = max(worst, float(np.max(np.abs(lhs.a - rhs.a))), float(np.max(np.abs(lhs.b - rhs.b))))
-    checks.append(
-        CheckResult(
-            "groupoid-functor-homomorphism",
-            "the induced groupoid map is a homomorphism on composable arrows and tangent vectors",
-            "pass" if worst <= 1e-9 else "fail",
-            {"pairs": n, "max_homomorphism_error": worst, "tolerance": 1e-9},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "groupoid-functor-homomorphism",
+        "the induced groupoid map is a homomorphism on composable arrows and tangent vectors",
+        worst <= 1e-9,
+        {"pairs": n, "max_homomorphism_error": worst, "tolerance": 1e-9},
     )
-    return checks
 
 
 def suite_taylor_remainder(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
+    check = _Recorder()
     pair = _axis_pair()
     flat = catalog.flat_tubular(pair)
     eq_pair = catalog.sphere_equator_pair(2)
@@ -567,7 +533,6 @@ def suite_taylor_remainder(config: SuiteConfig) -> list[CheckResult]:
             np.array([0.0, 0.0, 0.9]),
         ),
     ]
-    t0 = time.perf_counter()
     slopes = {}
     ok = True
     for name, fp, t1, t2, m, x in fixtures:
@@ -575,39 +540,26 @@ def suite_taylor_remainder(config: SuiteConfig) -> list[CheckResult]:
         slope = linalg.loglog_slope(np.asarray(ts), np.asarray(rs))
         slopes[name] = {"slope": slope, "r_first": rs[0], "r_last": rs[-1]}
         ok = ok and slope >= 0.9
-    checks.append(
-        CheckResult(
-            "remainder-linear-decay",
-            "the rescaled chart-conjugated map deviates from the normal pushforward by a remainder "
-            "bounded linearly in the fiber coordinate",
-            "pass" if ok else "fail",
-            {"fixtures": slopes, "slope_floor": 0.9},
-            (time.perf_counter() - t0) * 1000,
-        )
+    check(
+        "remainder-linear-decay",
+        "the rescaled chart-conjugated map deviates from the normal pushforward by a remainder "
+        "bounded linearly in the fiber coordinate",
+        ok,
+        {"fixtures": slopes, "slope_floor": 0.9},
     )
 
-    t0 = time.perf_counter()
-    lin = geo.PairMap(
-        geo.SmoothMap(2, 2, lambda z: np.array([z[0], 2.0 * z[1]]), lambda z: np.diag([1.0, 2.0])),
-        pair,
-        pair,
-    )
-    rs = dnc.taylor_probe(lin, flat, flat, np.array([0.3, 0.0]), np.array([0.0, 1.0]), ts)
+    rs = dnc.taylor_probe(_stretch_pair_map(pair), flat, flat, np.array([0.3, 0.0]), np.array([0.0, 1.0]), ts)
     worst = max(rs)
-    checks.append(
-        CheckResult(
-            "linear-map-zero-remainder",
-            "linear maps through affine charts have vanishing remainder",
-            "pass" if worst <= 1e-10 else "fail",
-            {"max_remainder": worst, "tolerance": 1e-10},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "linear-map-zero-remainder",
+        "linear maps through affine charts have vanishing remainder",
+        worst <= 1e-10,
+        {"max_remainder": worst, "tolerance": 1e-10},
     )
-    return checks
 
 
 def suite_normal_block_structure(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
+    check = _Recorder()
     pp = catalog.parabola_pair(n_samples=20)
     eq = catalog.sphere_equator_pair(2, n_samples=20)
 
@@ -624,18 +576,9 @@ def suite_normal_block_structure(config: SuiteConfig) -> list[CheckResult]:
         ("parabola-shear", geo.PairMap(geo.SmoothMap(2, 2, curved_map), pp, pp), pp.small.samples),
         ("parabola-flatten", geo.PairMap(geo.SmoothMap(2, 2, flatten_map), pp, axis), pp.small.samples),
         ("sphere-twist", geo.PairMap(_sphere_twist_map(), eq, eq), eq.small.samples),
-        (
-            "linear",
-            geo.PairMap(
-                geo.SmoothMap(2, 2, lambda z: np.array([z[0], 2.0 * z[1]]), lambda z: np.diag([1.0, 2.0])),
-                axis,
-                axis,
-            ),
-            axis.small.samples,
-        ),
+        ("linear", _stretch_pair_map(axis), axis.small.samples),
     ]
 
-    t0 = time.perf_counter()
     worst = {}
     ok = True
     for name, fp, samples in fixtures:
@@ -643,18 +586,14 @@ def suite_normal_block_structure(config: SuiteConfig) -> list[CheckResult]:
         worst[name] = res
         bound = 1e-10 if name == "linear" else 1e-6
         ok = ok and res <= bound
-    checks.append(
-        CheckResult(
-            "triangularity-defect-small",
-            "the induced normal-bundle morphism is block lower triangular: the forbidden block "
-            "vanishes to tolerance at every sample",
-            "pass" if ok else "fail",
-            {"max_defect": worst, "tolerance": 1e-6},
-            (time.perf_counter() - t0) * 1000,
-        )
+    check(
+        "triangularity-defect-small",
+        "the induced normal-bundle morphism is block lower triangular: the forbidden block "
+        "vanishes to tolerance at every sample",
+        ok,
+        {"max_defect": worst, "tolerance": 1e-6},
     )
 
-    t0 = time.perf_counter()
     orders = {}
     ok = True
     hs = 1e-2 * 0.5 ** np.arange(6)
@@ -664,21 +603,16 @@ def suite_normal_block_structure(config: SuiteConfig) -> list[CheckResult]:
         order = linalg.loglog_slope(hs, residuals)
         orders[name] = {"order": order, "residuals": list(residuals)}
         ok = ok and order >= 1.9
-    checks.append(
-        CheckResult(
-            "triangularity-defect-second-order",
-            "the forbidden block decays at second order in the differentiation step",
-            "pass" if ok else "fail",
-            {"fixtures": orders, "order_floor": 1.9},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "triangularity-defect-second-order",
+        "the forbidden block decays at second order in the differentiation step",
+        ok,
+        {"fixtures": orders, "order_floor": 1.9},
     )
-    return checks
 
 
 def suite_groupoid_axioms(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
+    check = _Recorder()
     rng = rng_for(config, 0)
     n = config.samples
     exact = True
@@ -707,21 +641,17 @@ def suite_groupoid_axioms(config: SuiteConfig) -> list[CheckResult]:
             exact = exact and np.array_equal(unit.a, a.a) and np.array_equal(unit.b, a.a)
         else:
             exact = exact and np.array_equal(unit.b, np.zeros_like(a.b))
-    checks.append(
-        CheckResult(
-            "groupoid-axioms-exact",
-            "associativity, units and inverses hold exactly on composable triples at nonzero and "
-            "zero fiber coordinates",
-            "pass" if exact else "fail",
-            {"triples": n, "exact": exact},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "groupoid-axioms-exact",
+        "associativity, units and inverses hold exactly on composable triples at nonzero and "
+        "zero fiber coordinates",
+        exact,
+        {"triples": n, "exact": exact},
     )
-    return checks
 
 
 def suite_dnc_transversality(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
+    check = _Recorder()
     pair = _axis_pair()
     zpair = _diag_z_fixture()
 
@@ -738,15 +668,7 @@ def suite_dnc_transversality(config: SuiteConfig) -> list[CheckResult]:
                 out.append(dnc.DncPoint.interior(on_curve(rng), float(rng.uniform(0.1, 2.0))))
         return out
 
-    fixtures = []
-    lin_map = geo.PairMap(
-        geo.SmoothMap(2, 2, lambda z: np.array([z[0], 2.0 * z[1]]), lambda z: np.diag([1.0, 2.0]), "lin"),
-        pair,
-        pair,
-    )
-    fixtures.append(("linear", lin_map, lambda rng: np.array([2.0, 1.0]) * float(rng.uniform(-1, 1))))
-
-    poly = _poly_pair_map(pair)
+    lin_map = _stretch_pair_map(pair)
 
     def on_poly_curve(rng):
         # solve f(x, y) on the diagonal: y x^2 - x + y - y^2 = 0 for given y
@@ -757,34 +679,27 @@ def suite_dnc_transversality(config: SuiteConfig) -> list[CheckResult]:
                 x = (1.0 - np.sqrt(disc)) / (2.0 * y)
                 return np.array([x, y])
 
-    fixtures.append(("polynomial", poly, on_poly_curve))
-
+    fixtures = [
+        ("linear", lin_map, lambda rng: np.array([2.0, 1.0]) * float(rng.uniform(-1, 1))),
+        ("polynomial", _poly_pair_map(pair), on_poly_curve),
+    ]
     for idx, (name, fp, curve) in enumerate(fixtures):
-        t0 = time.perf_counter()
         rng = rng_for(config, idx)
         samples = sample_points(rng, config.samples, curve)
         rep = dnc.dnc_transversality_check(fp, zpair, samples, tol=config.tol)
-        n_checks = len(rep["checks"])
-        n_fail = sum(1 for c in rep["checks"] if not c["passed"])
-        checks.append(
-            CheckResult(
-                f"transversality-through-functor-{name}",
-                "the induced deformation-space map is transversal to the deformation subspace, and "
-                "membership through the functor matches the preimage construction",
-                "pass" if rep["passed"] else "fail",
-                {"sampled_points": len(samples), "checks": n_checks, "failures": n_fail},
-                (time.perf_counter() - t0) * 1000,
-            )
+        check(
+            f"transversality-through-functor-{name}",
+            "the induced deformation-space map is transversal to the deformation subspace, and "
+            "membership through the functor matches the preimage construction",
+            rep["passed"],
+            {
+                "sampled_points": len(samples),
+                "checks": len(rep["checks"]),
+                "failures": sum(1 for c in rep["checks"] if not c["passed"]),
+            },
         )
 
-    t0 = time.perf_counter()
-    bad_z = geo.ImplicitManifold(
-        "axis-copy",
-        2,
-        1,
-        geo.SmoothMap(2, 1, lambda p: np.array([p[1]]), lambda p: np.array([[0.0, 1.0]]), "axis"),
-        samples=[np.array([0.0, 0.0])],
-    )
+    bad_z = geo.ImplicitManifold("axis-copy", 2, 1, geo.linear_map([[0.0, 1.0]], "axis"), samples=[np.array([0.0, 0.0])])
     bad = geo.ManifoldPair(bad_z, zpair.small)
     try:
         dnc.dnc_transversality_check(lin_map, bad, [], tol=config.tol)
@@ -793,21 +708,16 @@ def suite_dnc_transversality(config: SuiteConfig) -> list[CheckResult]:
     except PreconditionFailed as exc:
         raised = True
         named = str(exc)
-    checks.append(
-        CheckResult(
-            "non-transverse-fixture-rejected",
-            "violated hypotheses are reported by name instead of producing a verdict",
-            "pass" if raised and named else "fail",
-            {"raised": raised, "hypothesis": named},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "non-transverse-fixture-rejected",
+        "violated hypotheses are reported by name instead of producing a verdict",
+        raised and named,
+        {"raised": raised, "hypothesis": named},
     )
-    return checks
 
 
 def suite_flag_laws(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
+    check = _Recorder()
     rng = rng_for(config, 0)
     delta = _sphere_delta(config)
     flag = fl.standard_flag(delta)
@@ -842,23 +752,18 @@ def suite_flag_laws(config: SuiteConfig) -> list[CheckResult]:
     broken_report = fl.verify_flag(broken)
     caught = broken_report.conditions["b_nesting"]["status"] == "fail"
 
-    ok = closure_ok and dims_ok and comp_ok and caught
-    checks.append(
-        CheckResult(
-            "flag-constructions-and-dimension-laws",
-            "flag constructors keep all defining conditions; product and groupoid ambients obey the "
-            "dimension laws; violations are detected per condition",
-            "pass" if ok else "fail",
-            {
-                "closure": closure_ok,
-                "dimension_laws": dims_ok,
-                "subsequence_composition": comp_ok,
-                "broken_nesting_detected": caught,
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "flag-constructions-and-dimension-laws",
+        "flag constructors keep all defining conditions; product and groupoid ambients obey the "
+        "dimension laws; violations are detected per condition",
+        closure_ok and dims_ok and comp_ok and caught,
+        {
+            "closure": closure_ok,
+            "dimension_laws": dims_ok,
+            "subsequence_composition": comp_ok,
+            "broken_nesting_detected": caught,
+        },
     )
-    return checks
 
 
 def _sphere_filtration(config: SuiteConfig) -> filt.Filtration:
@@ -866,23 +771,17 @@ def _sphere_filtration(config: SuiteConfig) -> filt.Filtration:
 
 
 def suite_filtration_sphere(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
+    check = _Recorder()
     f = _sphere_filtration(config)
     rep = filt.verify_filtration(f, n_samples=min(config.samples, 32), seed=config.seed)
-    statuses = {k: v["status"] for k, v in rep.conditions.items()}
-    checks.append(
-        CheckResult(
-            "sphere-filtration-conditions",
-            "unit spheres of flag levels filter the ambient sphere: dimensions drop by one, nesting, "
-            "normal frames and covers verify, the level distance profile decreases",
-            "pass" if rep.passed else "fail",
-            {"conditions": statuses, "dims": list(f.delta)},
-            (time.perf_counter() - t0) * 1000,
-        )
+    check(
+        "sphere-filtration-conditions",
+        "unit spheres of flag levels filter the ambient sphere: dimensions drop by one, nesting, "
+        "normal frames and covers verify, the level distance profile decreases",
+        rep.passed,
+        {"conditions": _statuses(rep), "dims": list(f.delta)},
     )
 
-    t0 = time.perf_counter()
     rng = rng_for(config, 1)
     profile_ok = True
     for _ in range(min(config.samples, 16)):
@@ -892,17 +791,13 @@ def suite_filtration_sphere(config: SuiteConfig) -> list[CheckResult]:
         profile_ok = profile_ok and dists[-1] <= 1e-9
     ss = filt.subsequence_filtration(f, [1, f.depth])
     ss_rep = filt.verify_filtration(ss, n_samples=8, seed=config.seed)
-    checks.append(
-        CheckResult(
-            "sphere-density-profile-and-subsequence",
-            "projection distances decrease strictly along the levels, and subsequences stay "
-            "filtrations with stacked witnesses",
-            "pass" if profile_ok and ss_rep.passed else "fail",
-            {"profile_decreasing": profile_ok, "subsequence_passed": ss_rep.passed},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "sphere-density-profile-and-subsequence",
+        "projection distances decrease strictly along the levels, and subsequences stay "
+        "filtrations with stacked witnesses",
+        profile_ok and ss_rep.passed,
+        {"profile_decreasing": profile_ok, "subsequence_passed": ss_rep.passed},
     )
-    return checks
 
 
 def _preimage_equality_check(f: filt.Filtration, n: int, rng) -> float:
@@ -921,68 +816,48 @@ def _preimage_equality_check(f: filt.Filtration, n: int, rng) -> float:
     return lvl.constraint_norm(x)
 
 
-def suite_filtration_pair_groupoid(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
+def _lift_check(config: SuiteConfig, lift, dim_law):
+    """The steps the lifted-filtration suites share: lift the sphere
+    filtration, verify the lift, check its dimensions against ``dim_law`` of
+    the base's, and cut every level out again.  Returns the base, the lift,
+    the verdict so far and its residuals."""
     base = _sphere_filtration(config)
-    f = filt.pair_groupoid_filtration(base)
+    f = lift(base)
     rep = filt.verify_filtration(f, n_samples=8, seed=config.seed)
-    dims_ok = list(f.delta) == [2 * d for d in base.delta]
-    t1 = time.perf_counter()
+    dims_ok = list(f.delta) == [dim_law(d) for d in base.delta]
     rng = rng_for(config, 1)
     worst = max(_preimage_equality_check(f, n, rng) for n in range(1, f.depth + 1))
     ok = rep.passed and dims_ok and worst <= config.tol
-    checks.append(
-        CheckResult(
-            "pair-groupoid-filtration",
-            "levelwise squares filter the pair groupoid with doubled dimensions, cut out by the "
-            "squared map against the squared flag",
-            "pass" if ok else "fail",
-            {
-                "dims": list(f.delta),
-                "conditions": {k: v["status"] for k, v in rep.conditions.items()},
-                "preimage_residual": worst,
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    return base, f, ok, {"dims": list(f.delta), "conditions": _statuses(rep), "preimage_residual": worst}
+
+
+def suite_filtration_pair_groupoid(config: SuiteConfig) -> list[CheckResult]:
+    check = _Recorder()
+    _, _, ok, residuals = _lift_check(config, filt.pair_groupoid_filtration, lambda d: 2 * d)
+    return check(
+        "pair-groupoid-filtration",
+        "levelwise squares filter the pair groupoid with doubled dimensions, cut out by the "
+        "squared map against the squared flag",
+        ok,
+        residuals,
     )
-    return checks
 
 
 def suite_filtration_tangent(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
-    base = _sphere_filtration(config)
-    f = filt.tangent_filtration(base)
-    rep = filt.verify_filtration(f, n_samples=8, seed=config.seed)
-    dims_ok = list(f.delta) == [2 * d for d in base.delta]
-    rng = rng_for(config, 1)
-    worst = max(_preimage_equality_check(f, n, rng) for n in range(1, f.depth + 1))
-    ok = rep.passed and dims_ok and worst <= config.tol
-    checks.append(
-        CheckResult(
-            "tangent-filtration",
-            "tangent lifts of the levels filter the tangent bundle with doubled dimensions; the "
-            "differential of the cutting map cuts out exactly the tangent levels",
-            "pass" if ok else "fail",
-            {
-                "dims": list(f.delta),
-                "conditions": {k: v["status"] for k, v in rep.conditions.items()},
-                "preimage_residual": worst,
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    check = _Recorder()
+    _, _, ok, residuals = _lift_check(config, filt.tangent_filtration, lambda d: 2 * d)
+    return check(
+        "tangent-filtration",
+        "tangent lifts of the levels filter the tangent bundle with doubled dimensions; the "
+        "differential of the cutting map cuts out exactly the tangent levels",
+        ok,
+        residuals,
     )
-    return checks
 
 
 def suite_filtration_tangent_groupoid(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
-    t0 = time.perf_counter()
-    base = _sphere_filtration(config)
-    f = filt.tangent_groupoid_filtration(base)
-    rep = filt.verify_filtration(f, n_samples=8, seed=config.seed)
-    dims_ok = list(f.delta) == [2 * d + 1 for d in base.delta]
+    check = _Recorder()
+    base, f, ok, residuals = _lift_check(config, filt.tangent_groupoid_filtration, lambda d: 2 * d + 1)
 
     # fiber slices: nonzero-fiber samples are level pairs, zero-fiber samples tangent
     d = base.total.ambient_dim
@@ -1000,32 +875,19 @@ def suite_filtration_tangent_groupoid(config: SuiteConfig) -> list[CheckResult]:
                 slices_ok = (
                     slices_ok and float(np.max(np.abs(g.jacobian(x) @ w), initial=0.0)) <= 1e-6
                 )
-    rng = rng_for(config, 1)
-    worst = max(_preimage_equality_check(f, n, rng) for n in range(1, f.depth + 1))
-    ok = rep.passed and dims_ok and slices_ok and worst <= config.tol
-    checks.append(
-        CheckResult(
-            "tangent-groupoid-filtration",
-            "groupoid levels filter the tangent groupoid with dimensions doubled plus one; fiber "
-            "slices match the pair and tangent levels and the induced map cuts them out",
-            "pass" if ok else "fail",
-            {
-                "dims": list(f.delta),
-                "conditions": {k: v["status"] for k, v in rep.conditions.items()},
-                "slices_consistent": slices_ok,
-                "preimage_residual": worst,
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "tangent-groupoid-filtration",
+        "groupoid levels filter the tangent groupoid with dimensions doubled plus one; fiber "
+        "slices match the pair and tangent levels and the induced map cuts them out",
+        ok and slices_ok,
+        {**residuals, "slices_consistent": slices_ok},
     )
-    return checks
 
 
 def suite_filtration_pullbacks(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
+    check = _Recorder()
 
     # covering pullback: projective levels lift to sphere levels
-    t0 = time.perf_counter()
     rp1 = catalog.projective_space(1, big_n=3, seed=41)
     rp2 = catalog.projective_space(2, big_n=3, seed=42)
     rpf = filt.Filtration(fl.DimensionSequence([1, 2]), [rp1, rp2], rp2)
@@ -1035,31 +897,24 @@ def suite_filtration_pullbacks(config: SuiteConfig) -> list[CheckResult]:
     s1 = catalog.sphere(1, ambient=3)
     lift_residual = max(s1.constraint_norm(z) for z in pulled.levels[0].samples)
     fibers = {len(cov.lift(s)) for s in rp2.samples}
-    cover_ok = rep.passed and list(pulled.delta) == [1, 2] and lift_residual <= 1e-9 and fibers == {2}
-    checks.append(
-        CheckResult(
-            "covering-pullback-antipodal",
-            "filtrations pull back through finite coverings with dimensions preserved; the double "
-            "cover lifts projective levels to sphere levels through both sheets",
-            "pass" if cover_ok else "fail",
-            {
-                "dims": list(pulled.delta),
-                "lift_residual": lift_residual,
-                "fiber_cardinalities": sorted(fibers),
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    check(
+        "covering-pullback-antipodal",
+        "filtrations pull back through finite coverings with dimensions preserved; the double "
+        "cover lifts projective levels to sphere levels through both sheets",
+        rep.passed and list(pulled.delta) == [1, 2] and lift_residual <= 1e-9 and fibers == {2},
+        {
+            "dims": list(pulled.delta),
+            "lift_residual": lift_residual,
+            "fiber_cardinalities": sorted(fibers),
+        },
     )
 
     # identity covering and degenerate fold
-    t0 = time.perf_counter()
     lin = filt.make_filtration_linear(fl.standard_flag(_sphere_delta(config)[:2]))
     d = lin.total.ambient_dim
+    ident = geo.linear_map(np.eye(d), "id")
     idcov = filt.CoveringMap(
-        total=lin.total,
-        base=lin.total,
-        projection=geo.SmoothMap(d, d, lambda z: np.asarray(z, float), lambda z: np.eye(d), "id"),
-        lift=lambda q: [np.asarray(q, float)],
+        total=lin.total, base=lin.total, projection=ident, lift=lambda q: [np.asarray(q, float)]
     )
     same = filt.pullback_filtration_covering(idcov, lin)
     id_ok = list(same.delta) == list(lin.delta) and filt.verify_filtration(same, n_samples=8).passed
@@ -1075,52 +930,41 @@ def suite_filtration_pullbacks(config: SuiteConfig) -> list[CheckResult]:
         fold_rejected = False
     except NotCovering:
         fold_rejected = True
-    checks.append(
-        CheckResult(
-            "covering-pullback-identity-and-fold",
-            "the identity covering reproduces the filtration; folds with degenerate differential "
-            "are rejected",
-            "pass" if id_ok and fold_rejected else "fail",
-            {"identity_preserved": id_ok, "fold_rejected": fold_rejected},
-            (time.perf_counter() - t0) * 1000,
-        )
+    check(
+        "covering-pullback-identity-and-fold",
+        "the identity covering reproduces the filtration; folds with degenerate differential "
+        "are rejected",
+        id_ok and fold_rejected,
+        {"identity_preserved": id_ok, "fold_rejected": fold_rejected},
     )
 
     # positive-index pullback: dimension shift by the index
-    t0 = time.perf_counter()
     rng = rng_for(config, 2)
     p = 2
-    g = geo.SmoothMap(
-        d + p, d, lambda z: z[:d], lambda z: np.hstack([np.eye(d), np.zeros((d, p))]), "proj"
-    )
+    g = geo.linear_map(np.eye(d, d + p), "proj")
     ntot = filt._full_space(d + p, [rng.normal(size=d + p) for _ in range(6)])
     pulled_f = filt.pullback_filtration_fredholm(g, ntot, p, lin, seeds=[rng.normal(size=d + p) for _ in range(6)])
     rep = filt.verify_filtration(pulled_f, n_samples=8, seed=config.seed)
     dims_ok = list(pulled_f.delta) == [dd + p for dd in lin.delta]
-    g0 = geo.SmoothMap(d, d, lambda z: np.asarray(z, float), lambda z: np.eye(d), "id")
     same_f = filt.pullback_filtration_fredholm(
-        g0, filt._full_space(d, [rng.normal(size=d) for _ in range(6)]), 0, lin
+        ident, filt._full_space(d, [rng.normal(size=d) for _ in range(6)]), 0, lin
     )
     id_dims_ok = list(same_f.delta) == list(lin.delta)
-    checks.append(
-        CheckResult(
-            "positive-index-pullback",
-            "preimages along a positive-index map transverse to the levels filter the source with "
-            "dimensions shifted by the index",
-            "pass" if rep.passed and dims_ok and id_dims_ok else "fail",
-            {
-                "dims": list(pulled_f.delta),
-                "identity_dims": list(same_f.delta),
-                "conditions": {k: v["status"] for k, v in rep.conditions.items()},
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    check(
+        "positive-index-pullback",
+        "preimages along a positive-index map transverse to the levels filter the source with "
+        "dimensions shifted by the index",
+        rep.passed and dims_ok and id_dims_ok,
+        {
+            "dims": list(pulled_f.delta),
+            "identity_dims": list(same_f.delta),
+            "conditions": _statuses(rep),
+        },
     )
 
     # composition-transversality on manifold fixtures: with the projection g
     # transversal to the level, h is transversal to g^-1(level) exactly when
     # g o h is transversal to the level
-    t0 = time.perf_counter()
     rng = rng_for(config, 3)
     mismatches = 0
     outcomes = {True: 0, False: 0}
@@ -1140,25 +984,20 @@ def suite_filtration_pullbacks(config: SuiteConfig) -> list[CheckResult]:
         outcomes[lhs] += 1
         if lhs != rhs:
             mismatches += 1
-    checks.append(
-        CheckResult(
-            "composition-transversality-cross-check",
-            "with the outer map transversal to a level, transversality to its preimage matches "
-            "transversality of the composition, on linear manifold fixtures",
-            "pass" if mismatches == 0 else "fail",
-            {"trials": trials, "mismatches": mismatches, "true_cases": outcomes[True]},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "composition-transversality-cross-check",
+        "with the outer map transversal to a level, transversality to its preimage matches "
+        "transversality of the composition, on linear manifold fixtures",
+        mismatches == 0,
+        {"trials": trials, "mismatches": mismatches, "true_cases": outcomes[True]},
     )
-    return checks
 
 
 def suite_filtration_negative(config: SuiteConfig) -> list[CheckResult]:
-    checks = []
+    check = _Recorder()
     delta = _sphere_delta(config)[:2]
     lin = filt.make_filtration_linear(fl.standard_flag(delta))
 
-    t0 = time.perf_counter()
     ev = filt.example_v_filtration(lin, k=2)
     rep = filt.verify_filtration(ev, n_samples=16, seed=config.seed)
     density_failed = rep.conditions["density"]["status"] == "fail"
@@ -1167,40 +1006,32 @@ def suite_filtration_negative(config: SuiteConfig) -> list[CheckResult]:
         rep.conditions[k]["status"] in ("pass", "out_of_scope", "unverified")
         for k in ("a_dimensions", "b_nesting", "c_limit_inclusion", "d_normality")
     )
-    checks.append(
-        CheckResult(
-            "shifted-product-fails-density",
-            "zero-section levels of a product with a coordinate factor stay normal but are not "
-            "dense and carry no cutting map",
-            "pass" if density_failed and fredholm_unclaimed and others_pass else "fail",
-            {
-                "density_status": rep.conditions["density"]["status"],
-                "fredholm_status": rep.conditions["fredholm"]["status"],
-                "deepest_distance": rep.conditions["density"]["evidence"].get("deepest_distance"),
-            },
-            (time.perf_counter() - t0) * 1000,
-        )
+    check(
+        "shifted-product-fails-density",
+        "zero-section levels of a product with a coordinate factor stay normal but are not "
+        "dense and carry no cutting map",
+        density_failed and fredholm_unclaimed and others_pass,
+        {
+            "density_status": rep.conditions["density"]["status"],
+            "fredholm_status": rep.conditions["fredholm"]["status"],
+            "deepest_distance": rep.conditions["density"]["evidence"].get("deepest_distance"),
+        },
     )
 
-    t0 = time.perf_counter()
     growth = [catalog.sphere(1, ambient=4, seed=31), catalog.sphere(2, ambient=4, seed=32)]
     mx = filt.mixed_product_filtration(lin, growth, [1, 2])
     rep = filt.verify_filtration(mx, n_samples=8, seed=config.seed)
     unverified = rep.conditions["d_normality"]["status"] == "unverified"
-    checks.append(
-        CheckResult(
-            "witness-free-product-unverified",
-            "normality is never inferred from samples: without witnesses the verdict is "
-            "unverified, not a pass or fail",
-            "pass" if unverified and rep.passed else "fail",
-            {"normality_status": rep.conditions["d_normality"]["status"]},
-            (time.perf_counter() - t0) * 1000,
-        )
+    check(
+        "witness-free-product-unverified",
+        "normality is never inferred from samples: without witnesses the verdict is "
+        "unverified, not a pass or fail",
+        unverified and rep.passed,
+        {"normality_status": rep.conditions["d_normality"]["status"]},
     )
 
-    t0 = time.perf_counter()
     d = lin.total.ambient_dim
-    bad = geo.SmoothMap(d, d, lambda z: np.concatenate([[z[0]], np.zeros(d - 1)]), None, "degenerate")
+    bad = geo.linear_map(np.diag(np.eye(d)[0]), "degenerate")  # keeps the first coordinate only
     rng = rng_for(config, 2)
     try:
         filt.pullback_filtration_fredholm(
@@ -1209,16 +1040,12 @@ def suite_filtration_negative(config: SuiteConfig) -> list[CheckResult]:
         raised = False
     except NotTransverse:
         raised = True
-    checks.append(
-        CheckResult(
-            "non-transverse-pullback-rejected",
-            "pullback along a map failing the transversality hypothesis is refused",
-            "pass" if raised else "fail",
-            {"raised": raised},
-            (time.perf_counter() - t0) * 1000,
-        )
+    return check(
+        "non-transverse-pullback-rejected",
+        "pullback along a map failing the transversality hypothesis is refused",
+        raised,
+        {"raised": raised},
     )
-    return checks
 
 
 # -- registry --------------------------------------------------------------------
@@ -1319,9 +1146,17 @@ def list_suites() -> list[dict]:
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
+    """Run one suite.  A ``LabError`` raised inside it becomes a single
+    ``error`` check, so one broken suite never hides the verdicts of the
+    others; any other exception propagates."""
     if config.suite not in SUITES:
         raise UnknownSuite(f"unknown suite {config.suite!r}; see list-suites")
-    checks = SUITES[config.suite]["fn"](config)
+    entry = SUITES[config.suite]
+    record = _Recorder()
+    try:
+        checks = entry["fn"](config)
+    except LabError as exc:
+        checks = record.error(exc, entry["claim"])
     return SuiteReport(config.suite, config, checks)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from dnclab import catalog, filtration as filt, flags as fl, geometry as geo
 from dnclab.errors import (
+    ConfigError,
     DepthMismatch,
     DimensionTooSmall,
     EmptyFirstLevel,
@@ -405,8 +406,21 @@ class TestJsonSurface:
         assert list(f.delta) == [2, 6]
 
     def test_unknown_kind(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             filt.filtration_from_spec({"kind": "nope", "delta": [1, 2]})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "linear", "delta": [2, 2]},
+            {"kind": "sphere", "delta": [2, 4], "depth": 0},
+            {"kind": "linear"},
+            {"delta": [2, 4]},
+        ],
+    )
+    def test_bad_spec_is_a_config_error(self, spec):
+        with pytest.raises(ConfigError):
+            filt.filtration_from_spec(spec)
 
     def test_report_json_shape(self, sphere_filtration):
         rep = filt.verify_filtration(sphere_filtration, n_samples=4)

@@ -33,6 +33,11 @@ class TestJacobian:
         with pytest.raises(geo.DomainError):
             f.jacobian([0.7], check=True)
 
+    @pytest.mark.parametrize("verify", [geo.verify_analytic_jacobian, geo.jacobian_consistency_slope])
+    def test_missing_jacobian_is_a_domain_error(self, verify):
+        with pytest.raises(geo.DomainError, match="no analytic jacobian"):
+            verify(geo.SmoothMap(1, 1, lambda x: x**2), [0.7])
+
     def test_richardson_improves(self):
         fn = lambda x: np.array([np.exp(x[0])])
         plain = geo.numeric_jacobian(fn, [1.0], h=1e-3)

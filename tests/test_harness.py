@@ -1,14 +1,15 @@
 """Harness surface: registry, determinism, configuration, CLI exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from dnclab import cli
-from dnclab.errors import ConfigError, UnknownSuite
-from dnclab.report import CheckResult, SuiteConfig, SuiteReport, canonical_json, rng_for
+from dnclab.errors import ConfigError, NoConvergence, UnknownSuite
+from dnclab.report import MAX_TRUNCATION, CheckResult, SuiteConfig, SuiteReport, canonical_json, rng_for
 from dnclab.suites import SUITES, list_suites, run_suite
 
 
@@ -61,6 +62,9 @@ class TestConfig:
             SuiteConfig("x", samples=0)
         with pytest.raises(ConfigError):
             SuiteConfig("x", seed=-1)
+        with pytest.raises(ConfigError):
+            SuiteConfig("x", truncation=MAX_TRUNCATION + 1)
+        assert SuiteConfig("x", truncation=MAX_TRUNCATION).truncation == MAX_TRUNCATION
 
     def test_rng_keyed_by_suite_and_index(self):
         c1 = SuiteConfig("a")
@@ -131,6 +135,54 @@ class TestCli:
     def test_non_finite_tol_exit_two(self, tol):
         assert cli.main(["verify", "--suite", "flag-laws", f"--tol={tol}"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["verify", "--suite", "flag-laws"], {"DNCLAB_SEED": "abc"}),
+            (["verify-all"], {"DNCLAB_TOL": "x"}),
+            # rejected by SuiteConfig before any operator is truncated
+            (["verify", "--suite", "block-index-zero", "--truncation", "100000"], {}),
+            (["demo", "sphere-filtration", "--delta", "2,2"], {}),
+            (["demo", "sphere-filtration", "--delta", "x"], {}),
+            (["demo", "sphere-filtration", "--delta", ""], {}),
+            (["demo", "sphere-filtration", "--depth", "0"], {}),
+            (["demo", "sphere-filtration", "--samples", "0"], {}),
+            (["demo", "sphere-filtration", "--seed", "-1"], {}),
+        ],
+    )
+    def test_bad_input_exit_two(self, argv, env, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert cli.main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_suite_error_is_reported_not_raised(self, monkeypatch, tmp_path):
+        def broken(config):
+            raise NoConvergence("projection did not converge")
+
+        monkeypatch.setitem(SUITES["dnc-product"], "fn", broken)
+        path = tmp_path / "all.json"
+        assert cli.main(["verify-all", "--samples", "8", "--report", str(path)]) == 1
+        obj = json.loads(path.read_text())
+        assert obj["overall"] == "fail"
+        assert len(obj["suites"]) == len(SUITES) == 19
+        failing = [s for s in obj["suites"] if s["overall"] != "pass"]
+        assert [s["suite"] for s in failing] == ["dnc-product"]
+        (check,) = failing[0]["checks"]
+        assert check["status"] == "error"
+        assert check["residuals"] == {
+            "exception": "NoConvergence",
+            "message": "projection did not converge",
+        }
+
+    def test_non_lab_error_in_suite_propagates(self, monkeypatch):
+        def broken(config):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setitem(SUITES["dnc-product"], "fn", broken)
+        with pytest.raises(ZeroDivisionError):
+            run_suite(SuiteConfig("dnc-product", samples=8))
+
     def test_report_file_written(self, tmp_path):
         path = tmp_path / "rep.json"
         code = cli.main(
@@ -158,7 +210,13 @@ class TestCli:
         assert obj["report"]["passed"]
 
     def test_console_script_entrypoint(self):
+        # the child imports the same dnclab as the tests, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "dnclab.cli", "list-suites"], capture_output=True, text=True
+            [sys.executable, "-m", "dnclab.cli", "list-suites"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0 and "taylor-remainder" in proc.stdout
