@@ -31,13 +31,34 @@ def _env_default(name: str, cast, fallback):
         raise ConfigError(f"bad {ENV_PREFIX}{name.upper()}={raw!r}") from exc
 
 
+# (flag, type, default, help) of every suite configuration flag
+_CONFIG_FLAGS = (
+    ("seed", int, 42, "seed of the random instances; each check draws from (seed, suite, check)"),
+    (
+        "truncation",
+        int,
+        24,
+        "minimum truncation level of the index computations in block-index-zero, the only "
+        "suite that reads it; 4 to 1024",
+    ),
+    ("depth", int, 4, "flag levels of the sphere towers in the flag and filtration suites, used from 2 to 5"),
+    ("tol", float, 1e-7, "finite positive tolerance of the residual checks that take one"),
+    ("samples", int, 64, "random instances per check; some suites cap it"),
+)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_env_default("seed", int, 42))
-    p.add_argument("--truncation", type=int, default=_env_default("truncation", int, 24))
-    p.add_argument("--depth", type=int, default=_env_default("depth", int, 4))
-    p.add_argument("--tol", type=float, default=_env_default("tol", float, 1e-7))
-    p.add_argument("--samples", type=int, default=_env_default("samples", int, 64))
-    p.add_argument("--report", default=_env_default("report", str, None), help="write the JSON report here")
+    for name, cast, fallback, text in _CONFIG_FLAGS:
+        env = ENV_PREFIX + name.upper()
+        p.add_argument(
+            f"--{name}",
+            type=cast,
+            default=_env_default(name, cast, fallback),
+            help=f"{text} (default %(default)s; also {env})",
+        )
+    p.add_argument(
+        "--report", default=_env_default("report", str, None), help=f"write the JSON report here (also {ENV_PREFIX}REPORT)"
+    )
 
 
 def _config_from(args, suite: str = "") -> SuiteConfig:
@@ -76,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_verify = subs.add_parser("verify", help="run one named suite")
-    p_verify.add_argument("--suite", required=True)
+    p_verify.add_argument("--suite", required=True, help="suite name, as printed by list-suites")
     _add_config_flags(p_verify)
 
     p_all = subs.add_parser("verify-all", help="run every suite and aggregate")

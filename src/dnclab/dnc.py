@@ -33,6 +33,7 @@ from .geometry import (
     newton_project,
     normal_frame,
     normal_map_pushforward,
+    numeric_jacobian,
 )
 
 __all__ = [
@@ -176,13 +177,7 @@ def _tubular_inverse(tub: TubularMap, q, tol: float = 1e-11, max_iter: int = 60)
         r = residual(z)
         if np.max(np.abs(r), initial=0.0) <= tol:
             break
-        j = np.column_stack(
-            [
-                (residual(z + dz) - residual(z - dz)) / (2e-7)
-                for dz in (1e-7 * np.eye(z.size))[...]
-            ]
-        )
-        step = linalg.min_norm_lstsq(j, -r)
+        step = linalg.min_norm_lstsq(numeric_jacobian(residual, z, 1e-7), -r)
         z = z + step
         if not np.all(np.isfinite(z)):
             raise OutsideChart("tubular inversion diverged")

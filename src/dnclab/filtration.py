@@ -30,7 +30,14 @@ from .errors import (
     NotTransverse,
 )
 from .flags import DimensionSequence, Flag, flag_groupoid, flag_product, flag_subsequence
-from .geometry import ImplicitManifold, SmoothMap, compose_maps, linear_map, newton_project
+from .geometry import (
+    ImplicitManifold,
+    SmoothMap,
+    central_difference,
+    compose_maps,
+    linear_map,
+    newton_project,
+)
 
 __all__ = [
     "NormalityWitness",
@@ -573,7 +580,7 @@ def tangent_filtration(f: Filtration) -> Filtration:
             x, v = z[:d], z[d:]
             base = np.atleast_2d(fr(x))
             h = 1e-6 * (1.0 + float(np.linalg.norm(v)))
-            dbase = (np.atleast_2d(fr(x + h * v)) - np.atleast_2d(fr(x - h * v))) / (2 * h)
+            dbase = np.atleast_2d(central_difference(fr, x, v, h))
             k = base.shape[1]
             out = np.zeros((2 * d, 2 * k))
             out[:d, :k] = base  # horizontal lifts
@@ -658,7 +665,7 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
             k = cur.shape[1]
             if abs(lam) < FIBER_EPS:
                 h = 1e-6 * (1.0 + float(np.linalg.norm(w)))
-                dcur = (np.atleast_2d(fr(x + h * w)) - np.atleast_2d(fr(x - h * w))) / (2 * h)
+                dcur = np.atleast_2d(central_difference(fr, x, w, h))
             else:
                 dcur = (cur - np.atleast_2d(fr(x - lam * w))) / lam
             out = np.zeros((2 * d + 1, 2 * k))
@@ -1227,37 +1234,51 @@ def filtration_from_spec(spec: dict) -> Filtration:
     """
     from .flags import standard_flag
 
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a filtration spec is a JSON object, got {spec!r}")
     kind = spec.get("kind")
     delta = spec.get("delta")
     depth = spec.get("depth")
-    if depth is not None and int(depth) < 1:
-        raise ConfigError(f"depth must be at least 1, got {depth}")
-    if delta is not None and depth is not None:
-        delta = list(delta)[: int(depth)]
+    if depth is not None:
+        try:
+            depth = int(depth)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"depth must be an integer, got {depth!r}") from exc
+        if depth < 1:
+            raise ConfigError(f"depth must be at least 1, got {depth}")
 
     def flag():
         try:
-            return standard_flag(delta)
+            levels = list(delta)
+            if depth is not None and depth > len(levels):
+                raise ConfigError(f"depth {depth} exceeds the {len(levels)} levels of {delta!r}")
+            return standard_flag(levels[:depth])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad dimension sequence {delta!r}: {exc}") from exc
+
+    def part(key):
+        if key not in spec:
+            raise ConfigError(f"a {kind!r} spec needs a {key!r} sub-spec")
+        return filtration_from_spec(spec[key])
 
     if kind == "linear":
         return make_filtration_linear(flag(), margin=spec.get("margin", 5))
     if kind == "sphere":
-        return make_filtration_sphere(flag(), margin=spec.get("margin", 5))
+        try:
+            return make_filtration_sphere(flag(), margin=spec.get("margin", 5))
+        except DimensionTooSmall as exc:
+            raise ConfigError(f"bad dimension sequence {delta!r}: {exc}") from exc
     if kind == "open":
         radius = float(spec.get("radius", 1.0))
         return make_filtration_open_subset(lambda x: float(np.linalg.norm(x)) < radius, flag())
     if kind == "product":
-        return make_filtration_product(
-            filtration_from_spec(spec["first"]), filtration_from_spec(spec["second"])
-        )
+        return make_filtration_product(part("first"), part("second"))
     if kind == "pair-groupoid":
-        return pair_groupoid_filtration(filtration_from_spec(spec["base"]))
+        return pair_groupoid_filtration(part("base"))
     if kind == "tangent":
-        return tangent_filtration(filtration_from_spec(spec["base"]))
+        return tangent_filtration(part("base"))
     if kind == "tangent-groupoid":
-        return tangent_groupoid_filtration(filtration_from_spec(spec["base"]))
+        return tangent_groupoid_filtration(part("base"))
     if kind == "shifted-product":
-        return example_v_filtration(filtration_from_spec(spec["base"]), k=spec.get("k", 2))
+        return example_v_filtration(part("base"), k=spec.get("k", 2))
     raise ConfigError(f"unknown filtration kind {kind!r}")

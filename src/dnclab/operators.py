@@ -4,8 +4,16 @@ The model class is "scaled coordinate shift outside a finite window, plus
 an explicit matrix on the window": T e_i = c * e_(i+s) for i >= window,
 and T e_i = block[:, i] for i < window.  Compact perturbations are modeled
 exactly as finite-rank, which makes structure-group membership a decidable
-predicate and keeps index computations honest (kernel/cokernel counts are
-required to stabilize across two truncation levels before being believed).
+predicate.
+
+:meth:`SequenceOperator.to_dense` is the one layout of an operator as a
+matrix (the window block, then the scaled tail): canonicalisation,
+composition, sums, comparison, flattening and every rank decision work on
+its truncations, and the lower triangular block [[F, 0], [P, F2]] is
+assembled from them in one place (``BlockOperator._dense``).  Two-level rule: a
+kernel/cokernel count or a transversality rank verdict is believed only when
+two truncation levels give the same answer; otherwise StabilizationFailure
+is raised rather than the disagreement being resolved silently.
 
 Coordinates are 0-based internally; e_i is the i-th standard basis vector.
 """
@@ -85,78 +93,44 @@ class SequenceOperator:
 
     # -- construction and canonical form ---------------------------------
 
-    def _column(self, i: int) -> np.ndarray:
-        """Full action on e_i as a finite vector."""
-        if i < self.window:
-            return self.block[:, i].copy()
-        out = np.zeros(i + max(self.shift, 0) + 1)
-        if self.tail_scale != 0.0:
-            out[i + self.shift] = self.tail_scale
-        return out
-
-    def _tail_column(self, i: int, length: int) -> np.ndarray:
-        out = np.zeros(length)
-        if self.tail_scale != 0.0 and 0 <= i + self.shift < length:
-            out[i + self.shift] = self.tail_scale
-        return out
-
     def _canonicalize(self) -> None:
         """Shrink the window to the minimal one: every column at or beyond it
         is the pure (scaled) tail action, and the block's row support stays
         within window + |shift|."""
-        w = self.window
-        rows = self.block.shape[0]
-        cols = [self.block[:, i] for i in range(w)]
-        # minimal window from tail agreement; compare at a length that can
-        # hold the genuine tail entry, not just the stored block rows
-        w_tail = max(0, -self.shift) if self.tail_scale != 0.0 else 0
-        n = w
-        while n > w_tail:
-            i = n - 1
-            length = rows
-            if self.tail_scale != 0.0 and i + self.shift >= 0:
-                length = max(length, i + self.shift + 1)
-            col = linalg.pad_to(cols[i], length)
-            tail = self._tail_column(i, length)
-            if np.array_equal(col, tail):
-                n -= 1
-            else:
-                break
-        # row support of the surviving block
-        support = 0
-        for i in range(n):
-            nz = np.nonzero(cols[i])[0]
-            if nz.size:
-                support = max(support, nz[-1] + 1)
-        if self.tail_scale != 0.0:
-            n = max(n, support - abs(self.shift), 0)
-        new_rows = max(support, n + abs(self.shift) if self.tail_scale != 0.0 else support)
-        new_block = np.zeros((new_rows, n))
-        for i in range(n):
-            if i < w:
-                c = cols[i]
-                new_block[: min(len(c), new_rows), i] = c[:new_rows]
-            else:
-                new_block[:, i] = self._tail_column(i, new_rows)
+        s, w, height = self.shift, self.window, self.block.shape[0]
+        live = self.tail_scale != 0.0
+        w_tail = max(0, -s) if live else 0
+        # one truncation tall enough to hold every column's tail entry (so a
+        # column that kills e_i is not mistaken for a tail beyond the block)
+        # and big enough to hold the canonical block
+        if live:
+            a = self.to_dense(max(height, w + abs(s)), max(w, height - abs(s)))
+        else:
+            a = self.to_dense(height, w)
+        nonzero = a != 0.0
+        counts = nonzero[:, w_tail:].sum(axis=0)
+        if live:  # a tail column holds tail_scale at a[i + s, i] and nothing else
+            is_tail = (counts == 1) & (np.diagonal(a, -s) == self.tail_scale)
+        else:
+            is_tail = counts == 0
+        explicit = np.flatnonzero(~is_tail)
+        n = w_tail + (int(explicit[-1]) + 1 if explicit.size else 0)
+        used = np.nonzero(nonzero[:, :n])[0]  # row-major: the last is the lowest row
+        support = int(used[-1]) + 1 if used.size else 0
+        rows = support
+        if live:
+            n = max(n, support - abs(s))
+            rows = max(support, n + abs(s))
+        self.block = a[:rows, :n].copy()
         self.window = n
-        self.block = new_block
 
     @staticmethod
-    def from_columns(shift: int, columns: list[np.ndarray], tail_scale: float = 1.0) -> "SequenceOperator":
-        """Operator whose first len(columns) columns are given explicitly and
-        whose remaining columns are the (scaled) tail shift."""
-        w = len(columns)
-        if tail_scale != 0.0:
-            w = max(w, -shift, 0)
-        rows = max([c.size for c in columns] + [w + abs(shift), 1])
-        block = np.zeros((rows, w))
-        for i in range(w):
-            if i < len(columns):
-                c = np.asarray(columns[i], dtype=float).ravel()
-                block[: c.size, i] = c
-            elif tail_scale != 0.0 and 0 <= i + shift:
-                block[i + shift, i] = tail_scale
-        return SequenceOperator(shift, w, block, tail_scale)
+    def from_dense(shift: int, matrix, tail_scale: float = 1.0) -> "SequenceOperator":
+        """Operator whose leading columns are those of ``matrix``, each the
+        complete image of its basis vector, and whose remaining columns are
+        the (scaled) tail shift."""
+        matrix = np.asarray(matrix, dtype=float)
+        return SequenceOperator(shift, matrix.shape[1], matrix, tail_scale)
 
     # -- actions ----------------------------------------------------------
 
@@ -176,7 +150,9 @@ class SequenceOperator:
         return linalg.trim(y)
 
     def compose(self, other: "SequenceOperator") -> "SequenceOperator":
-        """self after other (matrix product self @ other)."""
+        """self after other (matrix product self @ other): one product of two
+        truncations deep enough to hold the image of every column below the
+        composite's window."""
         scale = self.tail_scale * other.tail_scale
         shift = self.shift + other.shift if scale != 0.0 else 0
         if other.tail_scale == 0.0:
@@ -185,8 +161,9 @@ class SequenceOperator:
             w = max(other.window, self.window - other.shift, 0)
         else:
             w = max(other.window, self.window - other.shift, 0, -shift)
-        cols = [self.apply(other._column(i)) for i in range(w)]
-        return SequenceOperator.from_columns(shift, cols, scale)
+        mid = other.output_rows(w)
+        a = self.to_dense(self.output_rows(mid), mid) @ other.to_dense(mid, w)
+        return SequenceOperator.from_dense(shift, a, scale)
 
     def __matmul__(self, other):
         if isinstance(other, SequenceOperator):
@@ -203,12 +180,8 @@ class SequenceOperator:
         else:
             shift, scale = other.shift, other.tail_scale
         w = max(self.window, other.window, -shift if scale != 0.0 else 0, 0)
-        cols = []
-        for i in range(w):
-            a, b = self._column(i), other._column(i)
-            n = max(a.size, b.size)
-            cols.append(linalg.pad_to(a, n) + linalg.pad_to(b, n))
-        return SequenceOperator.from_columns(shift, cols, scale)
+        rows = max(self.output_rows(w), other.output_rows(w))
+        return SequenceOperator.from_dense(shift, self.to_dense(rows, w) + other.to_dense(rows, w), scale)
 
     def scale(self, c: float) -> "SequenceOperator":
         return SequenceOperator(self.shift, self.window, c * self.block, c * self.tail_scale)
@@ -226,16 +199,18 @@ class SequenceOperator:
 
     def to_dense(self, rows: int, cols: int) -> np.ndarray:
         """Truncation oracle: the rows x cols matrix of T between coordinate
-        truncations (output coordinates beyond ``rows`` are projected away)."""
+        truncations (output coordinates beyond ``rows`` are projected away).
+        This is the one place the window block and the scaled tail are laid
+        out as a matrix."""
         a = np.zeros((rows, cols))
-        r = min(rows, self.block.shape[0])
-        c = min(cols, self.window)
-        a[:r, :c] = self.block[:r, :c]
-        if self.tail_scale != 0.0:
-            for i in range(self.window, cols):
-                j = i + self.shift
-                if 0 <= j < rows:
-                    a[j, i] = self.tail_scale
+        head = self.block[:rows, :cols]
+        a[: head.shape[0], : head.shape[1]] = head
+        w, s = self.window, self.shift
+        stop = min(cols, rows - s)
+        if self.tail_scale != 0.0 and stop > w:
+            # entries (i + s, i) for w <= i < stop, every (cols + 1)-th of the
+            # flattened matrix; i >= w >= -s keeps i + s >= 0
+            a.reshape(-1)[(w + s) * cols + w : (stop + s) * cols + stop : cols + 1] = self.tail_scale
         return a
 
     def output_rows(self, cols: int) -> int:
@@ -265,12 +240,8 @@ class SequenceOperator:
         ):
             return False
         w = max(self.window, other.window)
-        for i in range(w):
-            a, b = self._column(i), other._column(i)
-            n = max(a.size, b.size)
-            if np.max(np.abs(linalg.pad_to(a, n) - linalg.pad_to(b, n)), initial=0.0) > tol:
-                return False
-        return True
+        rows = max(self.output_rows(w), other.output_rows(w))
+        return bool(np.max(np.abs(self.to_dense(rows, w) - other.to_dense(rows, w)), initial=0.0) <= tol)
 
     def __repr__(self) -> str:
         return (
@@ -328,11 +299,19 @@ def finite_rank(matrix) -> SequenceOperator:
 # -- Fredholm index ----------------------------------------------------------
 
 
-def _kernel_cokernel(op: SequenceOperator, level: int, rtol: float | None):
-    rows = op.output_rows(level)
-    a = op.to_dense(rows, level)
+def _stable(levels: tuple[int, int], decide, what: str):
+    """The value of ``decide`` at two truncation levels, believed only when
+    the two agree; a disagreement raises StabilizationFailure."""
+    lo, hi = levels
+    first, second = decide(lo), decide(hi)
+    if first != second:
+        raise StabilizationFailure(f"{what} {first} at level {lo} vs {second} at level {hi}")
+    return first
+
+
+def _kernel_cokernel(a: np.ndarray, rtol: float | None) -> tuple[int, int]:
     r = linalg.rank(a, rtol)
-    return level - r, rows - r
+    return a.shape[1] - r, a.shape[0] - r
 
 
 def fredholm_index(op: SequenceOperator, level: int | None = None, rtol: float | None = None) -> int:
@@ -343,12 +322,11 @@ def fredholm_index(op: SequenceOperator, level: int | None = None, rtol: float |
     rather than being silently resolved.
     """
     base = max(level or 0, op.window + 2 * abs(op.shift) + 8)
-    counts = [_kernel_cokernel(op, L, rtol) for L in (base, base + 5)]
-    if counts[0] != counts[1]:
-        raise StabilizationFailure(
-            f"kernel/cokernel counts {counts[0]} at L={base} vs {counts[1]} at L={base + 5}"
-        )
-    k, c = counts[0]
+    k, c = _stable(
+        (base, base + 5),
+        lambda L: _kernel_cokernel(op.to_dense(op.output_rows(L), L), rtol),
+        "kernel/cokernel counts",
+    )
     idx = k - c
     if op.tail_scale != 0.0 and idx != -op.shift:
         raise StabilizationFailure(
@@ -366,23 +344,14 @@ def is_glk(op: SequenceOperator, rtol: float | None = None) -> bool:
     if op.tail_scale != 1.0 or op.shift != 0:
         return False
     w = op.window
-    if w == 0:
-        return True
-    b = np.zeros((w, w))
-    b[: op.block.shape[0], :] = op.block[:w, :]
-    return linalg.rank(b, rtol) == w
+    return w == 0 or linalg.rank(op.to_dense(w, w), rtol) == w
 
 
 def glk_inverse(op: SequenceOperator) -> SequenceOperator:
     """Inverse of a structure-group element (exact finite solve)."""
     if not is_glk(op):
         raise NotGLK("operator is not an invertible identity-plus-finite-rank")
-    w = op.window
-    if w == 0:
-        return identity()
-    b = np.zeros((w, w))
-    b[: op.block.shape[0], :] = op.block[:w, :]
-    return SequenceOperator(0, w, np.linalg.inv(b))
+    return SequenceOperator(0, op.window, np.linalg.inv(op.to_dense(op.window, op.window)))
 
 
 class BlockOperator:
@@ -421,11 +390,16 @@ class BlockOperator:
         if self.F2.tail_scale != 0.0:
             cols2 = max(level, reach_p - self.F2.shift)
         rows2 = max(reach_p, self.F2.output_rows(cols2))
+        return self._dense(rows1, cols1, rows2, cols2), rows1, rows2
+
+    def _dense(self, rows1: int, cols1: int, rows2: int, cols2: int) -> np.ndarray:
+        """[[F, 0], [P, F2]] from the domain truncations (cols1, cols2) to the
+        codomain truncations (rows1, rows2): the one block layout."""
         a = np.zeros((rows1 + rows2, cols1 + cols2))
         a[:rows1, :cols1] = self.F.to_dense(rows1, cols1)
         a[rows1:, :cols1] = self.P.to_dense(rows2, cols1)
         a[rows1:, cols1:] = self.F2.to_dense(rows2, cols2)
-        return a, rows1, rows2
+        return a
 
     def fredholm_index(self, level: int | None = None, rtol: float | None = None) -> int:
         """Index of the flattened operator via kernel/cokernel counts at two
@@ -434,16 +408,11 @@ class BlockOperator:
             level or 0,
             *(op.window + 2 * abs(op.shift) for op in (self.F, self.P, self.F2)),
         )
-        counts = []
-        for L in (base, base + 5):
-            a, r1, r2 = self.stacked_dense(L)
-            r = linalg.rank(a, rtol)
-            counts.append((a.shape[1] - r, r1 + r2 - r))
-        if counts[0] != counts[1]:
-            raise StabilizationFailure(
-                f"block kernel/cokernel counts {counts[0]} vs {counts[1]}"
-            )
-        k, c = counts[0]
+        k, c = _stable(
+            (base, base + 5),
+            lambda L: _kernel_cokernel(self.stacked_dense(L)[0], rtol),
+            "block kernel/cokernel counts",
+        )
         return k - c
 
     def flatten(self) -> SequenceOperator:
@@ -461,26 +430,13 @@ class BlockOperator:
         else:
             raise NotRepresentable("mixed zero/shift tails do not flatten")
         w = max(self.F.window, self.F2.window, self.P.window, -self.F.shift if scale else 0)
-        cols = []
-        for i in range(w):  # factor-1 column i -> global 2i, factor-2 -> 2i+1
-            y1, y2 = self.F._column(i), self.P._column(i)
-            cols.append(_interleave_vec(y1, y2))
-            cols.append(_interleave_vec(np.zeros(0), self.F2._column(i)))
-        # reorder: we appended (2i, 2i+1) pairs in order, already global order
-        return SequenceOperator.from_columns(shift, cols, scale)
+        rows = max(op.output_rows(w) for op in (self.F, self.P, self.F2))
+        # factor-1 coordinate i sits at 2i, factor-2 coordinate i at 2i + 1
+        r, c = (np.arange(2 * n).reshape(2, n).T.ravel() for n in (rows, w))
+        return SequenceOperator.from_dense(shift, self._dense(rows, w, rows, w)[np.ix_(r, c)], scale)
 
     def __repr__(self) -> str:
         return f"BlockOperator(F={self.F!r}, P={self.P!r}, F2={self.F2!r})"
-
-
-def _interleave_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    n = max(x.size, y.size)
-    out = np.zeros(2 * n)
-    out[0 : 2 * x.size : 2] = x
-    out[1 : 2 * y.size + 1 : 2] = y
-    return linalg.trim(out)
 
 
 def block_lower_triangular(F: SequenceOperator, P: SequenceOperator, F2: SequenceOperator) -> BlockOperator:
@@ -542,14 +498,10 @@ def _surjectivity_rank_ok(op: SequenceOperator, v: ComplementedSubspace, rows: i
 def is_transversal(op: SequenceOperator, v: ComplementedSubspace, rtol: float | None = None) -> bool:
     """im(T) + V = codomain and the preimage construction yields a verified
     complement; rank decisions stabilized over two truncation levels."""
-    l1, l2 = _levels_for(op, v)
-    ok1 = _surjectivity_rank_ok(op, v, l1, rtol)
-    ok2 = _surjectivity_rank_ok(op, v, l2, rtol)
-    if ok1 != ok2:
-        raise StabilizationFailure(
-            f"transversality rank test disagrees between levels {l1} and {l2}"
-        )
-    if not ok1:
+    surjective = _stable(
+        _levels_for(op, v), lambda L: _surjectivity_rank_ok(op, v, L, rtol), "transversality rank test"
+    )
+    if not surjective:
         return False
     try:
         preimage_with_complement(op, v, rtol=rtol, _check_surjective=False)
@@ -575,11 +527,11 @@ def transversality_witness(
     a = op.to_dense(rows, cols)
     vb = v.space.basis_matrix(rows)
     q = linalg.orthonormalize(vb)
-    proj_off = np.eye(rows) - q @ q.T if q.size else np.eye(rows)
+    proj_off = np.eye(rows) - q @ q.T
     target = linalg.pad_to(e_prime, rows)
     e = linalg.min_norm_lstsq(proj_off @ a, proj_off @ target)
     remainder = target - a @ e
-    vvec = q @ (q.T @ remainder) if q.size else np.zeros(rows)
+    vvec = q @ (q.T @ remainder)
     actual = op.apply(e)
     n = max(rows, actual.size)
     resid = linalg.pad_to(target, n) - linalg.pad_to(actual, n) - linalg.pad_to(vvec, n)
@@ -644,7 +596,7 @@ def preimage_with_complement(
     vb = v.space.basis_matrix(rows)
     # x in head-span with A x in span(V)  <=>  (I - P_V) A x = 0
     q = linalg.orthonormalize(vb)
-    proj_off = np.eye(rows) - q @ q.T if q.size else np.eye(rows)
+    proj_off = np.eye(rows) - q @ q.T
     kernel = linalg.nullspace(proj_off @ a, rtol)
     u = [linalg.trim(kernel[:, i]) for i in range(kernel.shape[1])]
     w_basis = linalg.nullspace(kernel.T if kernel.size else np.zeros((0, head)), rtol)
@@ -672,8 +624,8 @@ def block_is_transversal(
     l1a, l1b = _levels_for(b.F, v1)
     l2a, l2b = _levels_for(b.F2, v2)
     lp = b.P.window + 2 * abs(b.P.shift) + 8
-    results = []
-    for lv in (max(l1a, l2a, lp), max(l1b, l2b, lp) + 5):
+
+    def surjective(lv: int) -> bool:
         rows1 = max(b.F.output_rows(lv + abs(b.F.shift) + b.F.window), lv)
         rows2 = max(
             b.F2.output_rows(lv + abs(b.F2.shift) + b.F2.window),
@@ -682,19 +634,21 @@ def block_is_transversal(
         )
         cols1 = rows1 + abs(b.F.shift) + b.F.window
         cols2 = rows2 + abs(b.F2.shift) + b.F2.window
-        a = np.zeros((rows1 + rows2, cols1 + cols2))
-        a[:rows1, :cols1] = b.F.to_dense(rows1, cols1)
-        a[rows1:, :cols1] = b.P.to_dense(rows2, cols1)
-        a[rows1:, cols1:] = b.F2.to_dense(rows2, cols2)
-        vb1 = v1.space.basis_matrix(rows1)
-        vb2 = v2.space.basis_matrix(rows2)
-        vb = np.zeros((rows1 + rows2, vb1.shape[1] + vb2.shape[1]))
-        vb[:rows1, : vb1.shape[1]] = vb1
-        vb[rows1:, vb1.shape[1] :] = vb2
-        results.append(linalg.rank(np.hstack([a, vb]), rtol) == rows1 + rows2)
-    if results[0] != results[1]:
-        raise StabilizationFailure("block transversality rank test disagrees between levels")
-    return results[0]
+        a = np.hstack([b._dense(rows1, cols1, rows2, cols2), _sum_basis(v1, v2, rows1, rows2)])
+        return linalg.rank(a, rtol) == rows1 + rows2
+
+    levels = (max(l1a, l2a, lp), max(l1b, l2b, lp) + 5)
+    return _stable(levels, surjective, "block transversality rank test")
+
+
+def _sum_basis(v1: ComplementedSubspace, v2: ComplementedSubspace, rows1: int, rows2: int) -> np.ndarray:
+    """Block-diagonal columns spanning V1 (+) V2 at truncations (rows1, rows2)."""
+    vb1 = v1.space.basis_matrix(rows1)
+    vb2 = v2.space.basis_matrix(rows2)
+    vb = np.zeros((rows1 + rows2, vb1.shape[1] + vb2.shape[1]))
+    vb[:rows1, : vb1.shape[1]] = vb1
+    vb[rows1:, vb1.shape[1] :] = vb2
+    return vb
 
 
 def block_preimage_with_complement(
@@ -734,29 +688,18 @@ def block_preimage_with_complement(
         h2 = max(h2, b.P.output_rows(h1) + abs(b.F2.shift) + 1)
     rows1 = max(b.F.output_rows(h1), v1.space.support_bound(), 1)
     rows2 = max(b.F2.output_rows(h2), b.P.output_rows(h1), v2.space.support_bound(), 1)
-    a = np.zeros((rows1 + rows2, h1 + h2))
-    a[:rows1, :h1] = b.F.to_dense(rows1, h1)
-    a[rows1:, :h1] = b.P.to_dense(rows2, h1)
-    a[rows1:, h1:] = b.F2.to_dense(rows2, h2)
-    vb1 = v1.space.basis_matrix(rows1)
-    vb2 = v2.space.basis_matrix(rows2)
-    vb = np.zeros((rows1 + rows2, vb1.shape[1] + vb2.shape[1]))
-    vb[:rows1, : vb1.shape[1]] = vb1
-    vb[rows1:, vb1.shape[1] :] = vb2
-    q = linalg.orthonormalize(vb)
-    proj_off = np.eye(rows1 + rows2) - q @ q.T if q.size else np.eye(rows1 + rows2)
+    a = b._dense(rows1, h1, rows2, h2)
+    q = linalg.orthonormalize(_sum_basis(v1, v2, rows1, rows2))
+    proj_off = np.eye(rows1 + rows2) - q @ q.T
     kernel = linalg.nullspace(proj_off @ a, rtol)
-    joint_vectors = []
-    for i in range(kernel.shape[1]):
-        joint_vectors.append(_interleave_vec(kernel[:h1, i], kernel[h1:, i]))
+    joint = np.zeros((2 * max(h1, h2), kernel.shape[1]))  # (x1, x2) -> x1 at 2i, x2 at 2i + 1
+    joint[0 : 2 * h1 : 2], joint[1 : 2 * h2 : 2] = kernel[:h1], kernel[h1:]
     if cofinite:
         space = _interleave_basis(SubspaceBasis(h1, []), SubspaceBasis(h2, []))
-        space = SubspaceBasis(space.tail_start, space.vectors + joint_vectors)
-        comp = _interleave_basis(p1.complement, p2.complement)
+        space = SubspaceBasis(space.tail_start, space.vectors + list(joint.T))
     else:
-        space = SubspaceBasis(None, joint_vectors)
-        comp = _interleave_basis(p1.complement, p2.complement)
-    result = ComplementedSubspace(space, comp)
+        space = SubspaceBasis(None, list(joint.T))
+    result = ComplementedSubspace(space, _interleave_basis(p1.complement, p2.complement))
     if not result.verify(rtol=rtol):
         raise NotTransversal("factor complements do not complement the block preimage")
     return result

@@ -416,6 +416,12 @@ class TestJsonSurface:
             {"kind": "sphere", "delta": [2, 4], "depth": 0},
             {"kind": "linear"},
             {"delta": [2, 4]},
+            {"kind": "sphere", "delta": [1, 2]},
+            {"kind": "sphere", "delta": [2, 4], "depth": 9},
+            {"kind": "sphere", "delta": [2, 4], "depth": "x"},
+            {"kind": "tangent"},
+            {"kind": "product", "first": {"kind": "linear", "delta": [2, 4]}},
+            ["sphere", [2, 4]],
         ],
     )
     def test_bad_spec_is_a_config_error(self, spec):

@@ -148,6 +148,10 @@ class TestCli:
             (["demo", "sphere-filtration", "--depth", "0"], {}),
             (["demo", "sphere-filtration", "--samples", "0"], {}),
             (["demo", "sphere-filtration", "--seed", "-1"], {}),
+            # a first sphere level needs dimension >= 2
+            (["demo", "sphere-filtration", "--delta", "1,2"], {}),
+            # more levels asked for than --delta gives
+            (["demo", "sphere-filtration", "--delta", "2,4", "--depth", "9"], {}),
         ],
     )
     def test_bad_input_exit_two(self, argv, env, monkeypatch, capsys):

@@ -6,6 +6,8 @@ oracles built inside the tests (plain numpy truncation matrices), never
 through the code paths under test.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from dnclab import linalg
 from dnclab import operators as ops
 from dnclab import subspaces as sub
-from dnclab.errors import DomainError, NotGLK, NotTransversal, StabilizationFailure
+from dnclab.errors import DomainError, NotGLK, NotRepresentable, NotTransversal, StabilizationFailure
 
 
 def e(i, n=None):
@@ -100,6 +102,113 @@ class TestCompose:
         rows = L + 10
         oracle = t.to_dense(rows + 5, rows) @ s.to_dense(rows, L)
         assert np.allclose(composed.to_dense(rows + 5, L), oracle[:, :L], atol=1e-12)
+
+
+# Dyadic entries: every product of two and every short sum is exact, so the
+# algebra can be held to exact equality with the oracle.
+ENTRIES = [0.0, 0.0, 1.0, -0.5, 0.25, 3.0, -0.75]
+C_SCALE = -0.75  # the non-unit tail scale c
+
+
+def oracle(raw, rows, cols):
+    """Independent truncation of T = (shift, window, block, scale): block
+    columns below the window, the scaled coordinate shift beyond it."""
+    shift, window, block, scale = raw
+    a = np.zeros((rows, cols))
+    for i in range(cols):
+        if i < window:
+            for j in range(min(rows, block.shape[0])):
+                a[j, i] = block[j, i]
+        elif scale != 0.0 and 0 <= i + shift < rows:
+            a[i + shift, i] = scale
+    return a
+
+
+@st.composite
+def raw_operators(draw, shift=None, scale=None):
+    """(shift, window, block, scale) with shift in -3..3, scale in {0, 1, c}
+    and some block columns set to exact tail columns."""
+    scale = draw(st.sampled_from([0.0, 1.0, C_SCALE])) if scale is None else scale
+    shift = draw(st.integers(-3, 3)) if shift is None else shift
+    window = draw(st.integers(max(0, -shift) if scale else 0, 5))
+    rows = draw(st.integers(0, 8))
+    cells = draw(st.lists(st.sampled_from(ENTRIES), min_size=rows * window, max_size=rows * window))
+    block = np.array(cells, dtype=float).reshape(rows, window)
+    for i in range(window):
+        if draw(st.booleans()) and scale != 0.0 and 0 <= i + shift < rows:
+            block[:, i] = 0.0
+            block[i + shift, i] = scale
+    return shift, window, block, scale
+
+
+R, M, C = 24, 24, 14  # oracle truncations: rows, middle coordinates, columns
+
+
+class TestDenseOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(raw=raw_operators(), extra=st.integers(0, 4))
+    def test_explicit_tail_columns_canonicalise_to_minimal_window(self, raw, extra):
+        shift, window, block, scale = raw
+        t = ops.SequenceOperator(*raw)
+        full = oracle(raw, R, C)
+        assert np.array_equal(t.to_dense(R, C), full)
+        # the same operator with `extra` tail columns written out explicitly
+        w = window + extra
+        longer = ops.SequenceOperator(shift, w, oracle(raw, max(block.shape[0], w + max(shift, 0)), w), scale)
+        assert longer == t
+        # minimal window: the tail agrees from n0 on, widened to hold the
+        # block's rows within window + |shift| when the tail is live
+        tail = oracle((shift, 0, np.zeros((0, 0)), scale), R, C)
+        n0 = C
+        while n0 > (max(0, -shift) if scale else 0) and np.array_equal(full[:, n0 - 1], tail[:, n0 - 1]):
+            n0 -= 1
+        support = max([j + 1 for j in range(R) if np.any(full[j, :n0])] + [0])
+        if scale:
+            n = max(n0, support - abs(shift))
+            assert (t.window, t.block.shape) == (n, (max(support, n + abs(shift)), n))
+        else:
+            assert (t.window, t.block.shape) == (n0, (support, n0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=raw_operators(), b=raw_operators())
+    def test_sum_is_exact(self, a, b):
+        s, t = ops.SequenceOperator(*a), ops.SequenceOperator(*b)
+        if a[3] and b[3] and a[0] != b[0]:
+            with pytest.raises(NotRepresentable):
+                s + t
+            return
+        assert np.array_equal((s + t).to_dense(R, C), oracle(a, R, C) + oracle(b, R, C))
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=raw_operators(), b=raw_operators())
+    def test_compose_with_scaled_and_zero_tails(self, a, b):
+        composed = ops.SequenceOperator(*a).compose(ops.SequenceOperator(*b))
+        assert composed.tail_scale == a[3] * b[3]
+        assert np.array_equal(composed.to_dense(R, C), oracle(a, R, M) @ oracle(b, M, C))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), live=st.booleans())
+    def test_flatten_matches_interleaved_oracle(self, data, live):
+        f = data.draw(raw_operators(scale=C_SCALE if live else 0.0))
+        f2 = data.draw(raw_operators(shift=f[0], scale=f[3]))
+        p = data.draw(raw_operators(scale=0.0))
+        flat = ops.block_lower_triangular(*(ops.SequenceOperator(*r) for r in (f, p, f2))).flatten()
+        want = np.zeros((2 * R, 2 * C))  # factor-1 coordinate i at 2i, factor-2 at 2i + 1
+        want[0::2, 0::2] = oracle(f, R, C)
+        want[1::2, 0::2] = oracle(p, R, C)
+        want[1::2, 1::2] = oracle(f2, R, C)
+        assert np.array_equal(flat.to_dense(2 * R, 2 * C), want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), tol=st.sampled_from([0.0, 0.25, 1.0, 3.0]))
+    def test_approx_equal_is_the_oracle_max_difference(self, data, tol):
+        a = data.draw(raw_operators())
+        b = data.draw(raw_operators(shift=a[0], scale=a[3]))
+        got = ops.SequenceOperator(*a).approx_equal(ops.SequenceOperator(*b), tol)
+        assert got == (np.max(np.abs(oracle(a, R, C) - oracle(b, R, C))) <= tol)
+        c = data.draw(raw_operators())
+        if (c[3], c[0] if c[3] else 0) != (a[3], a[0] if a[3] else 0):
+            assert not ops.SequenceOperator(*a).approx_equal(ops.SequenceOperator(*c), np.inf)
 
 
 class TestFredholmIndex:
@@ -323,6 +432,12 @@ class TestSerialization:
         t = ops.shift_op(2) + ops.rank_one(1, 3, -0.5)
         back = ops.SequenceOperator.from_json(t.to_json())
         assert back == t
+
+    def test_window_widened_to_hold_the_block_serialises(self):
+        # the block's third row lies beyond window + |shift|, so the window grows to 3
+        t = ops.SequenceOperator(0, 1, [[1.0], [0.0], [2.0]])
+        assert t.window == 3
+        assert ops.SequenceOperator.from_json(json.loads(t.dumps())) == t
 
     def test_subspace_roundtrip(self):
         v = sub.coordinate_span(3)
