@@ -13,6 +13,7 @@ approximated.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -1227,6 +1228,17 @@ def verify_filtration(
 # -- JSON surface ---------------------------------------------------------------
 
 
+def _integer_field(spec: dict, key: str, default: int | None, minimum: int) -> int:
+    """``spec[key]`` (or ``default``) as an integer of at least ``minimum``;
+    anything else, a bool or a float such as 2.7 included, is a ConfigError."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+    return int(value)
+
+
 def filtration_from_spec(spec: dict) -> Filtration:
     """Build a filtration from a JSON-style description:
     {"kind": "linear"|"open"|"sphere"|"product"|"pair-groupoid"|"tangent"|
@@ -1238,14 +1250,7 @@ def filtration_from_spec(spec: dict) -> Filtration:
         raise ConfigError(f"a filtration spec is a JSON object, got {spec!r}")
     kind = spec.get("kind")
     delta = spec.get("delta")
-    depth = spec.get("depth")
-    if depth is not None:
-        try:
-            depth = int(depth)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"depth must be an integer, got {depth!r}") from exc
-        if depth < 1:
-            raise ConfigError(f"depth must be at least 1, got {depth}")
+    depth = None if spec.get("depth") is None else _integer_field(spec, "depth", None, 1)
 
     def flag():
         try:
@@ -1262,14 +1267,16 @@ def filtration_from_spec(spec: dict) -> Filtration:
         return filtration_from_spec(spec[key])
 
     if kind == "linear":
-        return make_filtration_linear(flag(), margin=spec.get("margin", 5))
+        return make_filtration_linear(flag(), margin=_integer_field(spec, "margin", 5, 0))
     if kind == "sphere":
         try:
-            return make_filtration_sphere(flag(), margin=spec.get("margin", 5))
+            return make_filtration_sphere(flag(), margin=_integer_field(spec, "margin", 5, 0))
         except DimensionTooSmall as exc:
             raise ConfigError(f"bad dimension sequence {delta!r}: {exc}") from exc
     if kind == "open":
-        radius = float(spec.get("radius", 1.0))
+        radius = spec.get("radius", 1.0)
+        if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
+            raise ConfigError(f"radius must be a number, got {radius!r}")
         return make_filtration_open_subset(lambda x: float(np.linalg.norm(x)) < radius, flag())
     if kind == "product":
         return make_filtration_product(part("first"), part("second"))
@@ -1280,5 +1287,5 @@ def filtration_from_spec(spec: dict) -> Filtration:
     if kind == "tangent-groupoid":
         return tangent_groupoid_filtration(part("base"))
     if kind == "shifted-product":
-        return example_v_filtration(part("base"), k=spec.get("k", 2))
+        return example_v_filtration(part("base"), k=_integer_field(spec, "k", 2, 0))
     raise ConfigError(f"unknown filtration kind {kind!r}")

@@ -10,7 +10,10 @@ predicate.
 matrix (the window block, then the scaled tail): canonicalisation,
 composition, sums, comparison, flattening and every rank decision work on
 its truncations, and the lower triangular block [[F, 0], [P, F2]] is
-assembled from them in one place (``BlockOperator._dense``).  Two-level rule: a
+assembled from them in one place (``BlockOperator._dense``).  The straight-line
+retraction grid reuses that one layout: ``retraction_stack`` lays ``b`` out
+once and scales its P block per grid point into one stacked array, ready for
+a batched SVD.  Two-level rule: a
 kernel/cokernel count or a transversality rank verdict is believed only when
 two truncation levels give the same answer; otherwise StabilizationFailure
 is raised rather than the disagreement being resolved silently.
@@ -47,6 +50,7 @@ __all__ = [
     "is_glk_tilde",
     "glk_inverse",
     "retraction_path",
+    "retraction_stack",
     "is_transversal",
     "block_is_transversal",
     "transversality_witness",
@@ -472,6 +476,30 @@ def retraction_path(b: BlockOperator, t: float) -> BlockOperator:
     if not (is_glk(b.F) and is_glk(b.F2)):
         raise NotGLK("retraction defined on the lower triangular structure group")
     return BlockOperator(b.F, b.P.scale(1.0 - t), b.F2)
+
+
+def retraction_stack(b: BlockOperator, ts, level: int) -> tuple[np.ndarray, int, int]:
+    """The matrices of ``retraction_path(b, t).stacked_dense(level)`` for
+    every t in ``ts``, stacked along a leading axis: one layout of ``b`` on
+    its truncations, with the P block scaled by (1 - t) per entry (the IEEE
+    products ``P.scale(1 - t)`` makes).  Returns (stack, rows1, rows2).
+
+    Moving t only rescales P, so the truncations stay those of t = 0 as long
+    as P's image fits inside ``level`` rows (as it does whenever the
+    truncation is square, rows1 + rows2 == 2 * level); then every
+    ``stack[k]`` equals ``retraction_path(b, ts[k]).stacked_dense(level)[0]``.
+    """
+    ts = np.asarray(ts, dtype=float).ravel()
+    inside = (ts >= 0.0) & (ts <= 1.0)
+    if not inside.all():
+        raise DomainError(f"retraction parameters {ts[~inside]} outside [0, 1]")
+    if not (is_glk(b.F) and is_glk(b.F2)):
+        raise NotGLK("retraction defined on the lower triangular structure group")
+    a, rows1, rows2 = b.stacked_dense(level)
+    stack = np.repeat(a[None], ts.size, axis=0)
+    stack[:, rows1:, :level] = (1.0 - ts)[:, None, None] * a[rows1:, :level]
+    stack[ts == 1.0, rows1:, :level] = 0.0  # P.scale(0) is the zero operator: no -0.0 entries
+    return stack, rows1, rows2
 
 
 # -- transversality to complemented subspaces --------------------------------

@@ -47,15 +47,12 @@ class SubspaceBasis:
 
     def basis_matrix(self, level: int) -> np.ndarray:
         """Columns spanning the subspace's trace at truncation ``level``."""
-        cols = [linalg.pad_to(v, level) for v in self.vectors]
-        if self.tail_start is not None:
-            for i in range(self.tail_start, level):
-                e = np.zeros(level)
-                e[i] = 1.0
-                cols.append(e)
-        if not cols:
-            return np.zeros((level, 0))
-        return np.column_stack(cols)
+        tail = np.arange(level if self.tail_start is None else self.tail_start, level)
+        m = np.zeros((level, len(self.vectors) + tail.size))
+        for j, v in enumerate(self.vectors):
+            m[:, j] = linalg.pad_to(v, level)
+        m[tail, len(self.vectors) + np.arange(tail.size)] = 1.0  # the coordinate tail e_i, i >= tail_start
+        return m
 
     def dim_at(self, level: int, rtol: float | None = None) -> int:
         return linalg.rank(self.basis_matrix(level), rtol)

@@ -201,14 +201,12 @@ def suite_retraction(config: SuiteConfig) -> list[CheckResult]:
         b = ops.block_lower_triangular(
             _random_glk(rng), _random_finite_rank(rng).scale(3.0), _random_glk(rng)
         )
-        for t in grid:
-            bt = ops.retraction_path(b, float(t))
-            a, r1, r2 = bt.stacked_dense(level)
-            if r1 + r2 != 2 * level:  # identity tails keep the truncation square
-                min_ratio = 0.0
-                break
-            s = np.linalg.svd(a, compute_uv=False)
-            min_ratio = min(min_ratio, float(s[-1] / s[0]))
+        stack, r1, r2 = ops.retraction_stack(b, grid, level)
+        if r1 + r2 != 2 * level:  # identity tails keep the truncation square
+            min_ratio = 0.0
+        else:
+            s = np.linalg.svd(stack, compute_uv=False)
+            min_ratio = min(min_ratio, float(np.min(s[:, -1] / s[:, 0])))
         b0 = ops.retraction_path(b, 0.0)
         b1 = ops.retraction_path(b, 1.0)
         endpoint_exact = endpoint_exact and b0.P == b.P and b0.F == b.F and b0.F2 == b.F2

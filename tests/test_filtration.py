@@ -422,6 +422,14 @@ class TestJsonSurface:
             {"kind": "tangent"},
             {"kind": "product", "first": {"kind": "linear", "delta": [2, 4]}},
             ["sphere", [2, 4]],
+            {"kind": "linear", "delta": [2, 4], "margin": "x"},
+            {"kind": "sphere", "delta": [2, 4], "margin": 1.5},
+            {"kind": "linear", "delta": [2, 4], "margin": -1},
+            {"kind": "open", "delta": [2, 4], "radius": "x"},
+            {"kind": "shifted-product", "base": {"kind": "linear", "delta": [2, 4]}, "k": "x"},
+            {"kind": "shifted-product", "base": {"kind": "linear", "delta": [2, 4]}, "k": -1},
+            {"kind": "linear", "delta": [2, 4, 8], "depth": 2.7},
+            {"kind": "linear", "delta": [2, 4, 8], "depth": True},
         ],
     )
     def test_bad_spec_is_a_config_error(self, spec):

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from dnclab import linalg
 from dnclab import operators as ops
 from dnclab import subspaces as sub
+from dnclab import suites
 from dnclab.errors import DomainError, NotGLK, NotRepresentable, NotTransversal, StabilizationFailure
+from dnclab.report import SuiteConfig, rng_for
 
 
 def e(i, n=None):
@@ -318,6 +320,54 @@ class TestRetraction:
         with pytest.raises(DomainError):
             ops.retraction_path(self._sample(), -0.1)
 
+    @staticmethod
+    def _random_instance(rng):
+        """The retraction suite's instance: GL_K diagonals, coupling 3 x finite rank."""
+        return ops.block_lower_triangular(
+            suites._random_glk(rng), suites._random_finite_rank(rng).scale(3.0), suites._random_glk(rng)
+        )
+
+    def test_stack_matches_path_at_every_t(self):
+        ts = np.linspace(0.0, 1.0, 11)
+        for level in (8, 12):
+            rng = np.random.default_rng(5)
+            for b in [self._sample()] + [self._random_instance(rng) for _ in range(12)]:
+                stack, r1, r2 = ops.retraction_stack(b, ts, level)
+                assert stack.shape[0] == ts.size
+                for k, t in enumerate(ts):
+                    a, s1, s2 = ops.retraction_path(b, float(t)).stacked_dense(level)
+                    assert (s1, s2) == (r1, r2)
+                    assert np.array_equal(stack[k], a)
+                    assert stack[k].tobytes() == a.tobytes()  # signed zeros too
+
+    def test_stack_domain_error(self):
+        for ts in ([0.0, 1.5], [-0.1], [0.5, np.nan]):
+            with pytest.raises(DomainError):
+                ops.retraction_stack(self._sample(), ts, 8)
+
+    def test_stack_needs_glk_diagonals(self):
+        singular = ops.SequenceOperator(0, 1, np.zeros((1, 1)))
+        for b in (
+            ops.block_lower_triangular(singular, ops.rank_one(0, 0, 1.0), ops.identity()),
+            ops.block_lower_triangular(ops.identity(), ops.rank_one(0, 0, 1.0), ops.shift_op(1)),
+        ):
+            with pytest.raises(NotGLK):
+                ops.retraction_stack(b, [0.0, 1.0], 8)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_suite_matches_per_t_loop(self, seed):
+        config = SuiteConfig("retraction", seed=seed, samples=8)
+        got = suites.run_suite(config).checks[0].residuals["min_singular_ratio"]
+        rng = rng_for(config, 0)
+        want = np.inf
+        for _ in range(config.samples):
+            b = self._random_instance(rng)
+            for t in np.linspace(0.0, 1.0, 101):
+                a, _, _ = ops.retraction_path(b, float(t)).stacked_dense(12)
+                s = np.linalg.svd(a, compute_uv=False)
+                want = min(want, float(s[-1] / s[0]))
+        assert got == want
+
 
 class TestTransversality:
     def test_identity_always_transversal(self):
@@ -445,6 +495,42 @@ class TestSerialization:
         assert back.verify()
         assert back.space.contains_subspace(v.space)
         assert v.space.contains_subspace(back.space)
+
+
+class TestBasisMatrix:
+    @staticmethod
+    def oracle(basis, level):
+        """Column by column: each vector zero-padded, then e_i for every tail
+        coordinate below the level."""
+        cols = []
+        for v in basis.vectors:
+            col = np.zeros(level)
+            col[: v.size] = v
+            cols.append(col)
+        for i in range(basis.tail_start if basis.tail_start is not None else level, level):
+            cols.append(e(i, level))
+        return np.column_stack(cols) if cols else np.zeros((level, 0))
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            sub.SubspaceBasis(None, [[1.0, 2.0], [0.0, 0.0, 3.0], [0.5]]),
+            sub.SubspaceBasis(None, []),
+            sub.SubspaceBasis(4, [[1.0, 0.0, -1.0]]),
+            sub.SubspaceBasis(0, []),
+            sub.SubspaceBasis(9, [[0.0, 2.0]]),
+            sub.SubspaceBasis(6, []),
+        ],
+    )
+    def test_matches_loop_oracle(self, basis):
+        for level in (3, 6, 8):
+            got = basis.basis_matrix(level)
+            want = self.oracle(basis, level)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_overlong_vector_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            sub.SubspaceBasis(2, [[0.0, 0.0, 0.0, 1.0]]).basis_matrix(3)
 
 
 class TestInterleaving:
