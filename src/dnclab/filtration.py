@@ -24,6 +24,7 @@ from .errors import (
     ConfigError,
     DepthMismatch,
     DimensionTooSmall,
+    DomainError,
     EmptyFirstLevel,
     MissingWitness,
     NoConvergence,
@@ -199,6 +200,8 @@ def _truncation_sampler(support: int, ambient: int, normalize: bool = False) -> 
 def make_filtration_linear(flag: Flag, margin: int = 5) -> Filtration:
     """Flag levels as linear submanifolds of the truncated model space;
     dense, normal, and cut out by the identity map against the flag."""
+    if margin < 0:
+        raise DomainError(f"margin must be >= 0, got {margin}")
     ambient = max(s.space.support_bound() for s in flag.subspaces) + margin
     levels = []
     for n, sub in enumerate(flag.subspaces, start=1):
@@ -311,6 +314,8 @@ def make_filtration_sphere(flag: Flag, margin: int = 5) -> Filtration:
     sphere with dimension sequence shifted down by one."""
     from . import catalog
 
+    if margin < 0:
+        raise DomainError(f"margin must be >= 0, got {margin}")
     if flag.delta[1] < 2:
         raise DimensionTooSmall("first flag dimension must be >= 2 for sphere levels")
     ambient = flag.delta[flag.depth] + margin

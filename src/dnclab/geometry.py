@@ -36,7 +36,6 @@ __all__ = [
     "jacobian_consistency_slope",
     "verify_analytic_jacobian",
     "newton_project",
-    "tangent_space",
     "normal_frame",
     "normal_map_pushforward",
     "check_block_structure",
@@ -242,10 +241,6 @@ class ImplicitManifold:
             return float(np.linalg.norm(x - np.asarray(self.projector(x), float)))
         y = newton_project(self, x)
         return float(np.linalg.norm(x - y))
-
-
-def tangent_space(manifold: ImplicitManifold, x, rtol: float | None = None) -> np.ndarray:
-    return manifold.tangent_basis(x, rtol)
 
 
 def newton_project(manifold: ImplicitManifold, x0, tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:

@@ -18,6 +18,9 @@ kernel/cokernel count or a transversality rank verdict is believed only when
 two truncation levels give the same answer; otherwise StabilizationFailure
 is raised rather than the disagreement being resolved silently.
 
+``_transversal_preimage`` is the one transversality decision, and it returns
+its certificate: T^-1(V) with a verified complement, or None.
+
 Coordinates are 0-based internally; e_i is the i-th standard basis vector.
 """
 
@@ -523,19 +526,63 @@ def _surjectivity_rank_ok(op: SequenceOperator, v: ComplementedSubspace, rows: i
     return linalg.rank(np.hstack([a, vb]), rtol) == rows
 
 
-def is_transversal(op: SequenceOperator, v: ComplementedSubspace, rtol: float | None = None) -> bool:
-    """im(T) + V = codomain and the preimage construction yields a verified
-    complement; rank decisions stabilized over two truncation levels."""
+def _preimage_head(op: SequenceOperator, v: ComplementedSubspace) -> tuple[int, bool]:
+    """(head length, tail-free?) for the preimage computation: beyond the
+    head, domain coordinates map into V (preimage cofinite) or the preimage
+    forces them to vanish (preimage finite)."""
+    s, w = op.shift, op.window
+    v_tail = v.space.tail_start
+    if op.tail_scale == 0.0:
+        return max(w, 1), True  # annihilating tail maps into every subspace
+    if v_tail is not None:
+        return max(w, v_tail - s, 0), True
+    # a tail column is forced to vanish once its image row is below V and every block row
+    used = np.flatnonzero(op.block.any(axis=1))
+    reach = int(used[-1]) + 1 if used.size else 0
+    return max(w, v.space.support_bound() + abs(s), reach - s, 0) + 1, False
+
+
+def _kernel_into(a: np.ndarray, vb: np.ndarray, rtol: float | None) -> np.ndarray:
+    """Orthonormal basis (columns) of the x with A x in span(vb): x in the
+    head span with A x in V  <=>  (I - P_V) A x = 0."""
+    q = linalg.orthonormalize(vb)
+    return linalg.nullspace((np.eye(a.shape[0]) - q @ q.T) @ a, rtol)
+
+
+def _transversal_preimage(op: SequenceOperator, v: ComplementedSubspace, rtol) -> ComplementedSubspace | None:
+    """T^-1(V) with a verified complement when im(T) + V is the codomain (the
+    rank test stabilized over two truncation levels), otherwise None."""
     surjective = _stable(
         _levels_for(op, v), lambda L: _surjectivity_rank_ok(op, v, L, rtol), "transversality rank test"
     )
     if not surjective:
-        return False
-    try:
-        preimage_with_complement(op, v, rtol=rtol, _check_surjective=False)
-    except NotTransversal:
-        return False
-    return True
+        return None
+    head, has_tail = _preimage_head(op, v)
+    rows = max(op.output_rows(head), v.space.support_bound(), 1)
+    kernel = _kernel_into(op.to_dense(rows, head), v.space.basis_matrix(rows), rtol)
+    w_basis = linalg.nullspace(kernel.T if kernel.size else np.zeros((0, head)), rtol)
+    result = ComplementedSubspace(
+        SubspaceBasis(tail_start=head if has_tail else None, vectors=list(kernel.T)),
+        SubspaceBasis(tail_start=None if has_tail else head, vectors=list(w_basis.T)),
+    )
+    return result if result.verify(rtol=rtol) else None
+
+
+def preimage_with_complement(
+    op: SequenceOperator, v: ComplementedSubspace, rtol: float | None = None
+) -> ComplementedSubspace:
+    """T^-1(V) together with a verified complement; NotTransversal when T
+    is not transversal to V."""
+    result = _transversal_preimage(op, v, rtol)
+    if result is None:
+        raise NotTransversal("operator is not transversal to the subspace")
+    return result
+
+
+def is_transversal(op: SequenceOperator, v: ComplementedSubspace, rtol: float | None = None) -> bool:
+    """im(T) + V = codomain and the preimage construction yields a verified
+    complement; rank decisions stabilized over two truncation levels."""
+    return _transversal_preimage(op, v, rtol) is not None
 
 
 def transversality_witness(
@@ -589,56 +636,6 @@ def block_transversality_witness(
         (e1, linalg.pad_to(e2, n2) - linalg.pad_to(e_corr, n2)),
         (w1, linalg.pad_to(w2, m2) - linalg.pad_to(v_corr, m2)),
     )
-
-
-def _preimage_head(op: SequenceOperator, v: ComplementedSubspace) -> tuple[int, bool]:
-    """(head length, tail-free?) for the preimage computation: beyond the
-    head, domain coordinates map into V (preimage cofinite) or the preimage
-    forces them to vanish (preimage finite)."""
-    s, w = op.shift, op.window
-    v_tail = v.space.tail_start
-    if op.tail_scale == 0.0:
-        return max(w, 1), True  # annihilating tail maps into every subspace
-    if v_tail is not None:
-        return max(w, v_tail - s, 0), True
-    return max(w, v.space.support_bound() + abs(s), 0) + 1, False
-
-
-def preimage_with_complement(
-    op: SequenceOperator,
-    v: ComplementedSubspace,
-    rtol: float | None = None,
-    _check_surjective: bool = True,
-) -> ComplementedSubspace:
-    """T^-1(V) together with a verified complement.
-
-    The head part is computed as a finite kernel; beyond the head the domain
-    coordinates map straight into V (cofinite preimage) or are forced to
-    vanish (finite preimage).
-    """
-    if _check_surjective and not is_transversal(op, v, rtol):
-        raise NotTransversal("operator is not transversal to the subspace")
-    head, has_tail = _preimage_head(op, v)
-    rows = max(op.output_rows(head), v.space.support_bound(), 1)
-    a = op.to_dense(rows, head)
-    vb = v.space.basis_matrix(rows)
-    # x in head-span with A x in span(V)  <=>  (I - P_V) A x = 0
-    q = linalg.orthonormalize(vb)
-    proj_off = np.eye(rows) - q @ q.T
-    kernel = linalg.nullspace(proj_off @ a, rtol)
-    u = [linalg.trim(kernel[:, i]) for i in range(kernel.shape[1])]
-    w_basis = linalg.nullspace(kernel.T if kernel.size else np.zeros((0, head)), rtol)
-    w_vecs = [linalg.trim(w_basis[:, i]) for i in range(w_basis.shape[1])]
-    if has_tail:
-        space = SubspaceBasis(tail_start=head, vectors=u)
-        comp = SubspaceBasis(tail_start=None, vectors=w_vecs)
-    else:
-        space = SubspaceBasis(tail_start=None, vectors=u)
-        comp = SubspaceBasis(tail_start=head, vectors=w_vecs)
-    result = ComplementedSubspace(space, comp)
-    if not result.verify(rtol=rtol):
-        raise NotTransversal("constructed preimage complement fails the span test")
-    return result
 
 
 def block_is_transversal(
@@ -716,10 +713,7 @@ def block_preimage_with_complement(
         h2 = max(h2, b.P.output_rows(h1) + abs(b.F2.shift) + 1)
     rows1 = max(b.F.output_rows(h1), v1.space.support_bound(), 1)
     rows2 = max(b.F2.output_rows(h2), b.P.output_rows(h1), v2.space.support_bound(), 1)
-    a = b._dense(rows1, h1, rows2, h2)
-    q = linalg.orthonormalize(_sum_basis(v1, v2, rows1, rows2))
-    proj_off = np.eye(rows1 + rows2) - q @ q.T
-    kernel = linalg.nullspace(proj_off @ a, rtol)
+    kernel = _kernel_into(b._dense(rows1, h1, rows2, h2), _sum_basis(v1, v2, rows1, rows2), rtol)
     joint = np.zeros((2 * max(h1, h2), kernel.shape[1]))  # (x1, x2) -> x1 at 2i, x2 at 2i + 1
     joint[0 : 2 * h1 : 2], joint[1 : 2 * h2 : 2] = kernel[:h1], kernel[h1:]
     if cofinite:

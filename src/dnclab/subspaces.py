@@ -50,7 +50,9 @@ class SubspaceBasis:
         tail = np.arange(level if self.tail_start is None else self.tail_start, level)
         m = np.zeros((level, len(self.vectors) + tail.size))
         for j, v in enumerate(self.vectors):
-            m[:, j] = linalg.pad_to(v, level)
+            if v.size > level:  # stored vectors are trimmed, so the cut-off entry is nonzero
+                raise ValueError("cannot truncate nonzero coordinates")
+            m[: v.size, j] = v
         m[tail, len(self.vectors) + np.arange(tail.size)] = 1.0  # the coordinate tail e_i, i >= tail_start
         return m
 

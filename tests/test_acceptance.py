@@ -1,14 +1,22 @@
 """Acceptance gate: every exit criterion at its stated tolerance and count,
 one pass/fail line per criterion (run pytest -s to see them)."""
 
+import contextlib
+import io
+import json
+import os
+import pathlib
 import time
 
 import numpy as np
 import pytest
 
-from dnclab import catalog, filtration as filt, flags as fl, geometry as geo
+from dnclab import catalog, cli, filtration as filt, flags as fl, geometry as geo
 from dnclab.report import SuiteConfig, canonical_json
 from dnclab.suites import run_all, run_suite
+
+# Regenerate with: dnclab verify-all --seed 42 --report tests/golden/verify-all-seed42.json
+GOLDEN_REPORT = pathlib.Path(__file__).parent / "golden" / "verify-all-seed42.json"
 
 
 def _run(name: str, budget_s: float, **overrides) -> tuple:
@@ -186,17 +194,26 @@ def test_criterion_13_negative_fixtures():
     assert by_name["non-transverse-pullback-rejected"].residuals["raised"]
 
 
-def test_criterion_14_end_to_end_deterministic():
+def test_criterion_14_end_to_end_deterministic(tmp_path, monkeypatch):
+    # the second run goes through the CLI, whose report must equal the
+    # committed golden file byte for byte (flags only, no DNCLAB_* defaults)
+    for name in [k for k in os.environ if k.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(name)
     config = SuiteConfig("")
+    path = tmp_path / "verify-all.json"
     t0 = time.perf_counter()
     first = run_all(config)
-    second = run_all(config)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify-all", "--seed", str(config.seed), "--report", str(path)])
     dt = time.perf_counter() - t0
+    second = path.read_bytes()
     bytes_first = canonical_json([r.to_json() for r in first])
-    bytes_second = canonical_json([r.to_json() for r in second])
-    all_pass = all(r.passed for r in first)
-    ok = all_pass and bytes_first == bytes_second and dt < 60.0
-    _line(14, "verify-all deterministic at defaults", ok, dt, 60.0)
+    bytes_second = canonical_json(json.loads(second)["suites"])
+    all_pass = all(r.passed for r in first) and code == 0
+    matches_golden = second == GOLDEN_REPORT.read_bytes()
+    ok = all_pass and bytes_first == bytes_second and matches_golden and dt < 60.0
+    _line(14, "verify-all deterministic at defaults, equal to the golden report", ok, dt, 60.0)
     assert all_pass
     assert bytes_first == bytes_second
+    assert matches_golden, f"report differs from {GOLDEN_REPORT.name}"
     assert dt < 60.0

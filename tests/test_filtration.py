@@ -9,6 +9,7 @@ from dnclab.errors import (
     ConfigError,
     DepthMismatch,
     DimensionTooSmall,
+    DomainError,
     EmptyFirstLevel,
     MissingWitness,
     NotCovering,
@@ -103,6 +104,20 @@ class TestSphere:
             assert abs(got - want) <= 1e-12
             dists.append(got)
         assert dists[0] > dists[1] > dists[2]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        filt.make_filtration_linear,
+        filt.make_filtration_sphere,
+        lambda flag, margin: filt.make_filtration_open_subset(lambda x: True, flag, margin),
+    ],
+    ids=["linear", "sphere", "open-subset"],
+)
+def test_negative_margin_is_a_domain_error(flag248, make):
+    with pytest.raises(DomainError, match="margin"):
+        make(flag248, margin=-1)
 
 
 class TestProductAndPairGroupoid:

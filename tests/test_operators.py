@@ -460,6 +460,74 @@ class TestPreimage:
             ops.preimage_with_complement(t, sub.coordinate_span(1))
 
 
+def assert_spans_kernel(a, u):
+    """The columns of ``u`` lie in ker(a) and span all of it."""
+    assert np.max(np.abs(a @ u), initial=0.0) <= 1e-9
+    assert np.linalg.matrix_rank(u) == a.shape[1] - np.linalg.matrix_rank(a)
+
+
+@st.composite
+def transversality_instances(draw):
+    """(raw, T, n, V = E_n) in the style of ``suites._transversal_instance``:
+    T drawn by ``raw_operators`` and n from 0 to window + max(shift, 0) + 3,
+    so V may be too small to close the gap T leaves, and a zero tail is never
+    transversal to a finite span."""
+    raw = draw(raw_operators())
+    t = ops.SequenceOperator(*raw)
+    n = draw(st.integers(0, t.window + max(t.shift, 0) + 3))
+    return raw, t, n, sub.coordinate_span(n)
+
+
+class TestTransversalityDecision:
+    """One decision behind is_transversal, preimage_with_complement and the
+    block preimage: each returns its verified preimage exactly when the
+    decision says yes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(inst=transversality_instances())
+    def test_preimage_returns_exactly_when_transversal(self, inst):
+        raw, t, n, v = inst
+        decided = ops.is_transversal(t, v)
+        try:
+            pre = ops.preimage_with_complement(t, v)
+        except NotTransversal:
+            assert not decided
+            return
+        assert decided and pre.verify()
+        # oracle: T^-1(E_n) is the kernel of the rows of T from n on, at a
+        # truncation deep enough to hold every preimage vector
+        level = 24
+        assert_spans_kernel(oracle(raw, level + 11, level)[n:], pre.space.basis_matrix(level))
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=transversality_instances(), f2=transversality_instances(), p=raw_operators())
+    def test_block_preimage_raises_exactly_when_a_decision_fails(self, f, f2, p):
+        (raw1, t1, n1, v1), (raw2, t2, n2, v2) = f, f2
+        b = ops.block_lower_triangular(t1, ops.SequenceOperator(*p), t2)
+        decided = (
+            ops.block_is_transversal(b, v1, v2)
+            and ops.is_transversal(t1, v1)
+            and ops.is_transversal(t2, v2)
+        )
+        try:
+            pre = ops.block_preimage_with_complement(b, v1, v2)
+        except NotTransversal:
+            assert not decided
+            return
+        assert decided and pre.verify()
+        # oracle: the preimage of E_n1 (+) E_n2 is the kernel of the rows of
+        # [[F, 0], [P, F2]] outside the two spans; factor-1 coordinate i sits
+        # at 2i of the interleaved space, factor-2 coordinate i at 2i + 1
+        level, rows = 32, 43
+        a = np.zeros((2 * rows, 2 * level))
+        a[:rows, :level] = oracle(raw1, rows, level)
+        a[rows:, :level] = oracle(p, rows, level)
+        a[rows:, level:] = oracle(raw2, rows, level)
+        a = np.delete(a, [*range(n1), *range(rows, rows + n2)], axis=0)
+        u = pre.space.basis_matrix(2 * level)
+        assert_spans_kernel(a, np.vstack([u[0::2], u[1::2]]))
+
+
 class TestCompositionTransversality:
     def test_iff_on_fixture(self):
         t2 = ops.shift_op(-1)  # surjective
