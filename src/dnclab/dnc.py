@@ -371,10 +371,9 @@ def _preimage_tangent(fp: PairMap, z: ImplicitManifold, m, rtol=None) -> np.ndar
     t_m = fp.source.big.tangent_basis(m, rtol)
     j = fp.f.jacobian(m)
     fx = z.require(fp.f(m))
-    t_z = z.tangent_basis(fx, rtol)
-    q = linalg.orthonormalize(t_z)
+    t_z = z.tangent_basis(fx, rtol)  # orthonormal: t_z t_z^T projects onto T Z
     imgs = j @ t_m
-    off = imgs - q @ (q.T @ imgs) if q.size else imgs
+    off = imgs - t_z @ (t_z.T @ imgs)
     coeff = linalg.nullspace(off, rtol)
     return t_m @ coeff
 

@@ -67,6 +67,10 @@ NEST_TOL = 1e-8
 MEMBER_TOL = 1e-7
 # |lam| below which a divided difference is its lam = 0 limit, the derivative
 FIBER_EPS = 1e-9
+# |lam| below which the lam column of a divided difference's Jacobian takes
+# its Taylor form: the quotient form loses ~eps|g|/lam^2 to cancellation, the
+# Taylor form ~lam|D^3g||w|^3 to truncation, and the two meet near eps^(1/3)
+FIBER_EPS_JAC = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 @dataclass
@@ -527,7 +531,8 @@ def _differential(g: SmoothMap, ambient: int) -> SmoothMap:
 def _divided_difference(g: SmoothMap, ambient: int, eps: float = FIBER_EPS) -> SmoothMap:
     """(x, w, lam) -> (g(x) - g(x - lam w)) / lam, smoothly extended across
     lam = 0 by the directional derivative.  The value and its Jacobian take
-    the same branch at every lam."""
+    the same branch at every lam, except that the Jacobian's lam column keeps
+    its lam = 0 Taylor form up to ``FIBER_EPS_JAC``."""
 
     def split(z):
         return z[:ambient], z[ambient : 2 * ambient], z[2 * ambient]
@@ -548,7 +553,10 @@ def _divided_difference(g: SmoothMap, ambient: int, eps: float = FIBER_EPS) -> S
                 return np.hstack([h, np.atleast_2d(g.jac(x)), (-0.5 * (h @ w))[:, None]])
             y = x - lam * w
             j_x, j_y = np.atleast_2d(g.jac(x)), np.atleast_2d(g.jac(y))
-            d_lam = (j_y @ w) / lam - (g(x) - g(y)) / lam**2
+            if abs(lam) < FIBER_EPS_JAC:
+                d_lam = -0.5 * (np.atleast_2d(g.hvp(x, w)) @ w)
+            else:
+                d_lam = (j_y @ w) / lam - (g(x) - g(y)) / lam**2
             return np.hstack([(j_x - j_y) / lam, j_y, d_lam[:, None]])
 
     return SmoothMap(2 * ambient + 1, g.codomain_dim, dd, jac, f"Δ{g.name}")

@@ -3,7 +3,9 @@
 Manifolds are zero sets of constraint maps with full-rank Jacobians at
 stored sample points; tangent spaces are constraint-Jacobian kernels, and
 normal bundles of submanifold pairs are realized by orthogonal complement
-representatives inside the bigger tangent space.
+representatives inside the bigger tangent space.  A pair computes the
+adapted frame at each point once and keeps it, read-only, for the pair's
+lifetime (:meth:`ManifoldPair.adapted_frame`).
 
 Derivatives are exact wherever a map supplies them: a :class:`SmoothMap`
 may carry its Jacobian (``jac``) and the derivative of its Jacobian along a
@@ -262,10 +264,15 @@ def newton_project(manifold: ImplicitManifold, x0, tol: float = 1e-10, max_iter:
 
 @dataclass
 class ManifoldPair:
-    """A manifold with a closed embedded submanifold, in one ambient space."""
+    """A manifold with a closed embedded submanifold, in one ambient space.
+
+    :meth:`adapted_frame` is memoised per pair: each (point, rtol) is
+    computed once, and the arrays it returns are read-only so that no caller
+    can corrupt a later hit."""
 
     big: ImplicitManifold
     small: ImplicitManifold
+    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.big.ambient_dim != self.small.ambient_dim:
@@ -280,13 +287,19 @@ class ManifoldPair:
 
     def adapted_frame(self, m, rtol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(tangent frame of the submanifold, normal complement inside the
-        big tangent space) at a submanifold point, both orthonormal."""
-        t_small = self.small.tangent_basis(m, rtol)
-        t_big = self.big.tangent_basis(m, rtol)
-        nu = linalg.complement_within(t_small, t_big)
-        if nu.shape[1] != self.big.dim - self.small.dim:
-            raise OffManifold("normal complement has wrong dimension")
-        return t_small, nu
+        big tangent space) at a submanifold point, both orthonormal and
+        read-only.  A point off the pair raises OffManifold on every call."""
+        key = (np.asarray(m, float).tobytes(), rtol)
+        frame = self._frames.get(key)
+        if frame is None:
+            t_small = self.small.tangent_basis(m, rtol)
+            nu = linalg.complement_within(t_small, self.big.tangent_basis(m, rtol))
+            if nu.shape[1] != self.big.dim - self.small.dim:
+                raise OffManifold("normal complement has wrong dimension")
+            for a in (t_small, nu):
+                a.setflags(write=False)
+            frame = self._frames[key] = (t_small, nu)
+        return frame
 
 
 def normal_frame(pair: ManifoldPair, m, rtol: float | None = None) -> np.ndarray:

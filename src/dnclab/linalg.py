@@ -3,6 +3,10 @@
 All rank decisions in the laboratory go through :func:`rank` so the
 singular-value threshold (relative to the largest singular value) is set
 in exactly one place.
+
+:func:`nullspace` and :func:`orthonormalize` return orthonormal column
+bases, and :func:`complement_within` takes only such bases: each frame is
+orthonormalised once, where it is made, and never again downstream.
 """
 
 from __future__ import annotations
@@ -47,14 +51,17 @@ def orthonormalize(vectors: np.ndarray, rtol: float | None = None) -> np.ndarray
 
 def complement_within(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(inner) inside
-    span(outer).  Both arguments are column bases in a common ambient space."""
-    q_out = orthonormalize(outer)
+    span(outer).
+
+    Both arguments must be orthonormal column bases in a common ambient
+    space, such as the outputs of :func:`nullspace`, :func:`orthonormalize`
+    or ``np.eye``; a caller holding a raw span orthonormalises it once
+    first.  Projecting ``outer`` off ``inner`` then leaves a basis of the
+    complement, and one SVD orthonormalises it.  An empty ``inner`` returns
+    ``outer`` itself."""
     if inner.size == 0:
-        return q_out
-    q_in = orthonormalize(inner)
-    # project outer basis off span(inner), then re-orthonormalize
-    proj = q_out - q_in @ (q_in.T @ q_out)
-    return orthonormalize(proj)
+        return outer
+    return orthonormalize(outer - inner @ (inner.T @ outer))
 
 
 def min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -276,6 +276,27 @@ class TestExactLiftJacobians:
             assert np.max(np.abs(dd.jac(near) - dd.jac(z))) <= 1e2 * lam
 
 
+    def test_divided_difference_lam_column_near_zero(self):
+        # oracle: for the quadratic |x|^2 - 1 and the linear trailing rows of
+        # sphere(4, 8), the lam column of (g(x) - g(x - lam w)) / lam is
+        # exactly (-|w|^2, 0, ...) at every lam; the quotient form of that
+        # column cancels catastrophically as lam shrinks
+        s = catalog.sphere(4, 8)
+        g = s.constraints
+        dd = filt._divided_difference(g, 8)
+        x, w = s.samples[0], np.linspace(-5.0, 5.0, 8)
+        ww = float(w @ w)
+        want = np.zeros(g.codomain_dim)
+        want[0] = -ww
+        for lam in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+            col = dd.jac(np.concatenate([x, w, [lam]]))[:, -1]
+            assert np.max(np.abs(col - want)) <= 1e-6 * ww, lam
+        # away from zero the column is the quotient form, bit for bit
+        lam = 1e-3
+        y = x - lam * w
+        quotient = (g.jac(y) @ w) / lam - (g(x) - g(y)) / lam**2
+        assert np.array_equal(dd.jac(np.concatenate([x, w, [lam]]))[:, -1], quotient)
+
 class TestSubsequence:
     def test_reindexing(self, sphere_filtration):
         ss = filt.subsequence_filtration(sphere_filtration, (1, 3))

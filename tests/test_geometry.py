@@ -168,6 +168,111 @@ class TestPairsAndTubulars:
         assert catalog.flat_tubular(pair).verify()["passed"]
 
 
+def _reference_complement(inner, outer):
+    """The three-SVD complement: orthonormalise both bases, project, and
+    orthonormalise again."""
+    q_out = linalg.orthonormalize(outer)
+    if inner.size == 0:
+        return q_out
+    q_in = linalg.orthonormalize(inner)
+    return linalg.orthonormalize(q_out - q_in @ (q_in.T @ q_out))
+
+
+def _assert_orthonormal(q):
+    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1])), initial=0.0) <= 1e-12
+
+
+class TestOrthonormalFrames:
+    """linalg.complement_within takes orthonormal bases; every basis the
+    frames are built from is orthonormal where it is made."""
+
+    PAIRS = {
+        "sphere-equator": lambda: catalog.sphere_equator_pair(2),
+        "parabola": lambda: catalog.parabola_pair(),
+        "linear": lambda: catalog.linear_pair(3, 1),
+    }
+
+    @pytest.mark.parametrize(
+        "manifold",
+        [catalog.circle(), catalog.sphere(2)] + [m for f in PAIRS.values() for p in [f()] for m in (p.big, p.small)],
+        ids=lambda m: m.name,
+    )
+    def test_bases_are_orthonormal(self, manifold):
+        rng = np.random.default_rng(0)
+        for x in manifold.samples:
+            t = manifold.tangent_basis(x)
+            _assert_orthonormal(t)
+            _assert_orthonormal(linalg.nullspace(manifold.constraints.jacobian(x)))
+            # a raw span of the tangent space, mixed by an invertible matrix
+            raw = t @ (np.eye(t.shape[1]) + 0.5 * rng.standard_normal((t.shape[1], t.shape[1])))
+            _assert_orthonormal(linalg.orthonormalize(raw))
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_single_svd_complement_matches_reference(self, name):
+        pair = self.PAIRS[name]()
+        for m in pair.small.samples:
+            t_small, t_big = pair.small.tangent_basis(m), pair.big.tangent_basis(m)
+            nu = linalg.complement_within(t_small, t_big)
+            _assert_orthonormal(nu)
+            ref = _reference_complement(t_small, t_big)
+            assert nu.shape == ref.shape
+            assert np.max(np.abs(nu @ nu.T - ref @ ref.T)) <= 1e-12
+            assert np.max(np.abs(t_small.T @ nu), initial=0.0) <= 1e-12
+
+    def test_empty_inner_returns_outer(self):
+        outer = np.eye(3)
+        assert linalg.complement_within(np.zeros((3, 0)), outer) is outer
+
+
+class TestAdaptedFrameMemo:
+    def test_repeat_is_bitwise_a_fresh_result(self):
+        pair = catalog.parabola_pair()
+        m = pair.small.samples[0]
+        first = pair.adapted_frame(m)
+        again = pair.adapted_frame(m)
+        fresh = catalog.parabola_pair().adapted_frame(m)
+        for a, b, c in zip(first, again, fresh):
+            assert a is b  # served from the memo
+            assert a.shape == c.shape and a.tobytes() == c.tobytes()
+
+    def test_each_point_is_computed_once(self):
+        pair = catalog.sphere_equator_pair(2)
+        calls = []
+        inner = pair.small.tangent_basis
+        pair.small.tangent_basis = lambda x, rtol=None: calls.append(1) or inner(x, rtol)
+        for _ in range(3):
+            for m in pair.small.samples:
+                pair.adapted_frame(m)
+                geo.normal_frame(pair, list(m))
+        assert len(calls) == len(pair.small.samples)
+
+    def test_returned_arrays_are_read_only(self):
+        pair = catalog.sphere_equator_pair(2)
+        m = pair.small.samples[0]
+        t, nu = pair.adapted_frame(m)
+        for a in (t, nu):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_off_manifold_point_raises_every_time(self):
+        pair = catalog.sphere_equator_pair(2)
+        for _ in range(2):
+            with pytest.raises(OffManifold):
+                pair.adapted_frame([2.0, 0.0, 0.0])
+
+    def test_rtol_is_part_of_the_key(self):
+        pair = catalog.sphere_equator_pair(2)
+        m = pair.small.samples[0]
+        default = pair.adapted_frame(m)
+        # a threshold above every singular value leaves a full-dimensional
+        # "tangent space": computed afresh, it is rejected
+        with pytest.raises(OffManifold):
+            pair.adapted_frame(m, rtol=2.0)
+        other = pair.adapted_frame(m, rtol=1e-6)
+        assert other[1] is not default[1]
+        assert np.array_equal(other[1], default[1])
+        assert pair.adapted_frame(m) is default
+
 class TestPushforward:
     def test_linear_stretch(self):
         pair = catalog.linear_pair(2, 1)
