@@ -5,8 +5,9 @@ singular-value threshold (relative to the largest singular value) is set
 in exactly one place.
 
 :func:`nullspace` and :func:`orthonormalize` return orthonormal column
-bases, and :func:`complement_within` takes only such bases: each frame is
-orthonormalised once, where it is made, and never again downstream.
+bases, and :func:`complement_within` takes such a basis for the subspace it
+projects off: each frame is orthonormalised once, where it is made, and
+never again downstream.
 """
 
 from __future__ import annotations
@@ -53,14 +54,15 @@ def complement_within(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(inner) inside
     span(outer).
 
-    Both arguments must be orthonormal column bases in a common ambient
-    space, such as the outputs of :func:`nullspace`, :func:`orthonormalize`
-    or ``np.eye``; a caller holding a raw span orthonormalises it once
-    first.  Projecting ``outer`` off ``inner`` then leaves a basis of the
-    complement, and one SVD orthonormalises it.  An empty ``inner`` returns
-    ``outer`` itself."""
+    ``inner`` must be an orthonormal column basis, such as an output of
+    :func:`nullspace` or :func:`orthonormalize`: only then is
+    ``inner @ inner.T`` the orthogonal projector onto span(inner), and a
+    caller holding a raw span orthonormalises it once first.  ``outer`` may
+    be any columns spanning the outer space in the same ambient space.
+    Projecting ``outer`` off ``inner`` leaves columns spanning the
+    complement, and one SVD orthonormalises them."""
     if inner.size == 0:
-        return outer
+        return orthonormalize(outer)
     return orthonormalize(outer - inner @ (inner.T @ outer))
 
 

@@ -106,9 +106,6 @@ class SequenceOperator:
         within window + |shift|."""
         s, w, height = self.shift, self.window, self.block.shape[0]
         live = self.tail_scale != 0.0
-        if w == 0:  # no columns: the canonical block is empty, |s| rows tall
-            self.block = np.zeros((abs(s) if live else 0, 0))
-            return
         w_tail = max(0, -s) if live else 0
         # one truncation tall enough to hold every column's tail entry (so a
         # column that kills e_i is not mistaken for a tail beyond the block)

@@ -219,9 +219,27 @@ class TestOrthonormalFrames:
             assert np.max(np.abs(nu @ nu.T - ref @ ref.T)) <= 1e-12
             assert np.max(np.abs(t_small.T @ nu), initial=0.0) <= 1e-12
 
-    def test_empty_inner_returns_outer(self):
-        outer = np.eye(3)
-        assert linalg.complement_within(np.zeros((3, 0)), outer) is outer
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_outer_may_be_any_spanning_columns(self, name):
+        # only `inner` must be orthonormal; a raw span of the big tangent
+        # space gives the same complement as its orthonormal basis
+        pair = self.PAIRS[name]()
+        rng = np.random.default_rng(1)
+        for m in pair.small.samples:
+            t_small, t_big = pair.small.tangent_basis(m), pair.big.tangent_basis(m)
+            k = t_big.shape[1]
+            raw = t_big @ (np.eye(k) + 0.5 * rng.standard_normal((k, k)))
+            nu = linalg.complement_within(t_small, raw)
+            _assert_orthonormal(nu)
+            ref = _reference_complement(t_small, t_big)
+            assert np.max(np.abs(nu @ nu.T - ref @ ref.T)) <= 1e-12
+
+    def test_empty_inner_orthonormalises_outer(self):
+        outer = np.array([[1.0, 1.0], [0.0, 2.0], [0.0, 0.0]])
+        q = linalg.complement_within(np.zeros((3, 0)), outer)
+        _assert_orthonormal(q)
+        assert q.shape == (3, 2)
+        assert np.max(np.abs(q @ q.T - np.diag([1.0, 1.0, 0.0]))) <= 1e-12
 
 
 class TestAdaptedFrameMemo:

@@ -171,21 +171,6 @@ class TestDenseOracle:
         else:
             assert (t.window, t.block.shape) == (n0, (support, n0))
 
-    @settings(max_examples=60, deadline=None)
-    @given(s=st.integers(0, 5), scale=st.sampled_from([0.0, 1.0, -0.75]), extra=st.integers(1, 4))
-    def test_window_zero_fast_path_matches_general_path(self, s, scale, extra):
-        # a window-0 operator skips the truncation; the same operator with
-        # `extra` tail columns written out canonicalises to it the long way
-        pure = (s, 0, np.zeros((0, 0)), scale)
-        fast = ops.SequenceOperator(*pure)
-        general = ops.SequenceOperator(s, extra, oracle(pure, extra + s, extra), scale)
-        assert general.window == 0
-        for t in (fast, general):
-            assert t.block.dtype == np.float64
-        assert (fast.shift, fast.window, fast.tail_scale) == (general.shift, general.window, general.tail_scale)
-        assert fast.block.shape == general.block.shape
-        assert fast.block.tobytes() == general.block.tobytes()
-
     @settings(max_examples=80, deadline=None)
     @given(a=raw_operators(), b=raw_operators())
     def test_sum_is_exact(self, a, b):
