@@ -685,11 +685,16 @@ def block_preimage_with_complement(
     """Preimage of V1 (+) V2 under the lower triangular operator, realized on
     the interleaved single sequence space, with the complement taken as the
     interleaved product of the factor complements (which the two-step
-    correction argument shows is a complement)."""
-    if not block_is_transversal(b, v1, v2, rtol):
-        raise NotTransversal("block operator is not transversal to V1 (+) V2")
+    correction argument shows is a complement).
+
+    Makes both factor decisions, then the block decision, once each, so a
+    caller needs no decision of its own first.  NotTransversal when any of
+    them fails, or when the factor complements fail to complement the
+    preimage."""
     p1 = preimage_with_complement(b.F, v1, rtol)
     p2 = preimage_with_complement(b.F2, v2, rtol)
+    if not block_is_transversal(b, v1, v2, rtol):
+        raise NotTransversal("block operator is not transversal to V1 (+) V2")
     # joint head kernel: (x1, x2) with F x1 in V1 and P x1 + F2 x2 in V2
     h1, free1 = _preimage_head(b.F, v1)
     h2, free2 = _preimage_head(b.F2, v2)

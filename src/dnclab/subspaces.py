@@ -3,7 +3,14 @@
 A subspace is either the span of finitely many finite-support vectors, or
 cofinite: all coordinates beyond ``tail_start`` together with a finite list
 of correction vectors.  Every subspace is stored with a complement, and the
-pair is checked by exact rank tests at truncation levels.
+pair is checked by rank tests at two truncation levels.
+
+When the two sides together have exactly ``level`` columns at a level, one
+rank test of the stacked columns decides the direct sum there: singular
+values interlace under deleting columns, so a full-rank stack leaves each
+side full rank under the same relative threshold (see
+:meth:`ComplementedSubspace.verify`).  Fewer columns fail without an SVD;
+only more columns need the three ranks.
 """
 
 from __future__ import annotations
@@ -98,13 +105,31 @@ class ComplementedSubspace:
         self.complement = complement
 
     def verify(self, rtol: float | None = None, margin: int = 5) -> bool:
-        """Span + trivial intersection at two truncation levels."""
+        """Span + trivial intersection at two truncation levels.
+
+        At each level the test is ``rank(a) + rank(b) == level`` and
+        ``rank([a b]) == level``, where ``a`` and ``b`` hold the columns of
+        the space and of the complement.  With ``k`` columns in ``[a b]``:
+
+        - ``k < level``: the rank is at most ``k``, so the level fails
+          without an SVD;
+        - ``k == level``: the single test ``rank([a b]) == level`` decides.
+          Singular values interlace when columns are deleted (R. C. Thompson,
+          *Principal submatrices IX*, Linear Algebra Appl. 5, 1972), so
+          ``σ_min(a) >= σ_min([a b]) > rtol·σ_max([a b]) >= rtol·σ_max(a)``,
+          and the same for ``b``: both have full column rank, and
+          ``rank(a) + rank(b) == level`` follows;
+        - ``k > level``: the three ranks are taken.
+        """
         bound = max(self.space.support_bound(), self.complement.support_bound(), 1)
         for level in (bound + margin, bound + 2 * margin):
             a = self.space.basis_matrix(level)
             b = self.complement.basis_matrix(level)
-            ra, rb = linalg.rank(a, rtol), linalg.rank(b, rtol)
-            if ra + rb != level or linalg.rank(np.hstack([a, b]), rtol) != level:
+            ab = np.hstack([a, b])
+            k = ab.shape[1]
+            if k < level or linalg.rank(ab, rtol) != level:
+                return False
+            if k > level and linalg.rank(a, rtol) + linalg.rank(b, rtol) != level:
                 return False
         return True
 

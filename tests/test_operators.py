@@ -528,6 +528,43 @@ class TestTransversalityDecision:
         assert_spans_kernel(a, np.vstack([u[0::2], u[1::2]]))
 
 
+class TestBlockTransversalitySuite:
+    CONFIG = SuiteConfig("block-transversality", samples=8)
+
+    def test_each_decision_once_per_instance(self, monkeypatch):
+        calls = {"factor": 0, "block": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ops, "_transversal_preimage", counted("factor", ops._transversal_preimage))
+        monkeypatch.setattr(ops, "block_is_transversal", counted("block", ops.block_is_transversal))
+        (check,) = suites.suite_block_transversality(self.CONFIG)
+        assert check.passed  # all 8 instances transversal
+        assert calls == {"factor": 2 * 8, "block": 8}
+
+    def test_one_bad_witness_is_one_failure(self, monkeypatch):
+        witness = ops.block_transversality_witness
+        seen = [0]
+
+        def spoil_first(*args, **kwargs):
+            (x1, x2), (w1, w2) = witness(*args, **kwargs)
+            seen[0] += 1
+            if seen[0] == 1:
+                w1 = linalg.pad_to(w1, max(w1.size, 1)) + 1.0
+            return (x1, x2), (w1, w2)
+
+        monkeypatch.setattr(ops, "block_transversality_witness", spoil_first)
+        (check,) = suites.suite_block_transversality(self.CONFIG)
+        assert not check.passed
+        assert check.residuals["failures"] == 1
+        assert check.residuals["max_witness_residual"] >= 1.0
+
+
 class TestCompositionTransversality:
     def test_iff_on_fixture(self):
         t2 = ops.shift_op(-1)  # surjective
