@@ -300,7 +300,8 @@ def antipodal_cover(k: int, big_n: int | None = None, n_samples: int = 6, seed: 
 
 
 def get(name: str, **params) -> ImplicitManifold:
-    """Catalog lookup used by the CLI configuration surface."""
+    """The catalog manifold ``name`` built with ``params``; DomainError for
+    an unknown name."""
     table = {
         "circle": circle,
         "sphere": sphere,

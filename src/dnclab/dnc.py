@@ -30,6 +30,7 @@ from .geometry import (
     PairMap,
     SmoothMap,
     TubularMap,
+    is_transversal_nonlinear,
     newton_project,
     normal_frame,
     normal_map_pushforward,
@@ -118,14 +119,6 @@ class TangentGroupoidElement:
             "tangent", np.asarray(m, dtype=float), np.asarray(v, dtype=float), 0.0
         )
 
-    @property
-    def base(self) -> np.ndarray:
-        return self.a
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.b  # tangent elements store the velocity in the second slot
-
     def to_json(self) -> dict:
         if self.kind == "pair":
             return {"kind": "pair", "target": list(self.a), "source": list(self.b), "lambda": self.lam}
@@ -146,8 +139,9 @@ def dnc_chart(tub: TubularMap, m, x, t: float) -> DncPoint:
     return DncPoint.interior(tub(m, t * x), t)
 
 
-def _tubular_inverse(tub: TubularMap, q, tol: float = 1e-11, max_iter: int = 60):
-    """Solve phi(p, Y) = q for a base point p and a normal vector Y at p."""
+def _tubular_inverse(tub: TubularMap, q):
+    """Solve phi(p, Y) = q for a base point p and a normal vector Y at p, by
+    at most 60 Gauss-Newton steps to a residual of 1e-11."""
     pair = tub.pair
     small, big = pair.small, pair.big
     q = np.asarray(q, dtype=float)
@@ -173,9 +167,9 @@ def _tubular_inverse(tub: TubularMap, q, tol: float = 1e-11, max_iter: int = 60)
         return np.concatenate([co0(p), tub.phi(p, y) - q])
 
     z = np.concatenate([p0, np.zeros(d0)])
-    for _ in range(max_iter):
+    for _ in range(60):
         r = residual(z)
-        if np.max(np.abs(r), initial=0.0) <= tol:
+        if np.max(np.abs(r), initial=0.0) <= 1e-11:
             break
         step = linalg.min_norm_lstsq(numeric_jacobian(residual, z, 1e-7), -r)
         z = z + step
@@ -187,14 +181,15 @@ def _tubular_inverse(tub: TubularMap, q, tol: float = 1e-11, max_iter: int = 60)
     return p, normal_from(p, eta)
 
 
-def dnc_chart_inverse(tub: TubularMap, p: DncPoint, tol: float = 1e-9):
-    """Left/right inverse of the rescaled chart: point -> (base, normal, t)."""
+def dnc_chart_inverse(tub: TubularMap, p: DncPoint):
+    """Left/right inverse of the rescaled chart: point -> (base, normal, t),
+    with the recovered chart point within 1e-9 of the given one."""
     if p.kind == "boundary":
         return p.point, p.normal, 0.0
     base, y = _tubular_inverse(tub, p.point)
     if np.linalg.norm(y) > tub.valid_radius * (1 + 1e-9):
         raise OutsideChart("recovered normal vector beyond the chart radius")
-    if np.max(np.abs(tub(base, y) - p.point), initial=0.0) > tol:
+    if np.max(np.abs(tub(base, y) - p.point), initial=0.0) > 1e-9:
         raise OutsideChart("chart inversion residual above tolerance")
     return base, y / p.lam, p.lam
 
@@ -214,17 +209,18 @@ def dnc_map(fp: PairMap, p: DncPoint) -> DncPoint:
 # -- linear-pair isomorphism ---------------------------------------------------
 
 
-def dnc_vspace_iso(e0_dim: int, p: DncPoint, tol: float = 1e-12) -> tuple[np.ndarray, float]:
+def dnc_vspace_iso(e0_dim: int, p: DncPoint) -> tuple[np.ndarray, float]:
     """For a linear pair (coordinate space, leading-coordinate subspace):
     the global trivialization (e' + v, t) -> (e' + v/t, t), boundary by
-    (e', v) -> (e' + v, 0).  Exact, with an exact inverse."""
+    (e', v) -> (e' + v, 0).  Exact, with an exact inverse; a boundary point
+    more than 1e-12 off the pair raises DomainError."""
     if p.kind == "interior":
         w = p.point.copy()
         w[e0_dim:] = w[e0_dim:] / p.lam
         return w, p.lam
-    if np.max(np.abs(p.point[e0_dim:]), initial=0.0) > tol:
+    if np.max(np.abs(p.point[e0_dim:]), initial=0.0) > 1e-12:
         raise DomainError("boundary base point leaves the linear subspace")
-    if np.max(np.abs(p.normal[:e0_dim]), initial=0.0) > tol:
+    if np.max(np.abs(p.normal[:e0_dim]), initial=0.0) > 1e-12:
         raise DomainError("boundary normal vector has subspace components")
     n = max(p.point.size, p.normal.size)
     return linalg.pad_to(p.point, n) + linalg.pad_to(p.normal, n), 0.0
@@ -365,16 +361,16 @@ def taylor_probe(fp: PairMap, tub1: TubularMap, tub2: TubularMap, m, x, t_list) 
 # -- transversality through the functor ------------------------------------------------
 
 
-def _preimage_tangent(fp: PairMap, z: ImplicitManifold, m, rtol=None) -> np.ndarray:
+def _preimage_tangent(fp: PairMap, z: ImplicitManifold, m) -> np.ndarray:
     """Tangent basis of f^-1(Z) at m: ambient-tangent vectors of the source
     whose image under Df lands in the tangent of Z."""
-    t_m = fp.source.big.tangent_basis(m, rtol)
+    t_m = fp.source.big.tangent_basis(m)
     j = fp.f.jacobian(m)
     fx = z.require(fp.f(m))
-    t_z = z.tangent_basis(fx, rtol)  # orthonormal: t_z t_z^T projects onto T Z
+    t_z = z.tangent_basis(fx)  # orthonormal: t_z t_z^T projects onto T Z
     imgs = j @ t_m
     off = imgs - t_z @ (t_z.T @ imgs)
-    coeff = linalg.nullspace(off, rtol)
+    coeff = linalg.nullspace(off)
     return t_m @ coeff
 
 
@@ -424,7 +420,6 @@ def dnc_transversality_check(
     zpair: ManifoldPair,
     samples: list[DncPoint],
     tol: float = 1e-7,
-    rtol: float | None = None,
 ) -> dict:
     """Transversality of the induced deformation-space map to the deformation
     subspace of (Z, Z0), exercised on sampled points.
@@ -441,28 +436,20 @@ def dnc_transversality_check(
 
     # hypothesis: Z transverse to the target submanifold
     for s in z0.samples:
-        t_z = z.tangent_basis(s, rtol)
-        t_n0 = n_pair.small.tangent_basis(s, rtol)
-        if linalg.rank(np.hstack([t_z, t_n0]), rtol) != n_pair.big.dim:
+        t_z = z.tangent_basis(s)
+        t_n0 = n_pair.small.tangent_basis(s)
+        if linalg.rank(np.hstack([t_z, t_n0])) != n_pair.big.dim:
             raise PreconditionFailed("z_transverse_to_target_submanifold")
 
     # hypothesis: the map transverse to Z (on big-manifold samples landing in Z)
     for s in fp.source.big.samples:
-        fx = fp.f(s)
-        if z.contains(fx, tol):
-            a = fp.f.jacobian(s) @ fp.source.big.tangent_basis(s, rtol)
-            b = z.tangent_basis(fx, rtol)
-            if linalg.rank(np.hstack([a, b]), rtol) != n_pair.big.dim:
-                raise PreconditionFailed("map_transverse_to_z")
+        if z.contains(fp.f(s), tol) and not is_transversal_nonlinear(fp.f, fp.source.big, z, s, n_pair.big):
+            raise PreconditionFailed("map_transverse_to_z")
 
     # hypothesis: restricted map transverse to Z0 (on submanifold samples landing in Z0)
     for s in fp.source.small.samples:
-        fx = fp.f(s)
-        if z0.contains(fx, tol):
-            a = fp.f.jacobian(s) @ fp.source.small.tangent_basis(s, rtol)
-            b = z0.tangent_basis(fx, rtol)
-            if linalg.rank(np.hstack([a, b]), rtol) != n_pair.small.dim:
-                raise PreconditionFailed("restricted_map_transverse_to_z0")
+        if z0.contains(fp.f(s), tol) and not is_transversal_nonlinear(fp.f, fp.source.small, z0, s, n_pair.small):
+            raise PreconditionFailed("restricted_map_transverse_to_z0")
 
     report = {"checks": [], "passed": True}
 
@@ -473,17 +460,15 @@ def dnc_transversality_check(
     for i, p in enumerate(samples):
         if p.kind == "interior":
             if z.contains(fp.f(p.point), tol):
-                a = fp.f.jacobian(p.point) @ fp.source.big.tangent_basis(p.point, rtol)
-                b = z.tangent_basis(fp.f(p.point), rtol)
-                ok = linalg.rank(np.hstack([a, b]), rtol) == n_pair.big.dim
+                ok = is_transversal_nonlinear(fp.f, fp.source.big, z, p.point, n_pair.big)
                 record(f"interior_transversality[{i}]", ok)
         else:
             if not z0.contains(fp.f(p.point), tol):
                 continue
             m = p.point
             q = fp.f(m)
-            t_in, nu_in = fp.source.adapted_frame(m, rtol)
-            t_out, nu_out = n_pair.adapted_frame(q, rtol)
+            t_in, nu_in = fp.source.adapted_frame(m)
+            t_out, nu_out = n_pair.adapted_frame(q)
             j = fp.f.jacobian(m)
             r_out, d_out = nu_out.shape[1], t_out.shape[1]
             # adapted block matrix extended by the scalar fiber direction
@@ -494,14 +479,14 @@ def dnc_transversality_check(
             blk[r_out : r_out + d_out, nu_in.shape[1] : -1] = t_out.T @ (j @ t_in)
             blk[-1, -1] = 1.0
             # target trace tangent: fiber directions of Z, base of Z0, fiber axis
-            t_z = z.tangent_basis(q, rtol)
+            t_z = z.tangent_basis(q)
             fiber_dirs = nu_out.T @ t_z
-            base_dirs = t_out.T @ z0.tangent_basis(q, rtol)
+            base_dirs = t_out.T @ z0.tangent_basis(q)
             v = np.zeros((r_out + d_out + 1, fiber_dirs.shape[1] + base_dirs.shape[1] + 1))
             v[:r_out, : fiber_dirs.shape[1]] = fiber_dirs
             v[r_out : r_out + d_out, fiber_dirs.shape[1] : -1] = base_dirs
             v[-1, -1] = 1.0
-            ok = linalg.rank(np.hstack([blk, v]), rtol) == r_out + d_out + 1
+            ok = linalg.rank(np.hstack([blk, v])) == r_out + d_out + 1
             record(f"boundary_block_transversality[{i}]", ok)
 
         lhs = dnc_membership(fp, zpair, dnc_map(fp, p), tol)

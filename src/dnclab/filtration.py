@@ -37,6 +37,7 @@ from .geometry import (
     SmoothMap,
     central_difference,
     compose_maps,
+    is_transversal_nonlinear,
     linear_map,
     newton_project,
 )
@@ -65,6 +66,7 @@ __all__ = [
 
 NEST_TOL = 1e-8
 MEMBER_TOL = 1e-7
+DENSITY_TOL = 1e-7
 # |lam| below which a divided difference is its lam = 0 limit, the derivative
 FIBER_EPS = 1e-9
 # |lam| below which the lam column of a divided difference's Jacobian takes
@@ -528,7 +530,7 @@ def _differential(g: SmoothMap, ambient: int) -> SmoothMap:
     return SmoothMap(2 * ambient, g.codomain_dim, fn, jac, f"D{g.name}")
 
 
-def _divided_difference(g: SmoothMap, ambient: int, eps: float = FIBER_EPS) -> SmoothMap:
+def _divided_difference(g: SmoothMap, ambient: int) -> SmoothMap:
     """(x, w, lam) -> (g(x) - g(x - lam w)) / lam, smoothly extended across
     lam = 0 by the directional derivative.  The value and its Jacobian take
     the same branch at every lam, except that the Jacobian's lam column keeps
@@ -539,7 +541,7 @@ def _divided_difference(g: SmoothMap, ambient: int, eps: float = FIBER_EPS) -> S
 
     def dd(z):
         x, w, lam = split(z)
-        if abs(lam) < eps:
+        if abs(lam) < FIBER_EPS:
             return g.jacobian(x) @ w
         return (g(x) - g(x - lam * w)) / lam
 
@@ -548,7 +550,7 @@ def _divided_difference(g: SmoothMap, ambient: int, eps: float = FIBER_EPS) -> S
 
         def jac(z):
             x, w, lam = split(z)
-            if abs(lam) < eps:
+            if abs(lam) < FIBER_EPS:
                 h = np.atleast_2d(g.hvp(x, w))
                 return np.hstack([h, np.atleast_2d(g.jac(x)), (-0.5 * (h @ w))[:, None]])
             y = x - lam * w
@@ -797,7 +799,7 @@ class CoveringMap:
     lift: Callable  # base point -> list of total-space points
 
 
-def pullback_filtration_covering(cov: CoveringMap, f: Filtration, rtol: float | None = None) -> Filtration:
+def pullback_filtration_covering(cov: CoveringMap, f: Filtration) -> Filtration:
     """Pull a filtration back through a covering; dimensions are preserved
     and samples are lifted through every sheet."""
     if f.total.ambient_dim != cov.base.ambient_dim:
@@ -807,10 +809,10 @@ def pullback_filtration_covering(cov: CoveringMap, f: Filtration, rtol: float | 
         lifts = cov.lift(s)
         fibers.add(len(lifts))
         for z in lifts:
-            jz = cov.projection.jacobian(z) @ cov.total.tangent_basis(z, rtol)
-            tb = cov.base.tangent_basis(s, rtol)
+            jz = cov.projection.jacobian(z) @ cov.total.tangent_basis(z)
+            tb = cov.base.tangent_basis(s)
             a = tb.T @ jz
-            if a.shape[0] != a.shape[1] or linalg.rank(a, rtol) != a.shape[0]:
+            if a.shape[0] != a.shape[1] or linalg.rank(a) != a.shape[0]:
                 raise NotCovering("projection is not a local diffeomorphism at a lifted sample")
     if len(fibers) != 1:
         raise NotCovering(f"fiber cardinality not constant on samples: {sorted(fibers)}")
@@ -881,7 +883,6 @@ def pullback_filtration_fredholm(
     index_p: int,
     f: Filtration,
     seeds: list | None = None,
-    rtol: float | None = None,
 ) -> Filtration:
     """Preimage filtration along a positive-index map transverse to every
     level; level dimensions shift up by the index."""
@@ -911,11 +912,8 @@ def pullback_filtration_fredholm(
             raise NoConvergence(f"no on-level samples found for g⁻¹{m.name}")
         lvl.samples = found
         # Smale transversality hypothesis at the samples
-        for x in found:
-            a = g.jacobian(x) @ n_total.tangent_basis(x, rtol)
-            b = m.tangent_basis(g(x), rtol)
-            if linalg.rank(np.hstack([a, b]), rtol) != f.total.dim:
-                raise NotTransverse(f"map not transverse to {m.name} at a sample")
+        if not all(is_transversal_nonlinear(g, n_total, m, x, f.total) for x in found):
+            raise NotTransverse(f"map not transverse to {m.name} at a sample")
         levels.append(lvl)
 
     fredholm = None
@@ -1039,11 +1037,11 @@ def mixed_product_filtration(f: Filtration, growth: list[ImplicitManifold], grow
 # -- verification -----------------------------------------------------------------
 
 
-def _check_dimensions(f: Filtration, depth: int, rtol) -> dict:
+def _check_dimensions(f: Filtration, depth: int) -> dict:
     measured = []
     for n in range(1, depth + 1):
         lvl = f.level(n)
-        ranks = [linalg.rank(lvl.constraints.jacobian(s), rtol) for s in lvl.samples]
+        ranks = [linalg.rank(lvl.constraints.jacobian(s)) for s in lvl.samples]
         dims = sorted({lvl.ambient_dim - r for r in ranks})
         measured.append(dims)
     ok = all(dims == [f.delta[n]] for n, dims in enumerate(measured, start=1))
@@ -1065,7 +1063,7 @@ def _check_nesting(f: Filtration, depth: int) -> dict:
     }
 
 
-def _check_normality(f: Filtration, depth: int, rtol) -> dict:
+def _check_normality(f: Filtration, depth: int) -> dict:
     if f.witnesses is None:
         return {"status": "unverified", "evidence": {"note": "no witness supplied: normality unverified"}}
     records = []
@@ -1075,7 +1073,7 @@ def _check_normality(f: Filtration, depth: int, rtol) -> dict:
             continue
         lvl = f.level(w.level)
         for s in lvl.samples:
-            t_cur = lvl.tangent_basis(s, rtol)
+            t_cur = lvl.tangent_basis(s)
             for tag, fr, target in (
                 ("next", w.frame_in_next, f.level(w.level + 1) if w.level < depth else None),
                 ("big", w.frame_in_big, f.total),
@@ -1083,12 +1081,12 @@ def _check_normality(f: Filtration, depth: int, rtol) -> dict:
                 if fr is None or target is None:
                     continue
                 frame = np.atleast_2d(fr(s))
-                independent = linalg.rank(frame, rtol) == frame.shape[1]
+                independent = linalg.rank(frame) == frame.shape[1]
                 tangency = float(
                     np.max(np.abs(target.constraints.jacobian(s) @ frame), initial=0.0)
                 )
                 complete = (
-                    linalg.rank(np.hstack([t_cur, frame]), rtol) == target.dim
+                    linalg.rank(np.hstack([t_cur, frame])) == target.dim
                     and t_cur.shape[1] + frame.shape[1] == target.dim
                 )
                 good = independent and tangency <= 1e-6 and complete
@@ -1141,7 +1139,7 @@ def _density_profile(f: Filtration, depth: int, samples) -> tuple[list[list[floa
     return profiles, monotone, deepest
 
 
-def _check_density(f: Filtration, depth: int, samples, tol: float) -> dict:
+def _check_density(f: Filtration, depth: int, samples) -> dict:
     if f.claimed_dense is None:
         if f.ambient_sampler is None or not samples:
             return {"status": "not_claimed", "evidence": {}}
@@ -1153,19 +1151,19 @@ def _check_density(f: Filtration, depth: int, samples, tol: float) -> dict:
     if not f.claimed_dense:
         return {"status": "not_claimed", "evidence": {}}
     profiles, monotone, deepest = _density_profile(f, depth, samples)
-    ok = monotone and np.isfinite(deepest) and deepest <= tol
+    ok = monotone and np.isfinite(deepest) and deepest <= DENSITY_TOL
     return {
         "status": "pass" if ok else "fail",
         "evidence": {
             "monotone": monotone,
             "deepest_distance": deepest,
-            "tolerance": tol,
+            "tolerance": DENSITY_TOL,
             "profiles_head": [p[:depth] for p in profiles[:3]],
         },
     }
 
 
-def _check_fredholm(f: Filtration, depth: int, rtol) -> dict:
+def _check_fredholm(f: Filtration, depth: int) -> dict:
     if not f.claimed_fredholm or f.fredholm is None:
         return {"status": "not_claimed", "evidence": {}}
     fm, flag, lvl_dim = f.fredholm.map, f.fredholm.flag, f.fredholm.level_dim
@@ -1173,15 +1171,15 @@ def _check_fredholm(f: Filtration, depth: int, rtol) -> dict:
     ok = True
     for n in range(1, depth + 1):
         basis = linalg.orthonormalize(flag.level(n).space.basis_matrix(lvl_dim))
-        normal = linalg.nullspace(basis.T, rtol)
+        normal = linalg.nullspace(basis.T)
         lvl = f.level(n)
         for s in lvl.samples:
             y = fm(s)
             member = float(np.linalg.norm(y - basis @ (basis.T @ y)))
-            a = fm.jacobian(s) @ f.total.tangent_basis(s, rtol)
-            transverse = linalg.rank(np.hstack([a, basis]), rtol) == lvl_dim
+            a = fm.jacobian(s) @ f.total.tangent_basis(s)
+            transverse = linalg.rank(np.hstack([a, basis])) == lvl_dim
             # preimage direction: tangent of the cut-out set matches the level
-            cut = linalg.nullspace(normal.T @ a, rtol)
+            cut = linalg.nullspace(normal.T @ a)
             cut_dim = cut.shape[1]
             good = member <= MEMBER_TOL and transverse and cut_dim == f.delta[n]
             ok = ok and good
@@ -1213,28 +1211,26 @@ class FiltrationReport:
 
 def verify_filtration(
     f: Filtration,
-    depth: int | None = None,
     n_samples: int = 32,
     seed: int = 42,
-    tol_density: float = 1e-7,
-    rtol: float | None = None,
 ) -> FiltrationReport:
-    """Structured per-condition verification at the given sampling budget."""
-    depth = min(depth or f.depth, f.depth)
+    """Structured per-condition verification of every level at the given
+    sampling budget."""
+    depth = f.depth
     rng = np.random.Generator(np.random.Philox(key=seed))
     ambient_samples = f.ambient_sampler(rng, n_samples) if f.ambient_sampler else []
 
     report = FiltrationReport()
-    report.conditions["a_dimensions"] = _check_dimensions(f, depth, rtol)
+    report.conditions["a_dimensions"] = _check_dimensions(f, depth)
     report.conditions["b_nesting"] = _check_nesting(f, depth)
     report.conditions["c_limit_inclusion"] = {
         "status": "out_of_scope",
         "evidence": {"note": "homotopy condition on the union is out of scope"},
     }
-    report.conditions["d_normality"] = _check_normality(f, depth, rtol)
+    report.conditions["d_normality"] = _check_normality(f, depth)
     report.conditions["e_cover"] = _check_cover(f, depth, ambient_samples)
-    report.conditions["density"] = _check_density(f, depth, ambient_samples, tol_density)
-    report.conditions["fredholm"] = _check_fredholm(f, depth, rtol)
+    report.conditions["density"] = _check_density(f, depth, ambient_samples)
+    report.conditions["fredholm"] = _check_fredholm(f, depth)
     return report
 
 

@@ -135,7 +135,7 @@ def rotated_flag(delta, g) -> Flag:
     return Flag(base.delta, [subspace_image(g, s) for s in base.subspaces], rotation=g)
 
 
-def verify_flag(flag: Flag, rtol: float | None = None) -> FlagReport:
+def verify_flag(flag: Flag) -> FlagReport:
     """Condition-by-condition check with numeric evidence.
 
     (a) level dimensions, (b) nesting, (d) complements span, (e) complements
@@ -148,14 +148,14 @@ def verify_flag(flag: Flag, rtol: float | None = None) -> FlagReport:
     )
     probe = level_bound + 5
 
-    dims = [s.space.dim_at(probe, rtol) for s in flag.subspaces]
+    dims = [s.space.dim_at(probe) for s in flag.subspaces]
     report.conditions["a_dimensions"] = {
         "status": "pass" if dims == list(flag.delta) else "fail",
         "evidence": {"measured": dims, "expected": list(flag.delta)},
     }
 
     nesting = [
-        flag.subspaces[i + 1].space.contains_subspace(flag.subspaces[i].space, rtol)
+        flag.subspaces[i + 1].space.contains_subspace(flag.subspaces[i].space)
         for i in range(flag.depth - 1)
     ]
     report.conditions["b_nesting"] = {
@@ -168,14 +168,14 @@ def verify_flag(flag: Flag, rtol: float | None = None) -> FlagReport:
         "evidence": {"note": "union of levels exhausts the coordinate model"},
     }
 
-    sums = [s.verify(rtol=rtol) for s in flag.subspaces]
+    sums = [s.verify() for s in flag.subspaces]
     report.conditions["d_complemented"] = {
         "status": "pass" if all(sums) else "fail",
         "evidence": {"direct_sums": sums},
     }
 
     dec = [
-        flag.subspaces[i].complement.contains_subspace(flag.subspaces[i + 1].complement, rtol)
+        flag.subspaces[i].complement.contains_subspace(flag.subspaces[i + 1].complement)
         for i in range(flag.depth - 1)
     ]
     report.conditions["e_decreasing_complements"] = {

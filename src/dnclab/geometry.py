@@ -104,21 +104,21 @@ class SmoothMap:
             raise DomainError(f"{self.name or 'map'}: produced {y.size} coordinates")
         return y
 
-    def jacobian(self, x, h: float | None = None, richardson: bool = False, check: bool = False) -> np.ndarray:
+    def jacobian(self, x, check: bool = False) -> np.ndarray:
         if self.jac is not None:
             j = np.atleast_2d(np.asarray(self.jac(np.asarray(x, float)), dtype=float))
             if check:
-                fd = numeric_jacobian(self.fn, x, h, richardson=True)
+                fd = numeric_jacobian(self.fn, x, richardson=True)
                 scale = 1.0 + float(np.max(np.abs(j)))
                 if np.max(np.abs(fd - j)) > 1e-4 * scale:
                     raise DomainError(
                         f"{self.name or 'map'}: analytic jacobian disagrees with finite differences"
                     )
             return j
-        return numeric_jacobian(self.fn, x, h, richardson)
+        return numeric_jacobian(self.fn, x)
 
-    def numeric_jacobian(self, x, h: float | None = None, richardson: bool = False) -> np.ndarray:
-        return numeric_jacobian(self.fn, x, h, richardson)
+    def numeric_jacobian(self, x, h: float | None = None) -> np.ndarray:
+        return numeric_jacobian(self.fn, x, h)
 
 
 def compose_maps(g: SmoothMap, f: SmoothMap, name: str = "") -> SmoothMap:
@@ -205,15 +205,15 @@ class ImplicitManifold:
         inside = self.region(np.asarray(x, float)) if self.region is not None else True
         return bool(inside) and self.constraint_norm(x) <= tol
 
-    def require(self, x, tol: float = ON_MANIFOLD_TOL) -> np.ndarray:
+    def require(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not self.contains(x, tol):
+        if not self.contains(x):
             raise OffManifold(f"point not on {self.name} (constraint norm {self.constraint_norm(x):.3e})")
         return x
 
-    def validate(self, tol: float = 1e-9, rtol: float | None = None) -> dict:
-        """Invariant check at every sample: constraints vanish and the
-        constraint Jacobian has full rank ambient_dim - dim."""
+    def validate(self) -> dict:
+        """Invariant check at every sample: constraints vanish to 1e-9 and
+        the constraint Jacobian has full rank ambient_dim - dim."""
         codim = self.ambient_dim - self.dim
         records = []
         for s in self.samples:
@@ -221,16 +221,16 @@ class ImplicitManifold:
             records.append(
                 {
                     "constraint_norm": self.constraint_norm(s),
-                    "jacobian_rank": linalg.rank(j, rtol),
+                    "jacobian_rank": linalg.rank(j),
                 }
             )
-        ok = all(r["constraint_norm"] <= tol and r["jacobian_rank"] == codim for r in records)
+        ok = all(r["constraint_norm"] <= 1e-9 and r["jacobian_rank"] == codim for r in records)
         return {"passed": ok, "codim": codim, "samples": records}
 
-    def tangent_basis(self, x, rtol: float | None = None) -> np.ndarray:
+    def tangent_basis(self, x) -> np.ndarray:
         """Orthonormal basis (columns) of the tangent space at x."""
         x = self.require(x)
-        basis = linalg.nullspace(self.constraints.jacobian(x), rtol)
+        basis = linalg.nullspace(self.constraints.jacobian(x))
         if basis.shape[1] != self.dim:
             raise OffManifold(
                 f"tangent dimension {basis.shape[1]} != {self.dim} on {self.name} (degenerate Jacobian)"
@@ -245,12 +245,13 @@ class ImplicitManifold:
         return float(np.linalg.norm(x - y))
 
 
-def newton_project(manifold: ImplicitManifold, x0, tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:
-    """Gauss-Newton projection onto the constraint zero set."""
+def newton_project(manifold: ImplicitManifold, x0) -> np.ndarray:
+    """Gauss-Newton projection onto the constraint zero set: at most 50
+    steps, until every constraint is within 1e-10 of zero."""
     x = np.asarray(x0, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(50):
         g = manifold.constraints(x)
-        if np.max(np.abs(g), initial=0.0) <= tol:
+        if np.max(np.abs(g), initial=0.0) <= 1e-10:
             return x
         j = manifold.constraints.jacobian(x)
         step = linalg.min_norm_lstsq(j, -g)
@@ -266,9 +267,9 @@ def newton_project(manifold: ImplicitManifold, x0, tol: float = 1e-10, max_iter:
 class ManifoldPair:
     """A manifold with a closed embedded submanifold, in one ambient space.
 
-    :meth:`adapted_frame` is memoised per pair: each (point, rtol) is
-    computed once, and the arrays it returns are read-only so that no caller
-    can corrupt a later hit."""
+    :meth:`adapted_frame` is memoised per pair: each point is computed once,
+    and the arrays it returns are read-only so that no caller can corrupt a
+    later hit."""
 
     big: ImplicitManifold
     small: ImplicitManifold
@@ -278,22 +279,15 @@ class ManifoldPair:
         if self.big.ambient_dim != self.small.ambient_dim:
             raise DomainError("pair members live in different ambient spaces")
 
-    def validate(self, tol: float = 1e-9) -> dict:
-        inner = all(self.big.contains(s, tol=ON_MANIFOLD_TOL) for s in self.small.samples)
-        return {
-            "passed": inner and self.big.validate(tol)["passed"] and self.small.validate(tol)["passed"],
-            "small_inside_big": inner,
-        }
-
-    def adapted_frame(self, m, rtol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def adapted_frame(self, m) -> tuple[np.ndarray, np.ndarray]:
         """(tangent frame of the submanifold, normal complement inside the
         big tangent space) at a submanifold point, both orthonormal and
         read-only.  A point off the pair raises OffManifold on every call."""
-        key = (np.asarray(m, float).tobytes(), rtol)
+        key = np.asarray(m, float).tobytes()
         frame = self._frames.get(key)
         if frame is None:
-            t_small = self.small.tangent_basis(m, rtol)
-            nu = linalg.complement_within(t_small, self.big.tangent_basis(m, rtol))
+            t_small = self.small.tangent_basis(m)
+            nu = linalg.complement_within(t_small, self.big.tangent_basis(m))
             if nu.shape[1] != self.big.dim - self.small.dim:
                 raise OffManifold("normal complement has wrong dimension")
             for a in (t_small, nu):
@@ -302,9 +296,9 @@ class ManifoldPair:
         return frame
 
 
-def normal_frame(pair: ManifoldPair, m, rtol: float | None = None) -> np.ndarray:
+def normal_frame(pair: ManifoldPair, m) -> np.ndarray:
     """Orthonormal basis of the normal space (quotient representatives) at m."""
-    return pair.adapted_frame(m, rtol)[1]
+    return pair.adapted_frame(m)[1]
 
 
 @dataclass
@@ -324,8 +318,9 @@ class TubularMap:
             )
         return np.asarray(self.phi(np.asarray(m, float), x), dtype=float)
 
-    def verify(self, n_radial: int = 3, tol_identity: float = 1e-6, tol_image: float = 1e-8) -> dict:
-        """Zero-section fixing, identity normal differential, image containment."""
+    def verify(self) -> dict:
+        """Zero-section fixing, identity normal differential (to 1e-6), and
+        image containment (to 1e-8) at three radii along each normal axis."""
         records = []
         for m in self.pair.small.samples:
             _, nu = self.pair.adapted_frame(m)
@@ -337,12 +332,12 @@ class TubularMap:
                 d = central_difference(lambda x: self(m, x), zero, nu[:, i], h)
                 d_err = max(d_err, float(np.max(np.abs(d - nu[:, i]))))
             img_err = 0.0
-            for r in np.linspace(0.25, 1.0, n_radial) * self.valid_radius:
+            for r in np.linspace(0.25, 1.0, 3) * self.valid_radius:
                 for i in range(nu.shape[1]):
                     img_err = max(img_err, self.pair.big.constraint_norm(self(m, r * nu[:, i])))
             records.append({"zero_fix": zero_fix, "normal_differential": d_err, "image": img_err})
         ok = all(
-            r["zero_fix"] == 0.0 and r["normal_differential"] <= tol_identity and r["image"] <= tol_image
+            r["zero_fix"] == 0.0 and r["normal_differential"] <= 1e-6 and r["image"] <= 1e-8
             for r in records
         )
         return {"passed": ok, "samples": records}
@@ -360,14 +355,8 @@ class PairMap:
     def __call__(self, x) -> np.ndarray:
         return self.f(x)
 
-    def verify(self, tol: float = ON_MANIFOLD_TOL) -> dict:
-        small_ok = [self.target.small.constraint_norm(self.f(s)) for s in self.source.small.samples]
-        big_ok = [self.target.big.constraint_norm(self.f(s)) for s in self.source.big.samples]
-        passed = all(v <= tol for v in small_ok) and all(v <= tol for v in big_ok)
-        return {"passed": passed, "small_residuals": small_ok, "big_residuals": big_ok}
 
-
-def normal_map_pushforward(fp: PairMap, m, x, h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def normal_map_pushforward(fp: PairMap, m, x) -> tuple[np.ndarray, np.ndarray]:
     """(f(m), image normal vector): the differential applied to a normal
     representative, projected along the target submanifold tangent onto the
     target normal frame."""
@@ -378,7 +367,7 @@ def normal_map_pushforward(fp: PairMap, m, x, h: float | None = None) -> tuple[n
     if np.linalg.norm(x - nu @ coords) > 1e-8 * (1 + np.linalg.norm(x)):
         raise OffManifold("vector does not lie in the normal frame span")
     q = fp.target.small.require(fp.f(m))
-    v = fp.f.jacobian(m, h) @ x
+    v = fp.f.jacobian(m) @ x
     nu_t = normal_frame(fp.target, q)
     return q, nu_t @ (nu_t.T @ v)
 
@@ -407,12 +396,10 @@ def is_transversal_nonlinear(
     z: ImplicitManifold,
     x,
     target: ImplicitManifold | None = None,
-    rtol: float | None = None,
 ) -> bool:
-    """Rank test: Df(T_x source) + T_f(x) Z spans the target tangent space."""
-    x = source.require(x)
-    fx = z.require(f(x))
-    a = f.jacobian(x) @ source.tangent_basis(x, rtol)
-    b = z.tangent_basis(fx, rtol)
+    """Rank test: Df(T_x source) + T_f(x) Z spans the target tangent space.
+    The tangent bases raise OffManifold for x off ``source`` or f(x) off ``z``."""
+    t_source = source.tangent_basis(x)
+    t_z = z.tangent_basis(f(x))
     need = target.dim if target is not None else f.codomain_dim
-    return linalg.rank(np.hstack([a, b]), rtol) == need
+    return linalg.rank(np.hstack([f.jacobian(x) @ t_source, t_z])) == need

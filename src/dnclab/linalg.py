@@ -1,8 +1,9 @@
 """Rank decisions and small shared linear-algebra helpers.
 
-All rank decisions in the laboratory go through :func:`rank` so the
-singular-value threshold (relative to the largest singular value) is set
-in exactly one place.
+Every rank decision in the laboratory is made here, by :func:`rank`,
+:func:`nullspace` or :func:`orthonormalize`, against the one relative
+singular-value threshold :data:`RANK_RTOL`.  No function takes a threshold
+of its own, so the threshold is set in exactly one place.
 
 :func:`nullspace` and :func:`orthonormalize` return orthonormal column
 bases, and :func:`complement_within` takes such a basis for the subspace it
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-# Relative singular-value threshold for rank decisions; configurable.
+# Relative singular-value threshold of every rank decision: a singular value
+# counts when it exceeds RANK_RTOL times the largest one.
 RANK_RTOL = 1e-8
 
 
-def rank(a: np.ndarray, rtol: float | None = None) -> int:
+def rank(a: np.ndarray) -> int:
     """Numerical rank via SVD with a relative threshold."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
@@ -26,27 +28,27 @@ def rank(a: np.ndarray, rtol: float | None = None) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > (RANK_RTOL if rtol is None else rtol) * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def nullspace(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``a``."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return np.eye(a.shape[1])
     u, s, vh = np.linalg.svd(a)
-    tol = (RANK_RTOL if rtol is None else rtol) * (s[0] if s.size else 1.0)
+    tol = RANK_RTOL * (s[0] if s.size else 1.0)
     r = int(np.sum(s > tol))
     return vh[r:].T
 
 
-def orthonormalize(vectors: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def orthonormalize(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of ``vectors``."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     if v.size == 0:
         return v.reshape(v.shape[0], 0)
     u, s, _ = np.linalg.svd(v, full_matrices=False)
-    tol = (RANK_RTOL if rtol is None else rtol) * (s[0] if s.size else 1.0)
+    tol = RANK_RTOL * (s[0] if s.size else 1.0)
     return u[:, s > tol]
 
 

@@ -316,12 +316,12 @@ def _stable(levels: tuple[int, int], decide, what: str):
     return first
 
 
-def _kernel_cokernel(a: np.ndarray, rtol: float | None) -> tuple[int, int]:
-    r = linalg.rank(a, rtol)
+def _kernel_cokernel(a: np.ndarray) -> tuple[int, int]:
+    r = linalg.rank(a)
     return a.shape[1] - r, a.shape[0] - r
 
 
-def fredholm_index(op: SequenceOperator, level: int | None = None, rtol: float | None = None) -> int:
+def fredholm_index(op: SequenceOperator, level: int | None = None) -> int:
     """dim ker - dim coker, by finite linear algebra at two truncation levels.
 
     Counts must agree across the levels and, for a genuine shift tail, match
@@ -331,7 +331,7 @@ def fredholm_index(op: SequenceOperator, level: int | None = None, rtol: float |
     base = max(level or 0, op.window + 2 * abs(op.shift) + 8)
     k, c = _stable(
         (base, base + 5),
-        lambda L: _kernel_cokernel(op.to_dense(op.output_rows(L), L), rtol),
+        lambda L: _kernel_cokernel(op.to_dense(op.output_rows(L), L)),
         "kernel/cokernel counts",
     )
     idx = k - c
@@ -345,13 +345,13 @@ def fredholm_index(op: SequenceOperator, level: int | None = None, rtol: float |
 # -- structure group --------------------------------------------------------
 
 
-def is_glk(op: SequenceOperator, rtol: float | None = None) -> bool:
+def is_glk(op: SequenceOperator) -> bool:
     """Invertible identity-plus-finite-rank test: unit tail with zero shift,
     and an invertible window block."""
     if op.tail_scale != 1.0 or op.shift != 0:
         return False
     w = op.window
-    return w == 0 or linalg.rank(op.to_dense(w, w), rtol) == w
+    return w == 0 or linalg.rank(op.to_dense(w, w)) == w
 
 
 def glk_inverse(op: SequenceOperator) -> SequenceOperator:
@@ -408,7 +408,7 @@ class BlockOperator:
         a[rows1:, cols1:] = self.F2.to_dense(rows2, cols2)
         return a
 
-    def fredholm_index(self, level: int | None = None, rtol: float | None = None) -> int:
+    def fredholm_index(self, level: int | None = None) -> int:
         """Index of the flattened operator via kernel/cokernel counts at two
         truncation levels (no structural shortcut: this is the oracle side)."""
         base = 8 + max(
@@ -417,7 +417,7 @@ class BlockOperator:
         )
         k, c = _stable(
             (base, base + 5),
-            lambda L: _kernel_cokernel(self.stacked_dense(L)[0], rtol),
+            lambda L: _kernel_cokernel(self.stacked_dense(L)[0]),
             "block kernel/cokernel counts",
         )
         return k - c
@@ -450,18 +450,19 @@ def block_lower_triangular(F: SequenceOperator, P: SequenceOperator, F2: Sequenc
     return BlockOperator(F, P, F2)
 
 
-def is_glk_tilde(b: BlockOperator, tol: float = 1e-9) -> bool:
+def is_glk_tilde(b: BlockOperator) -> bool:
     """Structure-group test for the lower triangular group: both diagonal
     blocks in the structure group, with invertibility asserted through an
-    explicit witness inverse (back-substitution) rather than assumed."""
+    explicit witness inverse (back-substitution) rather than assumed, whose
+    product with ``b`` must be the identity to 1e-9."""
     if not (is_glk(b.F) and is_glk(b.F2)):
         return False
     inv = block_inverse(b)
     prod = b.compose(inv)
     return (
-        prod.F.approx_equal(identity(), tol)
-        and prod.F2.approx_equal(identity(), tol)
-        and prod.P.approx_equal(identity().scale(0.0), tol)
+        prod.F.approx_equal(identity(), 1e-9)
+        and prod.F2.approx_equal(identity(), 1e-9)
+        and prod.P.approx_equal(identity().scale(0.0), 1e-9)
     )
 
 
@@ -519,11 +520,11 @@ def _levels_for(op: SequenceOperator, v: ComplementedSubspace) -> tuple[int, int
     return base, base + 5
 
 
-def _surjectivity_rank_ok(op: SequenceOperator, v: ComplementedSubspace, rows: int, rtol) -> bool:
+def _surjectivity_rank_ok(op: SequenceOperator, v: ComplementedSubspace, rows: int) -> bool:
     cols = rows + abs(op.shift) + op.window  # enough domain coordinates to hit every row
     a = op.to_dense(rows, cols)
     vb = v.space.basis_matrix(rows)
-    return linalg.rank(np.hstack([a, vb]), rtol) == rows
+    return linalg.rank(np.hstack([a, vb])) == rows
 
 
 def _preimage_head(op: SequenceOperator, v: ComplementedSubspace) -> tuple[int, bool]:
@@ -542,58 +543,58 @@ def _preimage_head(op: SequenceOperator, v: ComplementedSubspace) -> tuple[int, 
     return max(w, v.space.support_bound() + abs(s), reach - s, 0) + 1, False
 
 
-def _kernel_into(a: np.ndarray, vb: np.ndarray, rtol: float | None) -> np.ndarray:
+def _kernel_into(a: np.ndarray, vb: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the x with A x in span(vb): x in the
     head span with A x in V  <=>  (I - P_V) A x = 0."""
     q = linalg.orthonormalize(vb)
-    return linalg.nullspace((np.eye(a.shape[0]) - q @ q.T) @ a, rtol)
+    return linalg.nullspace((np.eye(a.shape[0]) - q @ q.T) @ a)
 
 
-def _transversal_preimage(op: SequenceOperator, v: ComplementedSubspace, rtol) -> ComplementedSubspace | None:
+def _transversal_preimage(op: SequenceOperator, v: ComplementedSubspace) -> ComplementedSubspace | None:
     """T^-1(V) with a verified complement when im(T) + V is the codomain (the
     rank test stabilized over two truncation levels), otherwise None."""
     surjective = _stable(
-        _levels_for(op, v), lambda L: _surjectivity_rank_ok(op, v, L, rtol), "transversality rank test"
+        _levels_for(op, v), lambda L: _surjectivity_rank_ok(op, v, L), "transversality rank test"
     )
     if not surjective:
         return None
     head, has_tail = _preimage_head(op, v)
     rows = max(op.output_rows(head), v.space.support_bound(), 1)
-    kernel = _kernel_into(op.to_dense(rows, head), v.space.basis_matrix(rows), rtol)
-    w_basis = linalg.nullspace(kernel.T if kernel.size else np.zeros((0, head)), rtol)
+    kernel = _kernel_into(op.to_dense(rows, head), v.space.basis_matrix(rows))
+    w_basis = linalg.nullspace(kernel.T if kernel.size else np.zeros((0, head)))
     result = ComplementedSubspace(
         SubspaceBasis(tail_start=head if has_tail else None, vectors=list(kernel.T)),
         SubspaceBasis(tail_start=None if has_tail else head, vectors=list(w_basis.T)),
     )
-    return result if result.verify(rtol=rtol) else None
+    return result if result.verify() else None
 
 
 def preimage_with_complement(
-    op: SequenceOperator, v: ComplementedSubspace, rtol: float | None = None
+    op: SequenceOperator, v: ComplementedSubspace
 ) -> ComplementedSubspace:
     """T^-1(V) together with a verified complement; NotTransversal when T
     is not transversal to V."""
-    result = _transversal_preimage(op, v, rtol)
+    result = _transversal_preimage(op, v)
     if result is None:
         raise NotTransversal("operator is not transversal to the subspace")
     return result
 
 
-def is_transversal(op: SequenceOperator, v: ComplementedSubspace, rtol: float | None = None) -> bool:
+def is_transversal(op: SequenceOperator, v: ComplementedSubspace) -> bool:
     """im(T) + V = codomain and the preimage construction yields a verified
     complement; rank decisions stabilized over two truncation levels."""
-    return _transversal_preimage(op, v, rtol) is not None
+    return _transversal_preimage(op, v) is not None
 
 
 def transversality_witness(
-    op: SequenceOperator, v: ComplementedSubspace, e_prime, tol: float = 1e-10
+    op: SequenceOperator, v: ComplementedSubspace, e_prime
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split e' = T e + v constructively.
 
     e solves the equation projected off V by minimum-norm least squares; the
     remainder is projected back onto V.  The returned pair is checked against
     the exact operator action; NotTransversal if the defining equation cannot
-    be met to ``tol``.
+    be met to 1e-10.
     """
     e_prime = np.asarray(e_prime, dtype=float).ravel()
     l1, _ = _levels_for(op, v)
@@ -610,7 +611,7 @@ def transversality_witness(
     actual = op.apply(e)
     n = max(rows, actual.size)
     resid = linalg.pad_to(target, n) - linalg.pad_to(actual, n) - linalg.pad_to(vvec, n)
-    if np.linalg.norm(resid) > tol:
+    if np.linalg.norm(resid) > 1e-10:
         raise NotTransversal("witness equation e' = T e + v not satisfiable")
     return linalg.trim(e), linalg.trim(vvec)
 
@@ -621,15 +622,14 @@ def block_transversality_witness(
     v2: ComplementedSubspace,
     e1_prime,
     e2_prime,
-    tol: float = 1e-10,
 ):
     """Constructive split for the lower triangular operator against V1 (+) V2,
     mirroring the two-step argument: solve per factor, then correct the
     second factor for the coupling term P e1."""
-    e1, w1 = transversality_witness(b.F, v1, e1_prime, tol)
-    e2, w2 = transversality_witness(b.F2, v2, e2_prime, tol)
+    e1, w1 = transversality_witness(b.F, v1, e1_prime)
+    e2, w2 = transversality_witness(b.F2, v2, e2_prime)
     coupling = b.P.apply(e1)
-    e_corr, v_corr = transversality_witness(b.F2, v2, coupling, tol)
+    e_corr, v_corr = transversality_witness(b.F2, v2, coupling)
     n2 = max(e2.size, e_corr.size)
     m2 = max(w2.size, v_corr.size)
     return (
@@ -642,7 +642,6 @@ def block_is_transversal(
     b: BlockOperator,
     v1: ComplementedSubspace,
     v2: ComplementedSubspace,
-    rtol: float | None = None,
 ) -> bool:
     """Rank test for the lower triangular operator against V1 (+) V2,
     stabilized over two per-factor truncation levels."""
@@ -660,7 +659,7 @@ def block_is_transversal(
         cols1 = rows1 + abs(b.F.shift) + b.F.window
         cols2 = rows2 + abs(b.F2.shift) + b.F2.window
         a = np.hstack([b._dense(rows1, cols1, rows2, cols2), _sum_basis(v1, v2, rows1, rows2)])
-        return linalg.rank(a, rtol) == rows1 + rows2
+        return linalg.rank(a) == rows1 + rows2
 
     levels = (max(l1a, l2a, lp), max(l1b, l2b, lp) + 5)
     return _stable(levels, surjective, "block transversality rank test")
@@ -680,7 +679,6 @@ def block_preimage_with_complement(
     b: BlockOperator,
     v1: ComplementedSubspace,
     v2: ComplementedSubspace,
-    rtol: float | None = None,
 ) -> ComplementedSubspace:
     """Preimage of V1 (+) V2 under the lower triangular operator, realized on
     the interleaved single sequence space, with the complement taken as the
@@ -691,9 +689,9 @@ def block_preimage_with_complement(
     caller needs no decision of its own first.  NotTransversal when any of
     them fails, or when the factor complements fail to complement the
     preimage."""
-    p1 = preimage_with_complement(b.F, v1, rtol)
-    p2 = preimage_with_complement(b.F2, v2, rtol)
-    if not block_is_transversal(b, v1, v2, rtol):
+    p1 = preimage_with_complement(b.F, v1)
+    p2 = preimage_with_complement(b.F2, v2)
+    if not block_is_transversal(b, v1, v2):
         raise NotTransversal("block operator is not transversal to V1 (+) V2")
     # joint head kernel: (x1, x2) with F x1 in V1 and P x1 + F2 x2 in V2
     h1, free1 = _preimage_head(b.F, v1)
@@ -718,7 +716,7 @@ def block_preimage_with_complement(
         h2 = max(h2, b.P.output_rows(h1) + abs(b.F2.shift) + 1)
     rows1 = max(b.F.output_rows(h1), v1.space.support_bound(), 1)
     rows2 = max(b.F2.output_rows(h2), b.P.output_rows(h1), v2.space.support_bound(), 1)
-    kernel = _kernel_into(b._dense(rows1, h1, rows2, h2), _sum_basis(v1, v2, rows1, rows2), rtol)
+    kernel = _kernel_into(b._dense(rows1, h1, rows2, h2), _sum_basis(v1, v2, rows1, rows2))
     joint = np.zeros((2 * max(h1, h2), kernel.shape[1]))  # (x1, x2) -> x1 at 2i, x2 at 2i + 1
     joint[0 : 2 * h1 : 2], joint[1 : 2 * h2 : 2] = kernel[:h1], kernel[h1:]
     if cofinite:
@@ -727,6 +725,6 @@ def block_preimage_with_complement(
     else:
         space = SubspaceBasis(None, list(joint.T))
     result = ComplementedSubspace(space, _interleave_basis(p1.complement, p2.complement))
-    if not result.verify(rtol=rtol):
+    if not result.verify():
         raise NotTransversal("factor complements do not complement the block preimage")
     return result

@@ -122,10 +122,10 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if np.isfinite(v) else repr(v)
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is a subclass of int
+        return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj

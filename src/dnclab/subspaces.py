@@ -8,7 +8,7 @@ pair is checked by rank tests at two truncation levels.
 When the two sides together have exactly ``level`` columns at a level, one
 rank test of the stacked columns decides the direct sum there: singular
 values interlace under deleting columns, so a full-rank stack leaves each
-side full rank under the same relative threshold (see
+side full rank under the same threshold, ``linalg.RANK_RTOL`` (see
 :meth:`ComplementedSubspace.verify`).  Fewer columns fail without an SVD;
 only more columns need the three ranks.
 """
@@ -63,8 +63,8 @@ class SubspaceBasis:
         m[tail, len(self.vectors) + np.arange(tail.size)] = 1.0  # the coordinate tail e_i, i >= tail_start
         return m
 
-    def dim_at(self, level: int, rtol: float | None = None) -> int:
-        return linalg.rank(self.basis_matrix(level), rtol)
+    def dim_at(self, level: int) -> int:
+        return linalg.rank(self.basis_matrix(level))
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float).ravel()
@@ -74,11 +74,11 @@ class SubspaceBasis:
         resid = xx - q @ (q.T @ xx) if q.size else xx
         return float(np.linalg.norm(resid)) <= tol
 
-    def contains_subspace(self, other: "SubspaceBasis", rtol: float | None = None) -> bool:
+    def contains_subspace(self, other: "SubspaceBasis") -> bool:
         level = max(self.support_bound(), other.support_bound()) + 3
         mine = self.basis_matrix(level)
         theirs = other.basis_matrix(level)
-        return linalg.rank(np.hstack([mine, theirs]), rtol) == linalg.rank(mine, rtol)
+        return linalg.rank(np.hstack([mine, theirs])) == linalg.rank(mine)
 
     def to_json(self) -> dict:
         return {
@@ -104,8 +104,9 @@ class ComplementedSubspace:
         self.space = space
         self.complement = complement
 
-    def verify(self, rtol: float | None = None, margin: int = 5) -> bool:
-        """Span + trivial intersection at two truncation levels.
+    def verify(self) -> bool:
+        """Span + trivial intersection at two truncation levels, 5 and 10
+        coordinates beyond the support bound.
 
         At each level the test is ``rank(a) + rank(b) == level`` and
         ``rank([a b]) == level``, where ``a`` and ``b`` hold the columns of
@@ -116,20 +117,21 @@ class ComplementedSubspace:
         - ``k == level``: the single test ``rank([a b]) == level`` decides.
           Singular values interlace when columns are deleted (R. C. Thompson,
           *Principal submatrices IX*, Linear Algebra Appl. 5, 1972), so
-          ``σ_min(a) >= σ_min([a b]) > rtol·σ_max([a b]) >= rtol·σ_max(a)``,
+          ``σ_min(a) >= σ_min([a b]) > τ·σ_max([a b]) >= τ·σ_max(a)`` with
+          ``τ = linalg.RANK_RTOL``,
           and the same for ``b``: both have full column rank, and
           ``rank(a) + rank(b) == level`` follows;
         - ``k > level``: the three ranks are taken.
         """
         bound = max(self.space.support_bound(), self.complement.support_bound(), 1)
-        for level in (bound + margin, bound + 2 * margin):
+        for level in (bound + 5, bound + 10):
             a = self.space.basis_matrix(level)
             b = self.complement.basis_matrix(level)
             ab = np.hstack([a, b])
             k = ab.shape[1]
-            if k < level or linalg.rank(ab, rtol) != level:
+            if k < level or linalg.rank(ab) != level:
                 return False
-            if k > level and linalg.rank(a, rtol) + linalg.rank(b, rtol) != level:
+            if k > level and linalg.rank(a) + linalg.rank(b) != level:
                 return False
         return True
 

@@ -1,10 +1,13 @@
 """Geometry layer: numerical differentiation contracts, implicit manifolds,
 pairs, tubular maps, pushforwards and the triangularity defect."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dnclab import catalog, geometry as geo, linalg
+from dnclab import catalog, geometry as geo, linalg, operators as ops
 from dnclab.errors import NoConvergence, OffManifold
 
 
@@ -94,12 +97,29 @@ class TestSecondDerivative:
 
 
 class TestRankThreshold:
-    def test_zero_rtol_is_honoured(self):
+    def test_every_decision_reads_rank_rtol(self, monkeypatch):
         a = np.diag([1.0, 1e-12])
-        assert linalg.rank(a) == 1
-        assert linalg.rank(a, rtol=0.0) == 2
-        assert linalg.nullspace(a, rtol=0.0).shape[1] == 0
-        assert linalg.orthonormalize(a, rtol=0.0).shape[1] == 2
+        op = ops.SequenceOperator(0, 2, a)  # window block diag(1, 1e-12), unit tail
+        assert linalg.rank(a) == 1 and not ops.is_glk(op)
+        monkeypatch.setattr(linalg, "RANK_RTOL", 0.0)
+        assert linalg.rank(a) == 2
+        assert linalg.nullspace(a).shape[1] == 0
+        assert linalg.orthonormalize(a).shape[1] == 2
+        assert ops.is_glk(op)
+
+    def test_threshold_is_decided_in_linalg_alone(self):
+        # no function takes a threshold of its own, and only linalg reads RANK_RTOL
+        src = Path(linalg.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    a = node.args
+                    names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                    assert "rtol" not in names, f"{path.name}:{node.lineno} takes rtol"
+                if path.name != "linalg.py" and isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    assert name != "RANK_RTOL", f"{path.name}:{node.lineno} reads RANK_RTOL"
 
 
 class TestImplicitManifolds:
@@ -257,7 +277,7 @@ class TestAdaptedFrameMemo:
         pair = catalog.sphere_equator_pair(2)
         calls = []
         inner = pair.small.tangent_basis
-        pair.small.tangent_basis = lambda x, rtol=None: calls.append(1) or inner(x, rtol)
+        pair.small.tangent_basis = lambda x: calls.append(1) or inner(x)
         for _ in range(3):
             for m in pair.small.samples:
                 pair.adapted_frame(m)
@@ -278,18 +298,6 @@ class TestAdaptedFrameMemo:
             with pytest.raises(OffManifold):
                 pair.adapted_frame([2.0, 0.0, 0.0])
 
-    def test_rtol_is_part_of_the_key(self):
-        pair = catalog.sphere_equator_pair(2)
-        m = pair.small.samples[0]
-        default = pair.adapted_frame(m)
-        # a threshold above every singular value leaves a full-dimensional
-        # "tangent space": computed afresh, it is rejected
-        with pytest.raises(OffManifold):
-            pair.adapted_frame(m, rtol=2.0)
-        other = pair.adapted_frame(m, rtol=1e-6)
-        assert other[1] is not default[1]
-        assert np.array_equal(other[1], default[1])
-        assert pair.adapted_frame(m) is default
 
 class TestPushforward:
     def test_linear_stretch(self):

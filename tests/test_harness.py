@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dnclab import cli
@@ -94,6 +95,10 @@ class TestDeterminism:
         rep = run_suite(SuiteConfig("dnc-product", samples=8))
         assert rep.checks[0].runtime_ms >= 0.0
         assert "runtime" not in canonical_json(rep.to_json())
+
+    def test_booleans_stay_booleans(self):
+        assert canonical_json({"x": True, "n": 1}) == '{"n":1,"x":true}\n'
+        assert canonical_json([np.bool_(False), np.int64(0)]) == "[false,0]\n"
 
 
 class TestReportShape:
