@@ -156,6 +156,17 @@ def _sym_indices(n: int):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+def _sym_matrix(s, idx, n: int) -> np.ndarray:
+    """The symmetric n x n matrix whose upper triangle, in the order of
+    ``idx = _sym_indices(n)``, is ``s``: it undoes the packing of
+    ``sym_embed``."""
+    p = np.zeros((n, n))
+    for a, (i, j) in enumerate(idx):
+        p[i, j] = s[a]
+        p[j, i] = s[a]
+    return p
+
+
 def sym_embed(x: np.ndarray) -> np.ndarray:
     """Upper-triangle vectorization of the rank-one projection x x^T."""
     x = np.asarray(x, dtype=float)
@@ -190,17 +201,9 @@ def projective_space(k: int, big_n: int | None = None, n_samples: int = 8, seed:
         raise DomainError("big_n too small")
     idx = _sym_indices(n)
     m = len(idx)
-    pos = {ij: a for a, ij in enumerate(idx)}
-
-    def mat(s):
-        p = np.zeros((n, n))
-        for a, (i, j) in enumerate(idx):
-            p[i, j] = s[a]
-            p[j, i] = s[a]
-        return p
 
     def g(s):
-        p = mat(s)
+        p = _sym_matrix(s, idx, n)
         q = p @ p - p
         eqs = [q[i, j] for i, j in idx]
         eqs.append(np.trace(p) - 1.0)
@@ -217,7 +220,7 @@ def projective_space(k: int, big_n: int | None = None, n_samples: int = 8, seed:
         v = v / np.linalg.norm(v)
         x = np.zeros(n)
         x[: k + 1] = v
-        samples.append(sym_embed_full(x, idx))
+        samples.append(sym_embed(x))
     return ImplicitManifold(
         f"RP^{k}" + (f"@sym{n}" if n != k + 1 else ""),
         m,
@@ -225,11 +228,6 @@ def projective_space(k: int, big_n: int | None = None, n_samples: int = 8, seed:
         SmoothMap(m, n_eqs, g, name=f"rp{k}"),
         samples,
     )
-
-
-def sym_embed_full(x: np.ndarray, idx) -> np.ndarray:
-    p = np.outer(x, x)
-    return np.array([p[i, j] for i, j in idx])
 
 
 # -- pairs and tubular maps ---------------------------------------------------
@@ -288,11 +286,7 @@ def antipodal_cover(k: int, big_n: int | None = None, n_samples: int = 6, seed: 
     idx = _sym_indices(n)
 
     def lift(q):
-        p = np.zeros((n, n))
-        for a, (i, j) in enumerate(idx):
-            p[i, j] = q[a]
-            p[j, i] = q[a]
-        w, v = np.linalg.eigh(p)
+        w, v = np.linalg.eigh(_sym_matrix(q, idx, n))
         x = v[:, int(np.argmax(w))]
         return [x, -x]
 

@@ -4,8 +4,10 @@ condition-by-condition verifier.
 
 A filtration stores its levels as implicit manifolds in one ambient model,
 optional normality witnesses (global normal-bundle frames), an optional
-tubular cover (membership predicates), and claim flags.  The verifier checks
-exactly what is claimed and reports the rest as unverified or out of scope;
+tubular cover (membership predicates), an optional cutting map, and a
+density claim.  Supplied data is the claim: witnesses claim normality, a
+cutting map claims the Fredholm condition.  The verifier checks exactly what
+is claimed and reports the rest as unverified or out of scope;
 triviality of a normal bundle is never inferred from samples, and the
 homotopy condition on the union is reported out of scope rather than
 approximated.
@@ -78,10 +80,11 @@ FIBER_EPS_JAC = float(np.finfo(float).eps) ** (1.0 / 3.0)
 @dataclass
 class NormalityWitness:
     """Global frames for the normal bundle of level n in level n+1 and in
-    the total manifold; ``frame_*`` maps a level-n point to a matrix whose
-    columns are the frame vectors."""
+    the total manifold, where n is the witness's 1-based position in
+    ``Filtration.witnesses``; ``frame_*`` maps a level-n point to a matrix
+    whose columns are the frame vectors (``frame_in_next`` is None at the
+    last level)."""
 
-    level: int
     frame_in_next: Callable | None
     frame_in_big: Callable | None
 
@@ -98,24 +101,29 @@ class TubularCover:
 @dataclass
 class FredholmData:
     """An index-zero map into a flag model space, transverse to the flag,
-    cutting out the levels as preimages."""
+    cutting out the levels as preimages.  The map lands in the truncation of
+    the model space at ``map.codomain_dim`` coordinates."""
 
     map: SmoothMap
     flag: Flag
-    level_dim: int  # truncation of the flag model space the map lands in
 
 
 @dataclass
 class Filtration:
+    """Levels M_1 subset ... subset M_depth of ``total`` with dimensions
+    ``delta``.  Each optional datum is the claim it supports: ``witnesses``
+    (one per level) claim normality, ``cover`` the tubular cover,
+    ``fredholm`` the Fredholm condition.  ``claimed_dense`` claims that the
+    levels are dense in ``total``; without the claim, density is measured
+    when an ``ambient_sampler`` exists."""
+
     delta: DimensionSequence
     levels: list[ImplicitManifold]
     total: ImplicitManifold
     witnesses: list[NormalityWitness] | None = None
     cover: TubularCover | None = None
     fredholm: FredholmData | None = None
-    claimed_dense: bool | None = None  # None: measured without a claim
-    claimed_normal: bool = False
-    claimed_fredholm: bool = False
+    claimed_dense: bool = False
     ambient_sampler: Callable | None = None  # (rng, count) -> points of the total manifold
 
     @property
@@ -225,12 +233,12 @@ def make_filtration_linear(flag: Flag, margin: int = 5) -> Filtration:
         frame_next = linalg.complement_within(cur, nxt)
         frame_big = linalg.complement_within(cur, np.eye(ambient))
         witnesses.append(
-            NormalityWitness(n, (lambda m, fr=frame_next: fr), (lambda m, fr=frame_big: fr))
+            NormalityWitness((lambda m, fr=frame_next: fr), (lambda m, fr=frame_big: fr))
         )
     top = linalg.orthonormalize(flag.subspaces[-1].space.basis_matrix(ambient))
     witnesses.append(
         NormalityWitness(
-            flag.depth, None, (lambda m, fr=linalg.complement_within(top, np.eye(ambient)): fr)
+            None, (lambda m, fr=linalg.complement_within(top, np.eye(ambient)): fr)
         )
     )
 
@@ -245,10 +253,8 @@ def make_filtration_linear(flag: Flag, margin: int = 5) -> Filtration:
         total=total,
         witnesses=witnesses,
         cover=cover,
-        fredholm=FredholmData(ident, flag, ambient),
+        fredholm=FredholmData(ident, flag),
         claimed_dense=True,
-        claimed_normal=True,
-        claimed_fredholm=True,
         ambient_sampler=_truncation_sampler(flag.delta[flag.depth], ambient),
     )
 
@@ -309,8 +315,6 @@ def make_filtration_open_subset(u_region: Callable, flag: Flag, margin: int = 5)
         ),
         fredholm=base.fredholm,
         claimed_dense=True,
-        claimed_normal=True,
-        claimed_fredholm=True,
         ambient_sampler=sampler,
     )
 
@@ -342,14 +346,13 @@ def make_filtration_sphere(flag: Flag, margin: int = 5) -> Filtration:
     for n in range(1, flag.depth):
         witnesses.append(
             NormalityWitness(
-                n,
                 (lambda m, fr=coord_frame(flag.delta[n], flag.delta[n + 1]): fr),
                 (lambda m, fr=coord_frame(flag.delta[n], ambient): fr),
             )
         )
     witnesses.append(
         NormalityWitness(
-            flag.depth, None, (lambda m, fr=coord_frame(flag.delta[flag.depth], ambient): fr)
+            None, (lambda m, fr=coord_frame(flag.delta[flag.depth], ambient): fr)
         )
     )
 
@@ -371,10 +374,8 @@ def make_filtration_sphere(flag: Flag, margin: int = 5) -> Filtration:
             v_contains=[v_pred(n) for n in range(1, flag.depth + 1)],
             u_contains=[u_pred(n) for n in range(1, flag.depth + 1)],
         ),
-        fredholm=FredholmData(ident, flag, ambient),
+        fredholm=FredholmData(ident, flag),
         claimed_dense=True,
-        claimed_normal=True,
-        claimed_fredholm=True,
         ambient_sampler=_truncation_sampler(flag.delta[flag.depth], ambient, normalize=True),
     )
 
@@ -429,7 +430,7 @@ def make_filtration_product(fa: Filtration, fb: Filtration) -> Filtration:
         witnesses = []
         for wa, wb in zip(fa.witnesses, fb.witnesses):
 
-            def _stack(fr_a, fr_b, n=wa.level):
+            def _stack(fr_a, fr_b):
                 if fr_a is None or fr_b is None:
                     return None
 
@@ -444,7 +445,7 @@ def make_filtration_product(fa: Filtration, fb: Filtration) -> Filtration:
                 return frame
 
             witnesses.append(
-                NormalityWitness(wa.level, _stack(wa.frame_in_next, wb.frame_in_next), _stack(wa.frame_in_big, wb.frame_in_big))
+                NormalityWitness(_stack(wa.frame_in_next, wb.frame_in_next), _stack(wa.frame_in_big, wb.frame_in_big))
             )
 
     cover = None
@@ -461,24 +462,21 @@ def make_filtration_product(fa: Filtration, fb: Filtration) -> Filtration:
         )
 
     fredholm = None
-    claimed_fredholm = False
     if (
         fa.fredholm is not None
         and fb.fredholm is not None
-        and fa.fredholm.level_dim == fb.fredholm.level_dim
+        and fa.fredholm.map.codomain_dim == fb.fredholm.map.codomain_dim
     ):
         # combining cutting maps needs one shared model truncation; callers
         # align the flag margins when they want the combined claim
-        lvl = 2 * fa.fredholm.level_dim
+        lvl = 2 * fa.fredholm.map.codomain_dim
         n = total.ambient_dim
         fredholm = FredholmData(
             _interleave_maps(
                 _restrict(fa.fredholm.map, 0, n), _restrict(fb.fredholm.map, da, n), lvl, "f×f'"
             ),
             flag_product(fa.fredholm.flag, fb.fredholm.flag),
-            lvl,
         )
-        claimed_fredholm = fa.claimed_fredholm and fb.claimed_fredholm
 
     def sampler(rng, count):
         if fa.ambient_sampler is None or fb.ambient_sampler is None:
@@ -487,9 +485,6 @@ def make_filtration_product(fa: Filtration, fb: Filtration) -> Filtration:
         ys = fb.ambient_sampler(rng, count)
         return [np.concatenate([x, y]) for x, y in zip(xs, ys)]
 
-    dense = None
-    if fa.claimed_dense is not None and fb.claimed_dense is not None:
-        dense = fa.claimed_dense and fb.claimed_dense
     return Filtration(
         delta=fa.delta + fb.delta,
         levels=levels,
@@ -497,9 +492,7 @@ def make_filtration_product(fa: Filtration, fb: Filtration) -> Filtration:
         witnesses=witnesses,
         cover=cover,
         fredholm=fredholm,
-        claimed_dense=dense,
-        claimed_normal=fa.claimed_normal and fb.claimed_normal and witnesses is not None,
-        claimed_fredholm=claimed_fredholm,
+        claimed_dense=fa.claimed_dense and fb.claimed_dense,
         ambient_sampler=sampler,
     )
 
@@ -564,6 +557,27 @@ def _divided_difference(g: SmoothMap, ambient: int) -> SmoothMap:
     return SmoothMap(2 * ambient + 1, g.codomain_dim, dd, jac, f"Δ{g.name}")
 
 
+def _transported_frame(fr: Callable, x: np.ndarray, w: np.ndarray, lam: float, rows: int) -> np.ndarray:
+    """The frame ``fr`` at x lifted to (point, difference quotient) rows:
+    k horizontal lifts (fr(x), (fr(x) - fr(x - lam w)) / lam) and k vertical
+    lifts (0, fr(x)), zero-padded to ``rows``.  Near lam = 0 the quotient is
+    its limit, the derivative of ``fr`` along w, so lam = 0 is the tangent
+    lift."""
+    d = x.size
+    cur = np.atleast_2d(fr(x))
+    k = cur.shape[1]
+    if abs(lam) < FIBER_EPS:
+        h = 1e-6 * (1.0 + float(np.linalg.norm(w)))
+        dcur = np.atleast_2d(central_difference(fr, x, w, h))
+    else:
+        dcur = (cur - np.atleast_2d(fr(x - lam * w))) / lam
+    out = np.zeros((rows, 2 * k))
+    out[:d, :k] = cur  # horizontal lifts with transported second slot
+    out[d : 2 * d, :k] = dcur
+    out[d : 2 * d, k:] = cur  # vertical lifts
+    return out
+
+
 def tangent_filtration(f: Filtration) -> Filtration:
     """Tangent-bundle levels realized as (point, velocity) pairs; witnesses
     are the horizontal/vertical lifts of the supplied frames."""
@@ -591,33 +605,19 @@ def tangent_filtration(f: Filtration) -> Filtration:
     def lift_frame(fr):
         if fr is None:
             return None
-
-        def frame(z):
-            x, v = z[:d], z[d:]
-            base = np.atleast_2d(fr(x))
-            h = 1e-6 * (1.0 + float(np.linalg.norm(v)))
-            dbase = np.atleast_2d(central_difference(fr, x, v, h))
-            k = base.shape[1]
-            out = np.zeros((2 * d, 2 * k))
-            out[:d, :k] = base  # horizontal lifts
-            out[d:, :k] = dbase
-            out[d:, k:] = base  # vertical lifts
-            return out
-
-        return frame
+        return lambda z: _transported_frame(fr, z[:d], z[d:], 0.0, 2 * d)
 
     witnesses = [
-        NormalityWitness(w.level, lift_frame(w.frame_in_next), lift_frame(w.frame_in_big))
+        NormalityWitness(lift_frame(w.frame_in_next), lift_frame(w.frame_in_big))
         for w in f.witnesses
     ]
 
     fredholm = None
     if f.fredholm is not None:
-        fm, lvl = f.fredholm.map, f.fredholm.level_dim
+        fm = f.fredholm.map
         fredholm = FredholmData(
-            _interleave_maps(_restrict(fm, 0, 2 * d), _differential(fm, d), 2 * lvl, "Df"),
+            _interleave_maps(_restrict(fm, 0, 2 * d), _differential(fm, d), 2 * fm.codomain_dim, "Df"),
             flag_product(f.fredholm.flag, f.fredholm.flag),
-            2 * lvl,
         )
 
     def sampler(rng, count):
@@ -636,9 +636,6 @@ def tangent_filtration(f: Filtration) -> Filtration:
         witnesses=witnesses,
         cover=None,
         fredholm=fredholm,
-        claimed_dense=None,  # density is measured, not claimed, for tangent levels
-        claimed_normal=f.claimed_normal,
-        claimed_fredholm=f.claimed_fredholm and fredholm is not None,
         ambient_sampler=sampler,
     )
 
@@ -674,38 +671,23 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
     def glue_frame(fr):
         if fr is None:
             return None
-
-        def frame(z):
-            x, w, lam = z[:d], z[d : 2 * d], z[2 * d]
-            cur = np.atleast_2d(fr(x))
-            k = cur.shape[1]
-            if abs(lam) < FIBER_EPS:
-                h = 1e-6 * (1.0 + float(np.linalg.norm(w)))
-                dcur = np.atleast_2d(central_difference(fr, x, w, h))
-            else:
-                dcur = (cur - np.atleast_2d(fr(x - lam * w))) / lam
-            out = np.zeros((2 * d + 1, 2 * k))
-            out[:d, :k] = cur  # horizontal lifts with transported second slot
-            out[d : 2 * d, :k] = dcur
-            out[d : 2 * d, k:] = cur  # vertical lifts
-            return out
-
-        return frame
+        return lambda z: _transported_frame(fr, z[:d], z[d : 2 * d], z[2 * d], 2 * d + 1)
 
     witnesses = [
-        NormalityWitness(w.level, glue_frame(w.frame_in_next), glue_frame(w.frame_in_big))
+        NormalityWitness(glue_frame(w.frame_in_next), glue_frame(w.frame_in_big))
         for w in f.witnesses
     ]
 
     fredholm = None
     if f.fredholm is not None:
-        fm, lvl = f.fredholm.map, f.fredholm.level_dim
+        fm = f.fredholm.map
         fiber = linear_map(np.eye(2 * d + 1)[2 * d :], "λ")
-        pairs = _interleave_maps(_restrict(fm, 0, 2 * d + 1), _divided_difference(fm, d), 2 * lvl, "𝔻f")
+        pairs = _interleave_maps(
+            _restrict(fm, 0, 2 * d + 1), _divided_difference(fm, d), 2 * fm.codomain_dim, "𝔻f"
+        )
         fredholm = FredholmData(
             _stack_maps(fiber, pairs, "𝔻f"),
             flag_groupoid(f.fredholm.flag),
-            2 * lvl + 1,
         )
 
     def sampler(rng, count):
@@ -730,9 +712,6 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
         witnesses=witnesses,
         cover=None,
         fredholm=fredholm,
-        claimed_dense=None,
-        claimed_normal=f.claimed_normal,
-        claimed_fredholm=f.claimed_fredholm and fredholm is not None,
         ambient_sampler=sampler,
     )
 
@@ -751,17 +730,17 @@ def subsequence_filtration(f: Filtration, indices) -> Filtration:
         for k, i in enumerate(indices):
             nxt = indices[k + 1] if k + 1 < len(indices) else None
             if nxt is None:
-                witnesses.append(NormalityWitness(k + 1, None, f.witnesses[i - 1].frame_in_big))
+                witnesses.append(NormalityWitness(None, f.witnesses[i - 1].frame_in_big))
                 continue
             frames = [f.witnesses[j - 1].frame_in_next for j in range(i, nxt)]
             if any(fr is None for fr in frames):
-                witnesses.append(NormalityWitness(k + 1, None, f.witnesses[i - 1].frame_in_big))
+                witnesses.append(NormalityWitness(None, f.witnesses[i - 1].frame_in_big))
                 continue
 
             def stacked(m, frs=tuple(frames)):
                 return np.hstack([np.atleast_2d(fr(m)) for fr in frs])
 
-            witnesses.append(NormalityWitness(k + 1, stacked, f.witnesses[i - 1].frame_in_big))
+            witnesses.append(NormalityWitness(stacked, f.witnesses[i - 1].frame_in_big))
 
     cover = None
     if f.cover is not None:
@@ -772,7 +751,7 @@ def subsequence_filtration(f: Filtration, indices) -> Filtration:
     fredholm = None
     if f.fredholm is not None:
         fredholm = FredholmData(
-            f.fredholm.map, flag_subsequence(f.fredholm.flag, indices), f.fredholm.level_dim
+            f.fredholm.map, flag_subsequence(f.fredholm.flag, indices)
         )
     return Filtration(
         delta=delta,
@@ -782,8 +761,6 @@ def subsequence_filtration(f: Filtration, indices) -> Filtration:
         cover=cover,
         fredholm=fredholm,
         claimed_dense=f.claimed_dense,
-        claimed_normal=f.claimed_normal and witnesses is not None,
-        claimed_fredholm=f.claimed_fredholm and fredholm is not None,
         ambient_sampler=f.ambient_sampler,
     )
 
@@ -841,14 +818,13 @@ def pullback_filtration_covering(cov: CoveringMap, f: Filtration) -> Filtration:
 
                 return frame
 
-            witnesses.append(NormalityWitness(w.level, lift_frame(w.frame_in_next), lift_frame(w.frame_in_big)))
+            witnesses.append(NormalityWitness(lift_frame(w.frame_in_next), lift_frame(w.frame_in_big)))
 
     fredholm = None
     if f.fredholm is not None:
         fredholm = FredholmData(
             compose_maps(f.fredholm.map, cov.projection, "f∘p"),
             f.fredholm.flag,
-            f.fredholm.level_dim,
         )
 
     def sampler(rng, count):
@@ -871,8 +847,6 @@ def pullback_filtration_covering(cov: CoveringMap, f: Filtration) -> Filtration:
         cover=None,
         fredholm=fredholm,
         claimed_dense=f.claimed_dense,
-        claimed_normal=f.claimed_normal and witnesses is not None,
-        claimed_fredholm=f.claimed_fredholm and fredholm is not None,
         ambient_sampler=sampler,
     )
 
@@ -921,7 +895,6 @@ def pullback_filtration_fredholm(
         fredholm = FredholmData(
             compose_maps(f.fredholm.map, g, "f∘g"),
             f.fredholm.flag,
-            f.fredholm.level_dim,
         )
     return Filtration(
         delta=DimensionSequence([index_p + d for d in f.delta]),
@@ -930,9 +903,6 @@ def pullback_filtration_fredholm(
         witnesses=None,
         cover=None,
         fredholm=fredholm,
-        claimed_dense=None,
-        claimed_normal=False,
-        claimed_fredholm=f.claimed_fredholm and fredholm is not None,
         ambient_sampler=None,
     )
 
@@ -985,7 +955,7 @@ def example_v_filtration(f: Filtration, k: int = 2) -> Filtration:
                 return frame
 
             witnesses.append(
-                NormalityWitness(w.level, shift_frame(w.frame_in_next, False), shift_frame(w.frame_in_big, True))
+                NormalityWitness(shift_frame(w.frame_in_next, False), shift_frame(w.frame_in_big, True))
             )
 
     def sampler(rng, count):
@@ -1005,13 +975,11 @@ def example_v_filtration(f: Filtration, k: int = 2) -> Filtration:
         cover=None,
         fredholm=None,
         claimed_dense=f.claimed_dense,  # deliberately inherited; verification falsifies it
-        claimed_normal=f.claimed_normal and witnesses is not None,
-        claimed_fredholm=False,
         ambient_sampler=sampler,
     )
 
 
-def mixed_product_filtration(f: Filtration, growth: list[ImplicitManifold], growth_dims: list[int]) -> Filtration:
+def mixed_product_filtration(f: Filtration, growth: list[ImplicitManifold]) -> Filtration:
     """Levels M_n x P_n with a growing second factor supplied directly and no
     witness data: the verifier reports normality unverified."""
     if len(growth) != f.depth:
@@ -1021,15 +989,12 @@ def mixed_product_filtration(f: Filtration, growth: list[ImplicitManifold], grow
     ]
     total = _product_manifold(f.total, growth[-1], "mixed_total")
     return Filtration(
-        delta=DimensionSequence([d + g for d, g in zip(f.delta, growth_dims)]),
+        delta=DimensionSequence([d + g.dim for d, g in zip(f.delta, growth)]),
         levels=levels,
         total=total,
         witnesses=None,
         cover=None,
         fredholm=None,
-        claimed_dense=None,
-        claimed_normal=False,
-        claimed_fredholm=False,
         ambient_sampler=None,
     )
 
@@ -1066,16 +1031,17 @@ def _check_nesting(f: Filtration, depth: int) -> dict:
 def _check_normality(f: Filtration, depth: int) -> dict:
     if f.witnesses is None:
         return {"status": "unverified", "evidence": {"note": "no witness supplied: normality unverified"}}
+    if len(f.witnesses) != depth:
+        # witness n belongs to level n, so a list of another length witnesses other levels
+        return {"status": "fail", "evidence": {"witnesses": len(f.witnesses), "levels": depth}}
     records = []
     ok = True
-    for w in f.witnesses:
-        if w.level > depth:
-            continue
-        lvl = f.level(w.level)
+    for n, w in enumerate(f.witnesses, start=1):
+        lvl = f.level(n)
         for s in lvl.samples:
             t_cur = lvl.tangent_basis(s)
             for tag, fr, target in (
-                ("next", w.frame_in_next, f.level(w.level + 1) if w.level < depth else None),
+                ("next", w.frame_in_next, f.level(n + 1) if n < depth else None),
                 ("big", w.frame_in_big, f.total),
             ):
                 if fr is None or target is None:
@@ -1093,7 +1059,7 @@ def _check_normality(f: Filtration, depth: int) -> dict:
                 ok = ok and good
                 records.append(
                     {
-                        "level": w.level,
+                        "level": n,
                         "in": tag,
                         "independent": independent,
                         "tangency_residual": tangency,
@@ -1140,7 +1106,7 @@ def _density_profile(f: Filtration, depth: int, samples) -> tuple[list[list[floa
 
 
 def _check_density(f: Filtration, depth: int, samples) -> dict:
-    if f.claimed_dense is None:
+    if not f.claimed_dense:
         if f.ambient_sampler is None or not samples:
             return {"status": "not_claimed", "evidence": {}}
         profiles, monotone, deepest = _density_profile(f, depth, samples)
@@ -1148,8 +1114,6 @@ def _check_density(f: Filtration, depth: int, samples) -> dict:
             "status": "measured",
             "evidence": {"monotone": monotone, "deepest_distance": deepest},
         }
-    if not f.claimed_dense:
-        return {"status": "not_claimed", "evidence": {}}
     profiles, monotone, deepest = _density_profile(f, depth, samples)
     ok = monotone and np.isfinite(deepest) and deepest <= DENSITY_TOL
     return {
@@ -1164,20 +1128,20 @@ def _check_density(f: Filtration, depth: int, samples) -> dict:
 
 
 def _check_fredholm(f: Filtration, depth: int) -> dict:
-    if not f.claimed_fredholm or f.fredholm is None:
+    if f.fredholm is None:
         return {"status": "not_claimed", "evidence": {}}
-    fm, flag, lvl_dim = f.fredholm.map, f.fredholm.flag, f.fredholm.level_dim
+    fm, flag = f.fredholm.map, f.fredholm.flag
     records = []
     ok = True
     for n in range(1, depth + 1):
-        basis = linalg.orthonormalize(flag.level(n).space.basis_matrix(lvl_dim))
+        basis = linalg.orthonormalize(flag.level(n).space.basis_matrix(fm.codomain_dim))
         normal = linalg.nullspace(basis.T)
         lvl = f.level(n)
         for s in lvl.samples:
             y = fm(s)
             member = float(np.linalg.norm(y - basis @ (basis.T @ y)))
             a = fm.jacobian(s) @ f.total.tangent_basis(s)
-            transverse = linalg.rank(np.hstack([a, basis])) == lvl_dim
+            transverse = linalg.rank(np.hstack([a, basis])) == fm.codomain_dim
             # preimage direction: tangent of the cut-out set matches the level
             cut = linalg.nullspace(normal.T @ a)
             cut_dim = cut.shape[1]

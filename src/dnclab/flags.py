@@ -82,12 +82,11 @@ class DimensionSequence:
 
 @dataclass
 class Flag:
-    """A finite-depth flag: levels with complements, plus the optional
-    structure-group rotation that produced it from the coordinate flag."""
+    """A finite-depth flag: the dimension sequence and the levels E_n, each
+    a complemented subspace."""
 
     delta: DimensionSequence
     subspaces: list[ComplementedSubspace]
-    rotation: object | None = None
 
     @property
     def depth(self) -> int:
@@ -132,7 +131,7 @@ def rotated_flag(delta, g) -> Flag:
     if not is_glk(g):
         raise NotGLK("flag rotation must be an invertible identity-plus-finite-rank")
     base = standard_flag(delta)
-    return Flag(base.delta, [subspace_image(g, s) for s in base.subspaces], rotation=g)
+    return Flag(base.delta, [subspace_image(g, s) for s in base.subspaces])
 
 
 def verify_flag(flag: Flag) -> FlagReport:
@@ -189,7 +188,7 @@ def flag_subsequence(flag: Flag, indices) -> Flag:
     """Flag obtained by keeping the 1-based levels in ``indices``."""
     indices = list(indices)
     delta = flag.delta.subsequence(indices)
-    return Flag(delta, [flag.level(i) for i in indices], rotation=flag.rotation)
+    return Flag(delta, [flag.level(i) for i in indices])
 
 
 def flag_product(fa: Flag, fb: Flag) -> Flag:

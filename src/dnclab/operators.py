@@ -18,8 +18,10 @@ kernel/cokernel count or a transversality rank verdict is believed only when
 two truncation levels give the same answer; otherwise StabilizationFailure
 is raised rather than the disagreement being resolved silently.
 
-``_transversal_preimage`` is the one transversality decision, and it returns
-its certificate: T^-1(V) with a verified complement, or None.
+``is_transversal`` is the one transversality decision: the surjectivity rank
+test im(T) + V = codomain, stabilised over two truncation levels.
+``preimage_with_complement`` makes that decision and then builds its
+certificate, T^-1(V) with a verified complement.
 
 Coordinates are 0-based internally; e_i is the i-th standard basis vector.
 """
@@ -550,14 +552,21 @@ def _kernel_into(a: np.ndarray, vb: np.ndarray) -> np.ndarray:
     return linalg.nullspace((np.eye(a.shape[0]) - q @ q.T) @ a)
 
 
-def _transversal_preimage(op: SequenceOperator, v: ComplementedSubspace) -> ComplementedSubspace | None:
-    """T^-1(V) with a verified complement when im(T) + V is the codomain (the
-    rank test stabilized over two truncation levels), otherwise None."""
-    surjective = _stable(
+def is_transversal(op: SequenceOperator, v: ComplementedSubspace) -> bool:
+    """im(T) + V = codomain, by the rank test stabilized over two truncation
+    levels."""
+    return _stable(
         _levels_for(op, v), lambda L: _surjectivity_rank_ok(op, v, L), "transversality rank test"
     )
-    if not surjective:
-        return None
+
+
+def preimage_with_complement(
+    op: SequenceOperator, v: ComplementedSubspace
+) -> ComplementedSubspace:
+    """T^-1(V) together with a verified complement; NotTransversal when T
+    is not transversal to V or the complement fails to verify."""
+    if not is_transversal(op, v):
+        raise NotTransversal("operator is not transversal to the subspace")
     head, has_tail = _preimage_head(op, v)
     rows = max(op.output_rows(head), v.space.support_bound(), 1)
     kernel = _kernel_into(op.to_dense(rows, head), v.space.basis_matrix(rows))
@@ -566,24 +575,9 @@ def _transversal_preimage(op: SequenceOperator, v: ComplementedSubspace) -> Comp
         SubspaceBasis(tail_start=head if has_tail else None, vectors=list(kernel.T)),
         SubspaceBasis(tail_start=None if has_tail else head, vectors=list(w_basis.T)),
     )
-    return result if result.verify() else None
-
-
-def preimage_with_complement(
-    op: SequenceOperator, v: ComplementedSubspace
-) -> ComplementedSubspace:
-    """T^-1(V) together with a verified complement; NotTransversal when T
-    is not transversal to V."""
-    result = _transversal_preimage(op, v)
-    if result is None:
-        raise NotTransversal("operator is not transversal to the subspace")
+    if not result.verify():
+        raise NotTransversal("the preimage complement does not verify")
     return result
-
-
-def is_transversal(op: SequenceOperator, v: ComplementedSubspace) -> bool:
-    """im(T) + V = codomain and the preimage construction yields a verified
-    complement; rank decisions stabilized over two truncation levels."""
-    return _transversal_preimage(op, v) is not None
 
 
 def transversality_witness(

@@ -809,7 +809,7 @@ def _preimage_equality_check(f: filt.Filtration, n: int, rng) -> float:
     """Project a perturbed total-space point onto the cut-out set of level n
     and measure how far it sits from the stored level."""
     fd = f.fredholm
-    basis = linalg.orthonormalize(fd.flag.level(n).space.basis_matrix(fd.level_dim))
+    basis = linalg.orthonormalize(fd.flag.level(n).space.basis_matrix(fd.map.codomain_dim))
     normal = linalg.nullspace(basis.T)
     lvl = f.level(n)
     off_level = geo.compose_maps(geo.linear_map(normal.T, "normal"), fd.map, "cut")
@@ -1024,7 +1024,7 @@ def suite_filtration_negative(config: SuiteConfig) -> list[CheckResult]:
     )
 
     growth = [catalog.sphere(1, ambient=4, seed=31), catalog.sphere(2, ambient=4, seed=32)]
-    mx = filt.mixed_product_filtration(lin, growth, [1, 2])
+    mx = filt.mixed_product_filtration(lin, growth)
     rep = filt.verify_filtration(mx, n_samples=8, seed=config.seed)
     unverified = rep.conditions["d_normality"]["status"] == "unverified"
     check(

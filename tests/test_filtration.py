@@ -138,7 +138,9 @@ class TestProductAndPairGroupoid:
     def test_mismatched_models_drop_fredholm_claim(self, sphere_filtration):
         lin = filt.make_filtration_linear(fl.standard_flag([1, 2, 3]))  # level 8 vs 13
         prod = filt.make_filtration_product(lin, sphere_filtration)
-        assert prod.fredholm is None and not prod.claimed_fredholm
+        assert prod.fredholm is None
+        rep = filt.verify_filtration(prod, n_samples=4)
+        assert rep.conditions["fredholm"]["status"] == "not_claimed"
 
     def test_depth_mismatch(self, sphere_filtration):
         lin = filt.make_filtration_linear(fl.standard_flag([1, 2]))
@@ -420,10 +422,38 @@ class TestNegativeExamples:
     def test_mixed_product_unverified(self):
         lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
         growth = [catalog.sphere(1, ambient=4, seed=31), catalog.sphere(2, ambient=4, seed=32)]
-        mx = filt.mixed_product_filtration(lin, growth, [1, 2])
+        mx = filt.mixed_product_filtration(lin, growth)
+        assert list(mx.delta) == [3, 6]  # growth dimensions 1 and 2 added
         rep = filt.verify_filtration(mx, n_samples=4)
         assert rep.conditions["d_normality"]["status"] == "unverified"
         assert rep.passed  # unverified is not a failure
+
+
+class TestDirectlyBuilt:
+    """The verifier reads each claim from the data a filtration supplies, so
+    a filtration built without a constructor is checked the same way."""
+
+    def test_supplied_cutting_map_is_the_claim(self):
+        # a directly built filtration claims the Fredholm condition by
+        # supplying the cutting map alone, and the verifier checks it
+        flag = fl.standard_flag([1, 2, 3])
+        lin = filt.make_filtration_linear(flag)
+        ident = geo.linear_map(np.eye(lin.total.ambient_dim), "id")
+        direct = filt.Filtration(lin.delta, lin.levels, lin.total, fredholm=filt.FredholmData(ident, flag))
+        rep = filt.verify_filtration(direct, n_samples=4)
+        assert rep.conditions["fredholm"]["status"] == "pass"
+        assert rep.conditions["d_normality"]["status"] == "unverified"
+        assert rep.conditions["density"]["status"] == "not_claimed"  # no sampler
+
+    def test_witness_list_must_match_the_levels(self):
+        # witness n belongs to level n: too few leave levels unchecked, too
+        # many name levels that do not exist, and both fail normality
+        lin = filt.make_filtration_linear(fl.standard_flag([1, 2, 3]))
+        for witnesses in ([], lin.witnesses[:1], lin.witnesses + lin.witnesses[:1]):
+            direct = filt.Filtration(lin.delta, lin.levels, lin.total, witnesses=witnesses)
+            rep = filt.verify_filtration(direct, n_samples=4)
+            assert rep.conditions["d_normality"]["status"] == "fail"
+            assert rep.conditions["d_normality"]["evidence"] == {"witnesses": len(witnesses), "levels": 3}
 
 
 class TestJsonSurface:

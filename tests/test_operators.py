@@ -386,6 +386,15 @@ class TestTransversality:
         assert np.linalg.matrix_rank(stacked) < rows
         assert not ops.is_transversal(t, v)
 
+    def test_decision_builds_no_certificate(self, monkeypatch):
+        # the verdict is the rank test alone: no preimage is built or verified
+        def refuse(self):
+            raise AssertionError("is_transversal verified a complement")
+
+        monkeypatch.setattr(sub.ComplementedSubspace, "verify", refuse)
+        assert ops.is_transversal(ops.shift_op(-1), sub.coordinate_span(2))
+        assert not ops.is_transversal(ops.SequenceOperator(0, 2, np.zeros((2, 2))), sub.coordinate_span(1))
+
     def test_witness_surjective_case(self):
         eo, v = ops.transversality_witness(ops.identity(), sub.coordinate_span(2), e(2))
         assert np.array_equal(eo, e(2)) and v.size == 0
@@ -541,7 +550,7 @@ class TestBlockTransversalitySuite:
 
             return wrapper
 
-        monkeypatch.setattr(ops, "_transversal_preimage", counted("factor", ops._transversal_preimage))
+        monkeypatch.setattr(ops, "preimage_with_complement", counted("factor", ops.preimage_with_complement))
         monkeypatch.setattr(ops, "block_is_transversal", counted("block", ops.block_is_transversal))
         (check,) = suites.suite_block_transversality(self.CONFIG)
         assert check.passed  # all 8 instances transversal
