@@ -43,6 +43,7 @@ from .geometry import (
     linear_map,
     newton_project,
 )
+from .subspaces import drop_first_coordinate
 
 __all__ = [
     "NormalityWitness",
@@ -507,22 +508,6 @@ def pair_groupoid_filtration(f: Filtration) -> Filtration:
     return make_filtration_product(f, f)
 
 
-def _differential(g: SmoothMap, ambient: int) -> SmoothMap:
-    """(x, v) -> Dg(x) v, with Jacobian [hvp(x, v), Dg(x)]."""
-
-    def fn(z):
-        return g.jacobian(z[:ambient]) @ z[ambient:]
-
-    jac = None
-    if g.jac is not None and g.hvp is not None:
-
-        def jac(z):
-            x, v = z[:ambient], z[ambient:]
-            return np.hstack([np.atleast_2d(g.hvp(x, v)), np.atleast_2d(g.jac(x))])
-
-    return SmoothMap(2 * ambient, g.codomain_dim, fn, jac, f"D{g.name}")
-
-
 def _divided_difference(g: SmoothMap, ambient: int) -> SmoothMap:
     """(x, w, lam) -> (g(x) - g(x - lam w)) / lam, smoothly extended across
     lam = 0 by the directional derivative.  The value and its Jacobian take
@@ -578,75 +563,13 @@ def _transported_frame(fr: Callable, x: np.ndarray, w: np.ndarray, lam: float, r
     return out
 
 
-def tangent_filtration(f: Filtration) -> Filtration:
-    """Tangent-bundle levels realized as (point, velocity) pairs; witnesses
-    are the horizontal/vertical lifts of the supplied frames."""
-    if f.witnesses is None:
-        raise MissingWitness("tangent filtration needs normality witnesses")
-    d = f.total.ambient_dim
-
-    def lift_manifold(m: ImplicitManifold, name: str) -> ImplicitManifold:
-        g = m.constraints
-        constraints = _stack_maps(_restrict(g, 0, 2 * d), _differential(g, d), name)
-        samples = []
-        for x in m.samples:
-            tb = m.tangent_basis(x)
-            v = tb @ (np.arange(1, tb.shape[1] + 1) / (tb.shape[1] + 1.0))
-            samples.append(np.concatenate([x, v]))
-            samples.append(np.concatenate([x, np.zeros(d)]))
-        region = None
-        if m.region is not None:
-            region = lambda z: m.region(z[:d])
-        return ImplicitManifold(name, 2 * d, 2 * m.dim, constraints, samples, region=region)
-
-    levels = [lift_manifold(m, f"T{m.name}") for m in f.levels]
-    total = lift_manifold(f.total, f"T{f.total.name}")
-
-    def lift_frame(fr):
-        if fr is None:
-            return None
-        return lambda z: _transported_frame(fr, z[:d], z[d:], 0.0, 2 * d)
-
-    witnesses = [
-        NormalityWitness(lift_frame(w.frame_in_next), lift_frame(w.frame_in_big))
-        for w in f.witnesses
-    ]
-
-    fredholm = None
-    if f.fredholm is not None:
-        fm = f.fredholm.map
-        fredholm = FredholmData(
-            _interleave_maps(_restrict(fm, 0, 2 * d), _differential(fm, d), 2 * fm.codomain_dim, "Df"),
-            flag_product(f.fredholm.flag, f.fredholm.flag),
-        )
-
-    def sampler(rng, count):
-        if f.ambient_sampler is None:
-            return []
-        out = []
-        for x in f.ambient_sampler(rng, count):
-            tb = f.total.tangent_basis(newton_project(f.total, x))
-            out.append(np.concatenate([x, tb @ rng.normal(size=tb.shape[1])]))
-        return out
-
-    return Filtration(
-        delta=DimensionSequence([2 * dd_ for dd_ in f.delta]),
-        levels=levels,
-        total=total,
-        witnesses=witnesses,
-        cover=None,
-        fredholm=fredholm,
-        ambient_sampler=sampler,
-    )
-
-
 def tangent_groupoid_filtration(f: Filtration) -> Filtration:
     """Deformation-space levels in coordinates (point, difference quotient,
     fiber): nonzero-fiber slices are pairs of level points, the zero-fiber
     slice is the tangent level; the gluing is the divided-difference
     constraint, smooth across the fiber."""
     if f.witnesses is None:
-        raise MissingWitness("tangent groupoid filtration needs normality witnesses")
+        raise MissingWitness("tangent lifts need normality witnesses")
     d = f.total.ambient_dim
 
     def glue_manifold(m: ImplicitManifold, name: str) -> ImplicitManifold:
@@ -695,8 +618,8 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
             return []
         out = []
         pts = f.ambient_sampler(rng, 2 * count)
-        for i in range(0, 2 * (count // 2), 2):
-            x, y = pts[i], pts[i + 1]
+        paired = pts[: 2 * (count // 2)]  # a base sampler may return fewer points than asked
+        for x, y in zip(paired[::2], paired[1::2]):
             lam = float(rng.uniform(0.2, 1.0))
             out.append(np.concatenate([x, (x - y) / lam, [lam]]))
         for x in pts[: count - len(out)]:
@@ -711,6 +634,50 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
         total=total,
         witnesses=witnesses,
         cover=None,
+        fredholm=fredholm,
+        ambient_sampler=sampler,
+    )
+
+
+def tangent_filtration(f: Filtration) -> Filtration:
+    """TF, the lam = 0 fiber of 𝕋F, in (point, velocity) coordinates: the
+    constraints of :func:`tangent_groupoid_filtration` through z -> (z, 0),
+    its frames, cutting map and flag without their fiber coordinate, and its
+    zero-fiber samples (x, v), each followed by the unit (x, 0)."""
+    tg = tangent_groupoid_filtration(f)
+    d = f.total.ambient_dim
+    zero_fiber = linear_map(np.eye(2 * d + 1, 2 * d), "(z, 0)")
+
+    def fiber(m: ImplicitManifold, base: ImplicitManifold) -> ImplicitManifold:
+        name = f"T{base.name}"
+        samples = []
+        for z in m.samples:
+            if z[2 * d] == 0.0:
+                samples += [z[: 2 * d], np.concatenate([z[:d], np.zeros(d)])]
+        region = None if m.region is None else (lambda z: m.region(zero_fiber(z)))
+        constraints = compose_maps(m.constraints, zero_fiber, name)
+        return ImplicitManifold(name, 2 * d, m.dim - 1, constraints, samples, region=region)
+
+    def frame(fr):
+        return None if fr is None else lambda z: fr(zero_fiber(z))[: 2 * d]
+
+    fredholm = None
+    if tg.fredholm is not None:
+        gm, flag = tg.fredholm.map, tg.fredholm.flag
+        drop_fiber = linear_map(np.eye(gm.codomain_dim)[1:], "drop λ")
+        square = Flag(
+            DimensionSequence([k - 1 for k in flag.delta]), [drop_first_coordinate(s) for s in flag.subspaces]
+        )
+        fredholm = FredholmData(compose_maps(drop_fiber, compose_maps(gm, zero_fiber), "Df"), square)
+
+    def sampler(rng, count):
+        return [z[: 2 * d] for z in tg.ambient_sampler(rng, count) if z[2 * d] == 0.0]
+
+    return Filtration(
+        delta=DimensionSequence([k - 1 for k in tg.delta]),
+        levels=[fiber(m, base) for m, base in zip(tg.levels, f.levels)],
+        total=fiber(tg.total, f.total),
+        witnesses=[NormalityWitness(frame(w.frame_in_next), frame(w.frame_in_big)) for w in tg.witnesses],
         fredholm=fredholm,
         ambient_sampler=sampler,
     )

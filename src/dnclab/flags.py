@@ -10,6 +10,7 @@ model and is recorded rather than tested.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import DepthMismatch, NotGLK
@@ -40,6 +41,9 @@ class DimensionSequence:
     __slots__ = ("delta",)
 
     def __init__(self, delta):
+        delta = tuple(delta)
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in delta):
+            raise ValueError(f"dimension entries must be integers: {delta!r}")
         delta = tuple(int(d) for d in delta)
         if not delta:
             raise ValueError("dimension sequence must be nonempty")
@@ -205,5 +209,5 @@ def flag_groupoid(flag: Flag) -> Flag:
     extra coordinate (coordinate 0 of the new ambient is the scalar fiber)."""
     squared = flag_product(flag, flag)
     delta = DimensionSequence([2 * d + 1 for d in flag.delta])
-    levels = [prepend_coordinate(s, include_in_space=True) for s in squared.subspaces]
+    levels = [prepend_coordinate(s) for s in squared.subspaces]
     return Flag(delta, levels)

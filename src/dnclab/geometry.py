@@ -10,7 +10,8 @@ lifetime (:meth:`ManifoldPair.adapted_frame`).
 Derivatives are exact wherever a map supplies them: a :class:`SmoothMap`
 may carry its Jacobian (``jac``) and the derivative of its Jacobian along a
 vector (``hvp``), and maps built from other maps (compositions, stacks, the
-tangent and tangent-groupoid lifts) propagate both by the chain rule.
+divided difference of the tangent-groupoid lift, whose lam = 0 fiber is the
+tangent lift) propagate both by the chain rule.
 Central differences with an O(h^2) error contract are the verifier of those
 exact derivatives (:func:`verify_analytic_jacobian`,
 ``SmoothMap.jacobian(check=True)``) and the fallback for maps that supply
@@ -83,9 +84,10 @@ class SmoothMap:
     analytic Jacobian that is validated against finite differences.
 
     ``hvp(x, v)``, when supplied, is the codomain x domain Jacobian of
-    ``x -> Dfn(x) v``: the second derivative contracted with ``v``.  Lifts
-    that differentiate the map once more (tangent and divided-difference
-    constraints) need it for an exact Jacobian of their own.
+    ``x -> Dfn(x) v``: the second derivative contracted with ``v``.  The
+    divided-difference constraints of the tangent-groupoid lift, which
+    differentiate the map once more, need it for an exact Jacobian of their
+    own.
     """
 
     domain_dim: int
@@ -207,22 +209,6 @@ class ImplicitManifold:
         if not self.contains(x):
             raise OffManifold(f"point not on {self.name} (constraint norm {self.constraint_norm(x):.3e})")
         return x
-
-    def validate(self) -> dict:
-        """Invariant check at every sample: constraints vanish to 1e-9 and
-        the constraint Jacobian has full rank ambient_dim - dim."""
-        codim = self.ambient_dim - self.dim
-        records = []
-        for s in self.samples:
-            j = self.constraints.jacobian(s)
-            records.append(
-                {
-                    "constraint_norm": self.constraint_norm(s),
-                    "jacobian_rank": linalg.rank(j),
-                }
-            )
-        ok = all(r["constraint_norm"] <= 1e-9 and r["jacobian_rank"] == codim for r in records)
-        return {"passed": ok, "codim": codim, "samples": records}
 
     def tangent_basis(self, x) -> np.ndarray:
         """Orthonormal basis (columns) of the tangent space at x."""

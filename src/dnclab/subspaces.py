@@ -28,6 +28,7 @@ __all__ = [
     "interleave_subspaces",
     "subspace_image",
     "prepend_coordinate",
+    "drop_first_coordinate",
 ]
 
 
@@ -221,18 +222,27 @@ def subspace_image(g, v: ComplementedSubspace) -> ComplementedSubspace:
     return ComplementedSubspace(push(v.space), push(v.complement))
 
 
-def prepend_coordinate(v: ComplementedSubspace, include_in_space: bool = True) -> ComplementedSubspace:
+def prepend_coordinate(v: ComplementedSubspace) -> ComplementedSubspace:
     """Shift every coordinate up by one and adjoin the distinguished new
-    coordinate e_0 to the subspace (or to its complement)."""
+    coordinate e_0 to the subspace."""
 
-    def shift_basis(basis: SubspaceBasis, adjoin: bool) -> SubspaceBasis:
+    def shift(basis: SubspaceBasis, adjoin: bool) -> SubspaceBasis:
         vectors = [np.concatenate([[0.0], v_]) for v_ in basis.vectors]
         if adjoin:
             vectors.append(np.array([1.0]))
         start = None if basis.tail_start is None else basis.tail_start + 1
         return SubspaceBasis(start, vectors)
 
-    return ComplementedSubspace(
-        shift_basis(v.space, include_in_space),
-        shift_basis(v.complement, not include_in_space),
-    )
+    return ComplementedSubspace(shift(v.space, True), shift(v.complement, False))
+
+
+def drop_first_coordinate(v: ComplementedSubspace) -> ComplementedSubspace:
+    """The inverse of :func:`prepend_coordinate`: the quotient by e_0, which
+    the subspace must contain.  Every coordinate moves down by one and e_0,
+    now empty, drops out of the basis."""
+
+    def shift(basis: SubspaceBasis) -> SubspaceBasis:
+        start = None if basis.tail_start is None else basis.tail_start - 1
+        return SubspaceBasis(start, [v_[1:] for v_ in basis.vectors])
+
+    return ComplementedSubspace(shift(v.space), shift(v.complement))

@@ -209,6 +209,89 @@ class TestTangentTowers:
                 assert la.constraint_norm(s) <= 1e-10
 
 
+class TestZeroFiber:
+    """TF is the lam = 0 fibre of 𝕋F; the tangent lift (x, v) -> (g(x), Dg(x) v)
+    written out here is the oracle it must reproduce."""
+
+    @pytest.fixture(scope="class")
+    def depth5(self):
+        return filt.make_filtration_sphere(fl.standard_flag([2, 4, 8, 16, 32]))
+
+    @staticmethod
+    def tangent_lift(g, d):
+        """Value and Jacobian [[Dg(x), 0], [D^2g(x) v, Dg(x)]] at z = (x, v)."""
+
+        def at(z):
+            x, v = z[:d], z[d:]
+            j = np.atleast_2d(g.jac(x))
+            value = np.concatenate([g(x), j @ v])
+            jac = np.block([[j, np.zeros_like(j)], [np.atleast_2d(g.hvp(x, v)), j]])
+            return value, jac
+
+        return at
+
+    def test_samples_are_velocities_then_units(self, depth5):
+        tf = filt.tangent_filtration(depth5)
+        d = depth5.total.ambient_dim
+        for base, lvl in zip(depth5.levels + [depth5.total], tf.levels + [tf.total]):
+            assert len(lvl.samples) == 2 * len(base.samples)
+            for x, moving, unit in zip(base.samples, lvl.samples[::2], lvl.samples[1::2]):
+                tb = base.tangent_basis(x)
+                v = tb @ (np.arange(1, tb.shape[1] + 1) / (tb.shape[1] + 1.0))
+                assert np.array_equal(moving, np.concatenate([x, v]))
+                assert np.array_equal(unit, np.concatenate([x, np.zeros(d)]))
+
+    def test_constraints_are_the_tangent_lift(self, depth5):
+        # np.array_equal compares with ==, so -0.0 and 0.0 agree and nothing else may differ
+        tf = filt.tangent_filtration(depth5)
+        d = depth5.total.ambient_dim
+        for base, lvl in zip(depth5.levels + [depth5.total], tf.levels + [tf.total]):
+            reference = self.tangent_lift(base.constraints, d)
+            for z in lvl.samples:
+                value, jac = reference(z)
+                assert np.array_equal(lvl.constraints(z), value)
+                assert np.array_equal(lvl.constraints.jacobian(z), jac)
+
+    def test_cutting_map_is_df_against_the_squared_flag(self, depth5):
+        tf = filt.tangent_filtration(depth5)
+        fm, flag = depth5.fredholm.map, depth5.fredholm.flag
+        square = fl.flag_product(flag, flag)
+        assert [s.dumps() for s in tf.fredholm.flag.subspaces] == [s.dumps() for s in square.subspaces]
+        assert tf.fredholm.flag.delta == square.delta
+        d = depth5.total.ambient_dim
+        for z in tf.level(1).samples:
+            x, v = z[:d], z[d:]
+            interleaved = np.ravel(np.column_stack([fm(x), np.atleast_2d(fm.jac(x)) @ v]))
+            assert np.array_equal(tf.fredholm.map(z), interleaved)
+
+
+BASES = {
+    "linear": {"kind": "linear", "delta": [2, 4]},
+    "open": {"kind": "open", "delta": [2, 4]},
+    "sphere": {"kind": "sphere", "delta": [2, 4]},
+    "product": {
+        "kind": "product",
+        "first": {"kind": "linear", "delta": [2, 4]},
+        "second": {"kind": "sphere", "delta": [2, 4]},
+    },
+    "shifted-product": {"kind": "shifted-product", "base": {"kind": "sphere", "delta": [2, 4]}},
+}
+
+
+@pytest.mark.parametrize("lift", ["pair-groupoid", "tangent", "tangent-groupoid"])
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_every_lift_of_every_base_verifies(base, lift):
+    # the shifted product inherits a density claim that verification
+    # falsifies, and its pair groupoid, a product, keeps the claim; the
+    # tangent lifts claim no density.  Every other case passes; none raises
+    rep = filt.verify_filtration(filt.filtration_from_spec({"kind": lift, "base": BASES[base]}), n_samples=4)
+    if (base, lift) == ("shifted-product", "pair-groupoid"):
+        failed = {k for k, c in rep.conditions.items() if c["status"] == "fail"}
+        assert failed == {"density"}
+    else:
+        assert rep.passed
+
+
 class TestExactLiftJacobians:
     """The lifted constraint and cutting maps carry chain-rule Jacobians;
     each is checked against Richardson central differences."""
@@ -496,6 +579,9 @@ class TestJsonSurface:
             {"kind": "shifted-product", "base": {"kind": "linear", "delta": [2, 4]}, "k": -1},
             {"kind": "linear", "delta": [2, 4, 8], "depth": 2.7},
             {"kind": "linear", "delta": [2, 4, 8], "depth": True},
+            {"kind": "linear", "delta": "24"},
+            {"kind": "linear", "delta": [2.5, 4]},
+            {"kind": "linear", "delta": [True, 4]},
         ],
     )
     def test_bad_spec_is_a_config_error(self, spec):

@@ -16,6 +16,16 @@ class TestDimensionSequence:
         with pytest.raises(ValueError):
             fl.DimensionSequence([0, 1])
 
+    @pytest.mark.parametrize("delta", ["24", [2.5, 4], [True, 4], [2, "4"]])
+    def test_entries_must_be_integers(self, delta):
+        # int() would read these as (2, 4), (2, 4), (1, 4) and (2, 4)
+        with pytest.raises(ValueError):
+            fl.DimensionSequence(delta)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        d = fl.DimensionSequence(np.array([2, 4]))
+        assert d.delta == (2, 4) and all(type(k) is int for k in d)
+
     def test_one_based_access(self):
         d = fl.DimensionSequence([2, 4, 8])
         assert d[1] == 2 and d[3] == 8
@@ -114,6 +124,17 @@ class TestDerivedFlags:
         g = fl.flag_groupoid(fl.standard_flag([2, 4]))
         assert list(g.delta) == [5, 9]
         assert fl.verify_flag(g).passed
+
+    @pytest.mark.parametrize(
+        "base",
+        [fl.standard_flag([1, 3]), fl.rotated_flag([2, 4, 8], ops.identity() + ops.rank_one(0, 1, 1.0))],
+        ids=["standard", "skewed"],
+    )
+    def test_groupoid_without_fiber_is_the_square(self, base):
+        # dropping e_0 from E_n x E_n x R gives back E_n x E_n, vector for vector
+        square = fl.flag_product(base, base)
+        for a, b in zip(fl.flag_groupoid(base).subspaces, square.subspaces):
+            assert sub.drop_first_coordinate(a).dumps() == b.dumps()
 
     def test_groupoid_of_depth_one(self):
         g = fl.flag_groupoid(fl.standard_flag([1]))
