@@ -15,7 +15,7 @@ import sys
 import time
 
 from .errors import ConfigError, LabError, UnknownSuite
-from .report import SuiteConfig, canonical_json
+from .report import MAX_DEPTH, MAX_TRUNCATION, SuiteConfig, canonical_json
 from .suites import list_suites, run_all, run_suite
 
 ENV_PREFIX = "DNCLAB_"
@@ -38,10 +38,11 @@ _CONFIG_FLAGS = (
         "truncation",
         int,
         24,
-        "minimum truncation level of the index computations in block-index-zero, the only "
-        "suite that reads it; 4 to 1024",
+        "first truncation level of both index computations (single and block operators) in "
+        "block-index-zero, the only suite that reads it, raised where the operators' support "
+        f"needs a deeper one; 4 to {MAX_TRUNCATION}",
     ),
-    ("depth", int, 4, "flag levels of the sphere towers in the flag and filtration suites, used from 2 to 5"),
+    ("depth", int, 4, f"flag levels of the sphere towers in the flag and filtration suites; 2 to {MAX_DEPTH}"),
     ("tol", float, 1e-7, "finite positive tolerance of the residual checks that take one"),
     ("samples", int, 64, "random instances per check; some suites cap it"),
 )
@@ -69,7 +70,6 @@ def _config_from(args, suite: str = "") -> SuiteConfig:
         depth=args.depth,
         tol=args.tol,
         samples=args.samples,
-        report_path=args.report,
     )
 
 
@@ -128,8 +128,8 @@ def main(argv: list[str] | None = None) -> int:
             config = _config_from(args, args.suite)
             rep = run_suite(config)
             _print_report(rep)
-            if config.report_path:
-                _write(config.report_path, rep.to_json())
+            if args.report:
+                _write(args.report, rep.to_json())
             return 0 if rep.passed else 1
 
         if args.command == "verify-all":
@@ -146,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
                 "suites": [r.to_json() for r in reports],
                 "overall": "pass" if overall else "fail",
             }
-            _write(config.report_path, payload)
+            _write(args.report, payload)
             return 0 if overall else 1
 
         if args.command == "demo":

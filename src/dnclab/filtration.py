@@ -616,16 +616,17 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
     def sampler(rng, count):
         if f.ambient_sampler is None:
             return []
+        # each base point once, the zero fibre (TF's samples) first: a base may return fewer
+        pts = f.ambient_sampler(rng, count + count // 2)
+        zero, paired = pts[: count - count // 2], pts[count - count // 2 :]
         out = []
-        pts = f.ambient_sampler(rng, 2 * count)
-        paired = pts[: 2 * (count // 2)]  # a base sampler may return fewer points than asked
-        for x, y in zip(paired[::2], paired[1::2]):
-            lam = float(rng.uniform(0.2, 1.0))
-            out.append(np.concatenate([x, (x - y) / lam, [lam]]))
-        for x in pts[: count - len(out)]:
+        for x in zero:
             p = newton_project(f.total, x)
             tb = f.total.tangent_basis(p)
             out.append(np.concatenate([p, tb @ rng.normal(size=tb.shape[1]), [0.0]]))
+        for x, y in zip(paired[::2], paired[1::2]):
+            lam = float(rng.uniform(0.2, 1.0))
+            out.append(np.concatenate([x, (x - y) / lam, [lam]]))
         return out
 
     return Filtration(

@@ -3,7 +3,8 @@
 Every rank decision in the laboratory is made here, by :func:`rank`,
 :func:`nullspace` or :func:`orthonormalize`, against the one relative
 singular-value threshold :data:`RANK_RTOL`.  No function takes a threshold
-of its own, so the threshold is set in exactly one place.
+of its own, so the threshold is set in exactly one place, and so are the two
+truncation levels of every stabilised count, by :func:`truncation_levels`.
 
 :func:`nullspace` and :func:`orthonormalize` return orthonormal column
 bases, and :func:`complement_within` takes such a basis for the subspace it
@@ -18,6 +19,18 @@ import numpy as np
 # Relative singular-value threshold of every rank decision: a singular value
 # counts when it exceeds RANK_RTOL times the largest one.
 RANK_RTOL = 1e-8
+
+# Two-level rule: a count on sequence space is believed only when it agrees
+# at two truncation levels, LEVEL_MARGIN coordinates beyond the support bound
+# of the objects decided on and LEVEL_STEP more.
+LEVEL_MARGIN = 8
+LEVEL_STEP = 5
+
+
+def truncation_levels(bound: int, floor: int = 0) -> tuple[int, int]:
+    """The two levels for objects supported below ``bound``, the first raised to ``floor``."""
+    lo = max(floor, bound + LEVEL_MARGIN)
+    return lo, lo + LEVEL_STEP
 
 
 def rank(a: np.ndarray) -> int:

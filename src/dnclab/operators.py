@@ -15,8 +15,9 @@ retraction grid reuses that one layout: ``retraction_stack`` lays ``b`` out
 once and scales its P block per grid point into one stacked array, ready for
 a batched SVD.  Two-level rule: a
 kernel/cokernel count or a transversality rank verdict is believed only when
-two truncation levels give the same answer; otherwise StabilizationFailure
-is raised rather than the disagreement being resolved silently.
+the two truncation levels of ``linalg.truncation_levels`` give the same
+answer; otherwise StabilizationFailure is raised rather than the disagreement
+being resolved silently.
 
 ``is_transversal`` is the one transversality decision: the surjectivity rank
 test im(T) + V = codomain, stabilised over two truncation levels.
@@ -308,10 +309,18 @@ def finite_rank(matrix) -> SequenceOperator:
 # -- Fredholm index ----------------------------------------------------------
 
 
-def _stable(levels: tuple[int, int], decide, what: str):
-    """The value of ``decide`` at two truncation levels, believed only when
-    the two agree; a disagreement raises StabilizationFailure."""
-    lo, hi = levels
+def _bound(op: SequenceOperator, *seen: ComplementedSubspace) -> int:
+    """Largest support bound of ``op`` (window + 2|shift|) and of each
+    subspace in ``seen`` seen through ``op`` (its support + |shift|)."""
+    s = abs(op.shift)
+    return max([op.window + 2 * s] + [h.support_bound() + s for v in seen for h in (v.space, v.complement)])
+
+
+def _stable(bound: int, floor: int, decide, what: str):
+    """The value of ``decide`` at the two truncation levels
+    ``linalg.truncation_levels(bound, floor)``, believed only when the two
+    agree; a disagreement raises StabilizationFailure."""
+    lo, hi = linalg.truncation_levels(bound, floor)
     first, second = decide(lo), decide(hi)
     if first != second:
         raise StabilizationFailure(f"{what} {first} at level {lo} vs {second} at level {hi}")
@@ -330,11 +339,8 @@ def fredholm_index(op: SequenceOperator, level: int | None = None) -> int:
     the structural value -shift; any disagreement raises StabilizationFailure
     rather than being silently resolved.
     """
-    base = max(level or 0, op.window + 2 * abs(op.shift) + 8)
     k, c = _stable(
-        (base, base + 5),
-        lambda L: _kernel_cokernel(op.to_dense(op.output_rows(L), L)),
-        "kernel/cokernel counts",
+        _bound(op), level or 0, lambda L: _kernel_cokernel(op.to_dense(op.output_rows(L), L)), "kernel/cokernel counts"
     )
     idx = k - c
     if op.tail_scale != 0.0 and idx != -op.shift:
@@ -413,14 +419,9 @@ class BlockOperator:
     def fredholm_index(self, level: int | None = None) -> int:
         """Index of the flattened operator via kernel/cokernel counts at two
         truncation levels (no structural shortcut: this is the oracle side)."""
-        base = 8 + max(
-            level or 0,
-            *(op.window + 2 * abs(op.shift) for op in (self.F, self.P, self.F2)),
-        )
         k, c = _stable(
-            (base, base + 5),
-            lambda L: _kernel_cokernel(self.stacked_dense(L)[0]),
-            "block kernel/cokernel counts",
+            max(_bound(op) for op in (self.F, self.P, self.F2)), level or 0,
+            lambda L: _kernel_cokernel(self.stacked_dense(L)[0]), "block kernel/cokernel counts",
         )
         return k - c
 
@@ -511,17 +512,6 @@ def retraction_stack(b: BlockOperator, ts, level: int) -> tuple[np.ndarray, int,
 # -- transversality to complemented subspaces --------------------------------
 
 
-def _levels_for(op: SequenceOperator, v: ComplementedSubspace) -> tuple[int, int]:
-    s = abs(op.shift)
-    bound = max(
-        op.window + 2 * s,
-        v.space.support_bound() + s,
-        v.complement.support_bound() + s,
-    )
-    base = bound + 8
-    return base, base + 5
-
-
 def _surjectivity_rank_ok(op: SequenceOperator, v: ComplementedSubspace, rows: int) -> bool:
     cols = rows + abs(op.shift) + op.window  # enough domain coordinates to hit every row
     a = op.to_dense(rows, cols)
@@ -555,9 +545,7 @@ def _kernel_into(a: np.ndarray, vb: np.ndarray) -> np.ndarray:
 def is_transversal(op: SequenceOperator, v: ComplementedSubspace) -> bool:
     """im(T) + V = codomain, by the rank test stabilized over two truncation
     levels."""
-    return _stable(
-        _levels_for(op, v), lambda L: _surjectivity_rank_ok(op, v, L), "transversality rank test"
-    )
+    return _stable(_bound(op, v), 0, lambda L: _surjectivity_rank_ok(op, v, L), "transversality rank test")
 
 
 def preimage_with_complement(
@@ -591,8 +579,7 @@ def transversality_witness(
     be met to 1e-10.
     """
     e_prime = np.asarray(e_prime, dtype=float).ravel()
-    l1, _ = _levels_for(op, v)
-    rows = max(l1, e_prime.size + op.window + 2 * abs(op.shift) + 8)
+    rows, _ = linalg.truncation_levels(max(_bound(op, v), e_prime.size + _bound(op)))
     cols = rows - op.shift  # image of the domain truncation stays inside rows
     a = op.to_dense(rows, cols)
     vb = v.space.basis_matrix(rows)
@@ -638,10 +625,8 @@ def block_is_transversal(
     v2: ComplementedSubspace,
 ) -> bool:
     """Rank test for the lower triangular operator against V1 (+) V2,
-    stabilized over two per-factor truncation levels."""
-    l1a, l1b = _levels_for(b.F, v1)
-    l2a, l2b = _levels_for(b.F2, v2)
-    lp = b.P.window + 2 * abs(b.P.shift) + 8
+    stabilized over two truncation levels past the bounds of both factors
+    and of the coupling."""
 
     def surjective(lv: int) -> bool:
         rows1 = max(b.F.output_rows(lv + abs(b.F.shift) + b.F.window), lv)
@@ -655,8 +640,8 @@ def block_is_transversal(
         a = np.hstack([b._dense(rows1, cols1, rows2, cols2), _sum_basis(v1, v2, rows1, rows2)])
         return linalg.rank(a) == rows1 + rows2
 
-    levels = (max(l1a, l2a, lp), max(l1b, l2b, lp) + 5)
-    return _stable(levels, surjective, "block transversality rank test")
+    bound = max(_bound(b.F, v1), _bound(b.F2, v2), _bound(b.P))
+    return _stable(bound, 0, surjective, "block transversality rank test")
 
 
 def _sum_basis(v1: ComplementedSubspace, v2: ComplementedSubspace, rows1: int, rows2: int) -> np.ndarray:

@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["SuiteConfig", "CheckResult", "SuiteReport", "canonical_json", "rng_for", "MAX_TRUNCATION"]
+__all__ = ["SuiteConfig", "CheckResult", "SuiteReport", "canonical_json", "rng_for", "MAX_TRUNCATION", "MAX_DEPTH"]
 
-# A truncation of n levels makes 2n x 2n dense blocks; 1024 levels is 32 MiB.
+# The truncation floors the first level of both index computations (see
+# linalg.truncation_levels); n levels make 2n x 2n blocks, 1024 levels 32 MiB.
 MAX_TRUNCATION = 1024
+MAX_DEPTH = 5  # levels of the sphere towers, of dimensions 2, 4, ..., 2**depth
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class SuiteConfig:
     depth: int = 4
     tol: float = 1e-7
     samples: int = 64
-    report_path: str | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -41,8 +42,8 @@ class SuiteConfig:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if not 4 <= self.truncation <= MAX_TRUNCATION:
             raise ConfigError(f"truncation level must be between 4 and {MAX_TRUNCATION}, got {self.truncation}")
-        if self.depth < 1:
-            raise ConfigError("depth must be at least 1")
+        if not 2 <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"depth must be between 2 and {MAX_DEPTH}, got {self.depth}")
 
     def with_suite(self, suite: str) -> "SuiteConfig":
         return replace(self, suite=suite)

@@ -3,7 +3,7 @@
 A subspace is either the span of finitely many finite-support vectors, or
 cofinite: all coordinates beyond ``tail_start`` together with a finite list
 of correction vectors.  Every subspace is stored with a complement, and the
-pair is checked by rank tests at two truncation levels.
+pair is checked by rank tests at the two levels of ``linalg.truncation_levels``.
 
 When the two sides together have exactly ``level`` columns at a level, one
 rank test of the stacked columns decides the direct sum there: singular
@@ -106,8 +106,8 @@ class ComplementedSubspace:
         self.complement = complement
 
     def verify(self) -> bool:
-        """Span + trivial intersection at two truncation levels, 5 and 10
-        coordinates beyond the support bound.
+        """Span + trivial intersection at the two truncation levels
+        ``linalg.truncation_levels`` of the larger support bound of the two.
 
         At each level the test is ``rank(a) + rank(b) == level`` and
         ``rank([a b]) == level``, where ``a`` and ``b`` hold the columns of
@@ -124,8 +124,7 @@ class ComplementedSubspace:
           ``rank(a) + rank(b) == level`` follows;
         - ``k > level``: the three ranks are taken.
         """
-        bound = max(self.space.support_bound(), self.complement.support_bound(), 1)
-        for level in (bound + 5, bound + 10):
+        for level in linalg.truncation_levels(max(self.space.support_bound(), self.complement.support_bound())):
             a = self.space.basis_matrix(level)
             b = self.complement.basis_matrix(level)
             ab = np.hstack([a, b])

@@ -151,8 +151,7 @@ def _diag_z_fixture():
 
 
 def _sphere_delta(config: SuiteConfig) -> list[int]:
-    base = [2, 4, 8, 16, 32]
-    return base[: max(2, min(config.depth, len(base)))]
+    return [2**n for n in range(1, config.depth + 1)]
 
 
 def _statuses(rep: filt.FiltrationReport) -> dict:

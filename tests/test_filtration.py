@@ -1,6 +1,8 @@
 """Filtrations: constructors for the worked examples, functorial towers,
 pullbacks, and the condition-by-condition verifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,40 @@ class TestTangentTowers:
                 else:
                     assert base.constraint_norm(x) <= 1e-8
                     assert np.max(np.abs(base.constraints.jacobian(x) @ w)) <= 1e-6
+
+    @staticmethod
+    def recorded_groupoid(cap):
+        """𝕋F of the linear (2, 4) filtration over a base sampler that keeps
+        what it is asked for and what it returns, and returns at most ``cap``
+        points."""
+        base = filt.make_filtration_linear(fl.standard_flag([2, 4]))
+        asked, drawn = [], []
+
+        def recording(rng, count):
+            asked.append(count)
+            drawn.extend(base.ambient_sampler(rng, min(count, cap)))
+            return drawn[-min(count, cap) :]
+
+        tg = filt.tangent_groupoid_filtration(dataclasses.replace(base, ambient_sampler=recording))
+        return tg, base.total.ambient_dim, asked, drawn
+
+    def test_groupoid_sampler_uses_each_base_point_once(self):
+        tg, d, asked, drawn = self.recorded_groupoid(cap=100)
+        zs = tg.ambient_sampler(np.random.default_rng(0), 7)
+        assert asked == [7 + 7 // 2] and len(zs) == 7
+        used = []  # the base points of each sample: x, and y = x - lam w off the zero fibre
+        for z in zs:
+            x, w, lam = z[:d], z[d : 2 * d], z[2 * d]
+            used += [x] if lam == 0.0 else [x, x - lam * w]
+        match = np.array([[np.allclose(u, p, rtol=0.0, atol=1e-12) for p in drawn] for u in used])
+        assert match.shape == (10, 10)
+        assert (match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()
+
+    def test_groupoid_sampler_fills_the_zero_fibre_first(self):
+        # a base that returns fewer points than asked, as an open subset may
+        tg, d, asked, _ = self.recorded_groupoid(cap=3)
+        zs = tg.ambient_sampler(np.random.default_rng(0), 7)
+        assert asked == [10] and [z[2 * d] for z in zs] == [0.0] * 3
 
     def test_functor_compatibility_with_subsequence(self, sphere_filtration):
         # tangent of a subsequence = subsequence of the tangent, level by level

@@ -118,7 +118,8 @@ class TestRankThreshold:
         assert ops.is_glk(op)
 
     def test_threshold_is_decided_in_linalg_alone(self):
-        # no function takes a threshold of its own, and only linalg reads RANK_RTOL
+        # no function takes a threshold of its own, and only linalg reads
+        # RANK_RTOL or the constants of the two truncation levels
         src = Path(linalg.__file__).parent
         for path in sorted(src.glob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
@@ -129,7 +130,7 @@ class TestRankThreshold:
                     assert "rtol" not in names, f"{path.name}:{node.lineno} takes rtol"
                 if path.name != "linalg.py" and isinstance(node, (ast.Name, ast.Attribute)):
                     name = node.id if isinstance(node, ast.Name) else node.attr
-                    assert name != "RANK_RTOL", f"{path.name}:{node.lineno} reads RANK_RTOL"
+                    assert name not in ("RANK_RTOL", "LEVEL_MARGIN", "LEVEL_STEP"), f"{path.name}:{node.lineno} reads {name}"
 
 
 class TestImplicitManifolds:

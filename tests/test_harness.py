@@ -157,6 +157,9 @@ class TestCli:
             (["demo", "sphere-filtration", "--delta", "1,2"], {}),
             # more levels asked for than --delta gives
             (["demo", "sphere-filtration", "--delta", "2,4", "--depth", "9"], {}),
+            # the sphere towers run from 2 to MAX_DEPTH levels
+            (["verify", "--suite", "flag-laws", "--depth", "1"], {}),
+            (["verify", "--suite", "flag-laws", "--depth", "6"], {}),
         ],
     )
     def test_bad_input_exit_two(self, argv, env, monkeypatch, capsys):

@@ -247,6 +247,74 @@ class TestFredholmIndex:
         assert ops.fredholm_index(t.compose(s)) == ops.fredholm_index(t) + ops.fredholm_index(s)
 
 
+class TestTruncationLevels:
+    """Every stabilised decision truncates at ``linalg.truncation_levels``:
+    the support bound of its objects plus LEVEL_MARGIN, and LEVEL_STEP more."""
+
+    @staticmethod
+    def record(monkeypatch, owner, name, pick):
+        """Replace ``owner.name`` by a wrapper that records ``pick(args)``."""
+        fn, seen = getattr(owner, name), []
+
+        def wrapper(*args):
+            seen.append(pick(args))
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return seen
+
+    def test_block_index_starts_at_the_given_level(self, monkeypatch):
+        f = ops.identity() + ops.rank_one(0, 0, 1.0)
+        b = ops.block_lower_triangular(f, ops.rank_one(0, 0, 5.0), ops.identity())
+        op = ops.shift_op(1)
+        block_levels = self.record(monkeypatch, ops.BlockOperator, "stacked_dense", lambda a: a[1])
+        cols = self.record(monkeypatch, ops.SequenceOperator, "to_dense", lambda a: a[2])
+        assert b.fredholm_index(level=24) == 0
+        assert block_levels == [24, 29]
+        cols.clear()
+        assert ops.fredholm_index(op, level=24) == -1
+        assert cols == [24, 29]
+
+    def test_block_transversality_levels_are_one_step_apart(self, monkeypatch):
+        b = ops.block_lower_triangular(ops.identity(), ops.rank_one(0, 0, 2.0), ops.identity())
+        rows1 = self.record(monkeypatch, ops, "_sum_basis", lambda a: a[2])  # the level, for identity F
+        assert ops.block_is_transversal(b, sub.coordinate_span(2), sub.coordinate_span(1))
+        assert rows1 == [2 + 8, 2 + 8 + 5]
+
+    def test_every_decision_reads_the_patched_levels(self, monkeypatch):
+        m, s = 11, 3
+        monkeypatch.setattr(linalg, "LEVEL_MARGIN", m)
+        monkeypatch.setattr(linalg, "LEVEL_STEP", s)
+        f = ops.identity() + ops.rank_one(0, 0, 1.0)
+        b = ops.block_lower_triangular(f, ops.rank_one(0, 0, 5.0), ops.identity())  # bound 1
+        b2 = ops.block_lower_triangular(ops.identity(), ops.rank_one(0, 0, 2.0), ops.identity())
+        op, ident = ops.shift_op(1), ops.identity()  # bounds 2 and 0
+        v1, v2, v3 = sub.coordinate_span(2), sub.coordinate_span(1), sub.coordinate_span(3)
+
+        cols = self.record(monkeypatch, ops.SequenceOperator, "to_dense", lambda a: a[1:])
+        assert ops.fredholm_index(op) == -1
+        assert [c for _, c in cols] == [2 + m, 2 + m + s]
+        cols.clear()
+        ops.transversality_witness(ident, v1, e(0))  # bound max(2, 1 + 0)
+        assert [r for r, _ in cols] == [2 + m]
+
+        levels = self.record(monkeypatch, ops.BlockOperator, "stacked_dense", lambda a: a[1])
+        assert b.fredholm_index() == 0
+        assert levels == [1 + m, 1 + m + s]
+
+        rows = self.record(monkeypatch, ops, "_surjectivity_rank_ok", lambda a: a[2])
+        assert ops.is_transversal(ident, v1)
+        assert rows == [2 + m, 2 + m + s]
+
+        rows1 = self.record(monkeypatch, ops, "_sum_basis", lambda a: a[2])
+        assert ops.block_is_transversal(b2, v1, v2)
+        assert rows1 == [2 + m, 2 + m + s]
+
+        basis = self.record(monkeypatch, sub.SubspaceBasis, "basis_matrix", lambda a: a[1])
+        assert v3.verify()
+        assert basis == [3 + m] * 2 + [3 + m + s] * 2
+
+
 class TestStructureGroup:
     def test_identity_in_group(self):
         assert ops.is_glk(ops.identity())
