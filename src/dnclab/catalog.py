@@ -181,10 +181,19 @@ def sym_embed_map(k: int, ambient_in: int | None = None) -> SmoothMap:
     d_in = ambient_in or n
     m = n * (n + 1) // 2
 
+    rows, cols = np.array(_sym_indices(n)).T
+
     def fn(x):
         return sym_embed(np.asarray(x[:n], dtype=float))
 
-    return SmoothMap(d_in, m, fn, name=f"double_cover_S{k}")
+    def jac(x):
+        # d(x_i x_j) = x_j dx_i + x_i dx_j
+        j = np.zeros((m, d_in))
+        j[np.arange(m), rows] += x[cols]
+        j[np.arange(m), cols] += x[rows]
+        return j
+
+    return SmoothMap(d_in, m, fn, jac, f"double_cover_S{k}")
 
 
 def projective_space(k: int, big_n: int | None = None, n_samples: int = 8, seed: int = 13) -> ImplicitManifold:
@@ -202,17 +211,31 @@ def projective_space(k: int, big_n: int | None = None, n_samples: int = 8, seed:
     idx = _sym_indices(n)
     m = len(idx)
 
+    trailing = [a for a, (i, j) in enumerate(idx) if i > k or j > k]
+    n_eqs = m + 1 + len(trailing)
+
     def g(s):
         p = _sym_matrix(s, idx, n)
         q = p @ p - p
         eqs = [q[i, j] for i, j in idx]
         eqs.append(np.trace(p) - 1.0)
-        for a, (i, j) in enumerate(idx):
-            if i > k or j > k:
-                eqs.append(s[a])
+        eqs.extend(s[a] for a in trailing)
         return np.asarray(eqs)
 
-    n_eqs = m + 1 + sum(1 for i, j in idx if i > k or j > k)
+    rows, cols = np.array(idx).T
+    # the symmetric matrix of each coordinate direction, for the Jacobian
+    # dP P + P dP - dP of P^2 - P
+    units = np.array([_sym_matrix(e, idx, n) for e in np.eye(m)])
+
+    def jac(s):
+        p = _sym_matrix(s, idx, n)
+        dq = units @ p + p @ units - units
+        j = np.zeros((n_eqs, m))
+        j[:m] = dq[:, rows, cols].T
+        j[m] = np.trace(units, axis1=1, axis2=2)
+        j[m + 1 + np.arange(len(trailing)), trailing] = 1.0
+        return j
+
     rng = np.random.Generator(np.random.Philox(key=seed))
     samples = []
     for _ in range(n_samples):
@@ -225,7 +248,7 @@ def projective_space(k: int, big_n: int | None = None, n_samples: int = 8, seed:
         f"RP^{k}" + (f"@sym{n}" if n != k + 1 else ""),
         m,
         k,
-        SmoothMap(m, n_eqs, g, name=f"rp{k}"),
+        SmoothMap(m, n_eqs, g, jac, f"rp{k}"),
         samples,
     )
 
@@ -244,7 +267,8 @@ def linear_pair(ambient: int, n: int, n_samples: int = 6, seed: int = 5) -> Mani
 def flat_tubular(pair: ManifoldPair, radius: float = 10.0) -> TubularMap:
     """Affine tubular map m + X; valid whenever the big manifold is flat
     along normal directions (linear pairs)."""
-    return TubularMap(pair, lambda m, x: m + x, radius)
+    eye = np.eye(pair.big.ambient_dim)
+    return TubularMap(pair, lambda m, x: m + x, lambda m, x: (eye, eye), radius)
 
 
 def sphere_equator_pair(k: int, ambient: int | None = None, n_samples: int = 6, seed: int = 9) -> ManifoldPair:
@@ -261,7 +285,14 @@ def sphere_tubular(pair: ManifoldPair, radius: float = 0.9) -> TubularMap:
         y = m + x
         return y / np.linalg.norm(y)
 
-    return TubularMap(pair, phi, radius)
+    def dphi(m, x):
+        y = m + x
+        r = np.linalg.norm(y)
+        u = y / r
+        d = (np.eye(y.size) - np.outer(u, u)) / r
+        return d, d
+
+    return TubularMap(pair, phi, dphi, radius)
 
 
 def parabola_pair(ambient: int = 2, curvature: float = 1.0, n_samples: int = 6, seed: int = 3) -> ManifoldPair:

@@ -81,11 +81,14 @@ def _print_report(rep) -> None:
 
 def _write(path: str | None, payload) -> None:
     text = canonical_json(payload)
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {path!r}: {exc.strerror or exc}") from exc
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -5,7 +5,9 @@ nonzero scalar fiber coordinate) or a boundary point (submanifold point with
 a normal vector).  The smooth structure lives in the rescaled tubular
 charts; all smoothness claims are exercised through chart-conjugated maps
 and the linear decay of their Taylor remainders as the fiber coordinate
-shrinks to zero.
+shrinks to zero.  Charts are inverted by Newton steps with the exact
+Jacobian of their residual, built from the chart's ``dphi`` and the ``hvp``
+of the pair's constraint maps, so no finite difference enters a remainder.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .geometry import (
     newton_project,
     normal_frame,
     normal_map_pushforward,
-    numeric_jacobian,
 )
 
 __all__ = [
@@ -139,46 +140,70 @@ def dnc_chart(tub: TubularMap, m, x, t: float) -> DncPoint:
     return DncPoint.interior(tub(m, t * x), t)
 
 
+def _chart_residual(tub: TubularMap, q, z):
+    """The residual R(p, eta) = (g0(p), phi(p, y) - q) of chart inversion at
+    z = (p, eta), the normal vector y it uses, and a function returning the
+    exact Jacobian of R at z.
+
+    y = P A^T eta is a constraint-gradient combination (A = Dg0(p)) projected
+    onto the big tangent space by P = I - B^T M B (B = Dg_big(p),
+    M = (B B^T)^+).  With w = A^T eta and dB = hvp_big(p, e_k), column k of
+    the p-block is (A e_k, phi_p e_k + phi_y (P hvp0(p, e_k)^T eta
+    - P dB^T M B w - B^T M dB P w)), and the eta-block is (0, phi_y P A^T).
+    """
+    co0, cob = tub.pair.small.constraints, tub.pair.big.constraints
+    n = tub.pair.small.ambient_dim
+    p, eta = z[:n], z[n:]
+    a, b = co0.jacobian(p), cob.jacobian(p)
+    w = a.T @ eta
+    y = w
+    if b.shape[0]:
+        mbw = linalg.min_norm_lstsq(b @ b.T, b @ w)
+        y = w - b.T @ mbw
+    r = np.concatenate([co0(p), tub.phi(p, y) - q])
+
+    def jacobian():
+        phi_p, phi_y = tub.dphi(p, y)
+        eye = np.eye(n)
+        dy = np.column_stack([np.atleast_2d(co0.hvp(p, e)).T @ eta for e in eye])
+        p_at = a.T
+        if b.shape[0]:
+            db = [np.atleast_2d(cob.hvp(p, e)) for e in eye]
+            u = dy - np.column_stack([d.T @ mbw for d in db])
+            v = np.column_stack([d @ y for d in db])
+            # P u - B^T M v = u - B^T M (B u + v), and P A^T likewise
+            sol = linalg.min_norm_lstsq(b @ b.T, np.hstack([b @ u + v, b @ a.T]))
+            dy = u - b.T @ sol[:, :n]
+            p_at = a.T - b.T @ sol[:, n:]
+        top = np.hstack([a, np.zeros((a.shape[0], eta.size))])
+        return np.vstack([top, np.hstack([phi_p + phi_y @ dy, phi_y @ p_at])])
+
+    return r, y, jacobian
+
+
 def _tubular_inverse(tub: TubularMap, q):
     """Solve phi(p, Y) = q for a base point p and a normal vector Y at p, by
-    at most 60 Gauss-Newton steps to a residual of 1e-11."""
-    pair = tub.pair
-    small, big = pair.small, pair.big
+    at most 60 Newton steps on :func:`_chart_residual` with its exact
+    Jacobian, to a residual of 1e-11.  Both constraint maps of the pair must
+    carry ``hvp``."""
+    small = tub.pair.small
+    for co in (small.constraints, tub.pair.big.constraints):
+        if co.hvp is None:
+            raise DomainError(f"{co.name or 'constraint map'}: chart inversion needs its hvp")
     q = np.asarray(q, dtype=float)
     try:
         p0 = newton_project(small, q)
     except NoConvergence as exc:
         raise OutsideChart(f"no base point near {q}") from exc
-    co0 = small.constraints
-    d0 = small.ambient_dim - small.dim
-
-    def normal_from(p, eta):
-        # normal representative: constraint-gradient combination projected
-        # into the big tangent space
-        y = co0.jacobian(p).T @ eta
-        jb = big.constraints.jacobian(p)
-        if jb.shape[0]:
-            y = y - jb.T @ linalg.min_norm_lstsq(jb @ jb.T, jb @ y)
-        return y
-
-    def residual(z):
-        p, eta = z[: small.ambient_dim], z[small.ambient_dim :]
-        y = normal_from(p, eta)
-        return np.concatenate([co0(p), tub.phi(p, y) - q])
-
-    z = np.concatenate([p0, np.zeros(d0)])
+    z = np.concatenate([p0, np.zeros(small.ambient_dim - small.dim)])
     for _ in range(60):
-        r = residual(z)
+        r, y, jacobian = _chart_residual(tub, q, z)
         if np.max(np.abs(r), initial=0.0) <= 1e-11:
-            break
-        step = linalg.min_norm_lstsq(numeric_jacobian(residual, z, 1e-7), -r)
-        z = z + step
+            return z[: small.ambient_dim], y
+        z = z + linalg.min_norm_lstsq(jacobian(), -r)
         if not np.all(np.isfinite(z)):
             raise OutsideChart("tubular inversion diverged")
-    else:
-        raise OutsideChart(f"tubular inversion did not converge near {q}")
-    p, eta = z[: small.ambient_dim], z[small.ambient_dim :]
-    return p, normal_from(p, eta)
+    raise OutsideChart(f"tubular inversion did not converge near {q}")
 
 
 def dnc_chart_inverse(tub: TubularMap, p: DncPoint):
@@ -308,15 +333,18 @@ def tg_map(f: SmoothMap, a: TangentGroupoidElement) -> TangentGroupoidElement:
 
 
 def trivial_bundle_split(a: TangentGroupoidElement, k: int):
-    """Split an element over a product with a coordinate space into an
-    element over the base and a (base vector, fiber vector) pair; linear on
-    fibers and exactly invertible."""
+    """Split an element over a product with a k-dimensional coordinate space
+    (its last k coordinates) into an element over the base and a (base
+    vector, fiber vector) pair; linear on fibers and exactly invertible.
+    DomainError unless 0 <= k <= the element's dimension."""
+    if not 0 <= k <= a.a.size:
+        raise DomainError(f"fiber dimension {k} outside 0..{a.a.size}")
+    cut = a.a.size - k
+    m, u = a.a[:cut], a.a[cut:]
     if a.kind == "pair":
-        m, u = a.a[:-k], a.a[-k:]
-        m2, u2 = a.b[:-k], a.b[-k:]
+        m2, u2 = a.b[:cut], a.b[cut:]
         return TangentGroupoidElement.pair(m, m2, a.lam), (u, (u - u2) / a.lam)
-    m, u = a.a[:-k], a.a[-k:]
-    vm, vu = a.b[:-k], a.b[-k:]
+    vm, vu = a.b[:cut], a.b[cut:]
     return TangentGroupoidElement.tangent(m, vm), (u, vu)
 
 
@@ -361,14 +389,12 @@ def taylor_probe(fp: PairMap, tub1: TubularMap, tub2: TubularMap, m, x, t_list) 
 # -- transversality through the functor ------------------------------------------------
 
 
-def _preimage_tangent(fp: PairMap, z: ImplicitManifold, m) -> np.ndarray:
+def _preimage_tangent(fp: PairMap, t_z: np.ndarray, m) -> np.ndarray:
     """Tangent basis of f^-1(Z) at m: ambient-tangent vectors of the source
-    whose image under Df lands in the tangent of Z."""
+    whose image under Df lands in the tangent of Z, given the orthonormal
+    basis ``t_z`` of T Z at f(m) (so t_z t_z^T projects onto T Z)."""
     t_m = fp.source.big.tangent_basis(m)
-    j = fp.f.jacobian(m)
-    fx = z.require(fp.f(m))
-    t_z = z.tangent_basis(fx)  # orthonormal: t_z t_z^T projects onto T Z
-    imgs = j @ t_m
+    imgs = fp.f.jacobian(m) @ t_m
     off = imgs - t_z @ (t_z.T @ imgs)
     coeff = linalg.nullspace(off)
     return t_m @ coeff
@@ -381,6 +407,24 @@ def _in_span(vec, basis, tol) -> bool:
     return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(v)))
 
 
+def _normal_in_fiber(pair: ManifoldPair, p: DncPoint, tangent: np.ndarray, tol: float) -> bool:
+    """Does the normal vector of the boundary point lie in the normal
+    projection of the span of ``tangent``?"""
+    nu = normal_frame(pair, p.point)
+    return _in_span(p.normal, nu @ (nu.T @ tangent), tol)
+
+
+def _dnc_membership(pair: ManifoldPair, zpair: ManifoldPair, p: DncPoint, tol: float, tangent_of_z) -> bool:
+    """:func:`dnc_membership`, with ``tangent_of_z(q)`` the orthonormal
+    basis of T Z at q."""
+    z, z0 = zpair.big, zpair.small
+    if p.kind == "interior":
+        return z.contains(p.point, tol)
+    if not z0.contains(p.point, tol):
+        return False
+    return _normal_in_fiber(pair, p, tangent_of_z(p.point), tol)
+
+
 def dnc_membership(fp_or_pair, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
     """Is the point in the deformation subspace attached to (Z, Z0)?
 
@@ -388,31 +432,27 @@ def dnc_membership(fp_or_pair, zpair: ManifoldPair, p: DncPoint, tol: float = 1e
     the image of the Z-tangent inside the normal space representatives.
     """
     pair = fp_or_pair.target if isinstance(fp_or_pair, PairMap) else fp_or_pair
-    z, z0 = zpair.big, zpair.small
-    if p.kind == "interior":
-        return z.contains(p.point, tol)
-    if not z0.contains(p.point, tol):
-        return False
-    nu = normal_frame(pair, p.point)
-    t_z = z.tangent_basis(p.point)
-    fiber = nu @ (nu.T @ t_z)
-    return _in_span(p.normal, fiber, tol)
+    return _dnc_membership(pair, zpair, p, tol, zpair.big.tangent_basis)
 
 
-def preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
-    """Is the point in the deformation subspace attached to
-    (f^-1 Z, f0^-1 Z0)?"""
+def _preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: float, tangent_of_z) -> bool:
+    """:func:`preimage_membership`, with ``tangent_of_z(q)`` the orthonormal
+    basis of T Z at q."""
     z, z0 = zpair.big, zpair.small
     if p.kind == "interior":
         return fp.source.big.contains(p.point, tol) and z.contains(fp.f(p.point), tol)
     if not fp.source.small.contains(p.point, tol):
         return False
-    if not z0.contains(fp.f(p.point), tol):
+    fx = fp.f(p.point)
+    if not z0.contains(fx, tol):
         return False
-    t_pre = _preimage_tangent(fp, z, p.point)
-    nu = normal_frame(fp.source, p.point)
-    fiber = nu @ (nu.T @ t_pre)
-    return _in_span(p.normal, fiber, tol)
+    return _normal_in_fiber(fp.source, p, _preimage_tangent(fp, tangent_of_z(fx), p.point), tol)
+
+
+def preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
+    """Is the point in the deformation subspace attached to
+    (f^-1 Z, f0^-1 Z0)?"""
+    return _preimage_membership(fp, zpair, p, tol, zpair.big.tangent_basis)
 
 
 def dnc_transversality_check(
@@ -458,6 +498,7 @@ def dnc_transversality_check(
         report["passed"] = report["passed"] and bool(ok)
 
     for i, p in enumerate(samples):
+        tangent_of_z = z.tangent_basis
         if p.kind == "interior":
             if z.contains(fp.f(p.point), tol):
                 ok = is_transversal_nonlinear(fp.f, fp.source.big, z, p.point, n_pair.big)
@@ -480,6 +521,7 @@ def dnc_transversality_check(
             blk[-1, -1] = 1.0
             # target trace tangent: fiber directions of Z, base of Z0, fiber axis
             t_z = z.tangent_basis(q)
+            tangent_of_z = lambda _: t_z  # the membership tests below ask at q only
             fiber_dirs = nu_out.T @ t_z
             base_dirs = t_out.T @ z0.tangent_basis(q)
             v = np.zeros((r_out + d_out + 1, fiber_dirs.shape[1] + base_dirs.shape[1] + 1))
@@ -489,8 +531,8 @@ def dnc_transversality_check(
             ok = linalg.rank(np.hstack([blk, v])) == r_out + d_out + 1
             record(f"boundary_block_transversality[{i}]", ok)
 
-        lhs = dnc_membership(fp, zpair, dnc_map(fp, p), tol)
-        rhs = preimage_membership(fp, zpair, p, tol)
+        lhs = _dnc_membership(n_pair, zpair, dnc_map(fp, p), tol, tangent_of_z)
+        rhs = _preimage_membership(fp, zpair, p, tol, tangent_of_z)
         record(f"membership_equivalence[{i}]", lhs == rhs, {"image_side": lhs, "preimage_side": rhs})
 
     return report

@@ -12,10 +12,12 @@ may carry its Jacobian (``jac``) and the derivative of its Jacobian along a
 vector (``hvp``), and maps built from other maps (compositions, stacks, the
 divided difference of the tangent-groupoid lift, whose lam = 0 fiber is the
 tangent lift) propagate both by the chain rule.
-Central differences with an O(h^2) error contract are the verifier of those
-exact derivatives (:func:`verify_analytic_jacobian`,
-``SmoothMap.jacobian(check=True)``) and the fallback for maps that supply
-none.
+A :class:`TubularMap` carries the partial Jacobians of its chart
+(``dphi``).  Central differences with an O(h^2) error contract are the
+verifier of those exact derivatives (:func:`verify_analytic_jacobian`,
+``SmoothMap.jacobian(check=True)``, :meth:`TubularMap.verify`), the
+fallback for maps that supply none, and the definition of the
+triangularity defect of :func:`check_block_structure`.
 """
 
 from __future__ import annotations
@@ -287,10 +289,16 @@ def normal_frame(pair: ManifoldPair, m) -> np.ndarray:
 @dataclass
 class TubularMap:
     """Tubular neighborhood chart: (base point, normal vector) -> manifold
-    point, a diffeomorphism near the zero section within ``valid_radius``."""
+    point, a diffeomorphism near the zero section within ``valid_radius``.
+
+    ``dphi(m, x)`` is the pair (d phi / d m, d phi / d x) of ambient x ambient
+    Jacobians at any ambient (m, x): chart inversion
+    (:func:`dnclab.dnc.dnc_chart_inverse`) takes exact Newton steps with it,
+    and :meth:`verify` checks it against central differences."""
 
     pair: ManifoldPair
     phi: Callable
+    dphi: Callable
     valid_radius: float
 
     def __call__(self, m, x) -> np.ndarray:
@@ -303,7 +311,9 @@ class TubularMap:
 
     def verify(self) -> dict:
         """Zero-section fixing, identity normal differential (to 1e-6), and
-        image containment (to 1e-8) at three radii along each normal axis."""
+        image containment (to 1e-8) at three radii along each normal axis;
+        ``dphi`` agrees with central differences of ``phi`` (to 1e-6) at the
+        zero section and at half the radius along each normal axis."""
         records = []
         for m in self.pair.small.samples:
             _, nu = self.pair.adapted_frame(m)
@@ -318,9 +328,20 @@ class TubularMap:
             for r in np.linspace(0.25, 1.0, 3) * self.valid_radius:
                 for i in range(nu.shape[1]):
                     img_err = max(img_err, self.pair.big.constraint_norm(self(m, r * nu[:, i])))
-            records.append({"zero_fix": zero_fix, "normal_differential": d_err, "image": img_err})
+            dphi_err = 0.0
+            for x in [zero] + [0.5 * self.valid_radius * nu[:, i] for i in range(nu.shape[1])]:
+                d_m, d_x = self.dphi(m, x)
+                fd_m = numeric_jacobian(lambda p: self.phi(p, x), m, h)
+                fd_x = numeric_jacobian(lambda y: self.phi(m, y), x, h)
+                dphi_err = max(dphi_err, float(np.max(np.abs(d_m - fd_m))), float(np.max(np.abs(d_x - fd_x))))
+            records.append(
+                {"zero_fix": zero_fix, "normal_differential": d_err, "image": img_err, "dphi": dphi_err}
+            )
         ok = all(
-            r["zero_fix"] == 0.0 and r["normal_differential"] <= 1e-6 and r["image"] <= 1e-8
+            r["zero_fix"] == 0.0
+            and r["normal_differential"] <= 1e-6
+            and r["image"] <= 1e-8
+            and r["dphi"] <= 1e-6
             for r in records
         )
         return {"passed": ok, "samples": records}

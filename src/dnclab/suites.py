@@ -107,6 +107,17 @@ def _poly_pair_map(pair) -> geo.PairMap:
     return geo.PairMap(f, pair, pair)
 
 
+def _quadratic_pair_map(pair) -> geo.PairMap:
+    f = geo.SmoothMap(
+        2,
+        2,
+        lambda z: np.array([2.0 * z[0] + z[1] ** 2, z[1] * (1.0 + z[1])]),
+        lambda z: np.array([[2.0, 2.0 * z[1]], [0.0, 1.0 + 2.0 * z[1]]]),
+        "g",
+    )
+    return geo.PairMap(f, pair, pair)
+
+
 def _stretch_pair_map(pair) -> geo.PairMap:
     """(x, y) -> (x, 2y): linear, preserving the axis pair."""
     return geo.PairMap(geo.linear_map(np.diag([1.0, 2.0]), "lin"), pair, pair)
@@ -133,7 +144,13 @@ def _sphere_stretch_map() -> geo.SmoothMap:
         w = a @ v
         return w / np.linalg.norm(w)
 
-    return geo.SmoothMap(3, 3, fn, name="stretch")
+    def jac(v):
+        w = a @ v
+        r = np.linalg.norm(w)
+        u = w / r
+        return (np.eye(3) - np.outer(u, u)) @ a / r
+
+    return geo.SmoothMap(3, 3, fn, jac, "stretch")
 
 
 def _diag_z_fixture():
@@ -440,11 +457,7 @@ def suite_dnc_functoriality(config: SuiteConfig) -> list[CheckResult]:
 
     rng = rng_for(config, 0)
     fp = _poly_pair_map(pair)
-    gp = geo.PairMap(
-        geo.SmoothMap(2, 2, lambda z: np.array([2.0 * z[0] + z[1] ** 2, z[1] * (1.0 + z[1])]), name="g"),
-        pair,
-        pair,
-    )
+    gp = _quadratic_pair_map(pair)
     comp = geo.PairMap(geo.compose_maps(gp.f, fp.f), pair, pair)
     worst = 0.0
     for i in range(n):
@@ -510,7 +523,16 @@ def suite_taylor_remainder(config: SuiteConfig) -> list[CheckResult]:
     fixtures = [
         (
             "flat-quadratic",
-            geo.PairMap(geo.SmoothMap(2, 2, lambda z: np.array([z[0], z[1] + z[1] ** 2])), pair, pair),
+            geo.PairMap(
+                geo.SmoothMap(
+                    2,
+                    2,
+                    lambda z: np.array([z[0], z[1] + z[1] ** 2]),
+                    lambda z: np.array([[1.0, 0.0], [0.0, 1.0 + 2.0 * z[1]]]),
+                ),
+                pair,
+                pair,
+            ),
             flat,
             flat,
             np.array([0.0, 0.0]),
@@ -519,7 +541,12 @@ def suite_taylor_remainder(config: SuiteConfig) -> list[CheckResult]:
         (
             "flat-coupled",
             geo.PairMap(
-                geo.SmoothMap(2, 2, lambda z: np.array([z[0] + z[1] ** 2, z[1] + z[1] ** 2 + z[0] * z[1] ** 2])),
+                geo.SmoothMap(
+                    2,
+                    2,
+                    lambda z: np.array([z[0] + z[1] ** 2, z[1] + z[1] ** 2 + z[0] * z[1] ** 2]),
+                    lambda z: np.array([[1.0, 2.0 * z[1]], [z[1] ** 2, 1.0 + 2.0 * z[1] + 2.0 * z[0] * z[1]]]),
+                ),
                 pair,
                 pair,
             ),

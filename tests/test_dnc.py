@@ -4,7 +4,7 @@ remainder probe, and transversality through the functor."""
 import numpy as np
 import pytest
 
-from dnclab import catalog, dnc, geometry as geo, linalg
+from dnclab import catalog, dnc, geometry as geo, linalg, suites
 from dnclab.errors import (
     DomainError,
     FiberMismatch,
@@ -47,12 +47,12 @@ class TestChart:
         assert np.max(np.abs(x - x0)) <= 1e-9
 
     def test_radius_guard(self, axis_pair):
-        small = geo.TubularMap(axis_pair, lambda m, x: m + x, valid_radius=0.1)
+        small = catalog.flat_tubular(axis_pair, 0.1)
         with pytest.raises(RadiusExceeded):
             dnc.dnc_chart(small, [0.0, 0.0], [0.0, 1.0], 0.5)
 
     def test_outside_chart(self, axis_pair):
-        small = geo.TubularMap(axis_pair, lambda m, x: m + x, valid_radius=0.5)
+        small = catalog.flat_tubular(axis_pair, 0.5)
         p = dnc.DncPoint.interior(np.array([0.0, 5.0]), 0.01)
         with pytest.raises(OutsideChart):
             dnc.dnc_chart_inverse(small, p)
@@ -69,7 +69,63 @@ class TestChart:
         assert np.max(np.abs(x - x0)) <= 1e-8
 
 
+class TestChartNewton:
+    @pytest.mark.parametrize(
+        "tub, q",
+        [
+            (catalog.flat_tubular(catalog.linear_pair(2, 1)), [0.3, 0.7]),
+            (catalog.flat_tubular(catalog.linear_pair(4, 2)), [0.3, 0.7, 0.1, -0.2]),
+            (catalog.sphere_tubular(catalog.sphere_equator_pair(2)), [0.6, 0.0, 0.8]),
+            (catalog.sphere_tubular(catalog.sphere_equator_pair(2, ambient=4)), [0.6, 0.0, 0.8, 0.0]),
+        ],
+    )
+    def test_exact_jacobian_matches_richardson(self, tub, q):
+        # off the solution, with a nonzero normal coefficient eta
+        rng = np.random.Generator(np.random.Philox(key=3))
+        n = tub.pair.small.ambient_dim
+        codim = n - tub.pair.small.dim
+        for _ in range(3):
+            z = np.concatenate([np.asarray(q) + 0.3 * rng.normal(size=n), 0.5 * rng.normal(size=codim)])
+            assert np.max(np.abs(z[n:])) > 0.0
+            _, _, jacobian = dnc._chart_residual(tub, q, z)
+            fd = geo.numeric_jacobian(lambda w: dnc._chart_residual(tub, q, w)[0], z, richardson=True)
+            assert np.max(np.abs(jacobian() - fd)) <= 1e-8
+
+    def test_constraint_map_without_hvp_is_named(self):
+        big = catalog.linear_subspace(2, 2)
+        small = geo.ImplicitManifold(
+            "axis", 2, 1, geo.SmoothMap(2, 1, lambda x: x[1:], lambda x: np.array([[0.0, 1.0]]), "no-hvp")
+        )
+        tub = catalog.flat_tubular(geo.ManifoldPair(big, small))
+        with pytest.raises(DomainError, match="no-hvp"):
+            dnc.dnc_chart_inverse(tub, dnc.DncPoint.interior([0.3, 0.2], 0.5))
+
+    def test_no_finite_differences(self, monkeypatch):
+        calls = []
+        real = geo.numeric_jacobian
+        counted = lambda *a, **k: calls.append(a) or real(*a, **k)
+        monkeypatch.setattr(geo, "numeric_jacobian", counted)
+        monkeypatch.setattr(dnc, "numeric_jacobian", counted, raising=False)
+        flat = catalog.flat_tubular(catalog.linear_pair(2, 1))
+        sph = catalog.sphere_tubular(catalog.sphere_equator_pair(2))
+        p, y = dnc._tubular_inverse(flat, [0.3, 0.7])
+        assert np.allclose(p, [0.3, 0.0]) and np.allclose(y, [0.0, 0.7])
+        p, y = dnc._tubular_inverse(sph, [0.8, 0.0, 0.6])
+        assert np.max(np.abs(sph(p, y) - [0.8, 0.0, 0.6])) <= 1e-11
+        assert calls == []
+        assert run_suite(SuiteConfig("dnc-functoriality", samples=10)).passed
+        assert calls == []
+
+
 class TestFunctor:
+    def test_fixture_jacobians_are_exact(self, axis_pair):
+        rng = np.random.Generator(np.random.Philox(key=8))
+        for fp in (suites._poly_pair_map(axis_pair), suites._quadratic_pair_map(axis_pair)):
+            for _ in range(3):
+                assert geo.verify_analytic_jacobian(fp.f, rng.normal(size=2))
+        for v in catalog.sphere(2).samples[:3]:
+            assert geo.verify_analytic_jacobian(suites._sphere_stretch_map(), v)
+
     def test_identity_map(self, axis_pair):
         fp = geo.PairMap(geo.SmoothMap(2, 2, lambda z: z.copy(), lambda z: np.eye(2)), axis_pair, axis_pair)
         p = dnc.DncPoint.boundary([1.0, 0.0], [0.0, 0.5])
@@ -289,6 +345,24 @@ class TestTrivialBundle:
             assert np.max(np.abs(back.b - el.b)) <= 1e-12
 
 
+    def test_zero_fiber_roundtrip(self):
+        for el in (
+            dnc.TangentGroupoidElement.pair([1.0, 2.0], [3.0, 4.0], 0.5),
+            dnc.TangentGroupoidElement.tangent([1.0, 2.0], [0.1, 0.2]),
+        ):
+            base, (u, w) = dnc.trivial_bundle_split(el, 0)
+            assert np.array_equal(base.a, el.a) and np.array_equal(base.b, el.b)
+            assert u.size == 0 and w.size == 0
+            back = dnc.trivial_bundle_join(base, (u, w), 0)
+            assert np.array_equal(back.a, el.a) and np.array_equal(back.b, el.b)
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_fiber_dimension_out_of_range(self, k):
+        el = dnc.TangentGroupoidElement.pair([1.0, 2.0], [3.0, 4.0], 0.5)
+        with pytest.raises(DomainError):
+            dnc.trivial_bundle_split(el, k)
+
+
 class TestTaylorProbe:
     def test_linear_zero_remainder(self, axis_pair, flat):
         f = geo.SmoothMap(2, 2, lambda z: np.array([z[0], 2.0 * z[1]]), lambda z: np.diag([1.0, 2.0]))
@@ -307,8 +381,13 @@ class TestTaylorProbe:
         slope = linalg.loglog_slope(np.asarray(ts), np.asarray(rs))
         assert slope >= 0.9
 
+    def test_suite_linear_remainder_at_rounding_level(self):
+        rep = run_suite(SuiteConfig("taylor-remainder"))
+        (check,) = [c for c in rep.checks if c.name == "linear-map-zero-remainder"]
+        assert check.passed and check.residuals["max_remainder"] <= 1e-14
+
     def test_radius_guard(self, axis_pair):
-        small = geo.TubularMap(axis_pair, lambda m, x: m + x, valid_radius=0.2)
+        small = catalog.flat_tubular(axis_pair, 0.2)
         f = geo.SmoothMap(2, 2, lambda z: z.copy())
         fp = geo.PairMap(f, axis_pair, axis_pair)
         with pytest.raises(RadiusExceeded):
@@ -356,6 +435,21 @@ class TestTransversalityCheck:
         assert dnc.preimage_membership(fp, zpair, onto)
         assert not dnc.dnc_membership(fp, zpair, dnc.dnc_map(fp, away))
         assert not dnc.preimage_membership(fp, zpair, away)
+
+    def test_one_z_tangent_basis_per_boundary_sample(self, axis_pair, monkeypatch):
+        fp, zpair = self._fixture(axis_pair)
+        z = zpair.big
+        calls = []
+        real = z.tangent_basis
+        monkeypatch.setattr(z, "tangent_basis", lambda x: calls.append(x) or real(x))
+        dnc.dnc_transversality_check(fp, zpair, [])
+        hypotheses = len(calls)
+        boundary = [dnc.DncPoint.boundary([0.0, 0.0], [0.0, c]) for c in (0.3, -0.5, 0.0, 0.9)]
+        del calls[:]
+        rep = dnc.dnc_transversality_check(fp, zpair, boundary)
+        assert rep["passed"]
+        assert sum(c["name"].startswith("membership_equivalence") for c in rep["checks"]) == len(boundary)
+        assert len(calls) == hypotheses + len(boundary)
 
     def test_precondition_named(self, axis_pair):
         fp, zpair = self._fixture(axis_pair)

@@ -158,6 +158,17 @@ class TestImplicitManifolds:
         with pytest.raises(OffManifold):
             catalog.circle().tangent_basis([2.0, 0.0])
 
+    @pytest.mark.parametrize("k, big_n", [(1, None), (2, None), (1, 3), (2, 3), (2, 4)])
+    def test_projective_jacobians_are_exact(self, k, big_n):
+        rp = catalog.projective_space(k, big_n=big_n)
+        cover = catalog.sym_embed_map(k, ambient_in=big_n)
+        rng = np.random.Generator(np.random.Philox(key=k))
+        for s in rp.samples[:3]:
+            assert geo.verify_analytic_jacobian(rp.constraints, s)
+            assert geo.verify_analytic_jacobian(rp.constraints, s + 0.1 * rng.normal(size=s.size))
+        for _ in range(3):
+            assert geo.verify_analytic_jacobian(cover, rng.normal(size=cover.domain_dim))
+
 
 class TestNewtonProject:
     def test_circle_radial(self):
@@ -197,6 +208,29 @@ class TestPairsAndTubulars:
     def test_flat_tubular_contract(self):
         pair = catalog.linear_pair(3, 1)
         assert catalog.flat_tubular(pair).verify()["passed"]
+
+    @pytest.mark.parametrize(
+        "tub",
+        [
+            catalog.flat_tubular(catalog.linear_pair(3, 1)),
+            catalog.sphere_tubular(catalog.sphere_equator_pair(2)),
+        ],
+    )
+    def test_wrong_dphi_fails_verify(self, tub):
+        def scaled(which):
+            def dphi(m, x):
+                parts = list(tub.dphi(m, x))
+                parts[which] = 1.01 * np.asarray(parts[which])
+                return tuple(parts)
+
+            return dphi
+
+        for which in (0, 1):
+            bad = geo.TubularMap(tub.pair, tub.phi, scaled(which), tub.valid_radius)
+            rep = bad.verify()
+            assert not rep["passed"]
+            assert all(r["dphi"] > 1e-3 for r in rep["samples"])
+            assert all(r["normal_differential"] <= 1e-6 for r in rep["samples"])
 
 
 def _reference_complement(inner, outer):

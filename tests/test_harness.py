@@ -160,6 +160,9 @@ class TestCli:
             # the sphere towers run from 2 to MAX_DEPTH levels
             (["verify", "--suite", "flag-laws", "--depth", "1"], {}),
             (["verify", "--suite", "flag-laws", "--depth", "6"], {}),
+            # a report path that cannot be written
+            (["verify-all", "--samples", "8", "--report", "/nonexistent/dir/x.json"], {}),
+            (["verify", "--suite", "dnc-product", "--samples", "8", "--report", "."], {}),
         ],
     )
     def test_bad_input_exit_two(self, argv, env, monkeypatch, capsys):
