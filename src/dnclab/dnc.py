@@ -390,10 +390,11 @@ def taylor_probe(fp: PairMap, tub1: TubularMap, tub2: TubularMap, m, x, t_list) 
 
 
 def _preimage_tangent(fp: PairMap, t_z: np.ndarray, m) -> np.ndarray:
-    """Tangent basis of f^-1(Z) at m: ambient-tangent vectors of the source
-    whose image under Df lands in the tangent of Z, given the orthonormal
-    basis ``t_z`` of T Z at f(m) (so t_z t_z^T projects onto T Z)."""
-    t_m = fp.source.big.tangent_basis(m)
+    """Tangent basis of f^-1(Z) at a source-submanifold point m: ambient-tangent
+    vectors of the source whose image under Df lands in the tangent of Z,
+    given the orthonormal basis ``t_z`` of T Z at f(m) (so t_z t_z^T projects
+    onto T Z)."""
+    t_m = np.hstack(fp.source.adapted_frame(m))
     imgs = fp.f.jacobian(m) @ t_m
     off = imgs - t_z @ (t_z.T @ imgs)
     coeff = linalg.nullspace(off)
@@ -414,30 +415,24 @@ def _normal_in_fiber(pair: ManifoldPair, p: DncPoint, tangent: np.ndarray, tol: 
     return _in_span(p.normal, nu @ (nu.T @ tangent), tol)
 
 
-def _dnc_membership(pair: ManifoldPair, zpair: ManifoldPair, p: DncPoint, tol: float, tangent_of_z) -> bool:
-    """:func:`dnc_membership`, with ``tangent_of_z(q)`` the orthonormal
-    basis of T Z at q."""
-    z, z0 = zpair.big, zpair.small
-    if p.kind == "interior":
-        return z.contains(p.point, tol)
-    if not z0.contains(p.point, tol):
-        return False
-    return _normal_in_fiber(pair, p, tangent_of_z(p.point), tol)
-
-
 def dnc_membership(fp_or_pair, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
     """Is the point in the deformation subspace attached to (Z, Z0)?
 
     Interior points: on Z.  Boundary points: base on Z0 and normal vector in
     the image of the Z-tangent inside the normal space representatives.
+    T Z at a point of Z0 is the pair's adapted frame there, stacked.
     """
     pair = fp_or_pair.target if isinstance(fp_or_pair, PairMap) else fp_or_pair
-    return _dnc_membership(pair, zpair, p, tol, zpair.big.tangent_basis)
+    if p.kind == "interior":
+        return zpair.big.contains(p.point, tol)
+    if not zpair.small.contains(p.point, tol):
+        return False
+    return _normal_in_fiber(pair, p, np.hstack(zpair.adapted_frame(p.point)), tol)
 
 
-def _preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: float, tangent_of_z) -> bool:
-    """:func:`preimage_membership`, with ``tangent_of_z(q)`` the orthonormal
-    basis of T Z at q."""
+def preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
+    """Is the point in the deformation subspace attached to
+    (f^-1 Z, f0^-1 Z0)?"""
     z, z0 = zpair.big, zpair.small
     if p.kind == "interior":
         return fp.source.big.contains(p.point, tol) and z.contains(fp.f(p.point), tol)
@@ -446,13 +441,8 @@ def _preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: flo
     fx = fp.f(p.point)
     if not z0.contains(fx, tol):
         return False
-    return _normal_in_fiber(fp.source, p, _preimage_tangent(fp, tangent_of_z(fx), p.point), tol)
-
-
-def preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
-    """Is the point in the deformation subspace attached to
-    (f^-1 Z, f0^-1 Z0)?"""
-    return _preimage_membership(fp, zpair, p, tol, zpair.big.tangent_basis)
+    t_z = np.hstack(zpair.adapted_frame(fx))
+    return _normal_in_fiber(fp.source, p, _preimage_tangent(fp, t_z, p.point), tol)
 
 
 def dnc_transversality_check(
@@ -498,7 +488,6 @@ def dnc_transversality_check(
         report["passed"] = report["passed"] and bool(ok)
 
     for i, p in enumerate(samples):
-        tangent_of_z = z.tangent_basis
         if p.kind == "interior":
             if z.contains(fp.f(p.point), tol):
                 ok = is_transversal_nonlinear(fp.f, fp.source.big, z, p.point, n_pair.big)
@@ -520,10 +509,9 @@ def dnc_transversality_check(
             blk[r_out : r_out + d_out, nu_in.shape[1] : -1] = t_out.T @ (j @ t_in)
             blk[-1, -1] = 1.0
             # target trace tangent: fiber directions of Z, base of Z0, fiber axis
-            t_z = z.tangent_basis(q)
-            tangent_of_z = lambda _: t_z  # the membership tests below ask at q only
-            fiber_dirs = nu_out.T @ t_z
-            base_dirs = t_out.T @ z0.tangent_basis(q)
+            t_z0, nu_z = zpair.adapted_frame(q)
+            fiber_dirs = nu_out.T @ np.hstack([t_z0, nu_z])
+            base_dirs = t_out.T @ t_z0
             v = np.zeros((r_out + d_out + 1, fiber_dirs.shape[1] + base_dirs.shape[1] + 1))
             v[:r_out, : fiber_dirs.shape[1]] = fiber_dirs
             v[r_out : r_out + d_out, fiber_dirs.shape[1] : -1] = base_dirs
@@ -531,8 +519,8 @@ def dnc_transversality_check(
             ok = linalg.rank(np.hstack([blk, v])) == r_out + d_out + 1
             record(f"boundary_block_transversality[{i}]", ok)
 
-        lhs = _dnc_membership(n_pair, zpair, dnc_map(fp, p), tol, tangent_of_z)
-        rhs = _preimage_membership(fp, zpair, p, tol, tangent_of_z)
+        lhs = dnc_membership(n_pair, zpair, dnc_map(fp, p), tol)
+        rhs = preimage_membership(fp, zpair, p, tol)
         record(f"membership_equivalence[{i}]", lhs == rhs, {"image_side": lhs, "preimage_side": rhs})
 
     return report

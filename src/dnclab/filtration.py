@@ -39,6 +39,7 @@ from .geometry import (
     SmoothMap,
     central_difference,
     compose_maps,
+    default_step,
     is_transversal_nonlinear,
     linear_map,
     newton_project,
@@ -512,7 +513,11 @@ def _divided_difference(g: SmoothMap, ambient: int) -> SmoothMap:
     """(x, w, lam) -> (g(x) - g(x - lam w)) / lam, smoothly extended across
     lam = 0 by the directional derivative.  The value and its Jacobian take
     the same branch at every lam, except that the Jacobian's lam column keeps
-    its lam = 0 Taylor form up to ``FIBER_EPS_JAC``."""
+    its lam = 0 Taylor form up to ``FIBER_EPS_JAC``.  ``g`` must carry ``jac``
+    and ``hvp``: the lift's exact Jacobian differentiates ``g`` twice, and
+    without them it would be a finite difference of a finite difference."""
+    if g.jac is None or g.hvp is None:
+        raise DomainError(f"{g.name or 'map'}: the tangent-groupoid lift needs its jac and hvp")
 
     def split(z):
         return z[:ambient], z[ambient : 2 * ambient], z[2 * ambient]
@@ -523,21 +528,18 @@ def _divided_difference(g: SmoothMap, ambient: int) -> SmoothMap:
             return g.jacobian(x) @ w
         return (g(x) - g(x - lam * w)) / lam
 
-    jac = None
-    if g.jac is not None and g.hvp is not None:
-
-        def jac(z):
-            x, w, lam = split(z)
-            if abs(lam) < FIBER_EPS:
-                h = np.atleast_2d(g.hvp(x, w))
-                return np.hstack([h, np.atleast_2d(g.jac(x)), (-0.5 * (h @ w))[:, None]])
-            y = x - lam * w
-            j_x, j_y = np.atleast_2d(g.jac(x)), np.atleast_2d(g.jac(y))
-            if abs(lam) < FIBER_EPS_JAC:
-                d_lam = -0.5 * (np.atleast_2d(g.hvp(x, w)) @ w)
-            else:
-                d_lam = (j_y @ w) / lam - (g(x) - g(y)) / lam**2
-            return np.hstack([(j_x - j_y) / lam, j_y, d_lam[:, None]])
+    def jac(z):
+        x, w, lam = split(z)
+        if abs(lam) < FIBER_EPS:
+            h = np.atleast_2d(g.hvp(x, w))
+            return np.hstack([h, np.atleast_2d(g.jac(x)), (-0.5 * (h @ w))[:, None]])
+        y = x - lam * w
+        j_x, j_y = np.atleast_2d(g.jac(x)), np.atleast_2d(g.jac(y))
+        if abs(lam) < FIBER_EPS_JAC:
+            d_lam = -0.5 * (np.atleast_2d(g.hvp(x, w)) @ w)
+        else:
+            d_lam = (j_y @ w) / lam - (g(x) - g(y)) / lam**2
+        return np.hstack([(j_x - j_y) / lam, j_y, d_lam[:, None]])
 
     return SmoothMap(2 * ambient + 1, g.codomain_dim, dd, jac, f"Δ{g.name}")
 
@@ -552,8 +554,7 @@ def _transported_frame(fr: Callable, x: np.ndarray, w: np.ndarray, lam: float, r
     cur = np.atleast_2d(fr(x))
     k = cur.shape[1]
     if abs(lam) < FIBER_EPS:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(w)))
-        dcur = np.atleast_2d(central_difference(fr, x, w, h))
+        dcur = np.atleast_2d(central_difference(fr, x, w, default_step(x)))
     else:
         dcur = (cur - np.atleast_2d(fr(x - lam * w))) / lam
     out = np.zeros((rows, 2 * k))

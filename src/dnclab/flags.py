@@ -13,6 +13,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 
+from . import linalg
 from .errors import DepthMismatch, NotGLK
 from .subspaces import (
     ComplementedSubspace,
@@ -143,18 +144,24 @@ def verify_flag(flag: Flag) -> FlagReport:
 
     (a) level dimensions, (b) nesting, (d) complements span, (e) complements
     decrease; density of the union (c) holds by construction in the
-    coordinate model and is recorded, not tested.
+    coordinate model and is recorded, not tested.  Dimensions are counted,
+    and containments decided, at the two levels of
+    ``linalg.truncation_levels``: counts that differ between the levels fail
+    (a), with both as evidence, and a containment holds only at both.
     """
     report = FlagReport()
     level_bound = max(
         max(s.space.support_bound(), s.complement.support_bound()) for s in flag.subspaces
     )
-    probe = level_bound + 5
-
-    dims = [s.space.dim_at(probe) for s in flag.subspaces]
+    lo, hi = linalg.truncation_levels(level_bound)
+    dims = [s.space.dim_at(lo) for s in flag.subspaces]
+    dims_hi = [s.space.dim_at(hi) for s in flag.subspaces]
+    evidence = {"measured": dims, "expected": list(flag.delta)}
+    if dims_hi != dims:
+        evidence["measured_next_level"] = dims_hi
     report.conditions["a_dimensions"] = {
-        "status": "pass" if dims == list(flag.delta) else "fail",
-        "evidence": {"measured": dims, "expected": list(flag.delta)},
+        "status": "pass" if dims == dims_hi == list(flag.delta) else "fail",
+        "evidence": evidence,
     }
 
     nesting = [

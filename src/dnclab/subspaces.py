@@ -76,10 +76,14 @@ class SubspaceBasis:
         return float(np.linalg.norm(resid)) <= tol
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        level = max(self.support_bound(), other.support_bound()) + 3
-        mine = self.basis_matrix(level)
-        theirs = other.basis_matrix(level)
-        return linalg.rank(np.hstack([mine, theirs])) == linalg.rank(mine)
+        """Containment at both levels of ``linalg.truncation_levels`` of the
+        larger support bound: adding the other's columns leaves the rank
+        unchanged.  A disagreement between the levels is no containment."""
+        for level in linalg.truncation_levels(max(self.support_bound(), other.support_bound())):
+            mine = self.basis_matrix(level)
+            if linalg.rank(np.hstack([mine, other.basis_matrix(level)])) != linalg.rank(mine):
+                return False
+        return True
 
     def to_json(self) -> dict:
         return {

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dnclab import catalog, filtration as filt, flags as fl, geometry as geo
+from dnclab import catalog, filtration as filt, flags as fl, geometry as geo, linalg
 from dnclab.errors import (
     ConfigError,
     DepthMismatch,
@@ -330,7 +330,7 @@ def test_every_lift_of_every_base_verifies(base, lift):
 
 class TestExactLiftJacobians:
     """The lifted constraint and cutting maps carry chain-rule Jacobians;
-    each is checked against Richardson central differences."""
+    each is checked by ``geometry.verify_analytic_jacobian``."""
 
     TOWERS = {
         "pair-groupoid": filt.pair_groupoid_filtration,
@@ -365,8 +365,21 @@ class TestExactLiftJacobians:
         groupoid = kind == "tangent-groupoid"
         for lvl in f.levels + [f.total]:
             for z in self.check_points(lvl, groupoid):
-                lvl.constraints.jacobian(z, check=True)
-                f.fredholm.map.jacobian(z, check=True)
+                assert geo.verify_analytic_jacobian(lvl.constraints, z), lvl.name
+                assert geo.verify_analytic_jacobian(f.fredholm.map, z), lvl.name
+
+    def test_rounding_is_judged_at_the_best_step(self, depth5):
+        # at lam = 0 the 𝕋S^3 constraints are quadratic: the finite-difference
+        # error is rounding alone and grows as the step halves (1.5e-14 to
+        # 3.7e-9), so a slope fit over the steps rejects the right Jacobian
+        lvl = filt.tangent_groupoid_filtration(depth5).level(2)
+        g, z = lvl.constraints, lvl.samples[1]
+        assert z[-1] == 0.0
+        hs = 0.1 * 0.5 ** np.arange(10)
+        errs = [np.max(np.abs(geo.numeric_jacobian(g.fn, z, h) - g.jac(z))) for h in hs]
+        assert errs[0] < 1e-13 and errs[-1] > 1e-9
+        assert linalg.loglog_slope(hs, errs) < 0
+        assert geo.verify_analytic_jacobian(g, z)
 
     def test_tangent_of_product_is_exact(self, sphere_filtration):
         # the second derivative travels through restrictions, stacks and
@@ -376,7 +389,16 @@ class TestExactLiftJacobians:
         maps.append((f.fredholm.map, f.levels[0].samples[0]))
         for m, z in maps:
             assert m.jac is not None, m.name
-            m.jacobian(z, check=True)
+            assert geo.verify_analytic_jacobian(m, z), m.name
+
+    @pytest.mark.parametrize("drop", ["jac", "hvp"])
+    def test_lift_without_second_derivative_is_refused(self, sphere_filtration, drop):
+        # without both, the lift's Jacobian would difference a difference quotient
+        g = sphere_filtration.total.constraints
+        bare = dataclasses.replace(g, name="bare-sphere", **{drop: None})
+        total = dataclasses.replace(sphere_filtration.total, constraints=bare)
+        with pytest.raises(DomainError, match="bare-sphere"):
+            filt.tangent_groupoid_filtration(dataclasses.replace(sphere_filtration, total=total))
 
     def test_groupoid_samples_cover_both_fiber_kinds(self, depth5):
         f = filt.tangent_groupoid_filtration(depth5)

@@ -1,9 +1,12 @@
 """Flags: construction, verification, and the derived dimension laws."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from dnclab import flags as fl
+from dnclab import linalg
 from dnclab import operators as ops
 from dnclab import subspaces as sub
 from dnclab.errors import DepthMismatch, NotGLK
@@ -87,6 +90,27 @@ class TestVerifyFlag:
         rep = fl.verify_flag(broken)
         assert rep.conditions["b_nesting"]["status"] == "fail"
         assert not rep.passed
+
+    def test_counts_and_containments_take_the_two_levels(self, monkeypatch):
+        real, callers = linalg.truncation_levels, []
+
+        def recorder(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "truncation_levels", recorder)
+        assert fl.verify_flag(fl.standard_flag([1, 2, 4])).passed
+        assert {"verify_flag", "contains_subspace"} <= set(callers)
+
+    def test_levels_that_disagree_fail_the_dimensions(self, monkeypatch):
+        f = fl.standard_flag([1, 2, 4])
+        _, hi = linalg.truncation_levels(4)
+        real = sub.SubspaceBasis.dim_at
+        monkeypatch.setattr(sub.SubspaceBasis, "dim_at", lambda b, level: real(b, level) + (level == hi))
+        cond = fl.verify_flag(f).conditions["a_dimensions"]
+        assert cond["status"] == "fail"
+        assert cond["evidence"]["measured"] == [1, 2, 4]
+        assert cond["evidence"]["measured_next_level"] == [2, 3, 5]
 
 
 class TestDerivedFlags:
