@@ -43,7 +43,13 @@ _CONFIG_FLAGS = (
         f"needs a deeper one; 4 to {MAX_TRUNCATION}",
     ),
     ("depth", int, 4, f"flag levels of the sphere towers in the flag and filtration suites; 2 to {MAX_DEPTH}"),
-    ("tol", float, 1e-7, "finite positive tolerance of the residual checks that take one"),
+    (
+        "tol",
+        float,
+        1e-7,
+        "finite positive tolerance of the residual checks that take one, read by dnc-transversality, "
+        "filtration-pair-groupoid, filtration-tangent and filtration-tangent-groupoid",
+    ),
     ("samples", int, 64, "random instances per check; some suites cap it"),
 )
 

@@ -27,7 +27,6 @@ from .errors import (
     RadiusExceeded,
 )
 from .geometry import (
-    ImplicitManifold,
     ManifoldPair,
     PairMap,
     SmoothMap,
@@ -408,6 +407,12 @@ def _in_span(vec, basis, tol) -> bool:
     return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(v)))
 
 
+def _on_submanifold(pair: ManifoldPair, m) -> bool:
+    """Is m a point of the pair's submanifold where its adapted frame exists,
+    on both members at the frames' tolerance ``ON_MANIFOLD_TOL``?"""
+    return pair.small.contains(m) and pair.big.contains(m)
+
+
 def _normal_in_fiber(pair: ManifoldPair, p: DncPoint, tangent: np.ndarray, tol: float) -> bool:
     """Does the normal vector of the boundary point lie in the normal
     projection of the span of ``tangent``?"""
@@ -418,28 +423,29 @@ def _normal_in_fiber(pair: ManifoldPair, p: DncPoint, tangent: np.ndarray, tol: 
 def dnc_membership(fp_or_pair, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
     """Is the point in the deformation subspace attached to (Z, Z0)?
 
-    Interior points: on Z.  Boundary points: base on Z0 and normal vector in
-    the image of the Z-tangent inside the normal space representatives.
-    T Z at a point of Z0 is the pair's adapted frame there, stacked.
+    Interior points: on Z within ``tol``.  Boundary points: base on Z0 where
+    the adapted frame of (Z, Z0) exists (within ``ON_MANIFOLD_TOL``, not
+    ``tol``) and normal vector in the image of the Z-tangent inside the
+    normal space representatives, within ``tol``.  T Z at a point of Z0 is
+    the pair's adapted frame there, stacked.
     """
     pair = fp_or_pair.target if isinstance(fp_or_pair, PairMap) else fp_or_pair
     if p.kind == "interior":
         return zpair.big.contains(p.point, tol)
-    if not zpair.small.contains(p.point, tol):
+    if not _on_submanifold(zpair, p.point):
         return False
     return _normal_in_fiber(pair, p, np.hstack(zpair.adapted_frame(p.point)), tol)
 
 
 def preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
     """Is the point in the deformation subspace attached to
-    (f^-1 Z, f0^-1 Z0)?"""
-    z, z0 = zpair.big, zpair.small
+    (f^-1 Z, f0^-1 Z0)?  Boundary base points are held to the frames'
+    tolerance, as in :func:`dnc_membership`."""
+    z = zpair.big
     if p.kind == "interior":
         return fp.source.big.contains(p.point, tol) and z.contains(fp.f(p.point), tol)
-    if not fp.source.small.contains(p.point, tol):
-        return False
     fx = fp.f(p.point)
-    if not z0.contains(fx, tol):
+    if not (_on_submanifold(fp.source, p.point) and _on_submanifold(zpair, fx)):
         return False
     t_z = np.hstack(zpair.adapted_frame(fx))
     return _normal_in_fiber(fp.source, p, _preimage_tangent(fp, t_z, p.point), tol)
@@ -493,7 +499,7 @@ def dnc_transversality_check(
                 ok = is_transversal_nonlinear(fp.f, fp.source.big, z, p.point, n_pair.big)
                 record(f"interior_transversality[{i}]", ok)
         else:
-            if not z0.contains(fp.f(p.point), tol):
+            if not _on_submanifold(zpair, fp.f(p.point)):
                 continue
             m = p.point
             q = fp.f(m)

@@ -11,6 +11,13 @@ is claimed and reports the rest as unverified or out of scope;
 triviality of a normal bundle is never inferred from samples, and the
 homotopy condition on the union is reported out of scope rather than
 approximated.
+
+The constructors induce one filtration from another, and share four pieces
+to do it: ``_product_manifold`` with ``_block_frame`` (products, the pair
+groupoid, the shifted product M_n x {0} in M x R^k and the mixed product),
+``_lift_witnesses`` (a frame lift that keeps a missing frame missing: 𝕋F,
+TF, the covering pullback) and ``_preimage_manifold`` (the covering and
+positive-index pullbacks, and the suites' cut-out sets).
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     ConfigError,
-    DepthMismatch,
     DimensionTooSmall,
     DomainError,
     EmptyFirstLevel,
@@ -155,6 +161,21 @@ def _stack_maps(a: SmoothMap, b: SmoothMap, name: str) -> SmoothMap:
     )
 
 
+def _interleave_maps(a: SmoothMap, b: SmoothMap, total: int, name: str) -> SmoothMap:
+    """Rows of a at even and rows of b at odd positions, zero-padded to
+    ``total`` rows: the coordinate order of the interleaved flag models.  The
+    placement acts on the stacked value and derivatives directly: through
+    ``compose_maps`` every Jacobian would evaluate a and b once more."""
+    ca, cb = a.codomain_dim, b.codomain_dim
+    place = np.zeros((total, ca + cb))
+    place[0 : 2 * ca : 2, :ca] = np.eye(ca)
+    place[1 : 2 * cb + 1 : 2, ca:] = np.eye(cb)
+    s = _stack_maps(a, b, name)
+    jac = None if s.jac is None else lambda z: place @ s.jac(z)
+    hvp = None if s.hvp is None else lambda z, v: place @ s.hvp(z, v)
+    return SmoothMap(a.domain_dim, total, lambda z: place @ s(z), jac, name, hvp)
+
+
 def _restrict(g: SmoothMap, start: int, total: int, name: str = "") -> SmoothMap:
     """z -> g(z[start : start + g.domain_dim]) on a total-coordinate space."""
     pick = linear_map(np.eye(total)[start : start + g.domain_dim], "coords")
@@ -190,6 +211,79 @@ def _full_space(ambient: int, samples, region=None) -> ImplicitManifold:
         region=region,
         projector=lambda x: np.asarray(x, dtype=float),
     )
+
+
+def _product_manifold(a: ImplicitManifold, b: ImplicitManifold, name: str) -> ImplicitManifold:
+    da = a.ambient_dim
+    n = da + b.ambient_dim
+    constraints = _stack_maps(_restrict(a.constraints, 0, n), _restrict(b.constraints, da, n), name)
+    samples = [np.concatenate([x, y]) for x, y in zip(a.samples, b.samples)]
+    region = None
+    if a.region is not None or b.region is not None:
+        ra = a.region or (lambda x: True)
+        rb = b.region or (lambda x: True)
+        region = lambda z: ra(z[:da]) and rb(z[da:])
+    projector = None
+    if a.projector is not None and b.projector is not None:
+        projector = lambda z: np.concatenate([a.projector(z[:da]), b.projector(z[da:])])
+    return ImplicitManifold(name, n, a.dim + b.dim, constraints, samples, region=region, projector=projector)
+
+
+def _preimage_manifold(
+    total: ImplicitManifold, h: SmoothMap, dim: int, name: str, samples: list
+) -> ImplicitManifold:
+    """The ``dim``-dimensional zero set of ``h`` on ``total``, in its ambient model."""
+    return ImplicitManifold(name, total.ambient_dim, dim, _stack_maps(total.constraints, h, name), samples)
+
+
+def _block_frame(fr_a: Callable | None, fr_b: Callable | None, da: int, n: int) -> Callable | None:
+    """z -> the block-diagonal frame diag(fr_a(z[:da]), fr_b(z[da:])) with
+    ``n`` rows, or None when either frame is None."""
+    if fr_a is None or fr_b is None:
+        return None
+
+    def frame(z):
+        ma, mb = np.atleast_2d(fr_a(z[:da])), np.atleast_2d(fr_b(z[da:]))
+        out = np.zeros((n, ma.shape[1] + mb.shape[1]))
+        out[:da, : ma.shape[1]] = ma
+        out[da:, ma.shape[1] :] = mb
+        return out
+
+    return frame
+
+
+def _product_witnesses(wa: list | None, wb: list | None, da: int, n: int) -> list[NormalityWitness] | None:
+    """Levelwise block-diagonal witnesses of a product whose first factor
+    has ``da`` coordinates; None when either factor has none."""
+    if wa is None or wb is None:
+        return None
+    return [
+        NormalityWitness(
+            _block_frame(a.frame_in_next, b.frame_in_next, da, n),
+            _block_frame(a.frame_in_big, b.frame_in_big, da, n),
+        )
+        for a, b in zip(wa, wb)
+    ]
+
+
+def _lift_witnesses(witnesses: list | None, lift: Callable) -> list[NormalityWitness] | None:
+    """Every frame of ``witnesses`` through ``lift``; a missing frame, or a
+    missing witness list, stays missing."""
+    if witnesses is None:
+        return None
+    return [
+        NormalityWitness(*(None if fr is None else lift(fr) for fr in (w.frame_in_next, w.frame_in_big)))
+        for w in witnesses
+    ]
+
+
+def _constant_witnesses(frames_next: list, frames_big: list) -> list[NormalityWitness]:
+    """Witnesses whose frames do not vary along their level: one frame in the
+    next level for every level but the last, one in the total for every level."""
+    return [
+        NormalityWitness(None if nxt is None else (lambda m, fr=nxt: fr), (lambda m, fr=big: fr))
+        for nxt, big in zip(frames_next + [None], frames_big)
+    ]
 
 
 def _truncation_sampler(support: int, ambient: int, normalize: bool = False) -> Callable:
@@ -228,20 +322,10 @@ def make_filtration_linear(flag: Flag, margin: int = 5) -> Filtration:
     total_rng = np.random.Generator(np.random.Philox(key=99))
     total = _full_space(ambient, [total_rng.normal(size=ambient) for _ in range(6)])
 
-    witnesses = []
-    for n in range(1, flag.depth):
-        nxt = linalg.orthonormalize(flag.subspaces[n].space.basis_matrix(ambient))
-        cur = linalg.orthonormalize(flag.subspaces[n - 1].space.basis_matrix(ambient))
-        frame_next = linalg.complement_within(cur, nxt)
-        frame_big = linalg.complement_within(cur, np.eye(ambient))
-        witnesses.append(
-            NormalityWitness((lambda m, fr=frame_next: fr), (lambda m, fr=frame_big: fr))
-        )
-    top = linalg.orthonormalize(flag.subspaces[-1].space.basis_matrix(ambient))
-    witnesses.append(
-        NormalityWitness(
-            None, (lambda m, fr=linalg.complement_within(top, np.eye(ambient)): fr)
-        )
+    qs = [linalg.orthonormalize(sub.space.basis_matrix(ambient)) for sub in flag.subspaces]
+    witnesses = _constant_witnesses(
+        [linalg.complement_within(cur, nxt) for cur, nxt in zip(qs, qs[1:])],
+        [linalg.complement_within(q, np.eye(ambient)) for q in qs],
     )
 
     cover = TubularCover(
@@ -338,24 +422,10 @@ def make_filtration_sphere(flag: Flag, margin: int = 5) -> Filtration:
     ]
     total = catalog.sphere(ambient - 1, ambient=ambient, seed=19)
 
-    def coord_frame(lo: int, hi: int) -> np.ndarray:
-        fr = np.zeros((ambient, hi - lo))
-        for j in range(lo, hi):
-            fr[j, j - lo] = 1.0
-        return fr
-
-    witnesses = []
-    for n in range(1, flag.depth):
-        witnesses.append(
-            NormalityWitness(
-                (lambda m, fr=coord_frame(flag.delta[n], flag.delta[n + 1]): fr),
-                (lambda m, fr=coord_frame(flag.delta[n], ambient): fr),
-            )
-        )
-    witnesses.append(
-        NormalityWitness(
-            None, (lambda m, fr=coord_frame(flag.delta[flag.depth], ambient): fr)
-        )
+    eye = np.eye(ambient)
+    witnesses = _constant_witnesses(
+        [eye[:, lo:hi] for lo, hi in zip(flag.delta, list(flag.delta)[1:])],
+        [eye[:, lo:] for lo in flag.delta],
     )
 
     def v_pred(n):
@@ -382,85 +452,22 @@ def make_filtration_sphere(flag: Flag, margin: int = 5) -> Filtration:
     )
 
 
-def _product_manifold(a: ImplicitManifold, b: ImplicitManifold, name: str) -> ImplicitManifold:
-    da = a.ambient_dim
-    n = da + b.ambient_dim
-    constraints = _stack_maps(_restrict(a.constraints, 0, n), _restrict(b.constraints, da, n), name)
-    samples = [np.concatenate([x, y]) for x, y in zip(a.samples, b.samples)]
-    region = None
-    if a.region is not None or b.region is not None:
-        ra = a.region or (lambda x: True)
-        rb = b.region or (lambda x: True)
-        region = lambda z: ra(z[:da]) and rb(z[da:])
-    projector = None
-    if a.projector is not None and b.projector is not None:
-        projector = lambda z: np.concatenate([a.projector(z[:da]), b.projector(z[da:])])
-    return ImplicitManifold(name, n, a.dim + b.dim, constraints, samples, region=region, projector=projector)
-
-
-def _interleave(x: np.ndarray, y: np.ndarray, total: int) -> np.ndarray:
-    """Rows of x at even and rows of y at odd positions, zero-padded to
-    ``total`` rows: the coordinate order of the interleaved flag models."""
-    out = np.zeros((total,) + x.shape[1:])
-    out[0 : 2 * len(x) : 2] = x
-    out[1 : 2 * len(y) + 1 : 2] = y
-    return out
-
-
-def _interleave_maps(a: SmoothMap, b: SmoothMap, total: int, name: str) -> SmoothMap:
-    jac = hvp = None
-    if a.jac is not None and b.jac is not None:
-        jac = lambda z: _interleave(np.atleast_2d(a.jac(z)), np.atleast_2d(b.jac(z)), total)
-        if a.hvp is not None and b.hvp is not None:
-            hvp = lambda z, v: _interleave(np.atleast_2d(a.hvp(z, v)), np.atleast_2d(b.hvp(z, v)), total)
-    return SmoothMap(a.domain_dim, total, lambda z: _interleave(a(z), b(z), total), jac, name, hvp)
-
-
 def make_filtration_product(fa: Filtration, fb: Filtration) -> Filtration:
     """Levelwise products in the concatenated ambient model; claims are
     inherited conjunctively, covers and witnesses are product data."""
-    if fa.depth != fb.depth:
-        raise DepthMismatch(f"depths {fa.depth} and {fb.depth} differ")
+    delta = fa.delta + fb.delta  # DepthMismatch unless the depths agree
     da = fa.total.ambient_dim
-    levels = [
-        _product_manifold(a, b, f"{a.name}×{b.name}") for a, b in zip(fa.levels, fb.levels)
-    ]
+    levels = [_product_manifold(a, b, f"{a.name}×{b.name}") for a, b in zip(fa.levels, fb.levels)]
     total = _product_manifold(fa.total, fb.total, f"{fa.total.name}×{fb.total.name}")
-
-    witnesses = None
-    if fa.witnesses is not None and fb.witnesses is not None:
-        witnesses = []
-        for wa, wb in zip(fa.witnesses, fb.witnesses):
-
-            def _stack(fr_a, fr_b):
-                if fr_a is None or fr_b is None:
-                    return None
-
-                def frame(z):
-                    ma = np.atleast_2d(fr_a(z[:da]))
-                    mb = np.atleast_2d(fr_b(z[da:]))
-                    out = np.zeros((da + fb.total.ambient_dim, ma.shape[1] + mb.shape[1]))
-                    out[:da, : ma.shape[1]] = ma
-                    out[da:, ma.shape[1] :] = mb
-                    return out
-
-                return frame
-
-            witnesses.append(
-                NormalityWitness(_stack(wa.frame_in_next, wb.frame_in_next), _stack(wa.frame_in_big, wb.frame_in_big))
-            )
 
     cover = None
     if fa.cover is not None and fb.cover is not None:
+
+        def both(ps, qs):
+            return [(lambda z, p=p, q=q: p(z[:da]) and q(z[da:])) for p, q in zip(ps, qs)]
+
         cover = TubularCover(
-            v_contains=[
-                (lambda z, p=pa, q=pb: p(z[:da]) and q(z[da:]))
-                for pa, pb in zip(fa.cover.v_contains, fb.cover.v_contains)
-            ],
-            u_contains=[
-                (lambda z, p=pa, q=pb: p(z[:da]) and q(z[da:]))
-                for pa, pb in zip(fa.cover.u_contains, fb.cover.u_contains)
-            ],
+            both(fa.cover.v_contains, fb.cover.v_contains), both(fa.cover.u_contains, fb.cover.u_contains)
         )
 
     fredholm = None
@@ -488,10 +495,10 @@ def make_filtration_product(fa: Filtration, fb: Filtration) -> Filtration:
         return [np.concatenate([x, y]) for x, y in zip(xs, ys)]
 
     return Filtration(
-        delta=fa.delta + fb.delta,
+        delta=delta,
         levels=levels,
         total=total,
-        witnesses=witnesses,
+        witnesses=_product_witnesses(fa.witnesses, fb.witnesses, da, total.ambient_dim),
         cover=cover,
         fredholm=fredholm,
         claimed_dense=fa.claimed_dense and fb.claimed_dense,
@@ -592,15 +599,9 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
     levels = [glue_manifold(m, f"𝕋{m.name}") for m in f.levels]
     total = glue_manifold(f.total, f"𝕋{f.total.name}")
 
-    def glue_frame(fr):
-        if fr is None:
-            return None
-        return lambda z: _transported_frame(fr, z[:d], z[d : 2 * d], z[2 * d], 2 * d + 1)
-
-    witnesses = [
-        NormalityWitness(glue_frame(w.frame_in_next), glue_frame(w.frame_in_big))
-        for w in f.witnesses
-    ]
+    witnesses = _lift_witnesses(
+        f.witnesses, lambda fr: lambda z: _transported_frame(fr, z[:d], z[d : 2 * d], z[2 * d], 2 * d + 1)
+    )
 
     fredholm = None
     if f.fredholm is not None:
@@ -660,9 +661,6 @@ def tangent_filtration(f: Filtration) -> Filtration:
         constraints = compose_maps(m.constraints, zero_fiber, name)
         return ImplicitManifold(name, 2 * d, m.dim - 1, constraints, samples, region=region)
 
-    def frame(fr):
-        return None if fr is None else lambda z: fr(zero_fiber(z))[: 2 * d]
-
     fredholm = None
     if tg.fredholm is not None:
         gm, flag = tg.fredholm.map, tg.fredholm.flag
@@ -679,7 +677,7 @@ def tangent_filtration(f: Filtration) -> Filtration:
         delta=DimensionSequence([k - 1 for k in tg.delta]),
         levels=[fiber(m, base) for m, base in zip(tg.levels, f.levels)],
         total=fiber(tg.total, f.total),
-        witnesses=[NormalityWitness(frame(w.frame_in_next), frame(w.frame_in_big)) for w in tg.witnesses],
+        witnesses=_lift_witnesses(tg.witnesses, lambda fr: lambda z: fr(zero_fiber(z))[: 2 * d]),
         fredholm=fredholm,
         ambient_sampler=sampler,
     )
@@ -763,31 +761,18 @@ def pullback_filtration_covering(cov: CoveringMap, f: Filtration) -> Filtration:
     if len(fibers) != 1:
         raise NotCovering(f"fiber cardinality not constant on samples: {sorted(fibers)}")
 
-    def pull_manifold(m: ImplicitManifold, name: str) -> ImplicitManifold:
-        stacked = _stack_maps(cov.total.constraints, compose_maps(m.constraints, cov.projection, name), name)
-        samples = [z for s in m.samples for z in cov.lift(s)]
-        return ImplicitManifold(name, cov.total.ambient_dim, m.dim, stacked, samples)
+    def pull(m: ImplicitManifold) -> ImplicitManifold:
+        name = f"p⁻¹{m.name}"
+        h = compose_maps(m.constraints, cov.projection, name)
+        return _preimage_manifold(cov.total, h, m.dim, name, [z for s in m.samples for z in cov.lift(s)])
 
-    levels = [pull_manifold(m, f"p⁻¹{m.name}") for m in f.levels]
+    def pull_frame(fr):
+        def frame(z):
+            tb = cov.total.tangent_basis(z)
+            a = cov.projection.jacobian(z) @ tb
+            return tb @ linalg.min_norm_lstsq(a, np.atleast_2d(fr(cov.projection(z))))
 
-    witnesses = None
-    if f.witnesses is not None:
-        witnesses = []
-        for w in f.witnesses:
-
-            def lift_frame(fr):
-                if fr is None:
-                    return None
-
-                def frame(z):
-                    base_frame = np.atleast_2d(fr(cov.projection(z)))
-                    tb = cov.total.tangent_basis(z)
-                    a = cov.projection.jacobian(z) @ tb
-                    return tb @ linalg.min_norm_lstsq(a, base_frame)
-
-                return frame
-
-            witnesses.append(NormalityWitness(lift_frame(w.frame_in_next), lift_frame(w.frame_in_big)))
+        return frame
 
     fredholm = None
     if f.fredholm is not None:
@@ -810,9 +795,9 @@ def pullback_filtration_covering(cov: CoveringMap, f: Filtration) -> Filtration:
 
     return Filtration(
         delta=f.delta,
-        levels=levels,
+        levels=[pull(m) for m in f.levels],
         total=cov.total,
-        witnesses=witnesses,
+        witnesses=_lift_witnesses(f.witnesses, pull_frame),
         cover=None,
         fredholm=fredholm,
         claimed_dense=f.claimed_dense,
@@ -836,14 +821,11 @@ def pullback_filtration_fredholm(
             f"index mismatch: dim N - dim M = {n_total.dim - f.total.dim}, stated {index_p}"
         )
 
-    def pre_manifold(m: ImplicitManifold, name: str) -> ImplicitManifold:
-        stacked = _stack_maps(n_total.constraints, compose_maps(m.constraints, g, name), name)
-        return ImplicitManifold(name, n_total.ambient_dim, index_p + m.dim, stacked, [])
-
     levels = []
     start_points = seeds if seeds is not None else n_total.samples
     for n, m in enumerate(f.levels, start=1):
-        lvl = pre_manifold(m, f"g⁻¹{m.name}")
+        name = f"g⁻¹{m.name}"
+        lvl = _preimage_manifold(n_total, compose_maps(m.constraints, g, name), index_p + m.dim, name, [])
         found = []
         for s in start_points:
             try:
@@ -877,7 +859,8 @@ def pullback_filtration_fredholm(
 
 
 def example_v_filtration(f: Filtration, k: int = 2) -> Filtration:
-    """Levels M_n x {0} inside M x R^k.
+    """Levels M_n x {0} inside M x R^k: the product of each level with the
+    origin of R^k, and of the total with R^k.
 
     The construction deliberately carries the dense claim of its input so the
     verifier can falsify it: distances from ambient samples are bounded below
@@ -885,47 +868,14 @@ def example_v_filtration(f: Filtration, k: int = 2) -> Filtration:
     claim is dropped.
     """
     d = f.total.ambient_dim
-
-    def shift_manifold(m: ImplicitManifold, name: str) -> ImplicitManifold:
-        stacked = _stack_maps(_restrict(m.constraints, 0, d + k), linear_map(np.eye(d + k)[d:], name), name)
-        samples = [np.concatenate([s, np.zeros(k)]) for s in m.samples]
-        projector = None
-        if m.projector is not None:
-            projector = lambda z: np.concatenate([m.projector(z[:d]), np.zeros(k)])
-        return ImplicitManifold(name, d + k, m.dim, stacked, samples, projector=projector)
-
-    levels = [shift_manifold(m, f"{m.name}×0") for m in f.levels]
-    total = ImplicitManifold(
-        f"{f.total.name}×R^{k}",
-        d + k,
-        f.total.dim + k,
-        _restrict(f.total.constraints, 0, d + k, "total"),
-        [np.concatenate([s, 0.5 + 0.1 * np.arange(k)]) for s in f.total.samples],
-    )
-
-    witnesses = None
-    if f.witnesses is not None:
-        witnesses = []
-        for w in f.witnesses:
-
-            def shift_frame(fr, extend: bool):
-                if fr is None:
-                    return None
-
-                def frame(z):
-                    base = np.atleast_2d(fr(z[:d]))
-                    cols = base.shape[1] + (k if extend else 0)
-                    out = np.zeros((d + k, cols))
-                    out[:d, : base.shape[1]] = base
-                    if extend:
-                        out[d:, base.shape[1] :] = np.eye(k)
-                    return out
-
-                return frame
-
-            witnesses.append(
-                NormalityWitness(shift_frame(w.frame_in_next, False), shift_frame(w.frame_in_big, True))
-            )
+    # a product pairs the factors' samples one to one
+    reps = max(len(m.samples) for m in f.levels)
+    point = np.zeros(k)
+    origin = ImplicitManifold("0", k, 0, linear_map(np.eye(k)), [point] * reps, projector=lambda y: point)
+    levels = [_product_manifold(m, origin, f"{m.name}×0") for m in f.levels]
+    rk = _full_space(k, [0.5 + 0.1 * np.arange(k)] * len(f.total.samples))
+    total = _product_manifold(f.total, rk, f"{f.total.name}×R^{k}")
+    at_origin = NormalityWitness(lambda y: np.zeros((k, 0)), lambda y: np.eye(k))
 
     def sampler(rng, count):
         if f.ambient_sampler is None:
@@ -940,7 +890,7 @@ def example_v_filtration(f: Filtration, k: int = 2) -> Filtration:
         delta=f.delta,
         levels=levels,
         total=total,
-        witnesses=witnesses,
+        witnesses=_product_witnesses(f.witnesses, [at_origin] * f.depth, d, d + k),
         cover=None,
         fredholm=None,
         claimed_dense=f.claimed_dense,  # deliberately inherited; verification falsifies it
@@ -951,21 +901,8 @@ def example_v_filtration(f: Filtration, k: int = 2) -> Filtration:
 def mixed_product_filtration(f: Filtration, growth: list[ImplicitManifold]) -> Filtration:
     """Levels M_n x P_n with a growing second factor supplied directly and no
     witness data: the verifier reports normality unverified."""
-    if len(growth) != f.depth:
-        raise DepthMismatch("second-factor tower must match the filtration depth")
-    levels = [
-        _product_manifold(a, b, f"{a.name}×{b.name}") for a, b in zip(f.levels, growth)
-    ]
-    total = _product_manifold(f.total, growth[-1], "mixed_total")
-    return Filtration(
-        delta=DimensionSequence([d + g.dim for d, g in zip(f.delta, growth)]),
-        levels=levels,
-        total=total,
-        witnesses=None,
-        cover=None,
-        fredholm=None,
-        ambient_sampler=None,
-    )
+    tower = Filtration(DimensionSequence([g.dim for g in growth]), growth, growth[-1])
+    return make_filtration_product(f, tower)
 
 
 # -- verification -----------------------------------------------------------------

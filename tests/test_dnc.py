@@ -446,6 +446,17 @@ class TestTransversalityCheck:
         assert not dnc.dnc_membership(fp, zpair, dnc.dnc_map(fp, off_z0))
         assert not dnc.preimage_membership(fp, zpair, off_z0)
 
+    def test_base_point_between_the_tolerances_gets_a_verdict(self, axis_pair):
+        # inside the membership tolerance 1e-7 of Z0 but not where the adapted
+        # frame of (Z, Z0) exists, within 1e-8 of Z0 and of Z: not a member
+        fp, zpair = self._fixture(axis_pair)
+        p = dnc.DncPoint.boundary([5e-8, 0.0], [0.0, 0.3])  # 5e-8 off Z0
+        assert not dnc.dnc_membership(fp, zpair, dnc.dnc_map(fp, p))
+        assert not dnc.preimage_membership(fp, zpair, p)
+        assert dnc.dnc_transversality_check(fp, zpair, [p])["passed"]
+        on_z0_off_z = dnc.DncPoint.boundary([-6e-9, 6e-9], [0.0, 0.3])  # 6e-9 off Z0, 1.2e-8 off Z
+        assert not dnc.dnc_membership(fp, zpair, on_z0_off_z)
+
     def test_one_z_tangent_basis_per_boundary_sample(self, axis_pair, monkeypatch):
         fp, zpair = self._fixture(axis_pair)
         z = zpair.big

@@ -570,6 +570,62 @@ class TestNegativeExamples:
         assert rep.passed  # unverified is not a failure
 
 
+class TestShiftedProduct:
+    """Example V is the product of every level with the origin of R^k and of
+    the total with R^k, so its maps and frames are the written-out blocks."""
+
+    K = 2
+
+    @pytest.fixture(params=["linear", "sphere"])
+    def pair(self, request):
+        base = filt.filtration_from_spec({"kind": request.param, "delta": [2, 4]})
+        return base, filt.example_v_filtration(base, k=self.K)
+
+    def test_constraints_are_the_written_out_blocks(self, pair):
+        base, ev = pair
+        d, k = base.total.ambient_dim, self.K
+        rng = np.random.Generator(np.random.Philox(key=7))
+        for m, lvl in zip(base.levels, ev.levels):
+            g = m.constraints
+            for z in [rng.normal(size=d + k) for _ in range(3)]:
+                assert np.array_equal(lvl.constraints(z), np.concatenate([g(z[:d]), z[d:]]))
+                jac = g.jacobian(z[:d])
+                blocks = np.block([[jac, np.zeros((len(jac), k))], [np.zeros((k, d)), np.eye(k)]])
+                assert np.array_equal(lvl.constraints.jacobian(z), blocks)
+        z = rng.normal(size=d + k)
+        assert np.array_equal(ev.total.constraints(z), base.total.constraints(z[:d]))
+
+    def test_witness_frames_are_block_diagonal(self, pair):
+        base, ev = pair
+        d, k = base.total.ambient_dim, self.K
+        for n, (w, w_base) in enumerate(zip(ev.witnesses, base.witnesses), start=1):
+            for z in ev.level(n).samples:
+                big = w_base.frame_in_big(z[:d])
+                expected = np.block([[big, np.zeros((d, k))], [np.zeros((k, big.shape[1])), np.eye(k)]])
+                assert np.array_equal(w.frame_in_big(z), expected)
+                if n == ev.depth:
+                    assert w.frame_in_next is None
+                else:
+                    nxt = w_base.frame_in_next(z[:d])
+                    assert np.array_equal(w.frame_in_next(z), np.vstack([nxt, np.zeros((k, nxt.shape[1]))]))
+
+    @pytest.mark.parametrize("k, density", [(0, "pass"), (2, "fail")])
+    def test_spec_verdicts(self, k, density):
+        # R^0 adds no coordinate, so the inherited density claim holds at
+        # k = 0 and fails at every k > 0; normality holds at both
+        spec = {"kind": "shifted-product", "base": {"kind": "linear", "delta": [2, 4]}, "k": k}
+        rep = filt.verify_filtration(filt.filtration_from_spec(spec), n_samples=8)
+        statuses = {name: c["status"] for name, c in rep.conditions.items()}
+        assert statuses["density"] == density
+        assert statuses["d_normality"] == statuses["a_dimensions"] == statuses["b_nesting"] == "pass"
+
+    def test_mixed_product_refuses_a_tower_that_does_not_grow(self):
+        lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
+        flat = [catalog.sphere(2, ambient=4, seed=31), catalog.sphere(2, ambient=4, seed=32)]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            filt.mixed_product_filtration(lin, flat)
+
+
 class TestDirectlyBuilt:
     """The verifier reads each claim from the data a filtration supplies, so
     a filtration built without a constructor is checked the same way."""

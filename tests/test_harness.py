@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from dnclab import cli
+from dnclab import cli, filtration
 from dnclab.errors import ConfigError, NoConvergence, UnknownSuite
 from dnclab.report import MAX_TRUNCATION, CheckResult, SuiteConfig, SuiteReport, canonical_json, rng_for
 from dnclab.suites import SUITES, list_suites, run_suite
@@ -235,3 +235,43 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0 and "taylor-remainder" in proc.stdout
+
+
+class TestKnobs:
+    def test_pullbacks_suite_passes_the_seed_to_every_verification(self, monkeypatch):
+        seeds = []
+        real = filtration.verify_filtration
+
+        def spy(f, n_samples=32, seed=42):
+            seeds.append(seed)
+            return real(f, n_samples=n_samples, seed=seed)
+
+        monkeypatch.setattr(filtration, "verify_filtration", spy)
+        config = SuiteConfig("filtration-pullbacks", seed=31337, samples=8)
+        assert run_suite(config).overall == "pass"
+        assert len(seeds) == 3 and set(seeds) == {config.seed}
+
+
+class TestBenchmarkTracer:
+    def test_tracer_installs_and_wraps_every_named_function(self):
+        # in a child, so that no wrapper leaks into the other tests; a renamed
+        # constructor would otherwise drop out of filtration.construct_s unseen
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import importlib, layertrace\n"
+            "layertrace.Tracer().install()\n"
+            "names = [f'filtration.{n}' for n in layertrace.FILTRATION_CONSTRUCTORS]\n"
+            "names += sorted(layertrace.PRIVATE_CHOKE_POINTS)\n"
+            "for name in names:\n"
+            "    layer, attr = name.split('.', 1)\n"
+            "    fn = getattr(importlib.import_module('dnclab.' + layer), attr, None)\n"
+            "    state = 'missing' if fn is None else 'ok' if hasattr(fn, '__wrapped__') else 'unwrapped'\n"
+            "    print(name, state)\n"
+        )
+        paths = [src, os.path.join(root, "perfbench"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.split("\n")[:-1]
+        assert len(lines) >= 14 and all(line.endswith(" ok") for line in lines), proc.stdout
