@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ImplicitManifold, ManifoldPair, SmoothMap, TubularMap
+from .geometry import ImplicitManifold, ManifoldPair, SmoothMap, TubularMap, linear_map
 
 __all__ = [
     "circle",
@@ -120,14 +120,6 @@ def linear_subspace(ambient: int, n: int, n_samples: int = 6, seed: int = 5) -> 
     if n > ambient:
         raise DomainError("subspace dimension exceeds ambient")
 
-    def g(x):
-        return x[n:]
-
-    def jac(x):
-        j = np.zeros((ambient - n, ambient))
-        j[:, n:] = np.eye(ambient - n)
-        return j
-
     def projector(x):
         y = np.array(x, dtype=float)
         y[n:] = 0.0
@@ -143,7 +135,7 @@ def linear_subspace(ambient: int, n: int, n_samples: int = 6, seed: int = 5) -> 
         f"E_{n}@R^{ambient}",
         ambient,
         n,
-        SmoothMap(ambient, ambient - n, g, jac, "linear", lambda x, v: np.zeros((ambient - n, ambient))),
+        linear_map(np.eye(ambient)[n:], "linear"),
         samples,
         projector=projector,
     )

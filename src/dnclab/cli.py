@@ -50,7 +50,14 @@ _CONFIG_FLAGS = (
         "finite positive tolerance of the residual checks that take one, read by dnc-transversality, "
         "filtration-pair-groupoid, filtration-tangent and filtration-tangent-groupoid",
     ),
-    ("samples", int, 64, "random instances per check; some suites cap it"),
+    (
+        "samples",
+        int,
+        64,
+        "random instances per check, capped at 32 (verification) and 16 (profiles) in filtration-sphere, "
+        "at max(10, min(N, 50)) in dnc-functoriality and at 32 in the pullback cross-check; the lift "
+        "suites use a fixed 8",
+    ),
 )
 
 

@@ -12,12 +12,13 @@ triviality of a normal bundle is never inferred from samples, and the
 homotopy condition on the union is reported out of scope rather than
 approximated.
 
-The constructors induce one filtration from another, and share four pieces
+The constructors induce one filtration from another, and share five pieces
 to do it: ``_product_manifold`` with ``_block_frame`` (products, the pair
 groupoid, the shifted product M_n x {0} in M x R^k and the mixed product),
 ``_lift_witnesses`` (a frame lift that keeps a missing frame missing: 𝕋F,
-TF, the covering pullback) and ``_preimage_manifold`` (the covering and
-positive-index pullbacks, and the suites' cut-out sets).
+TF, the pullbacks), ``_preimage_manifold`` (the pullbacks' levels and the
+suites' cut-out sets) and ``_pullback`` (the covering and positive-index
+pullbacks: levels, witnesses lifted modulo the level, cover, cutting map).
 """
 
 from __future__ import annotations
@@ -163,17 +164,12 @@ def _stack_maps(a: SmoothMap, b: SmoothMap, name: str) -> SmoothMap:
 
 def _interleave_maps(a: SmoothMap, b: SmoothMap, total: int, name: str) -> SmoothMap:
     """Rows of a at even and rows of b at odd positions, zero-padded to
-    ``total`` rows: the coordinate order of the interleaved flag models.  The
-    placement acts on the stacked value and derivatives directly: through
-    ``compose_maps`` every Jacobian would evaluate a and b once more."""
+    ``total`` rows: the coordinate order of the interleaved flag models."""
     ca, cb = a.codomain_dim, b.codomain_dim
     place = np.zeros((total, ca + cb))
     place[0 : 2 * ca : 2, :ca] = np.eye(ca)
     place[1 : 2 * cb + 1 : 2, ca:] = np.eye(cb)
-    s = _stack_maps(a, b, name)
-    jac = None if s.jac is None else lambda z: place @ s.jac(z)
-    hvp = None if s.hvp is None else lambda z, v: place @ s.hvp(z, v)
-    return SmoothMap(a.domain_dim, total, lambda z: place @ s(z), jac, name, hvp)
+    return compose_maps(linear_map(place, "place"), _stack_maps(a, b, name), name)
 
 
 def _restrict(g: SmoothMap, start: int, total: int, name: str = "") -> SmoothMap:
@@ -267,13 +263,13 @@ def _product_witnesses(wa: list | None, wb: list | None, da: int, n: int) -> lis
 
 
 def _lift_witnesses(witnesses: list | None, lift: Callable) -> list[NormalityWitness] | None:
-    """Every frame of ``witnesses`` through ``lift``; a missing frame, or a
-    missing witness list, stays missing."""
+    """Every frame of witness n (1-based) through ``lift(frame, n)``; a
+    missing frame, or a missing witness list, stays missing."""
     if witnesses is None:
         return None
     return [
-        NormalityWitness(*(None if fr is None else lift(fr) for fr in (w.frame_in_next, w.frame_in_big)))
-        for w in witnesses
+        NormalityWitness(*(None if fr is None else lift(fr, n) for fr in (w.frame_in_next, w.frame_in_big)))
+        for n, w in enumerate(witnesses, start=1)
     ]
 
 
@@ -284,6 +280,17 @@ def _constant_witnesses(frames_next: list, frames_big: list) -> list[NormalityWi
         NormalityWitness(None if nxt is None else (lambda m, fr=nxt: fr), (lambda m, fr=big: fr))
         for nxt, big in zip(frames_next + [None], frames_big)
     ]
+
+
+def _converged_projections(manifold: ImplicitManifold, points) -> list:
+    """Newton projections onto ``manifold`` of the ``points`` that converge."""
+    out = []
+    for x in points:
+        try:
+            out.append(newton_project(manifold, x))
+        except NoConvergence:
+            pass
+    return out
 
 
 def _truncation_sampler(support: int, ambient: int, normalize: bool = False) -> Callable:
@@ -600,7 +607,7 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
     total = glue_manifold(f.total, f"𝕋{f.total.name}")
 
     witnesses = _lift_witnesses(
-        f.witnesses, lambda fr: lambda z: _transported_frame(fr, z[:d], z[d : 2 * d], z[2 * d], 2 * d + 1)
+        f.witnesses, lambda fr, n: lambda z: _transported_frame(fr, z[:d], z[d : 2 * d], z[2 * d], 2 * d + 1)
     )
 
     fredholm = None
@@ -677,7 +684,7 @@ def tangent_filtration(f: Filtration) -> Filtration:
         delta=DimensionSequence([k - 1 for k in tg.delta]),
         levels=[fiber(m, base) for m, base in zip(tg.levels, f.levels)],
         total=fiber(tg.total, f.total),
-        witnesses=_lift_witnesses(tg.witnesses, lambda fr: lambda z: fr(zero_fiber(z))[: 2 * d]),
+        witnesses=_lift_witnesses(tg.witnesses, lambda fr, n: lambda z: fr(zero_fiber(z))[: 2 * d]),
         fredholm=fredholm,
         ambient_sampler=sampler,
     )
@@ -694,19 +701,12 @@ def subsequence_filtration(f: Filtration, indices) -> Filtration:
     witnesses = None
     if f.witnesses is not None:
         witnesses = []
-        for k, i in enumerate(indices):
-            nxt = indices[k + 1] if k + 1 < len(indices) else None
-            if nxt is None:
-                witnesses.append(NormalityWitness(None, f.witnesses[i - 1].frame_in_big))
-                continue
-            frames = [f.witnesses[j - 1].frame_in_next for j in range(i, nxt)]
-            if any(fr is None for fr in frames):
-                witnesses.append(NormalityWitness(None, f.witnesses[i - 1].frame_in_big))
-                continue
-
-            def stacked(m, frs=tuple(frames)):
-                return np.hstack([np.atleast_2d(fr(m)) for fr in frs])
-
+        # the last kept level, or a skipped step without a frame, has no frame in the next
+        for i, nxt in zip(indices, indices[1:] + [None]):
+            frames = [f.witnesses[j - 1].frame_in_next for j in range(i, nxt or i)]
+            stacked = None
+            if frames and None not in frames:
+                stacked = lambda m, frs=tuple(frames): np.hstack([np.atleast_2d(fr(m)) for fr in frs])
             witnesses.append(NormalityWitness(stacked, f.witnesses[i - 1].frame_in_big))
 
     cover = None
@@ -729,6 +729,56 @@ def subsequence_filtration(f: Filtration, indices) -> Filtration:
         fredholm=fredholm,
         claimed_dense=f.claimed_dense,
         ambient_sampler=f.ambient_sampler,
+    )
+
+
+def _pullback(
+    g: SmoothMap,
+    n_total: ImplicitManifold,
+    f: Filtration,
+    delta: DimensionSequence,
+    prefix: str,
+    on_level: Callable,
+    claimed_dense: bool = False,
+    ambient_sampler: Callable | None = None,
+) -> Filtration:
+    """The preimages g⁻¹M_n of the levels of ``f`` along g: N -> M, which the
+    caller has checked is transverse to them, so codimensions are kept;
+    ``on_level(level, m)`` returns the samples of the preimage of m, or raises.
+    A witness frame at g(z) lifts modulo the level, to T_zN a where
+    [Dg T_zN, T_g(z)M_n] [a; b] = frame (min-norm): Dg moves the lift to the
+    frame plus a vector of T M_n, so it complements T g⁻¹M_n as the frame
+    does T M_n.  Transversality, Dg T_zN + T M_n = T M, makes this solvable
+    without Dg onto T M.  The cover lifts to u ∘ g, v ∘ g, the cutting map to f ∘ g."""
+
+    def lift_frame(fr, m, z):
+        y, tn = g(z), n_total.tangent_basis(z)
+        a = linalg.min_norm_lstsq(np.hstack([g.jacobian(z) @ tn, m.tangent_basis(y)]), np.atleast_2d(fr(y)))
+        return tn @ a[: tn.shape[1]]
+
+    levels = []
+    for m in f.levels:
+        name = f"{prefix}⁻¹{m.name}"
+        h = compose_maps(m.constraints, g, name)
+        lvl = _preimage_manifold(n_total, h, n_total.dim - f.total.dim + m.dim, name, [])
+        lvl.samples = on_level(lvl, m)
+        levels.append(lvl)
+    cover = None
+    if f.cover is not None:
+        preds = [[lambda z, p=p: p(g(z)) for p in ps] for ps in (f.cover.v_contains, f.cover.u_contains)]
+        cover = TubularCover(*preds)
+    fredholm = None
+    if f.fredholm is not None:
+        fredholm = FredholmData(compose_maps(f.fredholm.map, g, f"f∘{prefix}"), f.fredholm.flag)
+    return Filtration(
+        delta=delta,
+        levels=levels,
+        total=n_total,
+        witnesses=_lift_witnesses(f.witnesses, lambda fr, n: lambda z: lift_frame(fr, f.level(n), z)),
+        cover=cover,
+        fredholm=fredholm,
+        claimed_dense=claimed_dense,
+        ambient_sampler=ambient_sampler,
     )
 
 
@@ -761,48 +811,16 @@ def pullback_filtration_covering(cov: CoveringMap, f: Filtration) -> Filtration:
     if len(fibers) != 1:
         raise NotCovering(f"fiber cardinality not constant on samples: {sorted(fibers)}")
 
-    def pull(m: ImplicitManifold) -> ImplicitManifold:
-        name = f"p⁻¹{m.name}"
-        h = compose_maps(m.constraints, cov.projection, name)
-        return _preimage_manifold(cov.total, h, m.dim, name, [z for s in m.samples for z in cov.lift(s)])
-
-    def pull_frame(fr):
-        def frame(z):
-            tb = cov.total.tangent_basis(z)
-            a = cov.projection.jacobian(z) @ tb
-            return tb @ linalg.min_norm_lstsq(a, np.atleast_2d(fr(cov.projection(z))))
-
-        return frame
-
-    fredholm = None
-    if f.fredholm is not None:
-        fredholm = FredholmData(
-            compose_maps(f.fredholm.map, cov.projection, "f∘p"),
-            f.fredholm.flag,
-        )
-
     def sampler(rng, count):
         if f.ambient_sampler is None:
             return []
-        out = []
-        for s in f.ambient_sampler(rng, count):
-            try:
-                q = newton_project(f.total, s)
-            except NoConvergence:
-                continue
-            out.extend(cov.lift(q))
-        return out[:count]
+        projected = _converged_projections(f.total, f.ambient_sampler(rng, count))
+        return [z for q in projected for z in cov.lift(q)][:count]
 
-    return Filtration(
-        delta=f.delta,
-        levels=[pull(m) for m in f.levels],
-        total=cov.total,
-        witnesses=_lift_witnesses(f.witnesses, pull_frame),
-        cover=None,
-        fredholm=fredholm,
-        claimed_dense=f.claimed_dense,
-        ambient_sampler=sampler,
-    )
+    def on_level(lvl, m):
+        return [z for s in m.samples for z in cov.lift(s)]
+
+    return _pullback(cov.projection, cov.total, f, f.delta, "p", on_level, f.claimed_dense, sampler)
 
 
 def pullback_filtration_fredholm(
@@ -820,42 +838,18 @@ def pullback_filtration_fredholm(
         raise NotTransverse(
             f"index mismatch: dim N - dim M = {n_total.dim - f.total.dim}, stated {index_p}"
         )
-
-    levels = []
     start_points = seeds if seeds is not None else n_total.samples
-    for n, m in enumerate(f.levels, start=1):
-        name = f"g⁻¹{m.name}"
-        lvl = _preimage_manifold(n_total, compose_maps(m.constraints, g, name), index_p + m.dim, name, [])
-        found = []
-        for s in start_points:
-            try:
-                x = newton_project(lvl, s)
-            except NoConvergence:
-                continue
-            found.append(x)
+
+    def on_level(lvl, m):
+        found = _converged_projections(lvl, start_points)
         if not found:
-            raise NoConvergence(f"no on-level samples found for g⁻¹{m.name}")
-        lvl.samples = found
+            raise NoConvergence(f"no on-level samples found for {lvl.name}")
         # Smale transversality hypothesis at the samples
         if not all(is_transversal_nonlinear(g, n_total, m, x, f.total) for x in found):
             raise NotTransverse(f"map not transverse to {m.name} at a sample")
-        levels.append(lvl)
+        return found
 
-    fredholm = None
-    if f.fredholm is not None:
-        fredholm = FredholmData(
-            compose_maps(f.fredholm.map, g, "f∘g"),
-            f.fredholm.flag,
-        )
-    return Filtration(
-        delta=DimensionSequence([index_p + d for d in f.delta]),
-        levels=levels,
-        total=n_total,
-        witnesses=None,
-        cover=None,
-        fredholm=fredholm,
-        ambient_sampler=None,
-    )
+    return _pullback(g, n_total, f, DimensionSequence([index_p + d for d in f.delta]), "g", on_level)
 
 
 def example_v_filtration(f: Filtration, k: int = 2) -> Filtration:
@@ -978,6 +972,8 @@ def _check_normality(f: Filtration, depth: int) -> dict:
 def _check_cover(f: Filtration, depth: int, samples) -> dict:
     if f.cover is None:
         return {"status": "unverified", "evidence": {"note": "no cover supplied"}}
+    if not samples:
+        return {"status": "unverified", "evidence": {"note": "no ambient samples: the cover is untested"}}
     u, v = f.cover.u_contains, f.cover.v_contains
     nested_uv = all(
         (not u[n](x)) or v[n](x) for n in range(depth) for x in samples
@@ -986,7 +982,7 @@ def _check_cover(f: Filtration, depth: int, samples) -> dict:
         (not u[n](x)) or u[n + 1](x) for n in range(depth - 1) for x in samples
     )
     covered = [any(u[n](x) for n in range(depth)) for x in samples]
-    fraction = float(np.mean(covered)) if covered else 1.0
+    fraction = float(np.mean(covered))
     ok = nested_uv and nested_uu and fraction == 1.0
     return {
         "status": "pass" if ok else "fail",

@@ -88,7 +88,8 @@ class SmoothMap:
     ``x -> Dfn(x) v``: the second derivative contracted with ``v``.  The
     divided-difference constraints of the tangent-groupoid lift, which
     differentiate the map once more, need it for an exact Jacobian of their
-    own.
+    own.  ``matrix``, set by :func:`linear_map` alone, is a linear map's
+    constant Jacobian: :func:`compose_maps` applies it without evaluating f.
     """
 
     domain_dim: int
@@ -97,6 +98,7 @@ class SmoothMap:
     jac: Callable | None = None
     name: str = ""
     hvp: Callable | None = None
+    matrix: np.ndarray | None = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -116,11 +118,17 @@ class SmoothMap:
 
 def compose_maps(g: SmoothMap, f: SmoothMap, name: str = "") -> SmoothMap:
     """g ∘ f, with the chain-rule Jacobian (and second derivative along a
-    vector) whenever both factors carry theirs."""
+    vector) whenever both factors carry theirs.  A linear g (one with a
+    ``matrix``) has the point-free rule A Df(x) and A D²f(x) v: its
+    derivatives never evaluate f."""
     if f.codomain_dim != g.domain_dim:
         raise DomainError("composition dimensions do not match")
     jac = hvp = None
-    if f.jac is not None and g.jac is not None:
+    if f.jac is not None and g.matrix is not None:
+        jac = lambda x: g.matrix @ np.atleast_2d(f.jac(x))
+        if f.hvp is not None:
+            hvp = lambda x, v: g.matrix @ np.atleast_2d(f.hvp(x, v))
+    elif f.jac is not None and g.jac is not None:
         jac = lambda x: np.atleast_2d(g.jac(f(x))) @ np.atleast_2d(f.jac(x))
         if f.hvp is not None and g.hvp is not None:
 
@@ -137,7 +145,7 @@ def linear_map(a, name: str = "") -> SmoothMap:
     """x -> a x, with its constant Jacobian and vanishing second derivative."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     zero = np.zeros(a.shape)
-    return SmoothMap(a.shape[1], a.shape[0], lambda x: a @ x, lambda x: a, name, lambda x, v: zero)
+    return SmoothMap(a.shape[1], a.shape[0], lambda x: a @ x, lambda x: a, name, lambda x, v: zero, a)
 
 
 def verify_analytic_jacobian(f: SmoothMap, x) -> bool:

@@ -543,6 +543,100 @@ class TestFredholmPullback:
             )
 
 
+def _bent_projection(d: int, p: int) -> geo.SmoothMap:
+    """(x, y) -> P(x + 0.3 (y0², y0 y1, 0, ...)) from R^(d+p) to R^d, with P
+    the projection off u = (e0 + e2 + e_{d-1}) / √3: transverse to the
+    standard flag levels, since e0 leaves u^⊥, but Dg lands in u^⊥, so it is
+    not onto the tangent space."""
+    u = np.zeros(d)
+    u[[0, 2, d - 1]] = 1.0 / np.sqrt(3.0)
+    proj = np.eye(d) - np.outer(u, u)
+
+    def fn(z):
+        q = np.zeros(d)
+        q[:2] = [z[d] ** 2, z[d] * z[d + 1]]
+        return proj @ (z[:d] + 0.3 * q)
+
+    def jac(z):
+        jq = np.zeros((d, p))
+        jq[0, 0], jq[1, 0], jq[1, 1] = 2.0 * z[d], z[d + 1], z[d]
+        return proj @ np.hstack([np.eye(d), 0.3 * jq])
+
+    return geo.SmoothMap(d + p, d, fn, jac, "bent")
+
+
+class TestPullbackLifts:
+    """The one pullback lifts witness frames modulo the level and lifts the cover."""
+
+    @pytest.fixture(scope="class")
+    def bent(self):
+        lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
+        d, p = lin.total.ambient_dim, 2
+        g = _bent_projection(d, p)
+        rng = np.random.Generator(np.random.Philox(key=58))
+        ntot = filt._full_space(d + p, [rng.normal(size=d + p) for _ in range(6)])
+        pulled = filt.pullback_filtration_fredholm(g, ntot, p, lin, seeds=[rng.normal(size=d + p) for _ in range(6)])
+        return lin, g, ntot, pulled
+
+    def test_bent_map_is_exact_and_not_onto(self, bent):
+        lin, g, ntot, _ = bent
+        z = ntot.samples[0]
+        assert geo.verify_analytic_jacobian(g, z)
+        assert linalg.rank(g.jacobian(z)) == lin.total.dim - 1
+
+    def test_lift_modulo_the_level_is_normal(self, bent):
+        _, _, _, pulled = bent
+        rep = filt.verify_filtration(pulled, n_samples=8)
+        for key in ("a_dimensions", "d_normality", "fredholm"):
+            assert rep.conditions[key]["status"] == "pass", key
+
+    def test_plain_min_norm_lift_is_not_tangent(self, bent):
+        # the lift the covering used to make: the min-norm preimage through Dg
+        # alone, which needs Dg onto T M; here Dg misses u, so Dg of the lifted
+        # frame in the next level keeps -u (u . frame) off it, a third in e_{d-1}
+        lin, g, ntot, pulled = bent
+
+        def plain(fr, n):
+            def frame(z):
+                tb = ntot.tangent_basis(z)
+                return tb @ linalg.min_norm_lstsq(g.jacobian(z) @ tb, np.atleast_2d(fr(g(z))))
+
+            return frame
+
+        old = dataclasses.replace(pulled, witnesses=filt._lift_witnesses(lin.witnesses, plain))
+        normality = filt.verify_filtration(old, n_samples=8).conditions["d_normality"]
+        assert normality["status"] == "fail"
+        worst = max(t["tangency_residual"] for t in normality["evidence"]["rank_tests"])
+        assert worst == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_identity_covering_lifts_the_cover(self):
+        lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
+        ident = geo.linear_map(np.eye(lin.total.ambient_dim), "id")
+        cov = filt.CoveringMap(lin.total, lin.total, ident, lambda q: [np.asarray(q, float)])
+        same = filt.pullback_filtration_covering(cov, lin)
+        assert filt.verify_filtration(same, n_samples=8).conditions["e_cover"]["status"] == "pass"
+
+    def test_positive_index_cover_without_samples_is_unverified(self, bent):
+        _, _, _, pulled = bent
+        assert pulled.cover is not None and pulled.ambient_sampler is None
+        cover = filt.verify_filtration(pulled, n_samples=8).conditions["e_cover"]
+        assert cover["status"] == "unverified"
+
+
+class TestCoverNeedsSamples:
+    def test_cover_without_ambient_samples_is_unverified(self):
+        lin = dataclasses.replace(filt.make_filtration_linear(fl.standard_flag([2, 4])), ambient_sampler=None)
+        assert lin.cover is not None
+        cover = filt.verify_filtration(lin, n_samples=8).conditions["e_cover"]
+        assert cover["status"] == "unverified"
+        assert "coverage_fraction" not in cover["evidence"]
+
+    def test_cover_with_samples_is_checked(self):
+        lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
+        cover = filt.verify_filtration(lin, n_samples=8).conditions["e_cover"]
+        assert cover["status"] == "pass" and cover["evidence"]["coverage_fraction"] == 1.0
+
+
 class TestNegativeExamples:
     def test_zero_section_product_fails_density(self):
         lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))

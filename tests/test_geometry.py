@@ -86,6 +86,37 @@ class TestSecondDerivative:
         h = geo.compose_maps(catalog.sphere(1).constraints, bare)
         assert h.jac is not None and h.hvp is None
 
+    def test_linear_outer_map_never_evaluates_the_inner_map(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return np.array([x[0] ** 2, x[0] * x[1], np.sin(x[1])])
+
+        inner = geo.SmoothMap(
+            2,
+            3,
+            fn,
+            lambda x: np.array([[2 * x[0], 0.0], [x[1], x[0]], [0.0, np.cos(x[1])]]),
+            "inner",
+            lambda x, v: np.array([[2 * v[0], 0.0], [v[1], v[0]], [0.0, -np.sin(x[1]) * v[1]]]),
+        )
+        a = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, 1.0]])
+        h = geo.compose_maps(geo.linear_map(a, "a"), inner)
+        x, v = np.array([0.3, -0.7]), np.array([1.1, 0.4])
+        jac, hvp = h.jacobian(x), h.hvp(x, v)
+        assert calls == []
+        assert np.array_equal(jac, a @ inner.jac(x))
+        assert np.array_equal(hvp, a @ inner.hvp(x, v))
+        assert geo.verify_analytic_jacobian(h, x)
+
+    def test_only_linear_map_carries_a_matrix(self):
+        a = np.array([[1.0, 2.0], [0.0, -1.0]])
+        assert np.array_equal(geo.linear_map(a).matrix, a)
+        assert geo.SmoothMap(2, 2, lambda x: a @ x, lambda x: a).matrix is None
+        # a composition is not marked linear, even of two linear maps
+        assert geo.compose_maps(geo.linear_map(a), geo.linear_map(a)).matrix is None
+
     def test_linear_map(self):
         a = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
         f = geo.linear_map(a, "a")

@@ -1,5 +1,6 @@
 """Harness surface: registry, determinism, configuration, CLI exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -253,6 +254,16 @@ class TestKnobs:
 
 
 class TestBenchmarkTracer:
+    def test_traced_constructor_names_are_filtration_callables(self):
+        # read without installing: the benchmark's per-layer timings wrap
+        # these names, so a renamed constructor must fail here first
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location("layertrace", os.path.join(root, "perfbench", "layertrace.py"))
+        layertrace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layertrace)
+        names = sorted(layertrace.FILTRATION_CONSTRUCTORS)
+        assert names and all(callable(getattr(filtration, n, None)) for n in names), names
+
     def test_tracer_installs_and_wraps_every_named_function(self):
         # in a child, so that no wrapper leaks into the other tests; a renamed
         # constructor would otherwise drop out of filtration.construct_s unseen
