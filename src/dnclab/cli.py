@@ -47,8 +47,9 @@ _CONFIG_FLAGS = (
         "tol",
         float,
         1e-7,
-        "finite positive tolerance of the residual checks that take one, read by dnc-transversality, "
-        "filtration-pair-groupoid, filtration-tangent and filtration-tangent-groupoid",
+        "finite positive tolerance of the residual checks that take one: the normal-vector residual only in "
+        "dnc-transversality (which decides every membership at 1e-8 and projects an accepted boundary base "
+        "point onto the source submanifold), filtration-pair-groupoid, filtration-tangent and filtration-tangent-groupoid",
     ),
     (
         "samples",

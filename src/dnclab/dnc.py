@@ -8,6 +8,9 @@ and the linear decay of their Taylor remainders as the fiber coordinate
 shrinks to zero.  Charts are inverted by Newton steps with the exact
 Jacobian of their residual, built from the chart's ``dphi`` and the ``hvp``
 of the pair's constraint maps, so no finite difference enters a remainder.
+Every membership is decided at ``ON_MANIFOLD_TOL`` (1e-8), once per point,
+where the point enters: a boundary base point is projected onto the source
+submanifold before it is mapped.  ``tol`` bounds normal-vector residuals only.
 """
 
 from __future__ import annotations
@@ -130,7 +133,6 @@ class TangentGroupoidElement:
 
 def dnc_chart(tub: TubularMap, m, x, t: float) -> DncPoint:
     """Rescaled tubular chart: (base, normal, t) -> deformation-space point."""
-    m = np.asarray(m, dtype=float)
     x = np.asarray(x, dtype=float)
     if abs(t) * float(np.linalg.norm(x)) > tub.valid_radius:
         raise RadiusExceeded(f"|t X| = {abs(t) * np.linalg.norm(x):.3e} beyond chart radius")
@@ -372,7 +374,6 @@ def taylor_probe(fp: PairMap, tub1: TubularMap, tub2: TubularMap, m, x, t_list) 
     The smooth-gluing contract is r(t) <= C t; suites fit the log-log slope
     over a halving sequence and require at least 0.9.
     """
-    m = np.asarray(m, dtype=float)
     x = np.asarray(x, dtype=float)
     _, v_star = normal_map_pushforward(fp, m, x)
     out = []
@@ -388,67 +389,58 @@ def taylor_probe(fp: PairMap, tub1: TubularMap, tub2: TubularMap, m, x, t_list) 
 # -- transversality through the functor ------------------------------------------------
 
 
-def _preimage_tangent(fp: PairMap, t_z: np.ndarray, m) -> np.ndarray:
-    """Tangent basis of f^-1(Z) at a source-submanifold point m: ambient-tangent
-    vectors of the source whose image under Df lands in the tangent of Z,
-    given the orthonormal basis ``t_z`` of T Z at f(m) (so t_z t_z^T projects
-    onto T Z)."""
-    t_m = np.hstack(fp.source.adapted_frame(m))
-    imgs = fp.f.jacobian(m) @ t_m
-    off = imgs - t_z @ (t_z.T @ imgs)
-    coeff = linalg.nullspace(off)
-    return t_m @ coeff
-
-
-def _in_span(vec, basis, tol) -> bool:
-    v = np.asarray(vec, dtype=float)
+def _in_span(v, basis, tol) -> bool:
     q = linalg.orthonormalize(basis)
     resid = v - q @ (q.T @ v) if q.size else v
     return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(v)))
 
 
-def _on_submanifold(pair: ManifoldPair, m) -> bool:
-    """Is m a point of the pair's submanifold where its adapted frame exists,
-    on both members at the frames' tolerance ``ON_MANIFOLD_TOL``?"""
-    return pair.small.contains(m) and pair.big.contains(m)
+def _normal_in_fiber(pair: ManifoldPair, m, normal, tangent: np.ndarray, tol: float) -> bool:
+    """Does ``normal`` lie in the normal projection at m of the span of ``tangent``?"""
+    nu = normal_frame(pair, m)
+    return _in_span(normal, nu @ (nu.T @ tangent), tol)
 
 
-def _normal_in_fiber(pair: ManifoldPair, p: DncPoint, tangent: np.ndarray, tol: float) -> bool:
-    """Does the normal vector of the boundary point lie in the normal
-    projection of the span of ``tangent``?"""
-    nu = normal_frame(pair, p.point)
-    return _in_span(p.normal, nu @ (nu.T @ tangent), tol)
+def dnc_membership(pair: ManifoldPair, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
+    """Is the point of D(pair) in the deformation subspace attached to (Z, Z0)?
 
-
-def dnc_membership(fp_or_pair, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
-    """Is the point in the deformation subspace attached to (Z, Z0)?
-
-    Interior points: on Z within ``tol``.  Boundary points: base on Z0 where
-    the adapted frame of (Z, Z0) exists (within ``ON_MANIFOLD_TOL``, not
-    ``tol``) and normal vector in the image of the Z-tangent inside the
-    normal space representatives, within ``tol``.  T Z at a point of Z0 is
-    the pair's adapted frame there, stacked.
+    Interior points: on Z.  Boundary points: base on the pair (Z, Z0) and
+    normal vector in the image of the Z-tangent inside the normal space
+    representatives, to the residual ``tol``.  Both memberships are decided
+    at ``ON_MANIFOLD_TOL``.  T Z at a point of Z0 is the pair's adapted
+    frame there, stacked.
     """
-    pair = fp_or_pair.target if isinstance(fp_or_pair, PairMap) else fp_or_pair
     if p.kind == "interior":
-        return zpair.big.contains(p.point, tol)
-    if not _on_submanifold(zpair, p.point):
+        return zpair.big.contains(p.point)
+    if not zpair.contains(p.point):
         return False
-    return _normal_in_fiber(pair, p, np.hstack(zpair.adapted_frame(p.point)), tol)
+    return _normal_in_fiber(pair, p.point, p.normal, np.hstack(zpair.adapted_frame(p.point)), tol)
+
+
+def _preimage_boundary(fp: PairMap, zpair: ManifoldPair, m, q, normal, tol: float) -> bool:
+    """Preimage membership of a boundary point at the accepted base point m
+    with image q = f(m).  T f^-1(Z) at m: the source-tangent vectors whose
+    image under Df lands in T Z at q, the adapted frame of (Z, Z0) there,
+    stacked into the orthonormal t_z (so t_z t_z^T projects onto T Z)."""
+    if not zpair.contains(q):
+        return False
+    t_z = np.hstack(zpair.adapted_frame(q))
+    t_m = np.hstack(fp.source.adapted_frame(m))
+    imgs = fp.f.jacobian(m) @ t_m
+    off = imgs - t_z @ (t_z.T @ imgs)
+    return _normal_in_fiber(fp.source, m, normal, t_m @ linalg.nullspace(off), tol)
 
 
 def preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
     """Is the point in the deformation subspace attached to
-    (f^-1 Z, f0^-1 Z0)?  Boundary base points are held to the frames'
-    tolerance, as in :func:`dnc_membership`."""
-    z = zpair.big
+    (f^-1 Z, f0^-1 Z0)?  Tolerances as in :func:`dnc_membership`; a boundary
+    base point is accepted onto the source pair before it is mapped."""
     if p.kind == "interior":
-        return fp.source.big.contains(p.point, tol) and z.contains(fp.f(p.point), tol)
-    fx = fp.f(p.point)
-    if not (_on_submanifold(fp.source, p.point) and _on_submanifold(zpair, fx)):
+        return fp.source.big.contains(p.point) and zpair.big.contains(fp.f(p.point))
+    if not fp.source.contains(p.point):
         return False
-    t_z = np.hstack(zpair.adapted_frame(fx))
-    return _normal_in_fiber(fp.source, p, _preimage_tangent(fp, t_z, p.point), tol)
+    m = fp.source.accept(p.point)
+    return _preimage_boundary(fp, zpair, m, fp.f(m), p.normal, tol)
 
 
 def dnc_transversality_check(
@@ -462,10 +454,11 @@ def dnc_transversality_check(
 
     Hypotheses (Z transverse to the target submanifold; the map and its
     restriction transverse to Z and Z0) are verified first and a failure
-    raises PreconditionFailed naming the hypothesis.  Interior samples get
-    the nonlinear rank test; boundary samples get the lower-triangular block
-    rank test in adapted frames; membership equivalence is checked in both
-    directions through the functor.
+    raises PreconditionFailed naming the hypothesis.  Each sample is mapped
+    once.  Interior samples landing on Z get the nonlinear rank test;
+    boundary samples landing on Z0 get the lower-triangular block rank test
+    in adapted frames; every sample gets membership equivalence through the
+    functor.
     """
     z, z0 = zpair.big, zpair.small
     n_pair = fp.target
@@ -479,12 +472,12 @@ def dnc_transversality_check(
 
     # hypothesis: the map transverse to Z (on big-manifold samples landing in Z)
     for s in fp.source.big.samples:
-        if z.contains(fp.f(s), tol) and not is_transversal_nonlinear(fp.f, fp.source.big, z, s, n_pair.big):
+        if z.contains(fp.f(s)) and not is_transversal_nonlinear(fp.f, fp.source.big, z, s, n_pair.big):
             raise PreconditionFailed("map_transverse_to_z")
 
     # hypothesis: restricted map transverse to Z0 (on submanifold samples landing in Z0)
     for s in fp.source.small.samples:
-        if z0.contains(fp.f(s), tol) and not is_transversal_nonlinear(fp.f, fp.source.small, z0, s, n_pair.small):
+        if z0.contains(fp.f(s)) and not is_transversal_nonlinear(fp.f, fp.source.small, z0, s, n_pair.small):
             raise PreconditionFailed("restricted_map_transverse_to_z0")
 
     report = {"checks": [], "passed": True}
@@ -494,39 +487,35 @@ def dnc_transversality_check(
         report["passed"] = report["passed"] and bool(ok)
 
     for i, p in enumerate(samples):
+        image = dnc_map(fp, p)
+        q = image.point
+        lhs = dnc_membership(n_pair, zpair, image, tol)
         if p.kind == "interior":
-            if z.contains(fp.f(p.point), tol):
+            rhs = fp.source.big.contains(p.point) and lhs  # f(p) on Z is the image side's decision
+            if lhs:
                 ok = is_transversal_nonlinear(fp.f, fp.source.big, z, p.point, n_pair.big)
                 record(f"interior_transversality[{i}]", ok)
         else:
-            if not _on_submanifold(zpair, fp.f(p.point)):
-                continue
-            m = p.point
-            q = fp.f(m)
-            t_in, nu_in = fp.source.adapted_frame(m)
-            t_out, nu_out = n_pair.adapted_frame(q)
-            j = fp.f.jacobian(m)
-            r_out, d_out = nu_out.shape[1], t_out.shape[1]
-            # adapted block matrix extended by the scalar fiber direction
-            blk = np.zeros((r_out + d_out + 1, nu_in.shape[1] + t_in.shape[1] + 1))
-            blk[:r_out, : nu_in.shape[1]] = nu_out.T @ (j @ nu_in)
-            blk[r_out : r_out + d_out, : nu_in.shape[1]] = t_out.T @ (j @ nu_in)
-            blk[:r_out, nu_in.shape[1] : -1] = nu_out.T @ (j @ t_in)
-            blk[r_out : r_out + d_out, nu_in.shape[1] : -1] = t_out.T @ (j @ t_in)
-            blk[-1, -1] = 1.0
-            # target trace tangent: fiber directions of Z, base of Z0, fiber axis
-            t_z0, nu_z = zpair.adapted_frame(q)
-            fiber_dirs = nu_out.T @ np.hstack([t_z0, nu_z])
-            base_dirs = t_out.T @ t_z0
-            v = np.zeros((r_out + d_out + 1, fiber_dirs.shape[1] + base_dirs.shape[1] + 1))
-            v[:r_out, : fiber_dirs.shape[1]] = fiber_dirs
-            v[r_out : r_out + d_out, fiber_dirs.shape[1] : -1] = base_dirs
-            v[-1, -1] = 1.0
-            ok = linalg.rank(np.hstack([blk, v])) == r_out + d_out + 1
-            record(f"boundary_block_transversality[{i}]", ok)
-
-        lhs = dnc_membership(n_pair, zpair, dnc_map(fp, p), tol)
-        rhs = preimage_membership(fp, zpair, p, tol)
+            m = fp.source.accept(p.point)
+            rhs = _preimage_boundary(fp, zpair, m, q, p.normal, tol)
+            if zpair.contains(q):
+                t_in, nu_in = fp.source.adapted_frame(m)
+                t_out, nu_out = n_pair.adapted_frame(q)
+                r_out, d_out = nu_out.shape[1], t_out.shape[1]
+                # adapted block matrix [nu_out t_out]^T Df [nu_in t_in], extended
+                # by the scalar fiber direction
+                blk = np.zeros((r_out + d_out + 1, nu_in.shape[1] + t_in.shape[1] + 1))
+                blk[:-1, :-1] = np.hstack([nu_out, t_out]).T @ fp.f.jacobian(m) @ np.hstack([nu_in, t_in])
+                blk[-1, -1] = 1.0
+                # target trace tangent: fiber directions of Z, base of Z0, fiber axis
+                t_z0, nu_z = zpair.adapted_frame(q)
+                k = t_z0.shape[1] + nu_z.shape[1]
+                v = np.zeros((r_out + d_out + 1, k + t_z0.shape[1] + 1))
+                v[:r_out, :k] = nu_out.T @ np.hstack([t_z0, nu_z])
+                v[r_out:-1, k:-1] = t_out.T @ t_z0
+                v[-1, -1] = 1.0
+                ok = linalg.rank(np.hstack([blk, v])) == r_out + d_out + 1
+                record(f"boundary_block_transversality[{i}]", ok)
         record(f"membership_equivalence[{i}]", lhs == rhs, {"image_side": lhs, "preimage_side": rhs})
 
     return report

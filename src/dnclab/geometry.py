@@ -191,19 +191,15 @@ class ImplicitManifold:
     def constraint_norm(self, x) -> float:
         return float(np.max(np.abs(self.constraints(x)), initial=0.0))
 
-    def contains(self, x, tol: float = ON_MANIFOLD_TOL) -> bool:
+    def contains(self, x) -> bool:
         inside = self.region(np.asarray(x, float)) if self.region is not None else True
-        return bool(inside) and self.constraint_norm(x) <= tol
+        return bool(inside) and self.constraint_norm(x) <= ON_MANIFOLD_TOL
 
-    def require(self, x) -> np.ndarray:
+    def tangent_basis(self, x) -> np.ndarray:
+        """Orthonormal basis (columns) of the tangent space at x; OffManifold off it."""
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise OffManifold(f"point not on {self.name} (constraint norm {self.constraint_norm(x):.3e})")
-        return x
-
-    def tangent_basis(self, x) -> np.ndarray:
-        """Orthonormal basis (columns) of the tangent space at x."""
-        x = self.require(x)
         basis = linalg.nullspace(self.constraints.jacobian(x))
         if basis.shape[1] != self.dim:
             raise OffManifold(
@@ -241,17 +237,33 @@ def newton_project(manifold: ImplicitManifold, x0) -> np.ndarray:
 class ManifoldPair:
     """A manifold with a closed embedded submanifold, in one ambient space.
 
-    :meth:`adapted_frame` is memoised per pair: each point is computed once,
-    and the arrays it returns are read-only so that no caller can corrupt a
-    later hit."""
+    :meth:`contains` and :meth:`adapted_frame` are memoised per pair: each
+    point is decided and computed once, and the arrays a frame holds are
+    read-only so that no caller can corrupt a later hit."""
 
     big: ImplicitManifold
     small: ImplicitManifold
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.big.ambient_dim != self.small.ambient_dim:
             raise DomainError("pair members live in different ambient spaces")
+
+    def contains(self, m) -> bool:
+        """Is m a submanifold point, on both members?  Decided once per point."""
+        key = np.asarray(m, float).tobytes()
+        if key not in self._members:
+            self._members[key] = self.small.contains(m) and self.big.contains(m)
+        return self._members[key]
+
+    def accept(self, m) -> np.ndarray:
+        """m decided onto the pair (OffManifold off it) and replaced by its
+        :func:`newton_project` onto the submanifold, a bit-identical copy
+        within 1e-10, so that a pair map sends it onto the target's."""
+        if not self.contains(m):
+            self.adapted_frame(m)  # raises the OffManifold of the member that misses m
+        return newton_project(self.small, m)
 
     def adapted_frame(self, m) -> tuple[np.ndarray, np.ndarray]:
         """(tangent frame of the submanifold, normal complement inside the
@@ -354,13 +366,13 @@ def normal_map_pushforward(fp: PairMap, m, x) -> tuple[np.ndarray, np.ndarray]:
     """(f(m), image normal vector): the differential applied to a normal
     representative, projected along the target submanifold tangent onto the
     target normal frame."""
-    m = fp.source.small.require(m)
+    m = fp.source.accept(m)
     x = np.asarray(x, dtype=float)
     _, nu = fp.source.adapted_frame(m)
     coords = nu.T @ x
     if np.linalg.norm(x - nu @ coords) > 1e-8 * (1 + np.linalg.norm(x)):
         raise OffManifold("vector does not lie in the normal frame span")
-    q = fp.target.small.require(fp.f(m))
+    q = fp.f(m)
     v = fp.f.jacobian(m) @ x
     nu_t = normal_frame(fp.target, q)
     return q, nu_t @ (nu_t.T @ v)
@@ -375,11 +387,9 @@ def check_block_structure(fp: PairMap, m, h: float | None = None) -> float:
     the central-difference Jacobian; it decays at O(h^2) for curved fixtures
     and sits at rounding level for linear ones.
     """
-    m = fp.source.small.require(m)
-    q = fp.target.small.require(fp.f(m))  # precondition: maps pairs to pairs
-    j = numeric_jacobian(fp.f.fn, m, h)
     t_in, _ = fp.source.adapted_frame(m)
-    _, nu_out = fp.target.adapted_frame(q)
+    _, nu_out = fp.target.adapted_frame(fp.f(m))  # precondition: maps pairs to pairs
+    j = numeric_jacobian(fp.f.fn, m, h)
     block = nu_out.T @ (j @ t_in)
     return float(np.max(np.abs(block), initial=0.0))
 

@@ -431,9 +431,9 @@ class TestTransversalityCheck:
         fp, zpair = self._fixture(axis_pair)
         onto = dnc.DncPoint.interior([2.0, 1.0], 1.0)
         away = dnc.DncPoint.interior([2.0, 0.9], 1.0)
-        assert dnc.dnc_membership(fp, zpair, dnc.dnc_map(fp, onto))
+        assert dnc.dnc_membership(fp.target, zpair, dnc.dnc_map(fp, onto))
         assert dnc.preimage_membership(fp, zpair, onto)
-        assert not dnc.dnc_membership(fp, zpair, dnc.dnc_map(fp, away))
+        assert not dnc.dnc_membership(fp.target, zpair, dnc.dnc_map(fp, away))
         assert not dnc.preimage_membership(fp, zpair, away)
 
     def test_boundary_membership_reads_the_z_frame(self, axis_pair):
@@ -441,9 +441,9 @@ class TestTransversalityCheck:
         fp, zpair = self._fixture(axis_pair)
         onto = dnc.DncPoint.boundary([0.0, 0.0], [0.0, 0.3])
         off_z0 = dnc.DncPoint.boundary([0.5, 0.0], [0.0, 0.3])
-        assert dnc.dnc_membership(fp, zpair, dnc.dnc_map(fp, onto))
+        assert dnc.dnc_membership(fp.target, zpair, dnc.dnc_map(fp, onto))
         assert dnc.preimage_membership(fp, zpair, onto)
-        assert not dnc.dnc_membership(fp, zpair, dnc.dnc_map(fp, off_z0))
+        assert not dnc.dnc_membership(fp.target, zpair, dnc.dnc_map(fp, off_z0))
         assert not dnc.preimage_membership(fp, zpair, off_z0)
 
     def test_base_point_between_the_tolerances_gets_a_verdict(self, axis_pair):
@@ -451,11 +451,55 @@ class TestTransversalityCheck:
         # frame of (Z, Z0) exists, within 1e-8 of Z0 and of Z: not a member
         fp, zpair = self._fixture(axis_pair)
         p = dnc.DncPoint.boundary([5e-8, 0.0], [0.0, 0.3])  # 5e-8 off Z0
-        assert not dnc.dnc_membership(fp, zpair, dnc.dnc_map(fp, p))
+        assert not dnc.dnc_membership(fp.target, zpair, dnc.dnc_map(fp, p))
         assert not dnc.preimage_membership(fp, zpair, p)
-        assert dnc.dnc_transversality_check(fp, zpair, [p])["passed"]
+        rep = dnc.dnc_transversality_check(fp, zpair, [p])
+        assert rep["passed"]
+        (member,) = [c for c in rep["checks"] if c["name"].startswith("membership_equivalence")]
+        assert member["evidence"] == {"image_side": False, "preimage_side": False}
         on_z0_off_z = dnc.DncPoint.boundary([-6e-9, 6e-9], [0.0, 0.3])  # 6e-9 off Z0, 1.2e-8 off Z
-        assert not dnc.dnc_membership(fp, zpair, on_z0_off_z)
+        assert not dnc.dnc_membership(fp.target, zpair, on_z0_off_z)
+
+    def test_accepted_base_point_is_projected_before_it_is_mapped(self, axis_pair):
+        # 6e-9 off the axis, so accepted onto the source pair; mapped as it
+        # stands, diag(1, 2) would put its image 1.2e-8 off the target axis
+        fp, zpair = self._fixture(axis_pair)
+        p = dnc.DncPoint.boundary([-6e-9, 6e-9], [0.0, 0.3])
+        image = dnc.dnc_map(fp, p)
+        assert fp.target.small.constraint_norm(image.point) <= 1e-10
+        rep = dnc.dnc_transversality_check(fp, zpair, [p])
+        assert rep["passed"]
+        names = [c["name"] for c in rep["checks"]]
+        assert names == ["boundary_block_transversality[0]", "membership_equivalence[0]"]
+        assert rep["checks"][1]["evidence"] == {"image_side": True, "preimage_side": True}
+
+    def test_interior_image_between_the_tolerances_gets_a_verdict(self, axis_pair):
+        # the stretch sends this point 5e-8 off Z: inside 1e-7, outside the
+        # 1e-8 at which Z's tangent space is taken, so no member on either side
+        fp, zpair = self._fixture(axis_pair)
+        p = dnc.DncPoint.interior([1.0, (1.0 + 5e-8) / 2.0], 0.5)
+        assert zpair.big.constraint_norm(dnc.dnc_map(fp, p).point) > 1e-8
+        rep = dnc.dnc_transversality_check(fp, zpair, [p])
+        assert rep["passed"]
+        (member,) = rep["checks"]
+        assert member["evidence"] == {"image_side": False, "preimage_side": False}
+        assert dnc.dnc_membership(fp.target, zpair, dnc.dnc_map(fp, p)) == dnc.preimage_membership(fp, zpair, p)
+
+    def test_repeated_boundary_points_cost_no_new_decision(self, monkeypatch):
+        # every membership decision on Z, Z0 and the source pair's members,
+        # counted on fresh pairs, so no memo is shared between the two runs
+        def decisions(n):
+            fp, zpair = self._fixture(catalog.linear_pair(2, 1))
+            calls = []
+            for member in (zpair.big, zpair.small, fp.source.big, fp.source.small):
+                monkeypatch.setattr(member, "contains", lambda x, real=member.contains: calls.append(x) or real(x))
+            boundary = [dnc.DncPoint.boundary([0.0, 0.0], [0.0, c]) for c in (0.3, -0.5, 0.0, 0.9)[:n]]
+            assert dnc.dnc_transversality_check(fp, zpair, boundary)["passed"]
+            return len(calls)
+
+        one = decisions(1)
+        assert one > 0
+        assert decisions(4) == one
 
     def test_one_z_tangent_basis_per_boundary_sample(self, axis_pair, monkeypatch):
         fp, zpair = self._fixture(axis_pair)

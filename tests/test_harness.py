@@ -141,6 +141,16 @@ class TestCli:
     def test_non_finite_tol_exit_two(self, tol):
         assert cli.main(["verify", "--suite", "flag-laws", f"--tol={tol}"]) == 2
 
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-7", "0.1", "0.5"])
+    def test_tol_sweep_gets_verdicts_in_dnc_transversality(self, tol, tmp_path):
+        # --tol bounds the normal-vector residual only; memberships are decided
+        # at 1e-8, so a loose value cannot admit a point no frame exists at
+        path = tmp_path / "rep.json"
+        assert cli.main(["verify", "--suite", "dnc-transversality", "--tol", tol, "--report", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        assert obj["overall"] == "pass"
+        assert "suite-error" not in [c["name"] for c in obj["checks"]]
+
     @pytest.mark.parametrize(
         "argv, env",
         [
