@@ -472,12 +472,14 @@ def dnc_transversality_check(
 
     # hypothesis: the map transverse to Z (on big-manifold samples landing in Z)
     for s in fp.source.big.samples:
-        if z.contains(fp.f(s)) and not is_transversal_nonlinear(fp.f, fp.source.big, z, s, n_pair.big):
+        q = fp.f(s)
+        if z.contains(q) and not is_transversal_nonlinear(fp.f, fp.source.big, z, s, n_pair.big, q):
             raise PreconditionFailed("map_transverse_to_z")
 
     # hypothesis: restricted map transverse to Z0 (on submanifold samples landing in Z0)
     for s in fp.source.small.samples:
-        if z0.contains(fp.f(s)) and not is_transversal_nonlinear(fp.f, fp.source.small, z0, s, n_pair.small):
+        q = fp.f(s)
+        if z0.contains(q) and not is_transversal_nonlinear(fp.f, fp.source.small, z0, s, n_pair.small, q):
             raise PreconditionFailed("restricted_map_transverse_to_z0")
 
     report = {"checks": [], "passed": True}
@@ -491,9 +493,9 @@ def dnc_transversality_check(
         q = image.point
         lhs = dnc_membership(n_pair, zpair, image, tol)
         if p.kind == "interior":
-            rhs = fp.source.big.contains(p.point) and lhs  # f(p) on Z is the image side's decision
+            rhs = lhs and fp.source.big.contains(p.point)  # f(p) on Z is the image side's decision
             if lhs:
-                ok = is_transversal_nonlinear(fp.f, fp.source.big, z, p.point, n_pair.big)
+                ok = is_transversal_nonlinear(fp.f, fp.source.big, z, p.point, n_pair.big, q)
                 record(f"interior_transversality[{i}]", ok)
         else:
             m = fp.source.accept(p.point)

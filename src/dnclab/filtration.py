@@ -749,12 +749,18 @@ def _pullback(
     [Dg T_zN, T_g(z)M_n] [a; b] = frame (min-norm): Dg moves the lift to the
     frame plus a vector of T M_n, so it complements T g⁻¹M_n as the frame
     does T M_n.  Transversality, Dg T_zN + T M_n = T M, makes this solvable
-    without Dg onto T M.  The cover lifts to u ∘ g, v ∘ g, the cutting map to f ∘ g."""
+    without Dg onto T M.  The cover lifts to u ∘ g, v ∘ g, the cutting map to f ∘ g.
+    Both frames of a sample lift through one system, built at its first frame."""
+    system = {}  # one entry: (level, sample) -> (y, T_zN, [Dg T_zN, T_yM_n])
 
     def lift_frame(fr, m, z):
-        y, tn = g(z), n_total.tangent_basis(z)
-        a = linalg.min_norm_lstsq(np.hstack([g.jacobian(z) @ tn, m.tangent_basis(y)]), np.atleast_2d(fr(y)))
-        return tn @ a[: tn.shape[1]]
+        key = (id(m), np.asarray(z, float).tobytes())
+        if key not in system:
+            y, tn = g(z), n_total.tangent_basis(z)
+            system.clear()
+            system[key] = y, tn, np.hstack([g.jacobian(z) @ tn, m.tangent_basis(y)])
+        y, tn, a = system[key]
+        return tn @ linalg.min_norm_lstsq(a, np.atleast_2d(fr(y)))[: tn.shape[1]]
 
     levels = []
     for m in f.levels:

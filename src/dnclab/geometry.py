@@ -200,6 +200,10 @@ class ImplicitManifold:
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise OffManifold(f"point not on {self.name} (constraint norm {self.constraint_norm(x):.3e})")
+        return self._kernel_basis(x)
+
+    def _kernel_basis(self, x: np.ndarray) -> np.ndarray:
+        """The tangent basis at an x its caller has decided on the manifold."""
         basis = linalg.nullspace(self.constraints.jacobian(x))
         if basis.shape[1] != self.dim:
             raise OffManifold(
@@ -269,11 +273,15 @@ class ManifoldPair:
         """(tangent frame of the submanifold, normal complement inside the
         big tangent space) at a submanifold point, both orthonormal and
         read-only.  A point off the pair raises OffManifold on every call."""
-        key = np.asarray(m, float).tobytes()
+        m = np.asarray(m, float)
+        key = m.tobytes()
         frame = self._frames.get(key)
         if frame is None:
-            t_small = self.small.tangent_basis(m)
-            nu = linalg.complement_within(t_small, self.big.tangent_basis(m))
+            if not self.contains(m):
+                for member in (self.small, self.big):
+                    member.tangent_basis(m)  # raises the OffManifold of the member that misses m
+            t_small = self.small._kernel_basis(m)
+            nu = linalg.complement_within(t_small, self.big._kernel_basis(m))
             if nu.shape[1] != self.big.dim - self.small.dim:
                 raise OffManifold("normal complement has wrong dimension")
             for a in (t_small, nu):
@@ -400,10 +408,13 @@ def is_transversal_nonlinear(
     z: ImplicitManifold,
     x,
     target: ImplicitManifold | None = None,
+    image=None,
 ) -> bool:
     """Rank test: Df(T_x source) + T_f(x) Z spans the target tangent space.
-    The tangent bases raise OffManifold for x off ``source`` or f(x) off ``z``."""
+    The tangent bases raise OffManifold for x off ``source`` or f(x) off ``z``.
+    A caller that has mapped x and decided its image on ``z`` passes that
+    ``image``, which is then neither evaluated nor decided again."""
     t_source = source.tangent_basis(x)
-    t_z = z.tangent_basis(f(x))
+    t_z = z.tangent_basis(f(x)) if image is None else z._kernel_basis(np.asarray(image, float))
     need = target.dim if target is not None else f.codomain_dim
     return linalg.rank(np.hstack([f.jacobian(x) @ t_source, t_z])) == need

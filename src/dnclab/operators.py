@@ -13,7 +13,8 @@ its truncations, and the lower triangular block [[F, 0], [P, F2]] is
 assembled from them in one place (``BlockOperator._dense``).  The straight-line
 retraction grid reuses that one layout: ``retraction_stack`` lays ``b`` out
 once and scales its P block per grid point into one stacked array, ready for
-a batched SVD.  Two-level rule: a
+a batched SVD, and ``retraction_ratio_bound`` bounds the whole path from the
+four square blocks of that layout.  Two-level rule: a
 kernel/cokernel count or a transversality rank verdict is believed only when
 the two truncation levels of ``linalg.truncation_levels`` give the same
 answer; otherwise StabilizationFailure is raised rather than the disagreement
@@ -57,6 +58,7 @@ __all__ = [
     "glk_inverse",
     "retraction_path",
     "retraction_stack",
+    "retraction_ratio_bound",
     "is_transversal",
     "block_is_transversal",
     "transversality_witness",
@@ -507,6 +509,39 @@ def retraction_stack(b: BlockOperator, ts, level: int) -> tuple[np.ndarray, int,
     stack[:, rows1:, :level] = (1.0 - ts)[:, None, None] * a[rows1:, :level]
     stack[ts == 1.0, rows1:, :level] = 0.0  # P.scale(0) is the zero operator: no -0.0 entries
     return stack, rows1, rows2
+
+
+def retraction_ratio_bound(bs, level: int) -> np.ndarray:
+    """For each b, a lower bound on sigma_min / sigma_max of
+    ``retraction_path(b, t).stacked_dense(level)[0]`` over the whole of
+    t in [0, 1], not only on a grid.
+
+    On a square truncation B(t) = [[F, 0], [(1 - t) P, F2]] with inverse
+    [[F^-1, 0], [-(1 - t) F2^-1 P F^-1, F2^-1]], so
+    ||B(t)|| <= max(||F||, ||F2||) + ||P|| and
+    ||B(t)^-1|| <= max(||F^-1||, ||F2^-1||) + ||F2^-1 P F^-1||,
+    and the bound is the reciprocal of their product.  A non-square
+    truncation gets 0.  One batched SVD takes the norms of every b's four
+    level x level blocks.  The diagonal truncations must be invertible, as
+    they are on the structure group; NotGLK otherwise."""
+    blocks = np.zeros((len(bs), 4, level, level))  # F, F2, P, then F2^-1 P F^-1
+    square = np.zeros(len(bs), dtype=bool)
+    for k, b in enumerate(bs):
+        a, rows1, rows2 = b.stacked_dense(level)
+        square[k] = rows1 == rows2 == level and a.shape[1] == 2 * level
+        if square[k]:
+            blocks[k, :3] = a[:level, :level], a[level:, level:], a[level:, :level]
+        else:
+            blocks[k, :2] = np.eye(level)  # a stand-in whose bound is discarded
+    try:
+        inv = np.linalg.inv(blocks[:, :2])
+    except np.linalg.LinAlgError as exc:
+        raise NotGLK("retraction bound needs invertible diagonal truncations") from exc
+    blocks[:, 3] = inv[:, 1] @ blocks[:, 2] @ inv[:, 0]
+    s = np.linalg.svd(blocks, compute_uv=False)
+    norm_b = np.maximum(s[:, 0, 0], s[:, 1, 0]) + s[:, 2, 0]
+    norm_inv = 1.0 / np.minimum(s[:, 0, -1], s[:, 1, -1]) + s[:, 3, 0]
+    return np.where(square, 1.0 / (norm_b * norm_inv), 0.0)
 
 
 # -- transversality to complemented subspaces --------------------------------

@@ -501,12 +501,28 @@ class TestTransversalityCheck:
         assert one > 0
         assert decisions(4) == one
 
+    def test_interior_samples_are_mapped_and_decided_once(self, axis_pair, monkeypatch):
+        # evaluations of f and decisions on Z beyond the hypotheses, for
+        # interior samples whose images land on Z and get the rank test
+        fp, zpair = self._fixture(axis_pair)
+        evals, decisions = [], []
+        monkeypatch.setattr(fp.f, "fn", lambda x, real=fp.f.fn: evals.append(x) or real(x))
+        monkeypatch.setattr(zpair.big, "contains", lambda x, real=zpair.big.contains: decisions.append(x) or real(x))
+        dnc.dnc_transversality_check(fp, zpair, [])
+        hypotheses = len(evals), len(decisions)
+        del evals[:], decisions[:]
+        samples = [dnc.DncPoint.interior([2.0 * c, c], 1.0) for c in (1.0, -0.5, 0.3)]
+        rep = dnc.dnc_transversality_check(fp, zpair, samples)
+        assert rep["passed"]
+        assert sum(c["name"].startswith("interior_transversality") for c in rep["checks"]) == len(samples)
+        assert (len(evals), len(decisions)) == (hypotheses[0] + len(samples), hypotheses[1] + len(samples))
+
     def test_one_z_tangent_basis_per_boundary_sample(self, axis_pair, monkeypatch):
         fp, zpair = self._fixture(axis_pair)
         z = zpair.big
         calls = []
-        real = z.tangent_basis
-        monkeypatch.setattr(z, "tangent_basis", lambda x: calls.append(x) or real(x))
+        real = z._kernel_basis  # every Z tangent basis, gated or not, is this nullspace
+        monkeypatch.setattr(z, "_kernel_basis", lambda x: calls.append(x) or real(x))
         dnc.dnc_transversality_check(fp, zpair, [])
         hypotheses = len(calls)
         boundary = [dnc.DncPoint.boundary([0.0, 0.0], [0.0, c]) for c in (0.3, -0.5, 0.0, 0.9)]

@@ -570,6 +570,10 @@ class TestPullbackLifts:
 
     @pytest.fixture(scope="class")
     def bent(self):
+        return self._bent()
+
+    @staticmethod
+    def _bent():
         lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
         d, p = lin.total.ambient_dim, 2
         g = _bent_projection(d, p)
@@ -608,6 +612,27 @@ class TestPullbackLifts:
         assert normality["status"] == "fail"
         worst = max(t["tangency_residual"] for t in normality["evidence"]["rank_tests"])
         assert worst == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_frames_of_a_sample_share_one_system(self, monkeypatch):
+        lin, g, ntot, pulled = self._bent()
+        calls = []
+        real = ntot.tangent_basis
+        monkeypatch.setattr(ntot, "tangent_basis", lambda z: calls.append(z) or real(z))
+        w, zs = pulled.witnesses[0], pulled.level(1).samples
+        frames = [(w.frame_in_next(z), w.frame_in_big(z)) for z in zs]
+        assert len(calls) == len(zs) > 1
+
+        def direct(fr, z):  # the lift of one frame, solved afresh
+            tn = real(z)
+            a = np.hstack([g.jacobian(z) @ tn, lin.level(1).tangent_basis(g(z))])
+            return tn @ linalg.min_norm_lstsq(a, np.atleast_2d(fr(g(z))))[: tn.shape[1]]
+
+        base = lin.witnesses[0]
+        for z, (nxt, big) in zip(zs, frames):
+            assert nxt.tobytes() == direct(base.frame_in_next, z).tobytes()
+            assert big.tobytes() == direct(base.frame_in_big, z).tobytes()
+        for z in (zs[1], zs[0], zs[1]):  # each asked for right after another sample's
+            assert w.frame_in_big(z).tobytes() == direct(base.frame_in_big, z).tobytes()
 
     def test_identity_covering_lifts_the_cover(self):
         lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))

@@ -2,6 +2,7 @@
 pairs, tubular maps, pushforwards and the triangularity defect."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -385,8 +386,8 @@ class TestAdaptedFrameMemo:
     def test_each_point_is_computed_once(self):
         pair = catalog.sphere_equator_pair(2)
         calls = []
-        inner = pair.small.tangent_basis
-        pair.small.tangent_basis = lambda x: calls.append(1) or inner(x)
+        inner = pair.small._kernel_basis  # every tangent basis, gated or not, is this nullspace
+        pair.small._kernel_basis = lambda x: calls.append(1) or inner(x)
         for _ in range(3):
             for m in pair.small.samples:
                 pair.adapted_frame(m)
@@ -406,6 +407,27 @@ class TestAdaptedFrameMemo:
         for _ in range(2):
             with pytest.raises(OffManifold):
                 pair.adapted_frame([2.0, 0.0, 0.0])
+
+    def test_a_decided_point_is_not_decided_again(self, monkeypatch):
+        pair = catalog.parabola_pair()
+        calls = []
+        for member in (pair.big, pair.small):
+            monkeypatch.setattr(member, "contains", lambda x, real=member.contains: calls.append(x) or real(x))
+        m = pair.small.samples[0]
+        assert pair.contains(m)
+        decided = len(calls)
+        pair.adapted_frame(m)
+        assert decided == 2 and len(calls) == decided
+
+    def test_off_pair_message_names_the_member_that_misses(self):
+        pair = catalog.sphere_equator_pair(2)
+        with pytest.raises(OffManifold, match=re.escape(f"not on {pair.small.name} ")):
+            pair.adapted_frame([0.0, 0.0, 1.0])  # on the sphere, off the equator
+        plane, line = catalog.linear_subspace(3, 2), catalog.linear_subspace(3, 1)
+        on_both = line.samples[0]
+        plane.region = lambda x: False  # the big member now misses every point
+        with pytest.raises(OffManifold, match=re.escape(f"not on {plane.name} ")):
+            geo.ManifoldPair(plane, line).adapted_frame(on_both)
 
 
 class TestPushforward:

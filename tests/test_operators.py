@@ -422,19 +422,98 @@ class TestRetraction:
             with pytest.raises(NotGLK):
                 ops.retraction_stack(b, [0.0, 1.0], 8)
 
-    @pytest.mark.parametrize("seed", [42, 7])
-    def test_suite_matches_per_t_loop(self, seed):
-        config = SuiteConfig("retraction", seed=seed, samples=8)
+    @staticmethod
+    def _grid_min(b):
+        """Independent oracle: min sigma_min / sigma_max over the 101 path matrices."""
+        want = np.inf
+        for t in np.linspace(0.0, 1.0, 101):
+            a, _, _ = ops.retraction_path(b, float(t)).stacked_dense(12)
+            s = np.linalg.svd(a, compute_uv=False)
+            want = min(want, float(s[-1] / s[0]))
+        return want
+
+    @pytest.mark.parametrize(
+        "seed, samples",
+        [
+            pytest.param(42, 8, id="42"),
+            pytest.param(7, 8, id="7"),
+            pytest.param(42, 256, id="42-256"),
+            pytest.param(31337, 256, id="31337-256"),
+        ],
+    )
+    def test_suite_matches_per_t_loop(self, seed, samples):
+        config = SuiteConfig("retraction", seed=seed, samples=samples)
         got = suites.run_suite(config).checks[0].residuals["min_singular_ratio"]
         rng = rng_for(config, 0)
-        want = np.inf
-        for _ in range(config.samples):
-            b = self._random_instance(rng)
-            for t in np.linspace(0.0, 1.0, 101):
-                a, _, _ = ops.retraction_path(b, float(t)).stacked_dense(12)
-                s = np.linalg.svd(a, compute_uv=False)
-                want = min(want, float(s[-1] / s[0]))
-        assert got == want
+        assert got == min(self._grid_min(self._random_instance(rng)) for _ in range(config.samples))
+
+    @staticmethod
+    def _squeezed(f, det):
+        """The GL_K diagonal ``f``, its window rescaled along its weakest
+        singular direction to |det| = ``det`` when one is given."""
+        if det is None:
+            return f
+        u, s, vh = np.linalg.svd(f.block)
+        s[-1] *= det / np.prod(s)
+        return ops.SequenceOperator(0, f.window, (u * s) @ vh)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.floats(-3.0, 0.0)),
+        st.one_of(st.none(), st.floats(-3.0, 0.0)),
+    )
+    def test_bound_below_ratio_at_every_grid_point(self, seed, log_det1, log_det2):
+        rng = np.random.default_rng(seed)
+        f = self._squeezed(suites._random_glk(rng), None if log_det1 is None else 10.0**log_det1)
+        p = suites._random_finite_rank(rng).scale(3.0)
+        f2 = self._squeezed(suites._random_glk(rng), None if log_det2 is None else 10.0**log_det2)
+        b = ops.block_lower_triangular(f, p, f2)
+        (bound,) = ops.retraction_ratio_bound([b], 12)
+        stack, _, _ = ops.retraction_stack(b, np.linspace(0.0, 1.0, 101), 12)
+        s = np.linalg.svd(stack, compute_uv=False)
+        assert 0.0 < bound <= np.min(s[:, -1] / s[:, 0])
+
+    def test_bound_of_a_non_square_truncation_is_zero(self):
+        shifted = ops.block_lower_triangular(ops.shift_op(1), ops.rank_one(0, 0, 1.0), ops.identity())
+        bounds = ops.retraction_ratio_bound([self._sample(), shifted], 12)
+        assert bounds[0] > 0.0 and bounds[1] == 0.0
+
+    def test_bound_needs_invertible_diagonals(self):
+        singular = ops.SequenceOperator(0, 1, np.zeros((1, 1)))
+        with pytest.raises(NotGLK):
+            ops.retraction_ratio_bound([ops.block_lower_triangular(singular, ops.rank_one(0, 0, 1.0), ops.identity())], 12)
+
+    def test_suite_builds_few_grids(self, monkeypatch):
+        calls = []
+        stack = ops.retraction_stack
+        monkeypatch.setattr(ops, "retraction_stack", lambda *a: calls.append(a) or stack(*a))
+        check = suites.run_suite(SuiteConfig("retraction", seed=42, samples=256)).checks[0]
+        assert check.status == "pass"
+        assert 1 <= len(calls) <= 8
+
+    def test_minimiser_drawn_last_is_not_skipped(self, monkeypatch):
+        """The last instance drawn gets a nearly singular F2 and sets the
+        minimum, which pruning must still reach."""
+        config = SuiteConfig("retraction", seed=42, samples=16)
+        draws = []
+        glk = suites._random_glk
+
+        def planted(rng):
+            draws.append(None)
+            return self._squeezed(glk(rng), 1e-3 if len(draws) == 2 * config.samples else None)
+
+        monkeypatch.setattr(suites, "_random_glk", planted)
+        got = suites.run_suite(config).checks[0].residuals["min_singular_ratio"]
+        monkeypatch.setattr(suites, "_random_glk", glk)
+        rng = rng_for(config, 0)
+        minima = []
+        for k in range(config.samples):
+            f = suites._random_glk(rng)
+            p = suites._random_finite_rank(rng).scale(3.0)
+            f2 = self._squeezed(suites._random_glk(rng), 1e-3 if k == config.samples - 1 else None)
+            minima.append(self._grid_min(ops.block_lower_triangular(f, p, f2)))
+        assert got == minima[-1] < min(minima[:-1])
 
 
 class TestTransversality:
