@@ -22,6 +22,10 @@ class NotTransversal(LabError):
     """Image plus subspace does not span the codomain."""
 
 
+class ComplementFailure(NotTransversal):
+    """A preimage's constructed complement fails its rank verification."""
+
+
 # Filtration pullbacks raise the same condition under the name the module uses.
 NotTransverse = NotTransversal
 

@@ -1050,9 +1050,9 @@ def _check_fredholm(f: Filtration, depth: int) -> dict:
             member = float(np.linalg.norm(y - basis @ (basis.T @ y)))
             a = fm.jacobian(s) @ f.total.tangent_basis(s)
             transverse = linalg.rank(np.hstack([a, basis])) == fm.codomain_dim
-            # preimage direction: tangent of the cut-out set matches the level
-            cut = linalg.nullspace(normal.T @ a)
-            cut_dim = cut.shape[1]
+            # preimage direction: tangent of the cut-out set matches the level,
+            # its dimension counted by rank
+            cut_dim = a.shape[1] - linalg.rank(normal.T @ a)
             good = member <= MEMBER_TOL and transverse and cut_dim == f.delta[n]
             ok = ok and good
             records.append(

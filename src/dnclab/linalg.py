@@ -1,15 +1,17 @@
 """Rank decisions and small shared linear-algebra helpers.
 
 Every rank decision in the laboratory is made here, by :func:`rank`,
-:func:`nullspace` or :func:`orthonormalize`, against the one relative
-singular-value threshold :data:`RANK_RTOL`.  No function takes a threshold
-of its own, so the threshold is set in exactly one place, and so are the two
-truncation levels of every stabilised count, by :func:`truncation_levels`.
+:func:`kernel_with_complement` (and :func:`nullspace`, which reads its
+kernel) or :func:`orthonormalize`, against the one relative singular-value
+threshold :data:`RANK_RTOL`.  No function takes a threshold of its own, so
+the threshold is set in exactly one place, and so are the two truncation
+levels of every stabilised count, by :func:`truncation_levels`.
 
 :func:`nullspace` and :func:`orthonormalize` return orthonormal column
-bases, and :func:`complement_within` takes such a basis for the subspace it
-projects off: each frame is orthonormalised once, where it is made, and
-never again downstream.
+bases, :func:`kernel_with_complement` returns a kernel and its orthogonal
+complement from one SVD, and :func:`complement_within` takes such a basis
+for the subspace it projects off: each frame is orthonormalised once, where
+it is made, and never again downstream.
 """
 
 from __future__ import annotations
@@ -44,15 +46,23 @@ def rank(a: np.ndarray) -> int:
     return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def nullspace(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of ``a``."""
+def kernel_with_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (columns) of the kernel of ``a`` and of its
+    orthogonal complement, the row space of ``a``, from one SVD: the right
+    singular vectors below and above the rank.  Together they are one
+    orthogonal matrix."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
-        return np.eye(a.shape[1])
+        return np.eye(a.shape[1]), np.zeros((a.shape[1], 0))
     u, s, vh = np.linalg.svd(a)
     tol = RANK_RTOL * (s[0] if s.size else 1.0)
     r = int(np.sum(s > tol))
-    return vh[r:].T
+    return vh[r:].T, vh[:r].T
+
+
+def nullspace(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of ``a``."""
+    return kernel_with_complement(a)[0]
 
 
 def orthonormalize(vectors: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ being resolved silently.
 ``is_transversal`` is the one transversality decision: the surjectivity rank
 test im(T) + V = codomain, stabilised over two truncation levels.
 ``preimage_with_complement`` makes that decision and then builds its
-certificate, T^-1(V) with a verified complement.
+certificate, T^-1(V) with a verified complement: one SVD of (I - P_V) T
+gives the preimage as its kernel and the complement as its row space.
 
 Coordinates are 0-based internally; e_i is the i-th standard basis vector.
 """
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    ComplementFailure,
     DomainError,
     NotGLK,
     NotRepresentable,
@@ -57,6 +59,7 @@ __all__ = [
     "is_glk_tilde",
     "glk_inverse",
     "retraction_path",
+    "retraction_paths",
     "retraction_stack",
     "retraction_ratio_bound",
     "is_transversal",
@@ -478,13 +481,28 @@ def block_inverse(b: BlockOperator) -> BlockOperator:
     return BlockOperator(f_inv, (f2_inv.compose(b.P).compose(f_inv)).scale(-1.0), f2_inv)
 
 
-def retraction_path(b: BlockOperator, t: float) -> BlockOperator:
-    """Straight-line retraction onto the block diagonal: P scaled by (1 - t)."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"retraction parameter {t} outside [0, 1]")
+def _retraction_parameters(b: BlockOperator, ts) -> np.ndarray:
+    """``ts`` as a flat array, after the checks every retraction makes:
+    each t in [0, 1] (DomainError) and both diagonals of ``b`` in the
+    structure group, decided once (NotGLK)."""
+    ts = np.asarray(ts, dtype=float).ravel()
+    inside = (ts >= 0.0) & (ts <= 1.0)
+    if not inside.all():
+        raise DomainError(f"retraction parameters {ts[~inside]} outside [0, 1]")
     if not (is_glk(b.F) and is_glk(b.F2)):
         raise NotGLK("retraction defined on the lower triangular structure group")
-    return BlockOperator(b.F, b.P.scale(1.0 - t), b.F2)
+    return ts
+
+
+def retraction_path(b: BlockOperator, t: float) -> BlockOperator:
+    """Straight-line retraction onto the block diagonal: P scaled by (1 - t)."""
+    return retraction_paths(b, [t])[0]
+
+
+def retraction_paths(b: BlockOperator, ts) -> list[BlockOperator]:
+    """``retraction_path(b, t)`` for every t in ``ts``, with the diagonals
+    of ``b`` decided once for all of them."""
+    return [BlockOperator(b.F, b.P.scale(1.0 - t), b.F2) for t in _retraction_parameters(b, ts)]
 
 
 def retraction_stack(b: BlockOperator, ts, level: int) -> tuple[np.ndarray, int, int]:
@@ -498,12 +516,7 @@ def retraction_stack(b: BlockOperator, ts, level: int) -> tuple[np.ndarray, int,
     truncation is square, rows1 + rows2 == 2 * level); then every
     ``stack[k]`` equals ``retraction_path(b, ts[k]).stacked_dense(level)[0]``.
     """
-    ts = np.asarray(ts, dtype=float).ravel()
-    inside = (ts >= 0.0) & (ts <= 1.0)
-    if not inside.all():
-        raise DomainError(f"retraction parameters {ts[~inside]} outside [0, 1]")
-    if not (is_glk(b.F) and is_glk(b.F2)):
-        raise NotGLK("retraction defined on the lower triangular structure group")
+    ts = _retraction_parameters(b, ts)
     a, rows1, rows2 = b.stacked_dense(level)
     stack = np.repeat(a[None], ts.size, axis=0)
     stack[:, rows1:, :level] = (1.0 - ts)[:, None, None] * a[rows1:, :level]
@@ -570,11 +583,11 @@ def _preimage_head(op: SequenceOperator, v: ComplementedSubspace) -> tuple[int, 
     return max(w, v.space.support_bound() + abs(s), reach - s, 0) + 1, False
 
 
-def _kernel_into(a: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the x with A x in span(vb): x in the
+def _off_subspace(a: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """(I - P_V) A for V = span(vb), whose kernel is the preimage: x in the
     head span with A x in V  <=>  (I - P_V) A x = 0."""
     q = linalg.orthonormalize(vb)
-    return linalg.nullspace((np.eye(a.shape[0]) - q @ q.T) @ a)
+    return (np.eye(a.shape[0]) - q @ q.T) @ a
 
 
 def is_transversal(op: SequenceOperator, v: ComplementedSubspace) -> bool:
@@ -586,20 +599,21 @@ def is_transversal(op: SequenceOperator, v: ComplementedSubspace) -> bool:
 def preimage_with_complement(
     op: SequenceOperator, v: ComplementedSubspace
 ) -> ComplementedSubspace:
-    """T^-1(V) together with a verified complement; NotTransversal when T
-    is not transversal to V or the complement fails to verify."""
+    """T^-1(V) together with a verified complement, the orthogonal
+    complement of its head kernel; NotTransversal when T is not transversal
+    to V, ComplementFailure when the complement fails to verify."""
     if not is_transversal(op, v):
         raise NotTransversal("operator is not transversal to the subspace")
     head, has_tail = _preimage_head(op, v)
     rows = max(op.output_rows(head), v.space.support_bound(), 1)
-    kernel = _kernel_into(op.to_dense(rows, head), v.space.basis_matrix(rows))
-    w_basis = linalg.nullspace(kernel.T if kernel.size else np.zeros((0, head)))
+    off = _off_subspace(op.to_dense(rows, head), v.space.basis_matrix(rows))
+    kernel, w_basis = linalg.kernel_with_complement(off)  # the complement is the row space of ``off``
     result = ComplementedSubspace(
         SubspaceBasis(tail_start=head if has_tail else None, vectors=list(kernel.T)),
         SubspaceBasis(tail_start=None if has_tail else head, vectors=list(w_basis.T)),
     )
     if not result.verify():
-        raise NotTransversal("the preimage complement does not verify")
+        raise ComplementFailure("the preimage complement does not verify")
     return result
 
 
@@ -701,8 +715,8 @@ def block_preimage_with_complement(
 
     Makes both factor decisions, then the block decision, once each, so a
     caller needs no decision of its own first.  NotTransversal when any of
-    them fails, or when the factor complements fail to complement the
-    preimage."""
+    them fails; ComplementFailure when a factor's complement, or the
+    interleaved factor complements, fail to complement their preimage."""
     p1 = preimage_with_complement(b.F, v1)
     p2 = preimage_with_complement(b.F2, v2)
     if not block_is_transversal(b, v1, v2):
@@ -730,7 +744,8 @@ def block_preimage_with_complement(
         h2 = max(h2, b.P.output_rows(h1) + abs(b.F2.shift) + 1)
     rows1 = max(b.F.output_rows(h1), v1.space.support_bound(), 1)
     rows2 = max(b.F2.output_rows(h2), b.P.output_rows(h1), v2.space.support_bound(), 1)
-    kernel = _kernel_into(b._dense(rows1, h1, rows2, h2), _sum_basis(v1, v2, rows1, rows2))
+    off = _off_subspace(b._dense(rows1, h1, rows2, h2), _sum_basis(v1, v2, rows1, rows2))
+    kernel = linalg.nullspace(off)
     joint = np.zeros((2 * max(h1, h2), kernel.shape[1]))  # (x1, x2) -> x1 at 2i, x2 at 2i + 1
     joint[0 : 2 * h1 : 2], joint[1 : 2 * h2 : 2] = kernel[:h1], kernel[h1:]
     if cofinite:
@@ -740,5 +755,5 @@ def block_preimage_with_complement(
         space = SubspaceBasis(None, list(joint.T))
     result = ComplementedSubspace(space, _interleave_basis(p1.complement, p2.complement))
     if not result.verify():
-        raise NotTransversal("factor complements do not complement the block preimage")
+        raise ComplementFailure("factor complements do not complement the block preimage")
     return result

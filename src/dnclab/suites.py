@@ -17,6 +17,7 @@ from . import geometry as geo
 from . import operators as ops
 from . import subspaces as sub
 from .errors import (
+    ComplementFailure,
     FiberMismatch,
     LabError,
     NotCovering,
@@ -233,14 +234,14 @@ def suite_retraction(config: SuiteConfig) -> list[CheckResult]:
     endpoint_exact = True
     level = 12
     instances = []
+    zero = ops.identity().scale(0.0)
     for _ in range(n):
         b = ops.block_lower_triangular(
             _random_glk(rng), _random_finite_rank(rng).scale(3.0), _random_glk(rng)
         )
-        b0 = ops.retraction_path(b, 0.0)
-        b1 = ops.retraction_path(b, 1.0)
+        b0, b1 = ops.retraction_paths(b, (0.0, 1.0))  # the diagonals decided once
         endpoint_exact = endpoint_exact and b0.P == b.P and b0.F == b.F and b0.F2 == b.F2
-        endpoint_exact = endpoint_exact and b1.P.approx_equal(ops.identity().scale(0.0), 0.0)
+        endpoint_exact = endpoint_exact and b1.P.approx_equal(zero, 0.0)
         instances.append(b)
     bounds = ops.retraction_ratio_bound(instances, level)
     min_ratio = np.inf
@@ -287,8 +288,11 @@ def suite_block_transversality(config: SuiteConfig) -> list[CheckResult]:
         t2, v2 = _transversal_instance(rng)
         p = _random_bounded(rng)
         b = ops.block_lower_triangular(t1, p, t2)
-        try:  # decides both factors, then the block, once each
-            pre = ops.block_preimage_with_complement(b, v1, v2)
+        try:  # decides both factors, then the block, once each, and verifies the complements
+            ops.block_preimage_with_complement(b, v1, v2)
+        except ComplementFailure:
+            complements_ok = False
+            continue
         except NotTransversal:
             failures += 1
             continue
@@ -304,7 +308,6 @@ def suite_block_transversality(config: SuiteConfig) -> list[CheckResult]:
         worst_resid = max(worst_resid, resid)
         if resid > 1e-10:
             failures += 1
-        complements_ok = complements_ok and pre.verify()
     return check(
         "block-transversality-and-witnesses",
         "factor transversality passes to the lower triangular sum; witnesses split exactly and "
@@ -1020,16 +1023,15 @@ def suite_filtration_pullbacks(config: SuiteConfig) -> list[CheckResult]:
     mismatches = 0
     outcomes = {True: 0, False: 0}
     lvl_t = np.eye(d)[:, : lin.levels[0].dim]
+    jg = g.jacobian(np.zeros(d + p))
+    # tangent of g^-1(level): kernel of (projection off the level) o Dg
+    pre_t = linalg.nullspace(linalg.nullspace(lvl_t.T).T @ jg)
     trials = min(config.samples, 32)
     for _ in range(trials):
         hmat = rng.normal(size=(d + p, d + p))
         if rng.integers(0, 2):
             hmat[0, :] = 0.0  # degenerate direction in some instances
             hmat[-1, :] = 0.0
-        jg = g.jacobian(np.zeros(d + p))
-        # tangent of g^-1(level): kernel of (projection off the level) o Dg
-        off = linalg.nullspace(lvl_t.T).T @ jg
-        pre_t = linalg.nullspace(off)
         lhs = linalg.rank(np.hstack([hmat, pre_t])) == d + p
         rhs = linalg.rank(np.hstack([jg @ hmat, lvl_t])) == d
         outcomes[lhs] += 1

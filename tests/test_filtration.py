@@ -522,6 +522,26 @@ class TestFredholmPullback:
         assert rep.conditions["a_dimensions"]["status"] == "pass"
         assert rep.conditions["fredholm"]["status"] == "pass"
 
+    def test_cut_dimension_is_counted_by_rank(self, monkeypatch):
+        """Each level sample's cut dimension is read from singular values
+        alone: the only SVDs with singular vectors are the level's
+        orthonormal basis and its normal space."""
+        lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
+        d, p = lin.total.ambient_dim, 2
+        g = geo.SmoothMap(d + p, d, lambda z: z[:d], lambda z: np.hstack([np.eye(d), np.zeros((d, p))]))
+        rng = np.random.Generator(np.random.Philox(key=55))
+        ntot = filt._full_space(d + p, [rng.normal(size=d + p) for _ in range(6)])
+        pulled = filt.pullback_filtration_fredholm(g, ntot, p, lin, seeds=[rng.normal(size=d + p) for _ in range(6)])
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(kw.get("compute_uv", True)) or svd(a, **kw))
+        got = filt._check_fredholm(pulled, pulled.depth)
+        assert got["status"] == "pass"
+        records = got["evidence"]["samples"]
+        assert [r["preimage_tangent_dim"] for r in records] == [pulled.delta[r["level"]] for r in records]
+        assert calls.count(True) == 2 * pulled.depth
+        assert calls.count(False) == 2 * len(records)  # the transversality rank and the cut rank
+
     def test_identity_preserves(self):
         lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
         d = lin.total.ambient_dim

@@ -17,7 +17,14 @@ from dnclab import linalg
 from dnclab import operators as ops
 from dnclab import subspaces as sub
 from dnclab import suites
-from dnclab.errors import DomainError, NotGLK, NotRepresentable, NotTransversal, StabilizationFailure
+from dnclab.errors import (
+    ComplementFailure,
+    DomainError,
+    NotGLK,
+    NotRepresentable,
+    NotTransversal,
+    StabilizationFailure,
+)
 from dnclab.report import SuiteConfig, rng_for
 
 
@@ -25,6 +32,20 @@ def e(i, n=None):
     v = np.zeros((n or i + 1))
     v[i] = 1.0
     return v
+
+
+def count_svds(monkeypatch) -> list:
+    """Spy on ``np.linalg.svd``: the returned list gets each call's
+    ``compute_uv``."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
 
 
 def dense_shift(s, rows, cols):
@@ -484,6 +505,31 @@ class TestRetraction:
         with pytest.raises(NotGLK):
             ops.retraction_ratio_bound([ops.block_lower_triangular(singular, ops.rank_one(0, 0, 1.0), ops.identity())], 12)
 
+    def test_suite_decides_each_diagonal_once_per_instance(self, monkeypatch):
+        ranks, grids = [], []
+        rank, stack = linalg.rank, ops.retraction_stack
+        monkeypatch.setattr(linalg, "rank", lambda a: ranks.append(a.shape) or rank(a))
+        monkeypatch.setattr(ops, "retraction_stack", lambda *a: grids.append(a) or stack(*a))
+        config = SuiteConfig("retraction", seed=42, samples=64)
+        assert suites.run_suite(config).checks[0].status == "pass"
+        # one is_glk rank per diagonal for both endpoints, and again per grid built
+        assert len(ranks) == 2 * (config.samples + len(grids))
+
+    def test_paths_decide_once_and_keep_the_domain_checks(self, monkeypatch):
+        b = self._sample()
+        glk, seen = ops.is_glk, []
+        monkeypatch.setattr(ops, "is_glk", lambda op: seen.append(op) or glk(op))
+        paths = ops.retraction_paths(b, (0.0, 0.5, 1.0))
+        assert len(seen) == 2
+        for t, bt in zip((0.0, 0.5, 1.0), paths):
+            want = ops.retraction_path(b, t)
+            assert bt.F == want.F and bt.P == want.P and bt.F2 == want.F2
+        with pytest.raises(DomainError):
+            ops.retraction_paths(b, (0.0, 1.5))
+        shifted = ops.block_lower_triangular(ops.shift_op(1), ops.rank_one(0, 0, 1.0), ops.identity())
+        with pytest.raises(NotGLK):
+            ops.retraction_paths(shifted, (0.0,))
+
     def test_suite_builds_few_grids(self, monkeypatch):
         calls = []
         stack = ops.retraction_stack
@@ -684,6 +730,71 @@ class TestTransversalityDecision:
         assert_spans_kernel(a, np.vstack([u[0::2], u[1::2]]))
 
 
+def preimage_matrix(t, v):
+    """The head matrix (I - P_V) T whose kernel ``preimage_with_complement``
+    takes, at the truncations it uses."""
+    head, _ = ops._preimage_head(t, v)
+    rows = max(t.output_rows(head), v.space.support_bound(), 1)
+    return ops._off_subspace(t.to_dense(rows, head), v.space.basis_matrix(rows)), head
+
+
+class TestOneFactorisation:
+    """The preimage's kernel and its complement come from one SVD."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(inst=transversality_instances())
+    def test_complement_is_the_kernels_orthogonal_complement(self, inst):
+        _, t, _, v = inst
+        off, head = preimage_matrix(t, v)
+        kernel, comp = linalg.kernel_with_complement(off)
+        # reference: the complement as a second SVD takes it
+        ref = linalg.nullspace(kernel.T if kernel.size else np.zeros((0, head)))
+        assert np.allclose(comp @ comp.T, ref @ ref.T, rtol=0.0, atol=1e-10)
+        q = np.hstack([kernel, comp])
+        assert q.shape == (head, head)
+        assert np.allclose(q.T @ q, np.eye(head), rtol=0.0, atol=1e-12)
+        try:
+            pre = ops.preimage_with_complement(t, v)
+        except NotTransversal:
+            return
+        stored = linalg.orthonormalize(pre.complement.basis_matrix(head))
+        assert np.allclose(stored @ stored.T, ref @ ref.T, rtol=0.0, atol=1e-10)
+
+    def test_empty_matrix(self):
+        kernel, comp = linalg.kernel_with_complement(np.zeros((0, 3)))
+        assert np.array_equal(kernel, np.eye(3)) and comp.shape == (3, 0)
+        assert np.array_equal(linalg.nullspace(np.zeros((0, 3))), kernel)
+
+    @staticmethod
+    def _instances():
+        yield ops.identity() + ops.rank_one(0, 1, 1.0), sub.coordinate_span(2)
+        yield ops.shift_op(-1), sub.coordinate_span(2)
+        rng = np.random.default_rng(3)
+        for _ in range(12):
+            yield suites._transversal_instance(rng)
+
+    def test_preimage_makes_one_svd_past_its_decision_and_verification(self, monkeypatch):
+        calls = count_svds(monkeypatch)
+        seen = 0
+        for t, v in self._instances():
+            del calls[:]
+            decided = ops.is_transversal(t, v)
+            n_decide = len(calls)
+            if not decided:
+                continue
+            del calls[:]
+            pre = ops.preimage_with_complement(t, v)
+            n_pre = len(calls)
+            del calls[:]
+            assert pre.verify()
+            n_verify = len(calls)
+            # the decision, one orthonormal basis of V, one SVD for the kernel
+            # and its complement, and the verification
+            assert n_pre == n_decide + 1 + 1 + n_verify
+            seen += 1
+        assert seen >= 8
+
+
 class TestBlockTransversalitySuite:
     CONFIG = SuiteConfig("block-transversality", samples=8)
 
@@ -702,6 +813,15 @@ class TestBlockTransversalitySuite:
         (check,) = suites.suite_block_transversality(self.CONFIG)
         assert check.passed  # all 8 instances transversal
         assert calls == {"factor": 2 * 8, "block": 8}
+
+    def test_a_complement_that_fails_to_verify_is_reported(self, monkeypatch):
+        monkeypatch.setattr(sub.ComplementedSubspace, "verify", lambda self: False)
+        with pytest.raises(ComplementFailure):
+            ops.preimage_with_complement(ops.identity(), sub.coordinate_span(2))
+        (check,) = suites.suite_block_transversality(self.CONFIG)
+        assert not check.passed
+        assert check.residuals["complements_verified"] is False
+        assert check.residuals["failures"] == 0
 
     def test_one_bad_witness_is_one_failure(self, monkeypatch):
         witness = ops.block_transversality_witness
