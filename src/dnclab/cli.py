@@ -2,9 +2,10 @@
 deterministic JSON reports.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
-Flags can also be set through environment variables with the DNCLAB_ prefix
-(DNCLAB_SEED, DNCLAB_TRUNCATION, DNCLAB_DEPTH, DNCLAB_TOL, DNCLAB_SAMPLES,
-DNCLAB_REPORT).
+The flags of verify and verify-all can also be set through environment
+variables with the DNCLAB_ prefix (DNCLAB_SEED, DNCLAB_TRUNCATION,
+DNCLAB_DEPTH, DNCLAB_TOL, DNCLAB_SAMPLES, DNCLAB_REPORT); the demo flags
+read none.
 """
 
 from __future__ import annotations
@@ -77,14 +78,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args, suite: str = "") -> SuiteConfig:
-    return SuiteConfig(
-        suite=suite,
-        seed=args.seed,
-        truncation=args.truncation,
-        depth=args.depth,
-        tol=args.tol,
-        samples=args.samples,
-    )
+    return SuiteConfig(suite, **{name: getattr(args, name) for name, *_ in _CONFIG_FLAGS})
 
 
 def _print_report(rep) -> None:

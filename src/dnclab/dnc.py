@@ -370,19 +370,18 @@ def trivial_bundle_join(base: TangentGroupoidElement, vectors, k: int) -> Tangen
 def taylor_probe(fp: PairMap, tub1: TubularMap, tub2: TubularMap, m, x, t_list) -> list[float]:
     """Remainder magnitudes of the rescaled chart-conjugated map against the
     normal pushforward: r(t) = | (1/t) * fiber(phi2^-1(f(phi1(m, tX)))) - f_* X |.
+    It composes :func:`dnc_chart`, :func:`dnc_map` and
+    :func:`dnc_chart_inverse`, so every point passes both charts' radius
+    checks and the inverse's residual check.
 
     The smooth-gluing contract is r(t) <= C t; suites fit the log-log slope
     over a halving sequence and require at least 0.9.
     """
-    x = np.asarray(x, dtype=float)
-    _, v_star = normal_map_pushforward(fp, m, x)
+    _, v_star = normal_map_pushforward(fp, m, np.asarray(x, dtype=float))
     out = []
     for t in t_list:
-        if abs(t) * np.linalg.norm(x) > tub1.valid_radius:
-            raise RadiusExceeded(f"t = {t} pushes the normal vector beyond the chart radius")
-        z = fp.f(tub1(m, t * x))
-        _, y = _tubular_inverse(tub2, z)
-        out.append(float(np.linalg.norm(y / t - v_star)))
+        _, v, _ = dnc_chart_inverse(tub2, dnc_map(fp, dnc_chart(tub1, m, x, t)))
+        out.append(float(np.linalg.norm(v - v_star)))
     return out
 
 

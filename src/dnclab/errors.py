@@ -26,10 +26,6 @@ class ComplementFailure(NotTransversal):
     """A preimage's constructed complement fails its rank verification."""
 
 
-# Filtration pullbacks raise the same condition under the name the module uses.
-NotTransverse = NotTransversal
-
-
 class DomainError(LabError):
     """Argument outside the operation's domain (e.g. retraction parameter not in [0,1])."""
 

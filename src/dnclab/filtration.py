@@ -24,7 +24,7 @@ pullbacks: levels, witnesses lifted modulo the level, cover, cutting map).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
     MissingWitness,
     NoConvergence,
     NotCovering,
-    NotTransverse,
+    NotTransversal,
 )
 from .flags import DimensionSequence, Flag, flag_groupoid, flag_product, flag_subsequence
 from .geometry import (
@@ -51,6 +51,7 @@ from .geometry import (
     linear_map,
     newton_project,
 )
+from .report import ConditionReport, condition
 from .subspaces import drop_first_coordinate
 
 __all__ = [
@@ -839,9 +840,9 @@ def pullback_filtration_fredholm(
     """Preimage filtration along a positive-index map transverse to every
     level; level dimensions shift up by the index."""
     if g.domain_dim != n_total.ambient_dim or g.codomain_dim != f.total.ambient_dim:
-        raise NotTransverse("map dimensions do not match the ambient models")
+        raise NotTransversal("map dimensions do not match the ambient models")
     if n_total.dim - f.total.dim != index_p:
-        raise NotTransverse(
+        raise NotTransversal(
             f"index mismatch: dim N - dim M = {n_total.dim - f.total.dim}, stated {index_p}"
         )
     start_points = seeds if seeds is not None else n_total.samples
@@ -852,7 +853,7 @@ def pullback_filtration_fredholm(
             raise NoConvergence(f"no on-level samples found for {lvl.name}")
         # Smale transversality hypothesis at the samples
         if not all(is_transversal_nonlinear(g, n_total, m, x, f.total) for x in found):
-            raise NotTransverse(f"map not transverse to {m.name} at a sample")
+            raise NotTransversal(f"map not transverse to {m.name} at a sample")
         return found
 
     return _pullback(g, n_total, f, DimensionSequence([index_p + d for d in f.delta]), "g", on_level)
@@ -916,10 +917,7 @@ def _check_dimensions(f: Filtration, depth: int) -> dict:
         dims = sorted({lvl.ambient_dim - r for r in ranks})
         measured.append(dims)
     ok = all(dims == [f.delta[n]] for n, dims in enumerate(measured, start=1))
-    return {
-        "status": "pass" if ok else "fail",
-        "evidence": {"measured": measured, "expected": list(f.delta)[:depth]},
-    }
+    return condition(ok, {"measured": measured, "expected": list(f.delta)[:depth]})
 
 
 def _check_nesting(f: Filtration, depth: int) -> dict:
@@ -928,10 +926,7 @@ def _check_nesting(f: Filtration, depth: int) -> dict:
         nxt = f.level(n + 1)
         for s in f.level(n).samples:
             worst = max(worst, nxt.constraint_norm(s))
-    return {
-        "status": "pass" if worst <= NEST_TOL else "fail",
-        "evidence": {"max_constraint_norm": worst, "tolerance": NEST_TOL},
-    }
+    return condition(worst <= NEST_TOL, {"max_constraint_norm": worst, "tolerance": NEST_TOL})
 
 
 def _check_normality(f: Filtration, depth: int) -> dict:
@@ -939,7 +934,7 @@ def _check_normality(f: Filtration, depth: int) -> dict:
         return {"status": "unverified", "evidence": {"note": "no witness supplied: normality unverified"}}
     if len(f.witnesses) != depth:
         # witness n belongs to level n, so a list of another length witnesses other levels
-        return {"status": "fail", "evidence": {"witnesses": len(f.witnesses), "levels": depth}}
+        return condition(False, {"witnesses": len(f.witnesses), "levels": depth})
     records = []
     ok = True
     for n, w in enumerate(f.witnesses, start=1):
@@ -972,7 +967,7 @@ def _check_normality(f: Filtration, depth: int) -> dict:
                         "complements_tangent": complete,
                     }
                 )
-    return {"status": "pass" if ok else "fail", "evidence": {"rank_tests": records}}
+    return condition(ok, {"rank_tests": records})
 
 
 def _check_cover(f: Filtration, depth: int, samples) -> dict:
@@ -990,14 +985,7 @@ def _check_cover(f: Filtration, depth: int, samples) -> dict:
     covered = [any(u[n](x) for n in range(depth)) for x in samples]
     fraction = float(np.mean(covered))
     ok = nested_uv and nested_uu and fraction == 1.0
-    return {
-        "status": "pass" if ok else "fail",
-        "evidence": {
-            "u_in_v": nested_uv,
-            "u_increasing": nested_uu,
-            "coverage_fraction": fraction,
-        },
-    }
+    return condition(ok, {"u_in_v": nested_uv, "u_increasing": nested_uu, "coverage_fraction": fraction})
 
 
 def _density_profile(f: Filtration, depth: int, samples) -> tuple[list[list[float]], bool, float]:
@@ -1024,15 +1012,15 @@ def _check_density(f: Filtration, depth: int, samples) -> dict:
         }
     profiles, monotone, deepest = _density_profile(f, depth, samples)
     ok = monotone and np.isfinite(deepest) and deepest <= DENSITY_TOL
-    return {
-        "status": "pass" if ok else "fail",
-        "evidence": {
+    return condition(
+        ok,
+        {
             "monotone": monotone,
             "deepest_distance": deepest,
             "tolerance": DENSITY_TOL,
             "profiles_head": [p[:depth] for p in profiles[:3]],
         },
-    }
+    )
 
 
 def _check_fredholm(f: Filtration, depth: int) -> dict:
@@ -1063,36 +1051,21 @@ def _check_fredholm(f: Filtration, depth: int) -> dict:
                     "preimage_tangent_dim": cut_dim,
                 }
             )
-    return {"status": "pass" if ok else "fail", "evidence": {"samples": records}}
-
-
-@dataclass
-class FiltrationReport:
-    conditions: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            c["status"] in ("pass", "by_construction", "unverified", "out_of_scope", "not_claimed", "measured")
-            for c in self.conditions.values()
-        )
-
-    def to_json(self) -> dict:
-        return {"conditions": self.conditions, "passed": self.passed}
+    return condition(ok, {"samples": records})
 
 
 def verify_filtration(
     f: Filtration,
     n_samples: int = 32,
     seed: int = 42,
-) -> FiltrationReport:
+) -> ConditionReport:
     """Structured per-condition verification of every level at the given
     sampling budget."""
     depth = f.depth
     rng = np.random.Generator(np.random.Philox(key=seed))
     ambient_samples = f.ambient_sampler(rng, n_samples) if f.ambient_sampler else []
 
-    report = FiltrationReport()
+    report = ConditionReport()
     report.conditions["a_dimensions"] = _check_dimensions(f, depth)
     report.conditions["b_nesting"] = _check_nesting(f, depth)
     report.conditions["c_limit_inclusion"] = {

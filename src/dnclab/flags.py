@@ -11,10 +11,11 @@ model and is recorded rather than tested.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .errors import DepthMismatch, NotGLK
+from .report import ConditionReport, condition
 from .subspaces import (
     ComplementedSubspace,
     coordinate_span,
@@ -26,7 +27,6 @@ from .subspaces import (
 __all__ = [
     "DimensionSequence",
     "Flag",
-    "FlagReport",
     "standard_flag",
     "rotated_flag",
     "verify_flag",
@@ -110,18 +110,6 @@ class Flag:
         }
 
 
-@dataclass
-class FlagReport:
-    conditions: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c["status"] in ("pass", "by_construction") for c in self.conditions.values())
-
-    def to_json(self) -> dict:
-        return {"conditions": self.conditions, "passed": self.passed}
-
-
 def standard_flag(delta) -> Flag:
     """Coordinate flag: E_n is the span of the leading delta(n) coordinates,
     complemented by the remaining coordinate tail."""
@@ -139,7 +127,7 @@ def rotated_flag(delta, g) -> Flag:
     return Flag(base.delta, [subspace_image(g, s) for s in base.subspaces])
 
 
-def verify_flag(flag: Flag) -> FlagReport:
+def verify_flag(flag: Flag) -> ConditionReport:
     """Condition-by-condition check with numeric evidence.
 
     (a) level dimensions, (b) nesting, (d) complements span, (e) complements
@@ -149,7 +137,7 @@ def verify_flag(flag: Flag) -> FlagReport:
     ``linalg.truncation_levels``: counts that differ between the levels fail
     (a), with both as evidence, and a containment holds only at both.
     """
-    report = FlagReport()
+    report = ConditionReport()
     level_bound = max(
         max(s.space.support_bound(), s.complement.support_bound()) for s in flag.subspaces
     )
@@ -159,19 +147,13 @@ def verify_flag(flag: Flag) -> FlagReport:
     evidence = {"measured": dims, "expected": list(flag.delta)}
     if dims_hi != dims:
         evidence["measured_next_level"] = dims_hi
-    report.conditions["a_dimensions"] = {
-        "status": "pass" if dims == dims_hi == list(flag.delta) else "fail",
-        "evidence": evidence,
-    }
+    report.conditions["a_dimensions"] = condition(dims == dims_hi == list(flag.delta), evidence)
 
     nesting = [
         flag.subspaces[i + 1].space.contains_subspace(flag.subspaces[i].space)
         for i in range(flag.depth - 1)
     ]
-    report.conditions["b_nesting"] = {
-        "status": "pass" if all(nesting) else "fail",
-        "evidence": {"containments": nesting},
-    }
+    report.conditions["b_nesting"] = condition(all(nesting), {"containments": nesting})
 
     report.conditions["c_density"] = {
         "status": "by_construction",
@@ -179,19 +161,13 @@ def verify_flag(flag: Flag) -> FlagReport:
     }
 
     sums = [s.verify() for s in flag.subspaces]
-    report.conditions["d_complemented"] = {
-        "status": "pass" if all(sums) else "fail",
-        "evidence": {"direct_sums": sums},
-    }
+    report.conditions["d_complemented"] = condition(all(sums), {"direct_sums": sums})
 
     dec = [
         flag.subspaces[i].complement.contains_subspace(flag.subspaces[i + 1].complement)
         for i in range(flag.depth - 1)
     ]
-    report.conditions["e_decreasing_complements"] = {
-        "status": "pass" if all(dec) else "fail",
-        "evidence": {"containments": dec},
-    }
+    report.conditions["e_decreasing_complements"] = condition(all(dec), {"containments": dec})
     return report
 
 

@@ -20,8 +20,9 @@ A :class:`TubularMap` carries the partial Jacobians of its chart
 Every finite difference is one quotient, :func:`central_difference`, and
 every step no caller chooses is :func:`default_step`.  One verifier,
 :func:`verify_analytic_jacobian`, checks an exact Jacobian against central
-differences; :meth:`TubularMap.verify` checks ``dphi`` the same way.  Central
-differences are otherwise the fallback for maps that supply no Jacobian and
+differences; :meth:`TubularMap.verify` compares ``dphi`` with one central
+difference at :func:`default_step`, to 1e-6, instead.  Central differences
+are otherwise the fallback for maps that supply no Jacobian and
 the definition of the triangularity defect of :func:`check_block_structure`.
 """
 

@@ -35,15 +35,18 @@ def truncation_levels(bound: int, floor: int = 0) -> tuple[int, int]:
     return lo, lo + LEVEL_STEP
 
 
+def _rank_of(s: np.ndarray) -> int:
+    """Rank of a nonempty matrix from its descending singular values ``s``:
+    how many exceed RANK_RTOL times the largest, so 0 for a zero matrix."""
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+
+
 def rank(a: np.ndarray) -> int:
     """Numerical rank via SVD with a relative threshold."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return _rank_of(np.linalg.svd(a, compute_uv=False))
 
 
 def kernel_with_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,9 +57,8 @@ def kernel_with_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return np.eye(a.shape[1]), np.zeros((a.shape[1], 0))
-    u, s, vh = np.linalg.svd(a)
-    tol = RANK_RTOL * (s[0] if s.size else 1.0)
-    r = int(np.sum(s > tol))
+    _, s, vh = np.linalg.svd(a)
+    r = _rank_of(s)
     return vh[r:].T, vh[:r].T
 
 
@@ -71,8 +73,7 @@ def orthonormalize(vectors: np.ndarray) -> np.ndarray:
     if v.size == 0:
         return v.reshape(v.shape[0], 0)
     u, s, _ = np.linalg.svd(v, full_matrices=False)
-    tol = RANK_RTOL * (s[0] if s.size else 1.0)
-    return u[:, s > tol]
+    return u[:, : _rank_of(s)]
 
 
 def complement_within(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:

@@ -10,13 +10,16 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["SuiteConfig", "CheckResult", "SuiteReport", "canonical_json", "rng_for", "MAX_TRUNCATION", "MAX_DEPTH"]
+__all__ = [
+    "SuiteConfig", "CheckResult", "SuiteReport", "ConditionReport", "condition", "NON_FAILING",
+    "canonical_json", "rng_for", "MAX_TRUNCATION", "MAX_DEPTH",
+]
 
 # The truncation floors the first level of both index computations (see
 # linalg.truncation_levels); n levels make 2n x 2n blocks, 1024 levels 32 MiB.
@@ -49,14 +52,7 @@ class SuiteConfig:
         return replace(self, suite=suite)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "truncation": self.truncation,
-            "depth": self.depth,
-            "tol": self.tol,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 def rng_for(config: SuiteConfig, check_index: int) -> np.random.Generator:
@@ -112,6 +108,35 @@ class SuiteReport:
             "checks": [c.to_json() for c in self.checks],
             "overall": self.overall,
         }
+
+
+# Condition statuses that do not fail a flag or filtration report: the claim
+# holds, holds by construction, is measured without a claim, is not made, is
+# untested or is out of scope.  "fail" is the one other status.
+NON_FAILING = ("pass", "by_construction", "unverified", "out_of_scope", "not_claimed", "measured")
+
+
+def condition(ok: bool, evidence: dict) -> dict:
+    """A tested condition's verdict: "pass" when ``ok``, else "fail"."""
+    return {"status": "pass" if ok else "fail", "evidence": evidence}
+
+
+@dataclass
+class ConditionReport:
+    """Condition-by-condition verdicts of a flag or a filtration, each
+    ``{"status": ..., "evidence": {...}}`` under the condition's name."""
+
+    conditions: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(c["status"] in NON_FAILING for c in self.conditions.values())
+
+    def statuses(self) -> dict:
+        return {k: c["status"] for k, c in self.conditions.items()}
+
+    def to_json(self) -> dict:
+        return {"conditions": self.conditions, "passed": self.passed}
 
 
 def _jsonable(obj):

@@ -22,7 +22,6 @@ from .errors import (
     LabError,
     NotCovering,
     NotTransversal,
-    NotTransverse,
     PreconditionFailed,
     UnknownSuite,
 )
@@ -170,10 +169,6 @@ def _diag_z_fixture():
 
 def _sphere_delta(config: SuiteConfig) -> list[int]:
     return [2**n for n in range(1, config.depth + 1)]
-
-
-def _statuses(rep: filt.FiltrationReport) -> dict:
-    return {k: v["status"] for k, v in rep.conditions.items()}
 
 
 # -- suites ---------------------------------------------------------------------
@@ -804,7 +799,7 @@ def suite_flag_laws(config: SuiteConfig) -> list[CheckResult]:
         )],
     )
     broken_report = fl.verify_flag(broken)
-    caught = broken_report.conditions["b_nesting"]["status"] == "fail"
+    caught = broken_report.statuses()["b_nesting"] == "fail"
 
     return check(
         "flag-constructions-and-dimension-laws",
@@ -833,16 +828,12 @@ def suite_filtration_sphere(config: SuiteConfig) -> list[CheckResult]:
         "unit spheres of flag levels filter the ambient sphere: dimensions drop by one, nesting, "
         "normal frames and covers verify, the level distance profile decreases",
         rep.passed,
-        {"conditions": _statuses(rep), "dims": list(f.delta)},
+        {"conditions": rep.statuses(), "dims": list(f.delta)},
     )
 
-    rng = rng_for(config, 1)
-    profile_ok = True
-    for _ in range(min(config.samples, 16)):
-        x = f.ambient_sampler(rng, 1)[0]
-        dists = [f.level(n).distance_to(x) for n in range(1, f.depth + 1)]
-        profile_ok = profile_ok and all(a > b - 1e-12 for a, b in zip(dists, dists[1:]))
-        profile_ok = profile_ok and dists[-1] <= 1e-9
+    samples = f.ambient_sampler(rng_for(config, 1), min(config.samples, 16))
+    profiles, monotone, deepest = filt._density_profile(f, f.depth, samples)
+    profile_ok = np.isfinite(profiles).all() and monotone and deepest <= 1e-9
     ss = filt.subsequence_filtration(f, [1, f.depth])
     ss_rep = filt.verify_filtration(ss, n_samples=8, seed=config.seed)
     return check(
@@ -881,7 +872,7 @@ def _lift_check(config: SuiteConfig, lift, dim_law):
     rng = rng_for(config, 1)
     worst = max(_preimage_equality_check(f, n, rng) for n in range(1, f.depth + 1))
     ok = rep.passed and dims_ok and worst <= config.tol
-    return base, f, ok, {"dims": list(f.delta), "conditions": _statuses(rep), "preimage_residual": worst}
+    return base, f, ok, {"dims": list(f.delta), "conditions": rep.statuses(), "preimage_residual": worst}
 
 
 def suite_filtration_pair_groupoid(config: SuiteConfig) -> list[CheckResult]:
@@ -1012,7 +1003,7 @@ def suite_filtration_pullbacks(config: SuiteConfig) -> list[CheckResult]:
         {
             "dims": list(pulled_f.delta),
             "identity_dims": list(same_f.delta),
-            "conditions": _statuses(rep),
+            "conditions": rep.statuses(),
         },
     )
 
@@ -1053,10 +1044,11 @@ def suite_filtration_negative(config: SuiteConfig) -> list[CheckResult]:
 
     ev = filt.example_v_filtration(lin, k=2)
     rep = filt.verify_filtration(ev, n_samples=16, seed=config.seed)
-    density_failed = rep.conditions["density"]["status"] == "fail"
-    fredholm_unclaimed = rep.conditions["fredholm"]["status"] == "not_claimed"
+    statuses = rep.statuses()
+    density_failed = statuses["density"] == "fail"
+    fredholm_unclaimed = statuses["fredholm"] == "not_claimed"
     others_pass = all(
-        rep.conditions[k]["status"] in ("pass", "out_of_scope", "unverified")
+        statuses[k] in ("pass", "out_of_scope", "unverified")
         for k in ("a_dimensions", "b_nesting", "c_limit_inclusion", "d_normality")
     )
     check(
@@ -1065,8 +1057,8 @@ def suite_filtration_negative(config: SuiteConfig) -> list[CheckResult]:
         "dense and carry no cutting map",
         density_failed and fredholm_unclaimed and others_pass,
         {
-            "density_status": rep.conditions["density"]["status"],
-            "fredholm_status": rep.conditions["fredholm"]["status"],
+            "density_status": statuses["density"],
+            "fredholm_status": statuses["fredholm"],
             "deepest_distance": rep.conditions["density"]["evidence"].get("deepest_distance"),
         },
     )
@@ -1074,13 +1066,13 @@ def suite_filtration_negative(config: SuiteConfig) -> list[CheckResult]:
     growth = [catalog.sphere(1, ambient=4, seed=31), catalog.sphere(2, ambient=4, seed=32)]
     mx = filt.mixed_product_filtration(lin, growth)
     rep = filt.verify_filtration(mx, n_samples=8, seed=config.seed)
-    unverified = rep.conditions["d_normality"]["status"] == "unverified"
+    normality = rep.statuses()["d_normality"]
     check(
         "witness-free-product-unverified",
         "normality is never inferred from samples: without witnesses the verdict is "
         "unverified, not a pass or fail",
-        unverified and rep.passed,
-        {"normality_status": rep.conditions["d_normality"]["status"]},
+        normality == "unverified" and rep.passed,
+        {"normality_status": normality},
     )
 
     d = lin.total.ambient_dim
@@ -1091,7 +1083,7 @@ def suite_filtration_negative(config: SuiteConfig) -> list[CheckResult]:
             bad, filt._full_space(d, [rng.normal(size=d) for _ in range(4)]), 0, lin
         )
         raised = False
-    except NotTransverse:
+    except NotTransversal:
         raised = True
     return check(
         "non-transverse-pullback-rejected",

@@ -1,6 +1,8 @@
 """Deformation-space points, charts, functor, groupoid algebra, the
 remainder probe, and transversality through the functor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -392,6 +394,15 @@ class TestTaylorProbe:
         fp = geo.PairMap(f, axis_pair, axis_pair)
         with pytest.raises(RadiusExceeded):
             dnc.taylor_probe(fp, small, small, [0.0, 0.0], [0.0, 1.0], [0.5])
+
+    def test_recovered_normal_beyond_the_target_radius(self, axis_pair, flat):
+        # f doubles the normal vector: (0.3, t) maps to (0.3, 2t), whose normal
+        # vector 2t lies beyond the target chart's radius of 1e-3
+        f = geo.SmoothMap(2, 2, lambda z: np.array([z[0], 2.0 * z[1]]), lambda z: np.diag([1.0, 2.0]))
+        fp = geo.PairMap(f, axis_pair, axis_pair)
+        narrow = dataclasses.replace(flat, valid_radius=1e-3)
+        with pytest.raises(OutsideChart):
+            dnc.taylor_probe(fp, flat, narrow, [0.3, 0.0], [0.0, 1.0], [0.5, 0.25])
 
 
 class TestTransversalityCheck:

@@ -15,7 +15,7 @@ from dnclab.errors import (
     EmptyFirstLevel,
     MissingWitness,
     NotCovering,
-    NotTransverse,
+    NotTransversal,
 )
 
 
@@ -557,7 +557,7 @@ class TestFredholmPullback:
         d = lin.total.ambient_dim
         bad = geo.SmoothMap(d, d, lambda z: np.concatenate([[z[0]], np.zeros(d - 1)]))
         rng = np.random.Generator(np.random.Philox(key=57))
-        with pytest.raises(NotTransverse):
+        with pytest.raises(NotTransversal):
             filt.pullback_filtration_fredholm(
                 bad, filt._full_space(d, [rng.normal(size=d) for _ in range(4)]), 0, lin
             )

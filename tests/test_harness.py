@@ -1,5 +1,6 @@
 """Harness surface: registry, determinism, configuration, CLI exit codes."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -9,9 +10,18 @@ import sys
 import numpy as np
 import pytest
 
-from dnclab import cli, filtration
+from dnclab import cli, filtration, flags
 from dnclab.errors import ConfigError, NoConvergence, UnknownSuite
-from dnclab.report import MAX_TRUNCATION, CheckResult, SuiteConfig, SuiteReport, canonical_json, rng_for
+from dnclab.report import (
+    MAX_TRUNCATION,
+    CheckResult,
+    ConditionReport,
+    SuiteConfig,
+    SuiteReport,
+    canonical_json,
+    condition,
+    rng_for,
+)
 from dnclab.suites import SUITES, list_suites, run_suite
 
 
@@ -68,6 +78,10 @@ class TestConfig:
             SuiteConfig("x", truncation=MAX_TRUNCATION + 1)
         assert SuiteConfig("x", truncation=MAX_TRUNCATION).truncation == MAX_TRUNCATION
 
+    def test_config_flags_are_the_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(SuiteConfig)}
+        assert {name for name, *_ in cli._CONFIG_FLAGS} == fields - {"suite"}
+
     def test_rng_keyed_by_suite_and_index(self):
         c1 = SuiteConfig("a")
         c2 = SuiteConfig("b")
@@ -112,6 +126,21 @@ class TestReportShape:
         assert rep.overall == "fail"
         rep2 = SuiteReport("x", SuiteConfig("x"), [CheckResult("a", "c", "pass")])
         assert rep2.overall == "pass"
+
+    @pytest.mark.parametrize(
+        "status", ["pass", "fail", "by_construction", "unverified", "out_of_scope", "not_claimed", "measured"]
+    )
+    def test_condition_report_fails_exactly_on_fail(self, status):
+        rep = ConditionReport({"a": condition(True, {}), "b": {"status": status, "evidence": {}}})
+        assert rep.passed == (status != "fail")
+        assert rep.statuses() == {"a": "pass", "b": status}
+        assert rep.to_json() == {"conditions": rep.conditions, "passed": rep.passed}
+
+    def test_flags_and_filtrations_share_one_condition_record(self):
+        flag = flags.standard_flag([2, 4])
+        assert type(flags.verify_flag(flag)) is ConditionReport
+        lin = filtration.make_filtration_linear(flag)
+        assert type(filtration.verify_filtration(lin, n_samples=4)) is ConditionReport
 
     def test_json_fields(self):
         rep = run_suite(SuiteConfig("flag-laws", samples=8))
@@ -224,6 +253,21 @@ class TestCli:
         assert cli.main(["verify", "--suite", "dnc-product", "--report", str(path)]) == 0
         obj = json.loads(path.read_text())
         assert obj["config"]["samples"] == 8
+
+    @pytest.mark.parametrize("name, cast", [(name, cast) for name, cast, *_ in cli._CONFIG_FLAGS])
+    def test_each_config_flag_reaches_the_report(self, name, cast, tmp_path):
+        raw = {"seed": "7", "truncation": "30", "depth": "3", "tol": "1e-6", "samples": "5"}[name]
+        path = tmp_path / "rep.json"
+        argv = ["verify", "--suite", "dnc-product", "--samples", "8", f"--{name}", raw, "--report", str(path)]
+        assert cli.main(argv) == 0
+        assert json.loads(path.read_text())["config"][name] == cast(raw) != getattr(SuiteConfig(), name)
+
+    def test_demo_reads_no_environment_variable(self, monkeypatch, tmp_path):
+        argv = ["demo", "sphere-filtration", "--delta", "2,4", "--report"]
+        assert cli.main(argv + [str(tmp_path / "a.json")]) == 0
+        monkeypatch.setenv("DNCLAB_SAMPLES", "4")
+        assert cli.main(argv + [str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_demo_emits_filtration_report(self, tmp_path):
         path = tmp_path / "demo.json"
