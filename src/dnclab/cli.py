@@ -4,8 +4,9 @@ deterministic JSON reports.
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
 The flags of verify and verify-all can also be set through environment
 variables with the DNCLAB_ prefix (DNCLAB_SEED, DNCLAB_TRUNCATION,
-DNCLAB_DEPTH, DNCLAB_TOL, DNCLAB_SAMPLES, DNCLAB_REPORT); the demo flags
-read none.
+DNCLAB_DEPTH, DNCLAB_TOL, DNCLAB_SAMPLES, DNCLAB_REPORT), read after the
+command line is parsed and only by those two commands, so a malformed one
+cannot break list-suites or demo; the demo flags read none.
 """
 
 from __future__ import annotations
@@ -63,18 +64,24 @@ _CONFIG_FLAGS = (
 )
 
 
+# --report goes with the config flags but is not a SuiteConfig field
+_REPORT_FLAG = ("report", str, None, "write the JSON report here")
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    for name, cast, fallback, text in _CONFIG_FLAGS:
-        env = ENV_PREFIX + name.upper()
-        p.add_argument(
-            f"--{name}",
-            type=cast,
-            default=_env_default(name, cast, fallback),
-            help=f"{text} (default %(default)s; also {env})",
-        )
-    p.add_argument(
-        "--report", default=_env_default("report", str, None), help=f"write the JSON report here (also {ENV_PREFIX}REPORT)"
-    )
+    # a flag left off the command line parses to None, and _resolve_env_defaults
+    # fills it in after parsing, so no other command reads DNCLAB_*
+    for name, cast, fallback, text in _CONFIG_FLAGS + (_REPORT_FLAG,):
+        shown = "" if fallback is None else f"default {fallback}; "
+        p.add_argument(f"--{name}", type=cast, default=None, help=f"{text} ({shown}also {ENV_PREFIX}{name.upper()})")
+
+
+def _resolve_env_defaults(args) -> None:
+    """Set each config flag not given on the command line from its DNCLAB_*
+    variable, or else from its default; a malformed variable is a ConfigError."""
+    for name, cast, fallback, _ in _CONFIG_FLAGS + (_REPORT_FLAG,):
+        if getattr(args, name) is None:
+            setattr(args, name, _env_default(name, cast, fallback))
 
 
 def _config_from(args, suite: str = "") -> SuiteConfig:
@@ -128,8 +135,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:  # the flag defaults read DNCLAB_* variables, so building the parser can fail too
+    try:
         args = _parser().parse_args(argv)
+        if args.command in ("verify", "verify-all"):
+            _resolve_env_defaults(args)
         if args.command == "list-suites":
             for entry in list_suites():
                 print(f"{entry['suite']}: {entry['claim']}")

@@ -930,6 +930,18 @@ def _check_nesting(f: Filtration, depth: int) -> dict:
 
 
 def _check_normality(f: Filtration, depth: int) -> dict:
+    """Condition (d): at every level sample, each witness frame is
+    independent, tangent to its target and complements T M_n there.
+
+    Completeness is decided first: the column count of ``[T M_n, frame]``
+    against the target's dimension, then one rank of that stack.  A complete
+    stack has full column rank, and singular values interlace when columns
+    are deleted (R. C. Thompson, *Principal submatrices IX*, Linear Algebra
+    Appl. 5, 1972), so ``σ_min(frame) >= σ_min(stack) > τ·σ_max(stack) >=
+    τ·σ_max(frame)`` with ``τ = linalg.RANK_RTOL``: the frame is
+    independent under the same threshold, as in
+    :meth:`subspaces.ComplementedSubspace.verify`.  ``rank(frame)`` is taken
+    only when completeness fails."""
     if f.witnesses is None:
         return {"status": "unverified", "evidence": {"note": "no witness supplied: normality unverified"}}
     if len(f.witnesses) != depth:
@@ -948,14 +960,14 @@ def _check_normality(f: Filtration, depth: int) -> dict:
                 if fr is None or target is None:
                     continue
                 frame = np.atleast_2d(fr(s))
-                independent = linalg.rank(frame) == frame.shape[1]
                 tangency = float(
                     np.max(np.abs(target.constraints.jacobian(s) @ frame), initial=0.0)
                 )
                 complete = (
-                    linalg.rank(np.hstack([t_cur, frame])) == target.dim
-                    and t_cur.shape[1] + frame.shape[1] == target.dim
+                    t_cur.shape[1] + frame.shape[1] == target.dim
+                    and linalg.rank(np.hstack([t_cur, frame])) == target.dim
                 )
+                independent = complete or linalg.rank(frame) == frame.shape[1]
                 good = independent and tangency <= 1e-6 and complete
                 ok = ok and good
                 records.append(
@@ -1024,6 +1036,21 @@ def _check_density(f: Filtration, depth: int, samples) -> dict:
 
 
 def _check_fredholm(f: Filtration, depth: int) -> dict:
+    """The Fredholm condition: at every level sample the cutting map lands
+    in the flag level, is transverse to it, and cuts out a tangent space of
+    the level's dimension.
+
+    Each sample is decided from one values-only SVD.  With ``B`` the level's
+    orthonormal basis, ``N`` an orthonormal basis of its orthogonal
+    complement and ``a`` the cutting map's derivative on the tangent space
+    of the total manifold, ``[a B]`` and ``[a - B Bᵀa, B] = [N Nᵀa, B]`` span
+    the same space and ``N`` has orthonormal columns, so
+    ``rank([a B]) = dim B + rank(Nᵀa)`` (the block rank identity of
+    G. Marsaglia and G. P. H. Styan, *Equalities and inequalities for ranks
+    of matrices*, Linear Multilinear Algebra 2, 1974).  With
+    ``r = rank(Nᵀa)`` the map is transverse when ``r`` equals the
+    codimension of the level, and the kernel of ``Nᵀa``, the tangent space
+    of the cut-out set, has dimension ``a.shape[1] - r``."""
     if f.fredholm is None:
         return {"status": "not_claimed", "evidence": {}}
     fm, flag = f.fredholm.map, f.fredholm.flag
@@ -1037,10 +1064,9 @@ def _check_fredholm(f: Filtration, depth: int) -> dict:
             y = fm(s)
             member = float(np.linalg.norm(y - basis @ (basis.T @ y)))
             a = fm.jacobian(s) @ f.total.tangent_basis(s)
-            transverse = linalg.rank(np.hstack([a, basis])) == fm.codomain_dim
-            # preimage direction: tangent of the cut-out set matches the level,
-            # its dimension counted by rank
-            cut_dim = a.shape[1] - linalg.rank(normal.T @ a)
+            r = linalg.rank(normal.T @ a)
+            transverse = r == normal.shape[1]
+            cut_dim = a.shape[1] - r
             good = member <= MEMBER_TOL and transverse and cut_dim == f.delta[n]
             ok = ok and good
             records.append(

@@ -5,7 +5,10 @@ Every rank decision in the laboratory is made here, by :func:`rank`,
 kernel) or :func:`orthonormalize`, against the one relative singular-value
 threshold :data:`RANK_RTOL`.  No function takes a threshold of its own, so
 the threshold is set in exactly one place, and so are the two truncation
-levels of every stabilised count, by :func:`truncation_levels`.
+levels of every stabilised count, by :func:`truncation_levels`.  Every SVD
+of the laboratory is taken in this module too: a caller that needs singular
+values themselves, such as the norms of a stack of blocks, reads them from
+:func:`singular_values`.
 
 :func:`nullspace` and :func:`orthonormalize` return orthonormal column
 bases, :func:`kernel_with_complement` returns a kernel and its orthogonal
@@ -41,12 +44,18 @@ def _rank_of(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Descending singular values of a nonempty matrix, or of each matrix of
+    a stack of shape ``(..., m, n)``, from one batched values-only SVD."""
+    return np.linalg.svd(a, compute_uv=False)
+
+
 def rank(a: np.ndarray) -> int:
     """Numerical rank via SVD with a relative threshold."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    return _rank_of(np.linalg.svd(a, compute_uv=False))
+    return _rank_of(singular_values(a))
 
 
 def kernel_with_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -551,7 +551,7 @@ def retraction_ratio_bound(bs, level: int) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NotGLK("retraction bound needs invertible diagonal truncations") from exc
     blocks[:, 3] = inv[:, 1] @ blocks[:, 2] @ inv[:, 0]
-    s = np.linalg.svd(blocks, compute_uv=False)
+    s = linalg.singular_values(blocks)
     norm_b = np.maximum(s[:, 0, 0], s[:, 1, 0]) + s[:, 2, 0]
     norm_inv = 1.0 / np.minimum(s[:, 0, -1], s[:, 1, -1]) + s[:, 3, 0]
     return np.where(square, 1.0 / (norm_b * norm_inv), 0.0)

@@ -247,7 +247,7 @@ def suite_retraction(config: SuiteConfig) -> list[CheckResult]:
         if r1 + r2 != 2 * level:  # identity tails keep the truncation square
             min_ratio = 0.0
         else:
-            s = np.linalg.svd(stack, compute_uv=False)
+            s = linalg.singular_values(stack)
             min_ratio = min(min_ratio, float(np.min(s[:, -1] / s[:, 0])))
     certified = float(bounds.min())
     return check(

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_operators import C_SCALE, oracle, raw_operators
 
@@ -146,6 +146,41 @@ class TestRank:
             a = hadamard(p) @ core @ hadamard(q)
             assert exact_rank(a) == r + 1
             assert linalg.rank(a) == (r + 1 if k <= 26 else r)
+
+
+def clear_of_threshold(a: np.ndarray) -> bool:
+    """No nonzero singular value of ``a`` within three decades of the
+    threshold ``RANK_RTOL * σ_max``, where a float decision could part from
+    the exact one."""
+    if a.size == 0:
+        return True
+    s = linalg.singular_values(a)
+    s = s[s > 0]
+    return s.size == 0 or bool(np.all(np.abs(np.log10(s / (linalg.RANK_RTOL * s[0]))) > 3))
+
+
+class TestFredholmCutRank:
+    """``filtration._check_fredholm`` decides transversality to a flag level
+    with orthonormal basis B from the rank of Nᵀa alone, N spanning the
+    complement of B: rank([a B]) = dim B + rank(Nᵀa).  Against a coordinate
+    level, Nᵀa is exactly the rows of ``a`` below dim B, up to a rotation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 7), cols=st.integers(1, 7))
+    def test_cut_rank_decides_transversality(self, data, rows, cols):
+        entries = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 3.0, -0.25])
+        a = np.array(data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+        k = data.draw(st.integers(0, rows))
+        b = sub.coordinate_span(k).space.basis_matrix(rows)
+        assert exact_rank(np.hstack([a, b])) == k + exact_rank(a[k:])
+        basis = linalg.orthonormalize(b)
+        normal = linalg.nullspace(basis.T)
+        cut, stack = normal.T @ a, np.hstack([a, basis])
+        assume(clear_of_threshold(cut) and clear_of_threshold(stack))
+        r = linalg.rank(cut)
+        assert r == exact_rank(a[k:])
+        transverse = exact_rank(np.hstack([a, b])) == rows
+        assert (r == normal.shape[1]) == (linalg.rank(stack) == rows) == transverse
 
 
 def three_rank_verify(cs: sub.ComplementedSubspace, exact: bool, margin: int = 5) -> bool:

@@ -540,7 +540,7 @@ class TestFredholmPullback:
         records = got["evidence"]["samples"]
         assert [r["preimage_tangent_dim"] for r in records] == [pulled.delta[r["level"]] for r in records]
         assert calls.count(True) == 2 * pulled.depth
-        assert calls.count(False) == 2 * len(records)  # the transversality rank and the cut rank
+        assert calls.count(False) == len(records)  # one rank decides transversality and the cut
 
     def test_identity_preserves(self):
         lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
@@ -781,6 +781,30 @@ class TestDirectlyBuilt:
         assert rep.conditions["d_normality"]["status"] == "unverified"
         assert rep.conditions["density"]["status"] == "not_claimed"  # no sampler
 
+    def test_cutting_map_missing_one_flag_level(self):
+        # the projection killing e_1 has an image without e_1, as has
+        # V_1 = span(e_0), so it misses V_1; V_2 and V_3 hold e_1 and are met
+        flag = fl.standard_flag([1, 2, 3])
+        lin = filt.make_filtration_linear(flag)
+        d = lin.total.ambient_dim
+        proj = np.eye(d)
+        proj[1, 1] = 0.0
+        fredholm = filt.FredholmData(geo.linear_map(proj, "kill e_1"), flag)
+        direct = filt.Filtration(lin.delta, lin.levels, lin.total, fredholm=fredholm)
+        got = filt.verify_filtration(direct, n_samples=4).conditions["fredholm"]
+        assert got["status"] == "fail"
+        records = got["evidence"]["samples"]
+        samples = [s for n in range(1, 4) for s in lin.level(n).samples]
+        assert [r["level"] for r in records] == [n for n in range(1, 4) for _ in lin.level(n).samples]
+        for r, s in zip(records, samples):
+            assert r["transverse"] == (r["level"] != 1)
+            assert r["membership_residual"] <= 1e-12
+            assert r["preimage_tangent_dim"] == (2 if r["level"] == 1 else flag.delta[r["level"]])
+            # the rule the cut rank replaced: [a B] spans the codomain
+            basis = linalg.orthonormalize(flag.level(r["level"]).space.basis_matrix(d))
+            a = proj @ lin.total.tangent_basis(s)
+            assert r["transverse"] == (linalg.rank(np.hstack([a, basis])) == d)
+
     def test_witness_list_must_match_the_levels(self):
         # witness n belongs to level n: too few leave levels unchecked, too
         # many name levels that do not exist, and both fail normality
@@ -790,6 +814,69 @@ class TestDirectlyBuilt:
             rep = filt.verify_filtration(direct, n_samples=4)
             assert rep.conditions["d_normality"]["status"] == "fail"
             assert rep.conditions["d_normality"]["evidence"] == {"witnesses": len(witnesses), "levels": 3}
+
+
+def three_rank_normality(f: filt.Filtration) -> list[dict]:
+    """The normality records with every rank taken: the frame's own rank,
+    then the rank and column count of the stack [T M_n, frame]."""
+    records = []
+    for n, w in enumerate(f.witnesses, start=1):
+        lvl = f.level(n)
+        for s in lvl.samples:
+            t_cur = lvl.tangent_basis(s)
+            for tag, fr, target in (
+                ("next", w.frame_in_next, f.level(n + 1) if n < f.depth else None),
+                ("big", w.frame_in_big, f.total),
+            ):
+                if fr is None or target is None:
+                    continue
+                frame = np.atleast_2d(fr(s))
+                stack = np.hstack([t_cur, frame])
+                records.append(
+                    {
+                        "level": n,
+                        "in": tag,
+                        "independent": linalg.rank(frame) == frame.shape[1],
+                        "tangency_residual": float(np.max(np.abs(target.constraints.jacobian(s) @ frame), initial=0.0)),
+                        "complements_tangent": linalg.rank(stack) == target.dim == stack.shape[1],
+                    }
+                )
+    return records
+
+
+class TestNormalityRanks:
+    """Completeness is decided first, and a complete frame is independent by
+    interlacing, so its own rank is taken only when completeness fails."""
+
+    def test_complete_witness_takes_one_rank_per_frame(self, monkeypatch):
+        lin = filt.make_filtration_linear(fl.standard_flag([1, 3, 4]))
+        shapes = []
+        real = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda a: shapes.append(np.shape(a)) or real(a))
+        got = filt._check_normality(lin, lin.depth)
+        assert got["status"] == "pass"
+        records = got["evidence"]["rank_tests"]
+        # one rank per frame, of the stack [T M_n, frame], square at the target dimension
+        targets = [lin.delta[r["level"] + 1] if r["in"] == "next" else lin.total.dim for r in records]
+        assert shapes == [(lin.total.ambient_dim, t) for t in targets]
+
+    def test_repeated_column_is_neither_independent_nor_complementing(self):
+        # level 1's frame in level 2 repeats its first column in place of its
+        # second (the column count still matches), and its frame in the total
+        # has its first column appended (one column too many)
+        lin = filt.make_filtration_linear(fl.standard_flag([1, 3, 4]))
+        w = lin.witnesses[0]
+        doubled = filt.NormalityWitness(
+            lambda m: w.frame_in_next(m)[:, [0, 0]],
+            lambda m: np.hstack([w.frame_in_big(m), w.frame_in_big(m)[:, :1]]),
+        )
+        bad = dataclasses.replace(lin, witnesses=[doubled] + lin.witnesses[1:])
+        got = filt._check_normality(bad, bad.depth)
+        assert got["status"] == "fail"
+        records = got["evidence"]["rank_tests"]
+        for r in records:
+            assert r["independent"] == r["complements_tangent"] == (r["level"] != 1)
+        assert got["evidence"] == {"rank_tests": three_rank_normality(bad)}
 
 
 class TestJsonSurface:

@@ -154,6 +154,19 @@ class TestRankThreshold:
                     name = node.id if isinstance(node, ast.Name) else node.attr
                     assert name not in ("RANK_RTOL", "LEVEL_MARGIN", "LEVEL_STEP"), f"{path.name}:{node.lineno} reads {name}"
 
+    def test_every_svd_is_taken_in_linalg(self):
+        # the one rank threshold is applied to singular values from linalg,
+        # and a caller needing the values themselves reads linalg.singular_values
+        src = Path(linalg.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            if path.name == "linalg.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr != "svd", f"{path.name}:{node.lineno} calls an SVD"
+                if isinstance(node, ast.ImportFrom):
+                    assert "svd" not in [a.name for a in node.names], f"{path.name}:{node.lineno} imports svd"
+
 
 class TestOneDifferentiationPath:
     SRC = Path(geo.__file__).parent

@@ -262,6 +262,26 @@ class TestCli:
         assert cli.main(argv) == 0
         assert json.loads(path.read_text())["config"][name] == cast(raw) != getattr(SuiteConfig(), name)
 
+    @pytest.mark.parametrize("argv", [["list-suites"], ["demo", "sphere-filtration", "--delta", "2,4"]])
+    def test_commands_without_config_flags_ignore_a_bad_variable(self, argv, monkeypatch):
+        monkeypatch.setenv("DNCLAB_SEED", "abc")
+        assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "flag-laws"], ["verify-all"]])
+    def test_config_commands_reject_a_bad_variable(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("DNCLAB_SEED", "abc")
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "configuration error: bad DNCLAB_SEED='abc'\n"
+
+    @pytest.mark.parametrize("command", [["verify", "--suite", "x"], ["verify-all"]])
+    def test_help_names_each_default(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli._parser().parse_args(command + ["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for name, _, fallback, _ in cli._CONFIG_FLAGS:
+            assert f"(default {fallback}; also DNCLAB_{name.upper()})" in text
+        assert "(also DNCLAB_REPORT)" in text
+
     def test_demo_reads_no_environment_variable(self, monkeypatch, tmp_path):
         argv = ["demo", "sphere-filtration", "--delta", "2,4", "--report"]
         assert cli.main(argv + [str(tmp_path / "a.json")]) == 0
