@@ -69,8 +69,8 @@ _REPORT_FLAG = ("report", str, None, "write the JSON report here")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    # a flag left off the command line parses to None, and _resolve_env_defaults
-    # fills it in after parsing, so no other command reads DNCLAB_*
+    # a flag left off the command line parses to None, and _config_from fills
+    # it in after parsing, so no other command reads DNCLAB_*
     for name, cast, fallback, text in _CONFIG_FLAGS + (_REPORT_FLAG,):
         shown = "" if fallback is None else f"default {fallback}; "
         p.add_argument(f"--{name}", type=cast, default=None, help=f"{text} ({shown}also {ENV_PREFIX}{name.upper()})")
@@ -85,6 +85,9 @@ def _resolve_env_defaults(args) -> None:
 
 
 def _config_from(args, suite: str = "") -> SuiteConfig:
+    """The suite configuration of a command with config flags; it resolves
+    their DNCLAB_* values first, --report included."""
+    _resolve_env_defaults(args)
     return SuiteConfig(suite, **{name: getattr(args, name) for name, *_ in _CONFIG_FLAGS})
 
 
@@ -137,8 +140,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.command in ("verify", "verify-all"):
-            _resolve_env_defaults(args)
         if args.command == "list-suites":
             for entry in list_suites():
                 print(f"{entry['suite']}: {entry['claim']}")

@@ -1048,9 +1048,12 @@ def _check_fredholm(f: Filtration, depth: int) -> dict:
     ``rank([a B]) = dim B + rank(Nᵀa)`` (the block rank identity of
     G. Marsaglia and G. P. H. Styan, *Equalities and inequalities for ranks
     of matrices*, Linear Multilinear Algebra 2, 1974).  With
-    ``r = rank(Nᵀa)`` the map is transverse when ``r`` equals the
-    codimension of the level, and the kernel of ``Nᵀa``, the tangent space
-    of the cut-out set, has dimension ``a.shape[1] - r``."""
+    ``r = linalg.rank_modulo(a, N)`` the map is transverse when ``r`` equals
+    the codimension of the level, and the kernel of ``Nᵀa``, the tangent
+    space of the cut-out set, has dimension ``a.shape[1] - r``.
+    ``rank_modulo`` counts the singular values of ``Nᵀa`` at the scale of
+    the stack ``[a B]``, so the rounding noise that a map into the level
+    leaves in ``Nᵀa`` does not count."""
     if f.fredholm is None:
         return {"status": "not_claimed", "evidence": {}}
     fm, flag = f.fredholm.map, f.fredholm.flag
@@ -1064,7 +1067,7 @@ def _check_fredholm(f: Filtration, depth: int) -> dict:
             y = fm(s)
             member = float(np.linalg.norm(y - basis @ (basis.T @ y)))
             a = fm.jacobian(s) @ f.total.tangent_basis(s)
-            r = linalg.rank(normal.T @ a)
+            r = linalg.rank_modulo(a, normal)
             transverse = r == normal.shape[1]
             cut_dim = a.shape[1] - r
             good = member <= MEMBER_TOL and transverse and cut_dim == f.delta[n]

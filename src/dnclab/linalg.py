@@ -1,14 +1,14 @@
 """Rank decisions and small shared linear-algebra helpers.
 
 Every rank decision in the laboratory is made here, by :func:`rank`,
-:func:`kernel_with_complement` (and :func:`nullspace`, which reads its
-kernel) or :func:`orthonormalize`, against the one relative singular-value
-threshold :data:`RANK_RTOL`.  No function takes a threshold of its own, so
-the threshold is set in exactly one place, and so are the two truncation
-levels of every stabilised count, by :func:`truncation_levels`.  Every SVD
-of the laboratory is taken in this module too: a caller that needs singular
-values themselves, such as the norms of a stack of blocks, reads them from
-:func:`singular_values`.
+:func:`rank_modulo`, :func:`kernel_with_complement` (and :func:`nullspace`,
+which reads its kernel) or :func:`orthonormalize`, against the one relative
+singular-value threshold :data:`RANK_RTOL`.  No function takes a threshold
+of its own, so the threshold is set in exactly one place, and so are the
+two truncation levels of every stabilised count, by
+:func:`truncation_levels`.  Every SVD of the laboratory is taken in this
+module too: a caller that needs singular values themselves, such as the
+norms of a stack of blocks, reads them from :func:`singular_values`.
 
 :func:`nullspace` and :func:`orthonormalize` return orthonormal column
 bases, :func:`kernel_with_complement` returns a kernel and its orthogonal
@@ -55,7 +55,31 @@ def rank(a: np.ndarray) -> int:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    return _rank_of(singular_values(a))
+    return _rank_of(np.linalg.svd(a, compute_uv=False))
+
+
+def rank_modulo(a: np.ndarray, normal: np.ndarray) -> int:
+    """Rank of ``a`` modulo a subspace, ``rank([a B]) - dim B``, for the
+    orthonormal basis ``B`` of a subspace whose orthogonal complement has
+    the orthonormal basis ``normal`` (columns), from one values-only SVD.
+
+    ``[a B]`` and ``[N Nᵀa, B]`` (``N = normal``) span the same space, and
+    the singular values of the latter are those of ``Nᵀa`` beside ``dim B``
+    ones.  They are counted at the scale of the stack, not of ``Nᵀa``: when
+    ``a`` maps into the subspace, ``Nᵀa`` holds only rounding noise of the
+    size ``ε‖a‖``, which a threshold relative to itself would count.  So
+    :func:`rank` is taken of ``Nᵀa`` with one more singular value set
+    beside it, ``c = hypot(1, ‖a‖_F)``, an upper bound of
+    ``σ_max([a B]) <= hypot(1, σ_max(a))`` and of ``σ_max(Nᵀa)``, which
+    puts the threshold at ``RANK_RTOL·c``."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    cut = normal.T @ a
+    if cut.size == 0:
+        return 0
+    scaled = np.zeros((cut.shape[0] + 1, cut.shape[1] + 1))
+    scaled[:-1, :-1] = cut
+    scaled[-1, -1] = np.hypot(1.0, np.linalg.norm(a))
+    return rank(scaled) - 1
 
 
 def kernel_with_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

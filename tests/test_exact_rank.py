@@ -148,22 +148,35 @@ class TestRank:
             assert linalg.rank(a) == (r + 1 if k <= 26 else r)
 
 
-def clear_of_threshold(a: np.ndarray) -> bool:
+def clear_of_threshold(a: np.ndarray, scale: float | None = None) -> bool:
     """No nonzero singular value of ``a`` within three decades of the
-    threshold ``RANK_RTOL * σ_max``, where a float decision could part from
-    the exact one."""
+    threshold ``RANK_RTOL * scale`` (by default ``σ_max``), where a float
+    decision could part from the exact one."""
     if a.size == 0:
         return True
     s = linalg.singular_values(a)
     s = s[s > 0]
-    return s.size == 0 or bool(np.all(np.abs(np.log10(s / (linalg.RANK_RTOL * s[0]))) > 3))
+    scale = s[0] if scale is None and s.size else scale
+    return s.size == 0 or bool(np.all(np.abs(np.log10(s / (linalg.RANK_RTOL * scale))) > 3))
+
+
+def unit_triangular(draw, n: int, upper: bool) -> np.ndarray:
+    """A dyadic unit triangular matrix, invertible in exact arithmetic."""
+    entries = st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0])
+    t = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            t[(i, j) if upper else (j, i)] = draw(entries)
+    return t
 
 
 class TestFredholmCutRank:
     """``filtration._check_fredholm`` decides transversality to a flag level
-    with orthonormal basis B from the rank of Nᵀa alone, N spanning the
-    complement of B: rank([a B]) = dim B + rank(Nᵀa).  Against a coordinate
-    level, Nᵀa is exactly the rows of ``a`` below dim B, up to a rotation."""
+    with orthonormal basis B from ``linalg.rank_modulo(a, N)``, the rank of
+    Nᵀa with N spanning the complement of B: rank([a B]) = dim B + rank(Nᵀa).
+    Against a coordinate level, Nᵀa is exactly the rows of ``a`` below
+    dim B, up to a rotation; against a rotated level, a map into the level
+    leaves rounding noise in Nᵀa."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 7), cols=st.integers(1, 7))
@@ -176,11 +189,30 @@ class TestFredholmCutRank:
         basis = linalg.orthonormalize(b)
         normal = linalg.nullspace(basis.T)
         cut, stack = normal.T @ a, np.hstack([a, basis])
-        assume(clear_of_threshold(cut) and clear_of_threshold(stack))
-        r = linalg.rank(cut)
+        assume(clear_of_threshold(cut, np.hypot(1.0, np.linalg.norm(a))) and clear_of_threshold(stack))
+        r = linalg.rank_modulo(a, normal)
         assert r == exact_rank(a[k:])
         transverse = exact_rank(np.hstack([a, b])) == rows
         assert (r == normal.shape[1]) == (linalg.rank(stack) == rows) == transverse
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), rows=st.integers(2, 7), cols=st.integers(1, 7))
+    def test_map_into_a_rotated_level_is_not_transverse(self, data, rows, cols):
+        # B spans the first k columns of a dyadic invertible L U, and a = B c
+        # maps into span B, so exactly rank([a B]) = k < rows; N^T a is
+        # rounding noise alone, which rank_modulo must count as nothing
+        k = data.draw(st.integers(1, rows - 1))
+        g = unit_triangular(data.draw, rows, upper=False) @ unit_triangular(data.draw, rows, upper=True)
+        entries = st.sampled_from([1.0, -1.0, 0.5, 3.0, -0.25])
+        c = np.array(data.draw(st.lists(entries, min_size=k * cols, max_size=k * cols))).reshape(k, cols)
+        b = g[:, :k]
+        a = b @ c
+        assert exact_rank(np.hstack([a, b])) == k
+        basis = linalg.orthonormalize(b)
+        normal = linalg.nullspace(basis.T)
+        assert normal.shape[1] == rows - k
+        assert linalg.rank_modulo(a, normal) == 0
+        assert linalg.rank(np.hstack([a, basis])) == k
 
 
 def three_rank_verify(cs: sub.ComplementedSubspace, exact: bool, margin: int = 5) -> bool:

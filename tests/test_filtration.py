@@ -805,6 +805,31 @@ class TestDirectlyBuilt:
             a = proj @ lin.total.tangent_basis(s)
             assert r["transverse"] == (linalg.rank(np.hstack([a, basis])) == d)
 
+    def test_cutting_map_into_a_rotated_level_is_not_transverse(self):
+        # the map B_2 C lands in V_2 of a rotated flag, which is not all of
+        # R^5, so it is transverse to no level; against the orthonormal basis
+        # of the rotated V_2, N^T a is rounding noise of about 1e-16, which
+        # must not count as the one normal direction V_2 lacks
+        from dnclab import operators as ops
+
+        flag = fl.rotated_flag([2, 4], ops.identity() + ops.rank_one(0, 3, 1.0) + ops.rank_one(4, 1, -0.5))
+        lin = filt.make_filtration_linear(flag, margin=0)
+        d = lin.total.ambient_dim
+        b2 = flag.level(2).space.basis_matrix(d)
+        m = b2 @ np.random.Generator(np.random.Philox(key=7)).normal(size=(b2.shape[1], d))
+        direct = filt.Filtration(lin.delta, lin.levels, lin.total, fredholm=filt.FredholmData(geo.linear_map(m, "into V_2"), flag))
+        got = filt.verify_filtration(direct, n_samples=4).conditions["fredholm"]
+        assert got["status"] == "fail"
+        samples = [s for n in range(1, 3) for s in lin.level(n).samples]
+        for r, s in zip(got["evidence"]["samples"], samples):
+            basis = linalg.orthonormalize(flag.level(r["level"]).space.basis_matrix(d))
+            a = m @ lin.total.tangent_basis(s)
+            assert not r["transverse"]
+            assert r["transverse"] == (linalg.rank(np.hstack([a, basis])) == d)
+            if r["level"] == 2:
+                assert r["membership_residual"] <= 1e-12
+                assert r["preimage_tangent_dim"] == d  # N^T a counts as zero
+
     def test_witness_list_must_match_the_levels(self):
         # witness n belongs to level n: too few leave levels unchecked, too
         # many name levels that do not exist, and both fail normality
