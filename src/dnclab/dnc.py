@@ -81,18 +81,6 @@ class DncPoint:
     def boundary(m, x) -> "DncPoint":
         return DncPoint("boundary", np.asarray(m, dtype=float), 0.0, np.asarray(x, dtype=float))
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "point": list(self.point), "lambda": self.lam}
-        if self.normal is not None:
-            out["normal"] = list(self.normal)
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "DncPoint":
-        if obj["kind"] == "interior":
-            return DncPoint.interior(obj["point"], obj["lambda"])
-        return DncPoint.boundary(obj["point"], obj["normal"])
-
 
 @dataclass(frozen=True)
 class TangentGroupoidElement:
@@ -121,11 +109,6 @@ class TangentGroupoidElement:
         return TangentGroupoidElement(
             "tangent", np.asarray(m, dtype=float), np.asarray(v, dtype=float), 0.0
         )
-
-    def to_json(self) -> dict:
-        if self.kind == "pair":
-            return {"kind": "pair", "target": list(self.a), "source": list(self.b), "lambda": self.lam}
-        return {"kind": "tangent", "point": list(self.a), "vector": list(self.b), "lambda": 0.0}
 
 
 # -- charts -------------------------------------------------------------------

@@ -103,12 +103,6 @@ class Flag:
             raise IndexError(f"level {n} outside 1..{self.depth}")
         return self.subspaces[n - 1]
 
-    def to_json(self) -> dict:
-        return {
-            "delta": list(self.delta),
-            "levels": [s.to_json() for s in self.subspaces],
-        }
-
 
 def standard_flag(delta) -> Flag:
     """Coordinate flag: E_n is the span of the leading delta(n) coordinates,

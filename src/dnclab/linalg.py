@@ -1,10 +1,12 @@
 """Rank decisions and small shared linear-algebra helpers.
 
 Every rank decision in the laboratory is made here, by :func:`rank`,
-:func:`rank_modulo`, :func:`kernel_with_complement` (and :func:`nullspace`,
-which reads its kernel) or :func:`orthonormalize`, against the one relative
-singular-value threshold :data:`RANK_RTOL`.  No function takes a threshold
-of its own, so the threshold is set in exactly one place, and so are the
+:func:`is_nonsingular`, :func:`rank_modulo`, :func:`kernel_with_complement`
+(and :func:`nullspace`, which reads its kernel) or :func:`orthonormalize`,
+against the one relative singular-value threshold :data:`RANK_RTOL`;
+:func:`is_nonsingular` skips the SVD only where a Gram bound proves that
+:func:`rank` would say the same.  No function takes a threshold of its own,
+so the threshold is set in exactly one place, and so are the
 two truncation levels of every stabilised count, by
 :func:`truncation_levels`.  Every SVD of the laboratory is taken in this
 module too: a caller that needs singular values themselves, such as the
@@ -56,6 +58,20 @@ def rank(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
     return _rank_of(np.linalg.svd(a, compute_uv=False))
+
+
+def is_nonsingular(g: np.ndarray) -> bool:
+    """``rank(g) == n`` for a square ``n x n`` matrix ``g``, without an SVD
+    when ``g`` is nearly orthonormal: ``‖gᵀg − I‖_F <= 1/2``.
+
+    The eigenvalues of ``gᵀg`` are the ``σᵢ(g)²``, and by Weyl's inequality
+    (H. Weyl, *Das asymptotische Verteilungsgesetz der Eigenwerte linearer
+    partieller Differentialgleichungen*, Math. Ann. 71, 1912) each lies
+    within ``‖gᵀg − I‖_2 <= ‖gᵀg − I‖_F <= 1/2`` of 1.  So
+    ``σ_min/σ_max >= 1/√3``, far above RANK_RTOL, and :func:`rank` would
+    count all ``n``.  Any other ``g`` takes that rank."""
+    n = g.shape[1]
+    return bool(np.linalg.norm(g.T @ g - np.eye(n)) <= 0.5) or rank(g) == n
 
 
 def rank_modulo(a: np.ndarray, normal: np.ndarray) -> int:

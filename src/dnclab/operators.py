@@ -31,8 +31,6 @@ Coordinates are 0-based internally; e_i is the i-th standard basis vector.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import linalg
@@ -44,7 +42,7 @@ from .errors import (
     NotTransversal,
     StabilizationFailure,
 )
-from .subspaces import ComplementedSubspace, SubspaceBasis, _interleave_basis
+from .subspaces import ComplementedSubspace, SubspaceBasis, _interleave_basis, _side_by_side
 
 __all__ = [
     "SequenceOperator",
@@ -236,7 +234,7 @@ class SequenceOperator:
             r = max(r, cols + self.shift)
         return max(r, 0)
 
-    # -- comparisons and serialization ------------------------------------
+    # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SequenceOperator):
@@ -263,26 +261,6 @@ class SequenceOperator:
             f"SequenceOperator(shift={self.shift}, window={self.window}, "
             f"tail_scale={self.tail_scale})"
         )
-
-    def to_json(self) -> dict:
-        return {
-            "tail_shift": self.shift,
-            "window": self.window,
-            "tail_scale": self.tail_scale,
-            "block": [list(row) for row in self.block],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SequenceOperator":
-        block = np.asarray(obj["block"], dtype=float)
-        if block.size == 0:
-            block = np.zeros((0, obj["window"]))
-        return SequenceOperator(
-            obj["tail_shift"], obj["window"], block, obj.get("tail_scale", 1.0)
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 # -- statutory constructors ------------------------------------------------
@@ -609,8 +587,8 @@ def preimage_with_complement(
     off = _off_subspace(op.to_dense(rows, head), v.space.basis_matrix(rows))
     kernel, w_basis = linalg.kernel_with_complement(off)  # the complement is the row space of ``off``
     result = ComplementedSubspace(
-        SubspaceBasis(tail_start=head if has_tail else None, vectors=list(kernel.T)),
-        SubspaceBasis(tail_start=None if has_tail else head, vectors=list(w_basis.T)),
+        SubspaceBasis(head if has_tail else None, kernel),
+        SubspaceBasis(None if has_tail else head, w_basis),
     )
     if not result.verify():
         raise ComplementFailure("the preimage complement does not verify")
@@ -748,11 +726,11 @@ def block_preimage_with_complement(
     kernel = linalg.nullspace(off)
     joint = np.zeros((2 * max(h1, h2), kernel.shape[1]))  # (x1, x2) -> x1 at 2i, x2 at 2i + 1
     joint[0 : 2 * h1 : 2], joint[1 : 2 * h2 : 2] = kernel[:h1], kernel[h1:]
-    if cofinite:
-        space = _interleave_basis(SubspaceBasis(h1, []), SubspaceBasis(h2, []))
-        space = SubspaceBasis(space.tail_start, space.vectors + list(joint.T))
+    if cofinite:  # the joint tail's stragglers, then the head kernel
+        tail = _interleave_basis(SubspaceBasis(h1, []), SubspaceBasis(h2, []))
+        space = SubspaceBasis(tail.tail_start, _side_by_side(tail.block, joint))
     else:
-        space = SubspaceBasis(None, list(joint.T))
+        space = SubspaceBasis(None, joint)
     result = ComplementedSubspace(space, _interleave_basis(p1.complement, p2.complement))
     if not result.verify():
         raise ComplementFailure("factor complements do not complement the block preimage")

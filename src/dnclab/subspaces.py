@@ -2,20 +2,24 @@
 
 A subspace is either the span of finitely many finite-support vectors, or
 cofinite: all coordinates beyond ``tail_start`` together with a finite list
-of correction vectors.  Every subspace is stored with a complement, and the
-pair is checked by rank tests at the two levels of ``linalg.truncation_levels``.
+of correction vectors.  The finite vectors are held as one trimmed column
+block (support x count), so a truncation's basis matrix is that block beside
+the tail's unit columns.  Every subspace is stored with a complement, and
+the pair is checked by rank tests at the two levels of
+``linalg.truncation_levels``.
 
 When the two sides together have exactly ``level`` columns at a level, one
 rank test of the stacked columns decides the direct sum there: singular
 values interlace under deleting columns, so a full-rank stack leaves each
 side full rank under the same threshold, ``linalg.RANK_RTOL`` (see
-:meth:`ComplementedSubspace.verify`).  Fewer columns fail without an SVD;
-only more columns need the three ranks.
+:meth:`ComplementedSubspace.verify`).  A stack within 1/2 of orthonormal,
+``‖GᵀG − I‖_F <= 1/2``, has every σᵢ² in [1/2, 3/2] by Weyl's inequality,
+so it passes without an SVD (``linalg.is_nonsingular``); preimage
+certificates and coordinate spans are orthonormal by construction.  Fewer
+columns fail without an SVD; only more columns need the three ranks.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -34,46 +38,40 @@ __all__ = [
 
 class SubspaceBasis:
     """Half of a complemented pair: a finite span, or a coordinate tail
-    plus finite corrections."""
+    plus finite corrections.
 
-    __slots__ = ("tail_start", "vectors")
+    The finite part is one column block: each column is a vector on the
+    leading coordinates.  Construction trims it once, dropping its zero
+    columns and its trailing zero rows, so its height is the support bound
+    of the finite part."""
 
-    def __init__(self, tail_start: int | None, vectors):
+    __slots__ = ("tail_start", "block")
+
+    def __init__(self, tail_start: int | None, block):
         self.tail_start = tail_start
-        vs = []
-        for v in vectors:
-            v = linalg.trim(np.asarray(v, dtype=float))
-            if v.size:
-                vs.append(v)
-        self.vectors = vs
+        block = np.asarray(block, dtype=float)
+        if block.size == 0:
+            block = np.zeros((0, 0))
+        nonzero = block != 0.0
+        rows = np.flatnonzero(nonzero.any(axis=1))
+        self.block = block[: rows[-1] + 1 if rows.size else 0, nonzero.any(axis=0)]
 
     def support_bound(self) -> int:
-        b = max([v.size for v in self.vectors] + [0])
-        if self.tail_start is not None:
-            b = max(b, self.tail_start)
-        return b
+        return max(self.block.shape[0], self.tail_start or 0)
 
     def basis_matrix(self, level: int) -> np.ndarray:
         """Columns spanning the subspace's trace at truncation ``level``."""
+        h, k = self.block.shape
+        if h > level:  # the block is trimmed, so its last row holds a nonzero entry
+            raise ValueError("cannot truncate nonzero coordinates")
         tail = np.arange(level if self.tail_start is None else self.tail_start, level)
-        m = np.zeros((level, len(self.vectors) + tail.size))
-        for j, v in enumerate(self.vectors):
-            if v.size > level:  # stored vectors are trimmed, so the cut-off entry is nonzero
-                raise ValueError("cannot truncate nonzero coordinates")
-            m[: v.size, j] = v
-        m[tail, len(self.vectors) + np.arange(tail.size)] = 1.0  # the coordinate tail e_i, i >= tail_start
+        m = np.zeros((level, k + tail.size))
+        m[:h, :k] = self.block
+        m[tail, k + np.arange(tail.size)] = 1.0  # the coordinate tail e_i, i >= tail_start
         return m
 
     def dim_at(self, level: int) -> int:
         return linalg.rank(self.basis_matrix(level))
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float).ravel()
-        level = max(self.support_bound(), x.size, 1)
-        q = linalg.orthonormalize(self.basis_matrix(level))
-        xx = linalg.pad_to(x, level)
-        resid = xx - q @ (q.T @ xx) if q.size else xx
-        return float(np.linalg.norm(resid)) <= tol
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         """Containment at both levels of ``linalg.truncation_levels`` of the
@@ -85,18 +83,8 @@ class SubspaceBasis:
                 return False
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "tail_start": self.tail_start,
-            "vectors": [list(v) for v in self.vectors],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SubspaceBasis":
-        return SubspaceBasis(obj["tail_start"], obj["vectors"])
-
     def __repr__(self) -> str:
-        return f"SubspaceBasis(tail_start={self.tail_start}, n_vectors={len(self.vectors)})"
+        return f"SubspaceBasis(tail_start={self.tail_start}, n_vectors={self.block.shape[1]})"
 
 
 class ComplementedSubspace:
@@ -119,7 +107,13 @@ class ComplementedSubspace:
 
         - ``k < level``: the rank is at most ``k``, so the level fails
           without an SVD;
-        - ``k == level``: the single test ``rank([a b]) == level`` decides.
+        - ``k == level``: the single test ``rank([a b]) == level`` decides,
+          by :func:`linalg.is_nonsingular`.  When ``G = [a b]`` has Gram
+          defect ``‖GᵀG − I‖_F <= 1/2``, every ``σᵢ(G)²`` lies in
+          ``[1/2, 3/2]`` (H. Weyl, *Das asymptotische Verteilungsgesetz der
+          Eigenwerte linearer partieller Differentialgleichungen*, Math.
+          Ann. 71, 1912), so ``σ_min/σ_max >= 1/√3 > τ`` and the level
+          passes without an SVD; any other ``G`` takes the one rank.
           Singular values interlace when columns are deleted (R. C. Thompson,
           *Principal submatrices IX*, Linear Algebra Appl. 5, 1972), so
           ``σ_min(a) >= σ_min([a b]) > τ·σ_max([a b]) >= τ·σ_max(a)`` with
@@ -133,67 +127,51 @@ class ComplementedSubspace:
             b = self.complement.basis_matrix(level)
             ab = np.hstack([a, b])
             k = ab.shape[1]
-            if k < level or linalg.rank(ab) != level:
+            if k < level:
                 return False
-            if k > level and linalg.rank(a) + linalg.rank(b) != level:
+            if k == level:
+                if not linalg.is_nonsingular(ab):
+                    return False
+            elif linalg.rank(ab) != level or linalg.rank(a) + linalg.rank(b) != level:
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return {"basis": self.space.to_json(), "complement": self.complement.to_json()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ComplementedSubspace":
-        return ComplementedSubspace(
-            SubspaceBasis.from_json(obj["basis"]),
-            SubspaceBasis.from_json(obj["complement"]),
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
     def __repr__(self) -> str:
         return f"ComplementedSubspace({self.space!r}, {self.complement!r})"
 
 
+def _side_by_side(*blocks: np.ndarray) -> np.ndarray:
+    """The columns of every block in turn, each zero-padded to the tallest."""
+    m = np.zeros((max(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    j = 0
+    for b in blocks:
+        m[: b.shape[0], j : j + b.shape[1]] = b
+        j += b.shape[1]
+    return m
+
+
 def coordinate_span(n: int) -> ComplementedSubspace:
     """span{e_0, ..., e_(n-1)} with the coordinate tail as complement."""
-    vs = []
-    for i in range(n):
-        e = np.zeros(i + 1)
-        e[i] = 1.0
-        vs.append(e)
-    return ComplementedSubspace(
-        SubspaceBasis(None, vs), SubspaceBasis(n, [])
-    )
-
-
-def _interleave(v: np.ndarray, parity: int) -> np.ndarray:
-    out = np.zeros(2 * v.size)
-    out[parity : 2 * v.size + parity : 2] = v
-    return linalg.trim(out)
+    return ComplementedSubspace(SubspaceBasis(None, np.eye(n)), SubspaceBasis(n, []))
 
 
 def _interleave_basis(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    vectors = [_interleave(v, 0) for v in a.vectors] + [_interleave(v, 1) for v in b.vectors]
-    if a.tail_start is None and b.tail_start is None:
-        return SubspaceBasis(None, vectors)
-    # global tail where both factor tails are live; stragglers become corrections
-    ka = a.tail_start if a.tail_start is not None else None
-    kb = b.tail_start if b.tail_start is not None else None
-    if ka is None or kb is None:
+    """Factor-a rows at the even coordinates, factor-b rows at the odd ones."""
+    if (a.tail_start is None) != (b.tail_start is None):
         # an every-other-coordinate tail is not expressible in this model
         raise ValueError("cannot interleave a finite subspace with a cofinite one")
+    spread = []
+    for basis, parity in ((a, 0), (b, 1)):
+        m = np.zeros((2 * basis.block.shape[0] + parity, basis.block.shape[1]))
+        m[parity::2] = basis.block
+        spread.append(m)
+    if a.tail_start is None:
+        return SubspaceBasis(None, _side_by_side(*spread))
+    # global tail where both factor tails are live; stragglers become corrections
+    ka, kb = a.tail_start, b.tail_start
     start = max(2 * ka, 2 * kb + 1)
-    for g in range(2 * ka, start, 2):  # even stragglers below the joint tail
-        e = np.zeros(g + 1)
-        e[g] = 1.0
-        vectors.append(e)
-    for g in range(2 * kb + 1, start, 2):  # odd stragglers
-        e = np.zeros(g + 1)
-        e[g] = 1.0
-        vectors.append(e)
-    return SubspaceBasis(start, vectors)
+    stragglers = [*range(2 * ka, start, 2), *range(2 * kb + 1, start, 2)]  # even, then odd
+    return SubspaceBasis(start, _side_by_side(*spread, np.eye(start)[:, stragglers]))
 
 
 def interleave_subspaces(v1: ComplementedSubspace, v2: ComplementedSubspace) -> ComplementedSubspace:
@@ -212,15 +190,13 @@ def subspace_image(g, v: ComplementedSubspace) -> ComplementedSubspace:
         raise ValueError("subspace_image requires an identity-tail operator")
 
     def push(basis: SubspaceBasis) -> SubspaceBasis:
-        vectors = [g.apply(v_) for v_ in basis.vectors]
-        if basis.tail_start is None:
-            return SubspaceBasis(None, vectors)
-        start = max(basis.tail_start, g.window)
-        for i in range(basis.tail_start, start):
-            e = np.zeros(i + 1)
-            e[i] = 1.0
-            vectors.append(g.apply(e))
-        return SubspaceBasis(start, vectors)
+        columns = basis.block
+        start = None
+        if basis.tail_start is not None:  # tail coordinates inside the window become corrections
+            start = max(basis.tail_start, g.window)
+            columns = _side_by_side(columns, np.eye(start)[:, basis.tail_start :])
+        n = columns.shape[0]
+        return SubspaceBasis(start, g.to_dense(g.output_rows(n), n) @ columns)
 
     return ComplementedSubspace(push(v.space), push(v.complement))
 
@@ -230,11 +206,11 @@ def prepend_coordinate(v: ComplementedSubspace) -> ComplementedSubspace:
     coordinate e_0 to the subspace."""
 
     def shift(basis: SubspaceBasis, adjoin: bool) -> SubspaceBasis:
-        vectors = [np.concatenate([[0.0], v_]) for v_ in basis.vectors]
+        block = np.pad(basis.block, ((1, 0), (0, int(adjoin))))
         if adjoin:
-            vectors.append(np.array([1.0]))
+            block[0, -1] = 1.0
         start = None if basis.tail_start is None else basis.tail_start + 1
-        return SubspaceBasis(start, vectors)
+        return SubspaceBasis(start, block)
 
     return ComplementedSubspace(shift(v.space, True), shift(v.complement, False))
 
@@ -246,6 +222,6 @@ def drop_first_coordinate(v: ComplementedSubspace) -> ComplementedSubspace:
 
     def shift(basis: SubspaceBasis) -> SubspaceBasis:
         start = None if basis.tail_start is None else basis.tail_start - 1
-        return SubspaceBasis(start, [v_[1:] for v_ in basis.vectors])
+        return SubspaceBasis(start, basis.block[1:])
 
     return ComplementedSubspace(shift(v.space), shift(v.complement))

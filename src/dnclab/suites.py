@@ -64,15 +64,26 @@ def _random_glk(rng, max_window: int = 4) -> ops.SequenceOperator:
             return ops.SequenceOperator(0, w, block)
 
 
-def _random_finite_rank(rng, max_window: int = 3) -> ops.SequenceOperator:
+def _random_block(rng, max_window: int) -> np.ndarray:
     r = int(rng.integers(1, max_window + 2))
     c = int(rng.integers(1, max_window + 2))
-    return ops.finite_rank(rng.normal(size=(r, c)))
+    return rng.normal(size=(r, c))
+
+
+def _random_finite_rank(rng, max_window: int = 3) -> ops.SequenceOperator:
+    return ops.finite_rank(_random_block(rng, max_window))
 
 
 def _random_shifted(rng, shift: int, max_window: int = 3) -> ops.SequenceOperator:
-    w = int(rng.integers(0, max_window + 1))
-    return ops.shift_op(shift) + _random_finite_rank(rng, w + 1)
+    """``shift_op(shift) + finite_rank(m)`` for a random block m, built as
+    one operator from the dense sum that ``+`` would canonicalise."""
+    m = _random_block(rng, int(rng.integers(0, max_window + 1)) + 1)
+    w = max(m.shape[1], -shift)
+    a = np.zeros((max(m.shape[0], w + shift), w))
+    a[: m.shape[0], : m.shape[1]] = m
+    i = np.arange(max(0, -shift), w)
+    a[i + shift, i] += 1.0
+    return ops.SequenceOperator(shift, w, a)
 
 
 def _random_bounded(rng) -> ops.SequenceOperator:
@@ -794,8 +805,8 @@ def suite_flag_laws(config: SuiteConfig) -> list[CheckResult]:
     broken = fl.Flag(
         fl.DimensionSequence([1, 2]),
         [sub.coordinate_span(1), sub.ComplementedSubspace(
-            sub.SubspaceBasis(None, [np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0])]),
-            sub.SubspaceBasis(3, [np.array([1.0])]),
+            sub.SubspaceBasis(None, np.eye(3)[:, 1:]),
+            sub.SubspaceBasis(3, np.eye(1)),
         )],
     )
     broken_report = fl.verify_flag(broken)

@@ -554,17 +554,3 @@ class TestTransversalityCheck:
         )
         with pytest.raises(PreconditionFailed, match="z_transverse_to_target_submanifold"):
             dnc.dnc_transversality_check(fp, geo.ManifoldPair(bad_z, zpair.small), [])
-
-
-class TestSerialization:
-    def test_point_roundtrip(self):
-        p = dnc.DncPoint.boundary([1.0, 0.0], [0.0, 2.0])
-        obj = p.to_json()
-        assert obj["kind"] == "boundary" and obj["lambda"] == 0.0
-        back = dnc.DncPoint.from_json(obj)
-        assert np.array_equal(back.point, p.point) and np.array_equal(back.normal, p.normal)
-
-    def test_element_json_shape(self):
-        el = dnc.TangentGroupoidElement.pair([1.0], [2.0], 0.5)
-        obj = el.to_json()
-        assert obj["kind"] == "pair" and obj["lambda"] == 0.5

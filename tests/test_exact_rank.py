@@ -9,7 +9,7 @@ The differential tests draw dyadic instances, the way ``suites._dyadic`` and
 ``test_operators.raw_operators`` draw them, whose float decisions should be
 exact: the nonzero singular values stay well clear of the ``RANK_RTOL``
 threshold.  They cover ``linalg.rank``, both branches of
-``ComplementedSubspace.verify``, both ``fredholm_index``es, ``is_glk``,
+``ComplementedSubspace.verify`` and its Gram certificate, both ``fredholm_index``es, ``is_glk``,
 ``is_transversal`` and ``block_is_transversal``, and they compare each
 certified preimage with the exact dense kernel.  The exact side lays
 operators out with the test's own truncation ``test_operators.oracle``;
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_operators import C_SCALE, oracle, raw_operators
+from test_operators import C_SCALE, columns, oracle, raw_operators
 
 from dnclab import linalg
 from dnclab import operators as ops
@@ -242,7 +242,7 @@ def dyadic_pairs(draw, w_max: int = 4, entries=st.sampled_from(HEAD)):
     vecs = [np.array(draw(st.lists(entries, min_size=w, max_size=w))) for _ in range(count)]
     split = draw(st.integers(0, count))
     tail = draw(st.integers(max(0, w - 1), w + 1))
-    finite, cofinite = sub.SubspaceBasis(None, vecs[:split]), sub.SubspaceBasis(tail, vecs[split:])
+    finite, cofinite = sub.SubspaceBasis(None, columns(*vecs[:split])), sub.SubspaceBasis(tail, columns(*vecs[split:]))
     if draw(st.booleans()):
         return sub.ComplementedSubspace(finite, cofinite)
     return sub.ComplementedSubspace(cofinite, finite)
@@ -276,8 +276,9 @@ def rank_calls(monkeypatch):
 
 
 class TestVerify:
-    """``verify`` makes one rank test per level when the columns are exactly
-    the level, none when they are fewer, and three when they are more."""
+    """``verify`` makes at most one rank test per level when the columns are
+    exactly the level (none when their Gram defect certifies them), none
+    when they are fewer, and three when they are more."""
 
     @settings(max_examples=80, deadline=None)
     @given(cs=dyadic_pairs())
@@ -302,7 +303,7 @@ class TestVerify:
 
     def test_too_few_columns_fail_without_a_rank(self, rank_calls):
         # span{e0} against the tail from 3 misses e1 and e2
-        cs = sub.ComplementedSubspace(sub.SubspaceBasis(None, [[1.0]]), sub.SubspaceBasis(3, []))
+        cs = sub.ComplementedSubspace(sub.SubspaceBasis(None, columns([1.0])), sub.SubspaceBasis(3, []))
         assert columns_at_levels(cs) == {"few"}
         assert not cs.verify()
         assert rank_calls[0] == 0
@@ -311,7 +312,7 @@ class TestVerify:
     def test_square_pair_meeting_its_complement(self, rank_calls):
         # span{e0} against span{e0 + e2} + tail from 2: e0 in both, e1 in neither
         cs = sub.ComplementedSubspace(
-            sub.SubspaceBasis(None, [[1.0]]), sub.SubspaceBasis(2, [[1.0, 0.0, 1.0]])
+            sub.SubspaceBasis(None, columns([1.0])), sub.SubspaceBasis(2, columns([1.0, 0.0, 1.0]))
         )
         assert columns_at_levels(cs) == {"square"}
         assert not cs.verify()
@@ -319,15 +320,17 @@ class TestVerify:
         assert not three_rank_verify(cs, exact=True)
 
     def test_square_pair_takes_one_rank_per_level(self, rank_calls):
+        # the stack is the identity at each level: the Gram certificate
+        # decides both levels, so not even the one rank is taken
         cs = sub.coordinate_span(3)
         assert columns_at_levels(cs) == {"square"}
         assert cs.verify()
-        assert rank_calls[0] == 2
+        assert rank_calls[0] == 0
 
     def test_duplicated_vector_takes_the_three_rank_path(self, rank_calls):
         # span{e0, e0} against the tail from 1: a direct sum with one column
         # too many at each level
-        cs = sub.ComplementedSubspace(sub.SubspaceBasis(None, [[1.0], [1.0]]), sub.SubspaceBasis(1, []))
+        cs = sub.ComplementedSubspace(sub.SubspaceBasis(None, columns([1.0], [1.0])), sub.SubspaceBasis(1, []))
         assert columns_at_levels(cs) == {"many"}
         assert cs.verify()
         assert rank_calls[0] == 6
@@ -337,7 +340,7 @@ class TestVerify:
         # span{e0, e0 + e1} against the tail from 1: together they span, so
         # rank([a b]) == level alone would pass, but they meet in e1
         cs = sub.ComplementedSubspace(
-            sub.SubspaceBasis(None, [[1.0], [1.0, 1.0]]), sub.SubspaceBasis(1, [])
+            sub.SubspaceBasis(None, columns([1.0], [1.0, 1.0])), sub.SubspaceBasis(1, [])
         )
         assert columns_at_levels(cs) == {"many"}
         assert not cs.verify()
@@ -350,11 +353,99 @@ class TestVerify:
         # sum for every k; the smallest singular value is about 2^-k / 2 of
         # the largest, so the float verdict flips below RANK_RTOL from k = 26
         cs = sub.ComplementedSubspace(
-            sub.SubspaceBasis(None, [[1.0, 2.0**-k]]), sub.SubspaceBasis(2, [[1.0]])
+            sub.SubspaceBasis(None, columns([1.0, 2.0**-k])), sub.SubspaceBasis(2, columns([1.0]))
         )
         assert columns_at_levels(cs) == {"square"}
         assert three_rank_verify(cs, exact=True)
         assert cs.verify() == three_rank_verify(cs, exact=False) == (k <= 25)
+
+
+# A signed permutation plus a perturbation in (1/4)Z of size at most 1/2,
+# mostly zero: every entry lies in (1/4)Z with size at most 3/2, so on at
+# most 5 coordinates a nonzero determinant is at least 4^-5 and the smallest
+# nonzero singular value at least 4^-5 / 7.5^4, 4e-8 of the largest.
+PERTURBATION = [0.0] * 6 + [0.25, -0.25, 0.5, -0.5]
+
+
+@st.composite
+def perturbed_orthonormal(draw, n_max: int = 5) -> np.ndarray:
+    """A perturbed signed permutation; a quarter of them repeat a column,
+    which makes them singular and sets their Gram defect past 1/2."""
+    n = draw(st.integers(1, n_max))
+    e = draw(st.lists(st.sampled_from(PERTURBATION), min_size=n * n, max_size=n * n))
+    g = draw(signed_permutation(n)) + np.array(e).reshape(n, n)
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        g[:, j] = g[:, i]
+    return g
+
+
+def certified(g: np.ndarray) -> bool:
+    """``‖gᵀg − I‖_F <= 1/2``, in exact arithmetic."""
+    q = [[Fraction(x) for x in row] for row in g.tolist()]
+    n = len(q)
+    gram = [[sum(q[k][i] * q[k][j] for k in range(n)) - (i == j) for j in range(n)] for i in range(n)]
+    return sum(x * x for row in gram for x in row) <= Fraction(1, 4)
+
+
+def count_ranks(fn):
+    """``fn()`` and the number of ``linalg.rank`` calls it made."""
+    calls = [0]
+    rank = linalg.rank
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return rank(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "rank", counted)
+        return fn(), calls[0]
+
+
+class TestGramCertificate:
+    """A square stack whose Gram defect is at most 1/2 passes without an
+    SVD, and only where the exact rank passes it too; any other square
+    stack takes exactly one rank."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=perturbed_orthonormal())
+    def test_is_nonsingular_is_exact(self, g):
+        n = g.shape[0]
+        verdict, calls = count_ranks(lambda: linalg.is_nonsingular(g))
+        assert verdict == (exact_rank(g) == n)
+        assert calls == (0 if certified(g) else 1)
+        if certified(g):
+            assert verdict
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=perturbed_orthonormal(), data=st.data())
+    def test_certified_levels_pass_the_exact_three_rank_rule(self, g, data):
+        # the space takes the first j columns of g, the complement the rest
+        # and the tail beyond g: each level's stack is g (+) I, of g's defect
+        n = g.shape[0]
+        j = data.draw(st.integers(0, n))
+        cs = sub.ComplementedSubspace(sub.SubspaceBasis(None, g[:, :j]), sub.SubspaceBasis(n, g[:, j:]))
+        assert columns_at_levels(cs) == {"square"}
+        verdict, calls = count_ranks(cs.verify)
+        assert verdict == three_rank_verify(cs, exact=True)
+        if certified(g):
+            assert verdict and calls == 0
+        else:  # one rank a level, and a failing first level ends the test
+            assert calls == (2 if verdict else 1)
+
+    def test_drawn_stacks_reach_every_side_of_the_bound(self):
+        seen: set[str] = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(g=perturbed_orthonormal())
+        def collect(g):
+            if certified(g):
+                seen.add("certified")
+            else:
+                seen.add("nonsingular" if exact_rank(g) == g.shape[0] else "singular")
+
+        collect()
+        assert seen == {"certified", "nonsingular", "singular"}
 
 
 # -- index and structure group -----------------------------------------------------
@@ -490,6 +581,16 @@ class TestTransversality:
         image = oracle(raw, level + 11, level) @ u
         assert np.max(np.abs(image - q @ (q.T @ image)), initial=0.0) <= 1e-9
         assert linalg.rank(u) == u.shape[1] == preimage_dimension(raw, v, level)
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw=raw_operators(), v=dyadic_targets(7))
+    def test_preimage_certificate_verifies_without_a_rank(self, raw, v):
+        # [kernel | complement | unit tail] is orthonormal by construction
+        try:
+            pre = ops.preimage_with_complement(ops.SequenceOperator(*raw), v)
+        except NotTransversal:
+            return
+        assert count_ranks(pre.verify) == (True, 0)
 
     @settings(max_examples=30, deadline=None)
     @given(f=raw_operators(), f2=raw_operators(), p=raw_operators(), v1=dyadic_targets(6), v2=dyadic_targets(6))

@@ -6,8 +6,6 @@ oracles built inside the tests (plain numpy truncation matrices), never
 through the code paths under test.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +30,14 @@ def e(i, n=None):
     v = np.zeros((n or i + 1))
     v[i] = 1.0
     return v
+
+
+def columns(*vectors) -> np.ndarray:
+    """The vectors, each zero-padded to the longest, as one column block."""
+    m = np.zeros((max([len(v) for v in vectors] + [0]), len(vectors)))
+    for j, v in enumerate(vectors):
+        m[: len(v), j] = v
+    return m
 
 
 def count_svds(monkeypatch) -> list:
@@ -168,6 +174,11 @@ R, M, C = 24, 24, 14  # oracle truncations: rows, middle coordinates, columns
 
 
 class TestDenseOracle:
+    def test_window_widened_to_hold_the_block(self):
+        # the block's third row lies beyond window + |shift|, so the window grows to 3
+        t = ops.SequenceOperator(0, 1, [[1.0], [0.0], [2.0]])
+        assert t.window == 3
+
     @settings(max_examples=80, deadline=None)
     @given(raw=raw_operators(), extra=st.integers(0, 4))
     def test_explicit_tail_columns_canonicalise_to_minimal_window(self, raw, extra):
@@ -562,6 +573,28 @@ class TestRetraction:
         assert got == minima[-1] < min(minima[:-1])
 
 
+class TestRandomInstances:
+    @pytest.mark.parametrize("shift", [-3, -1, 0, 2, 3])
+    def test_shifted_instance_is_one_construction_of_the_sum(self, shift, monkeypatch):
+        built = []
+        init = ops.SequenceOperator.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        rng = np.random.default_rng(5)
+        with monkeypatch.context() as m:
+            m.setattr(ops.SequenceOperator, "__init__", counted)
+            got = [suites._random_shifted(rng, shift) for _ in range(40)]
+        assert len(built) == len(got)
+        # the same draws, summed by the operator algebra: bit for bit the same canonical form
+        rng = np.random.default_rng(5)
+        for t in got:
+            block = suites._random_block(rng, int(rng.integers(0, 4)) + 1)
+            assert t == ops.shift_op(shift) + ops.finite_rank(block)
+
+
 class TestTransversality:
     def test_identity_always_transversal(self):
         assert ops.is_transversal(ops.identity(), sub.coordinate_span(2))
@@ -858,33 +891,13 @@ class TestCompositionTransversality:
         assert ops.is_transversal(t1, w) == ops.is_transversal(t2.compose(t1), v)
 
 
-class TestSerialization:
-    def test_operator_roundtrip(self):
-        t = ops.shift_op(2) + ops.rank_one(1, 3, -0.5)
-        back = ops.SequenceOperator.from_json(t.to_json())
-        assert back == t
-
-    def test_window_widened_to_hold_the_block_serialises(self):
-        # the block's third row lies beyond window + |shift|, so the window grows to 3
-        t = ops.SequenceOperator(0, 1, [[1.0], [0.0], [2.0]])
-        assert t.window == 3
-        assert ops.SequenceOperator.from_json(json.loads(t.dumps())) == t
-
-    def test_subspace_roundtrip(self):
-        v = sub.coordinate_span(3)
-        back = sub.ComplementedSubspace.from_json(v.to_json())
-        assert back.verify()
-        assert back.space.contains_subspace(v.space)
-        assert v.space.contains_subspace(back.space)
-
-
 class TestBasisMatrix:
     @staticmethod
     def oracle(basis, level):
-        """Column by column: each vector zero-padded, then e_i for every tail
-        coordinate below the level."""
+        """Column by column: each column of the block zero-padded, then e_i
+        for every tail coordinate below the level."""
         cols = []
-        for v in basis.vectors:
+        for v in basis.block.T:
             col = np.zeros(level)
             col[: v.size] = v
             cols.append(col)
@@ -895,11 +908,11 @@ class TestBasisMatrix:
     @pytest.mark.parametrize(
         "basis",
         [
-            sub.SubspaceBasis(None, [[1.0, 2.0], [0.0, 0.0, 3.0], [0.5]]),
+            sub.SubspaceBasis(None, columns([1.0, 2.0], [0.0, 0.0, 3.0], [0.5])),
             sub.SubspaceBasis(None, []),
-            sub.SubspaceBasis(4, [[1.0, 0.0, -1.0]]),
+            sub.SubspaceBasis(4, columns([1.0, 0.0, -1.0])),
             sub.SubspaceBasis(0, []),
-            sub.SubspaceBasis(9, [[0.0, 2.0]]),
+            sub.SubspaceBasis(9, columns([0.0, 2.0])),
             sub.SubspaceBasis(6, []),
         ],
     )
@@ -911,7 +924,92 @@ class TestBasisMatrix:
 
     def test_overlong_vector_is_a_value_error(self):
         with pytest.raises(ValueError):
-            sub.SubspaceBasis(2, [[0.0, 0.0, 0.0, 1.0]]).basis_matrix(3)
+            sub.SubspaceBasis(2, columns([0.0, 0.0, 0.0, 1.0])).basis_matrix(3)
+
+    def test_trailing_zeros_and_zero_vectors_are_trimmed(self):
+        # [1, 0, 2, 0, 0] keeps three rows, the zero vector goes, order stays
+        basis = sub.SubspaceBasis(None, columns([0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0, 0.0], [0.0, -1.0]))
+        assert basis.support_bound() == 3
+        assert np.array_equal(basis.basis_matrix(3), [[1.0, 0.0], [0.0, -1.0], [2.0, 0.0]])
+        assert np.array_equal(basis.basis_matrix(5), self.oracle(basis, 5))
+        with pytest.raises(ValueError):  # the third coordinate is nonzero
+            basis.basis_matrix(2)
+        assert sub.SubspaceBasis(4, columns([0.0, 0.0])).support_bound() == 4
+        assert sub.SubspaceBasis(None, np.zeros((6, 3))).basis_matrix(2).shape == (2, 0)
+
+    def test_svd_column_block(self):
+        a = np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, 1.0, 3.0]])
+        kernel, rows = linalg.kernel_with_complement(a)
+        basis = sub.SubspaceBasis(4, kernel)
+        assert basis.support_bound() == 4
+        got = basis.basis_matrix(7)
+        assert np.array_equal(got[:4, :2], kernel) and np.array_equal(got[4:, 2:], np.eye(3))
+        assert not got[4:, :2].any() and not got[:4, 2:].any()
+        assert np.allclose(a @ got[:4, :2], 0.0, atol=1e-12)
+        assert np.array_equal(sub.SubspaceBasis(None, rows).basis_matrix(6), self.oracle(sub.SubspaceBasis(None, rows), 6))
+
+    def test_tail_start_beyond_the_level(self):
+        basis = sub.SubspaceBasis(10, columns([0.0, 1.0], [1.0, 1.0, 1.0]))
+        got = basis.basis_matrix(5)  # no tail column below the level
+        assert np.array_equal(got, columns([0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0]))
+        assert basis.support_bound() == 10
+        with pytest.raises(ValueError):
+            basis.basis_matrix(2)
+
+
+def same_basis(got: sub.ComplementedSubspace, want: sub.ComplementedSubspace) -> bool:
+    """Equal tail starts and equal basis matrices one coordinate beyond
+    every support bound, for both halves: the same basis, vector for vector."""
+    halves = ((got.space, want.space), (got.complement, want.complement))
+    level = 1 + max(h.support_bound() for pair in halves for h in pair)
+    return all(
+        g.tail_start == w.tail_start and np.array_equal(g.basis_matrix(level), w.basis_matrix(level))
+        for g, w in halves
+    )
+
+
+class TestSubspaceMaps:
+    """The maps of complemented subspaces against bases written out by hand."""
+
+    def test_interleave(self):
+        v = sub.ComplementedSubspace(sub.SubspaceBasis(None, columns([1.0, 2.0])), sub.SubspaceBasis(1, []))
+        w = sub.coordinate_span(2)
+        got = sub.interleave_subspaces(v, w)
+        # v at the even coordinates, w at the odd; the complements' tails
+        # start at 2 * 1 and 2 * 2 + 1, so the joint tail starts at 5 and the
+        # even coordinates 2 and 4 below it are stragglers
+        want = sub.ComplementedSubspace(
+            sub.SubspaceBasis(None, columns([1.0, 0.0, 2.0], [0.0, 1.0], [0.0, 0.0, 0.0, 1.0])),
+            sub.SubspaceBasis(5, columns([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0])),
+        )
+        assert same_basis(got, want)
+        assert got.verify()
+
+    def test_prepend_then_drop(self):
+        # span{e_0 + 3 e_2} against span{e_1} + the tail from 2
+        v = sub.ComplementedSubspace(
+            sub.SubspaceBasis(None, columns([1.0, 0.0, 3.0])), sub.SubspaceBasis(2, columns([0.0, 1.0]))
+        )
+        got = sub.prepend_coordinate(v)
+        want = sub.ComplementedSubspace(
+            sub.SubspaceBasis(None, columns([0.0, 1.0, 0.0, 3.0], [1.0])),
+            sub.SubspaceBasis(3, columns([0.0, 0.0, 1.0])),
+        )
+        assert same_basis(got, want)
+        assert v.verify() and got.verify()
+        assert same_basis(sub.drop_first_coordinate(got), v)
+
+    def test_image(self):
+        # g = I + 2 e_0 e_1^T - e_3 e_0^T on the window of 4 coordinates
+        g = ops.identity() + ops.rank_one(0, 1, 2.0) + ops.rank_one(3, 0, -1.0)
+        got = sub.subspace_image(g, sub.coordinate_span(2))
+        want = sub.ComplementedSubspace(
+            sub.SubspaceBasis(None, columns([1.0, 0.0, 0.0, -1.0], [2.0, 1.0])),
+            # the tail from 2 inside the window: e_2, e_3 pushed, the tail from 4
+            sub.SubspaceBasis(4, columns([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0])),
+        )
+        assert same_basis(got, want)
+        assert got.verify()
 
 
 class TestInterleaving:
