@@ -909,17 +909,6 @@ def mixed_product_filtration(f: Filtration, growth: list[ImplicitManifold]) -> F
 # -- verification -----------------------------------------------------------------
 
 
-def _check_dimensions(f: Filtration, depth: int) -> dict:
-    measured = []
-    for n in range(1, depth + 1):
-        lvl = f.level(n)
-        ranks = [linalg.rank(lvl.constraints.jacobian(s)) for s in lvl.samples]
-        dims = sorted({lvl.ambient_dim - r for r in ranks})
-        measured.append(dims)
-    ok = all(dims == [f.delta[n]] for n, dims in enumerate(measured, start=1))
-    return condition(ok, {"measured": measured, "expected": list(f.delta)[:depth]})
-
-
 def _check_nesting(f: Filtration, depth: int) -> dict:
     worst = 0.0
     for n in range(1, depth):
@@ -927,59 +916,6 @@ def _check_nesting(f: Filtration, depth: int) -> dict:
         for s in f.level(n).samples:
             worst = max(worst, nxt.constraint_norm(s))
     return condition(worst <= NEST_TOL, {"max_constraint_norm": worst, "tolerance": NEST_TOL})
-
-
-def _check_normality(f: Filtration, depth: int) -> dict:
-    """Condition (d): at every level sample, each witness frame is
-    independent, tangent to its target and complements T M_n there.
-
-    Completeness is decided first: the column count of ``[T M_n, frame]``
-    against the target's dimension, then one rank of that stack.  A complete
-    stack has full column rank, and singular values interlace when columns
-    are deleted (R. C. Thompson, *Principal submatrices IX*, Linear Algebra
-    Appl. 5, 1972), so ``σ_min(frame) >= σ_min(stack) > τ·σ_max(stack) >=
-    τ·σ_max(frame)`` with ``τ = linalg.RANK_RTOL``: the frame is
-    independent under the same threshold, as in
-    :meth:`subspaces.ComplementedSubspace.verify`.  ``rank(frame)`` is taken
-    only when completeness fails."""
-    if f.witnesses is None:
-        return {"status": "unverified", "evidence": {"note": "no witness supplied: normality unverified"}}
-    if len(f.witnesses) != depth:
-        # witness n belongs to level n, so a list of another length witnesses other levels
-        return condition(False, {"witnesses": len(f.witnesses), "levels": depth})
-    records = []
-    ok = True
-    for n, w in enumerate(f.witnesses, start=1):
-        lvl = f.level(n)
-        for s in lvl.samples:
-            t_cur = lvl.tangent_basis(s)
-            for tag, fr, target in (
-                ("next", w.frame_in_next, f.level(n + 1) if n < depth else None),
-                ("big", w.frame_in_big, f.total),
-            ):
-                if fr is None or target is None:
-                    continue
-                frame = np.atleast_2d(fr(s))
-                tangency = float(
-                    np.max(np.abs(target.constraints.jacobian(s) @ frame), initial=0.0)
-                )
-                complete = (
-                    t_cur.shape[1] + frame.shape[1] == target.dim
-                    and linalg.rank(np.hstack([t_cur, frame])) == target.dim
-                )
-                independent = complete or linalg.rank(frame) == frame.shape[1]
-                good = independent and tangency <= 1e-6 and complete
-                ok = ok and good
-                records.append(
-                    {
-                        "level": n,
-                        "in": tag,
-                        "independent": independent,
-                        "tangency_residual": tangency,
-                        "complements_tangent": complete,
-                    }
-                )
-    return condition(ok, {"rank_tests": records})
 
 
 def _check_cover(f: Filtration, depth: int, samples) -> dict:
@@ -1035,52 +971,139 @@ def _check_density(f: Filtration, depth: int, samples) -> dict:
     )
 
 
-def _check_fredholm(f: Filtration, depth: int) -> dict:
-    """The Fredholm condition: at every level sample the cutting map lands
-    in the flag level, is transverse to it, and cuts out a tangent space of
-    the level's dimension.
+def _frame_record(
+    n: int, tag: str, frame: np.ndarray, jac: np.ndarray, tangent_dim: int, normal: np.ndarray, target_dim: int
+) -> dict:
+    """Condition (d) for one witness frame at a sample of M_n: ``jac`` is the
+    target's constraint Jacobian there and ``normal`` the orthonormal
+    complement of the level's ``tangent_dim``-dimensional tangent space."""
+    cols = frame.shape[1]
+    tangency = float(np.max(np.abs(jac @ frame), initial=0.0))
+    complete = tangent_dim + cols == target_dim and linalg.rank_modulo(frame, normal) == cols
+    independent = complete or linalg.rank(frame) == cols
+    return {
+        "level": n,
+        "in": tag,
+        "independent": independent,
+        "tangency_residual": tangency,
+        "complements_tangent": complete,
+    }
 
-    Each sample is decided from one values-only SVD.  With ``B`` the level's
-    orthonormal basis, ``N`` an orthonormal basis of its orthogonal
-    complement and ``a`` the cutting map's derivative on the tangent space
-    of the total manifold, ``[a B]`` and ``[a - B Bᵀa, B] = [N Nᵀa, B]`` span
-    the same space and ``N`` has orthonormal columns, so
-    ``rank([a B]) = dim B + rank(Nᵀa)`` (the block rank identity of
+
+def _cut_record(
+    n: int, fm: SmoothMap, s: np.ndarray, tangent: np.ndarray, basis: np.ndarray, normal: np.ndarray
+) -> dict:
+    """The Fredholm condition at a sample of M_n, for the flag level with
+    orthonormal basis ``basis`` and complement ``normal``, and the total's
+    tangent basis ``tangent`` at the sample."""
+    y = fm(s)
+    a = fm.jacobian(s) @ tangent
+    r = linalg.rank_modulo(a, normal)
+    return {
+        "level": n,
+        "membership_residual": float(np.linalg.norm(y - basis @ (basis.T @ y))),
+        "transverse": r == normal.shape[1],
+        "preimage_tangent_dim": a.shape[1] - r,
+    }
+
+
+def _check_level_samples(f: Filtration, depth: int) -> dict[str, dict]:
+    """Conditions (a) and (d) and the Fredholm condition, keyed as in the
+    report, from one pass over the samples s of the levels M_n.
+
+    At each s the level's constraint Jacobian J_n(s) is evaluated once and
+    decomposed once, by ``linalg.kernel_with_complement``: the complement's
+    column count is the rank of (a), the kernel is T M_n, and the complement
+    is the normal space N_n of M_n in the ambient model; T M_n and N_n are
+    one orthogonal matrix.  The total's constraint Jacobian is evaluated at
+    most once at s, for the tangency of the frame in the total and for the
+    Fredholm condition's tangent basis of the total.  Nothing outlives its
+    sample.  (a) raises nothing; where witness frames are checked, a sample
+    off its level or with a degenerate Jacobian raises OffManifold, as
+    :meth:`ImplicitManifold.tangent_basis` does.
+
+    (d): each witness frame F is independent, tangent to its target and
+    complements T M_n at s.  Completeness is the column count against the
+    target's dimension, then ``linalg.rank_modulo(F, N_n) == F.shape[1]``:
+    ``[T_n F]`` and ``[T_n, N_n N_nᵀF]`` span the same space, so
+    ``rank([T_n F]) = dim T_n + rank(N_nᵀF)`` (the block rank identity of
     G. Marsaglia and G. P. H. Styan, *Equalities and inequalities for ranks
-    of matrices*, Linear Multilinear Algebra 2, 1974).  With
+    of matrices*, Linear Multilinear Algebra 2, 1974), one values-only SVD of
+    a (codim + 1) x (cols + 1) matrix.  ``rank_modulo`` counts the singular
+    values of N_nᵀF at the scale of the stack, above ``τ·hypot(1, ‖F‖_F)``
+    with ``τ = linalg.RANK_RTOL``, so the rounding noise that a frame inside
+    T M_n leaves in N_nᵀF does not count.  N_n has orthonormal columns, so
+    ``‖N_nᵀFv‖ <= ‖Fv‖`` and a complete frame has ``σ_min(F) >=
+    σ_min(N_nᵀF) > τ·hypot(1, ‖F‖_F) >= τ·σ_max(F)``: it is independent
+    under the same threshold, as in
+    :meth:`subspaces.ComplementedSubspace.verify`.  ``rank(F)`` is taken
+    only when completeness fails.
+
+    Fredholm: the cutting map lands in the flag level, is transverse to it,
+    and cuts out a tangent space of the level's dimension.  With ``B`` the
+    flag level's orthonormal basis, ``N`` that of its orthogonal complement
+    and ``a`` the map's derivative on the tangent space of the total, the
+    same identity gives ``rank([a B]) = dim B + rank(Nᵀa)``.  With
     ``r = linalg.rank_modulo(a, N)`` the map is transverse when ``r`` equals
-    the codimension of the level, and the kernel of ``Nᵀa``, the tangent
-    space of the cut-out set, has dimension ``a.shape[1] - r``.
-    ``rank_modulo`` counts the singular values of ``Nᵀa`` at the scale of
-    the stack ``[a B]``, so the rounding noise that a map into the level
-    leaves in ``Nᵀa`` does not count."""
-    if f.fredholm is None:
-        return {"status": "not_claimed", "evidence": {}}
-    fm, flag = f.fredholm.map, f.fredholm.flag
-    records = []
-    ok = True
+    the codimension of the flag level, and the kernel of ``Nᵀa``, the
+    tangent space of the cut-out set, has dimension ``a.shape[1] - r``."""
+    total, fredholm = f.total, f.fredholm
+    witnesses = f.witnesses if f.witnesses is not None and len(f.witnesses) == depth else None
+    measured, rank_tests, cuts = [], [], []
     for n in range(1, depth + 1):
-        basis = linalg.orthonormalize(flag.level(n).space.basis_matrix(fm.codomain_dim))
-        normal = linalg.nullspace(basis.T)
         lvl = f.level(n)
+        frames = []
+        if witnesses is not None:
+            w = witnesses[n - 1]
+            for tag, fr, target in (
+                ("next", w.frame_in_next, f.level(n + 1) if n < depth else None),
+                ("big", w.frame_in_big, total),
+            ):
+                if fr is not None and target is not None:
+                    frames.append((tag, fr, target))
+        if fredholm is not None:
+            flag_space = fredholm.flag.level(n).space
+            flag_basis = linalg.orthonormalize(flag_space.basis_matrix(fredholm.map.codomain_dim))
+            flag_normal = linalg.nullspace(flag_basis.T)
+        needs_total = fredholm is not None or any(target is total for _, _, target in frames)
+        dims = set()
         for s in lvl.samples:
-            y = fm(s)
-            member = float(np.linalg.norm(y - basis @ (basis.T @ y)))
-            a = fm.jacobian(s) @ f.total.tangent_basis(s)
-            r = linalg.rank_modulo(a, normal)
-            transverse = r == normal.shape[1]
-            cut_dim = a.shape[1] - r
-            good = member <= MEMBER_TOL and transverse and cut_dim == f.delta[n]
-            ok = ok and good
-            records.append(
-                {
-                    "level": n,
-                    "membership_residual": member,
-                    "transverse": transverse,
-                    "preimage_tangent_dim": cut_dim,
-                }
-            )
-    return condition(ok, {"samples": records})
+            kernel, normal = linalg.kernel_with_complement(lvl.constraints.jacobian(s))
+            dims.add(kernel.shape[1])
+            if witnesses is not None:
+                lvl.require(s)
+                lvl.tangent_of_kernel(kernel)
+            j_total = total.constraints.jacobian(s) if needs_total else None
+            for tag, fr, target in frames:
+                jac = j_total if target is total else target.constraints.jacobian(s)
+                frame = np.atleast_2d(fr(s))
+                rank_tests.append(_frame_record(n, tag, frame, jac, kernel.shape[1], normal, target.dim))
+            if fredholm is not None:
+                total.require(s)
+                tangent = total.tangent_of_kernel(linalg.nullspace(j_total))
+                cuts.append(_cut_record(n, fredholm.map, s, tangent, flag_basis, flag_normal))
+        measured.append(sorted(dims))
+    dims_ok = all(dims == [f.delta[n]] for n, dims in enumerate(measured, start=1))
+    out = {"a_dimensions": condition(dims_ok, {"measured": measured, "expected": list(f.delta)[:depth]})}
+    if f.witnesses is None:
+        out["d_normality"] = {"status": "unverified", "evidence": {"note": "no witness supplied: normality unverified"}}
+    elif witnesses is None:
+        # witness n belongs to level n, so a list of another length witnesses other levels
+        out["d_normality"] = condition(False, {"witnesses": len(f.witnesses), "levels": depth})
+    else:
+        ok = all(r["independent"] and r["tangency_residual"] <= 1e-6 and r["complements_tangent"] for r in rank_tests)
+        out["d_normality"] = condition(ok, {"rank_tests": rank_tests})
+    if fredholm is None:
+        out["fredholm"] = {"status": "not_claimed", "evidence": {}}
+    else:
+        ok = all(
+            r["membership_residual"] <= MEMBER_TOL
+            and r["transverse"]
+            and r["preimage_tangent_dim"] == f.delta[r["level"]]
+            for r in cuts
+        )
+        out["fredholm"] = condition(ok, {"samples": cuts})
+    return out
 
 
 def verify_filtration(
@@ -1089,22 +1112,34 @@ def verify_filtration(
     seed: int = 42,
 ) -> ConditionReport:
     """Structured per-condition verification of every level at the given
-    sampling budget."""
+    sampling budget.
+
+    Conditions (a) and (d) and the Fredholm condition are decided in one pass
+    over the level samples (:func:`_check_level_samples`): at each sample of
+    M_n the level's constraint Jacobian is evaluated once and decomposed
+    once, into the tangent space that (a) counts and its normal complement
+    against which (d) and the Fredholm condition rank their frames and
+    derivatives, and the total's constraint Jacobian is evaluated at most
+    once.  Nothing is kept from one sample to the next.  Where witness frames
+    are supplied, a level sample off its level or with a degenerate Jacobian
+    raises OffManifold; (a) itself raises nothing, so without witnesses a
+    degenerate Jacobian fails (a)."""
     depth = f.depth
     rng = np.random.Generator(np.random.Philox(key=seed))
     ambient_samples = f.ambient_sampler(rng, n_samples) if f.ambient_sampler else []
 
+    sampled = _check_level_samples(f, depth)
     report = ConditionReport()
-    report.conditions["a_dimensions"] = _check_dimensions(f, depth)
+    report.conditions["a_dimensions"] = sampled["a_dimensions"]
     report.conditions["b_nesting"] = _check_nesting(f, depth)
     report.conditions["c_limit_inclusion"] = {
         "status": "out_of_scope",
         "evidence": {"note": "homotopy condition on the union is out of scope"},
     }
-    report.conditions["d_normality"] = _check_normality(f, depth)
+    report.conditions["d_normality"] = sampled["d_normality"]
     report.conditions["e_cover"] = _check_cover(f, depth, ambient_samples)
     report.conditions["density"] = _check_density(f, depth, ambient_samples)
-    report.conditions["fredholm"] = _check_fredholm(f, depth)
+    report.conditions["fredholm"] = sampled["fredholm"]
     return report
 
 

@@ -199,18 +199,27 @@ class ImplicitManifold:
     def tangent_basis(self, x) -> np.ndarray:
         """Orthonormal basis (columns) of the tangent space at x; OffManifold off it."""
         x = np.asarray(x, dtype=float)
+        self.require(x)
+        return self._kernel_basis(x)
+
+    def require(self, x) -> None:
+        """OffManifold unless :meth:`contains` x."""
         if not self.contains(x):
             raise OffManifold(f"point not on {self.name} (constraint norm {self.constraint_norm(x):.3e})")
-        return self._kernel_basis(x)
 
     def _kernel_basis(self, x: np.ndarray) -> np.ndarray:
         """The tangent basis at an x its caller has decided on the manifold."""
-        basis = linalg.nullspace(self.constraints.jacobian(x))
-        if basis.shape[1] != self.dim:
+        return self.tangent_of_kernel(linalg.nullspace(self.constraints.jacobian(x)))
+
+    def tangent_of_kernel(self, kernel: np.ndarray) -> np.ndarray:
+        """An orthonormal kernel of the constraint Jacobian at a point on the
+        manifold, as the tangent basis there; OffManifold when its dimension
+        is not ``dim`` (a degenerate Jacobian)."""
+        if kernel.shape[1] != self.dim:
             raise OffManifold(
-                f"tangent dimension {basis.shape[1]} != {self.dim} on {self.name} (degenerate Jacobian)"
+                f"tangent dimension {kernel.shape[1]} != {self.dim} on {self.name} (degenerate Jacobian)"
             )
-        return basis
+        return kernel
 
     def distance_to(self, x) -> float:
         x = np.asarray(x, dtype=float)

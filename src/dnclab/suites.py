@@ -74,16 +74,18 @@ def _random_finite_rank(rng, max_window: int = 3) -> ops.SequenceOperator:
     return ops.finite_rank(_random_block(rng, max_window))
 
 
-def _random_shifted(rng, shift: int, max_window: int = 3) -> ops.SequenceOperator:
-    """``shift_op(shift) + finite_rank(m)`` for a random block m, built as
-    one operator from the dense sum that ``+`` would canonicalise."""
+def _random_shifted(rng, shift: int, max_window: int = 3, scaled: bool = False) -> ops.SequenceOperator:
+    """``c * (shift_op(shift) + finite_rank(m))`` for a random block m, built
+    as one operator from the scaled dense sum that ``+`` and ``scale`` would
+    canonicalise: c is 1, or drawn from [0.2, 2) after m when ``scaled``."""
     m = _random_block(rng, int(rng.integers(0, max_window + 1)) + 1)
+    c = float(rng.uniform(0.2, 2.0)) if scaled else 1.0
     w = max(m.shape[1], -shift)
     a = np.zeros((max(m.shape[0], w + shift), w))
     a[: m.shape[0], : m.shape[1]] = m
     i = np.arange(max(0, -shift), w)
     a[i + shift, i] += 1.0
-    return ops.SequenceOperator(shift, w, a)
+    return ops.SequenceOperator(shift, w, c * a, c)
 
 
 def _random_bounded(rng) -> ops.SequenceOperator:
@@ -92,7 +94,7 @@ def _random_bounded(rng) -> ops.SequenceOperator:
         return _random_finite_rank(rng)
     if kind == 1:
         s = int(rng.integers(-2, 3))
-        return _random_shifted(rng, s).scale(float(rng.uniform(0.2, 2.0)))
+        return _random_shifted(rng, s, scaled=True)
     return _random_glk(rng)
 
 
@@ -243,7 +245,7 @@ def suite_retraction(config: SuiteConfig) -> list[CheckResult]:
     zero = ops.identity().scale(0.0)
     for _ in range(n):
         b = ops.block_lower_triangular(
-            _random_glk(rng), _random_finite_rank(rng).scale(3.0), _random_glk(rng)
+            _random_glk(rng), ops.finite_rank(3.0 * _random_block(rng, 3)), _random_glk(rng)
         )
         b0, b1 = ops.retraction_paths(b, (0.0, 1.0))  # the diagonals decided once
         endpoint_exact = endpoint_exact and b0.P == b.P and b0.F == b.F and b0.F2 == b.F2

@@ -171,9 +171,10 @@ def unit_triangular(draw, n: int, upper: bool) -> np.ndarray:
 
 
 class TestFredholmCutRank:
-    """``filtration._check_fredholm`` decides transversality to a flag level
-    with orthonormal basis B from ``linalg.rank_modulo(a, N)``, the rank of
-    Nᵀa with N spanning the complement of B: rank([a B]) = dim B + rank(Nᵀa).
+    """``filtration._check_level_samples`` decides transversality to a flag
+    level with orthonormal basis B from ``linalg.rank_modulo(a, N)``, the
+    rank of Nᵀa with N spanning the complement of B:
+    rank([a B]) = dim B + rank(Nᵀa).
     Against a coordinate level, Nᵀa is exactly the rows of ``a`` below
     dim B, up to a rotation; against a rotated level, a map into the level
     leaves rounding noise in Nᵀa."""

@@ -16,6 +16,7 @@ from dnclab.errors import (
     MissingWitness,
     NotCovering,
     NotTransversal,
+    OffManifold,
 )
 from test_operators import same_basis
 
@@ -526,8 +527,9 @@ class TestFredholmPullback:
 
     def test_cut_dimension_is_counted_by_rank(self, monkeypatch):
         """Each level sample's cut dimension is read from singular values
-        alone: the only SVDs with singular vectors are the level's
-        orthonormal basis and its normal space."""
+        alone: the only SVDs with singular vectors are the flag level's
+        orthonormal basis and its normal space, and the one decomposition of
+        the level's constraint Jacobian at each sample."""
         lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
         d, p = lin.total.ambient_dim, 2
         g = geo.SmoothMap(d + p, d, lambda z: z[:d], lambda z: np.hstack([np.eye(d), np.zeros((d, p))]))
@@ -537,11 +539,11 @@ class TestFredholmPullback:
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(kw.get("compute_uv", True)) or svd(a, **kw))
-        got = filt._check_fredholm(pulled, pulled.depth)
+        got = filt._check_level_samples(dataclasses.replace(pulled, witnesses=None), pulled.depth)["fredholm"]
         assert got["status"] == "pass"
         records = got["evidence"]["samples"]
         assert [r["preimage_tangent_dim"] for r in records] == [pulled.delta[r["level"]] for r in records]
-        assert calls.count(True) == 2 * pulled.depth
+        assert calls.count(True) == 2 * pulled.depth + len(records)
         assert calls.count(False) == len(records)  # one rank decides transversality and the cut
 
     def test_identity_preserves(self):
@@ -872,20 +874,40 @@ def three_rank_normality(f: filt.Filtration) -> list[dict]:
 
 
 class TestNormalityRanks:
-    """Completeness is decided first, and a complete frame is independent by
-    interlacing, so its own rank is taken only when completeness fails."""
+    """Completeness of a frame F at a sample of M_n is one values-only rank,
+    ``rank_modulo(F, N_n)`` of shape (codim_n + 1, cols + 1), and a complete
+    frame is independent, so its own rank is taken only when completeness
+    fails.  The verdicts are those of the three-rank rule."""
 
     def test_complete_witness_takes_one_rank_per_frame(self, monkeypatch):
-        lin = filt.make_filtration_linear(fl.standard_flag([1, 3, 4]))
+        lin = dataclasses.replace(filt.make_filtration_linear(fl.standard_flag([1, 3, 4])), fredholm=None)
         shapes = []
         real = linalg.rank
         monkeypatch.setattr(linalg, "rank", lambda a: shapes.append(np.shape(a)) or real(a))
-        got = filt._check_normality(lin, lin.depth)
+        got = filt._check_level_samples(lin, lin.depth)["d_normality"]
+        taken = list(shapes)
         assert got["status"] == "pass"
         records = got["evidence"]["rank_tests"]
-        # one rank per frame, of the stack [T M_n, frame], square at the target dimension
+        # one rank per frame, of N_n^T F beside one scale value: codim_n + 1 rows, cols + 1 columns
+        d = lin.total.ambient_dim
         targets = [lin.delta[r["level"] + 1] if r["in"] == "next" else lin.total.dim for r in records]
-        assert shapes == [(lin.total.ambient_dim, t) for t in targets]
+        want = [(d - lin.delta[r["level"]] + 1, t - lin.delta[r["level"]] + 1) for r, t in zip(records, targets)]
+        assert taken == want
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: filt.make_filtration_linear(fl.standard_flag([1, 3, 4])),
+            lambda: filt.make_filtration_sphere(fl.standard_flag([2, 4, 8])),
+            lambda: filt.tangent_groupoid_filtration(filt.make_filtration_sphere(fl.standard_flag([2, 4, 8, 16]))),
+        ],
+        ids=["linear", "sphere", "tangent-groupoid-depth-4"],
+    )
+    def test_verdicts_are_the_three_rank_verdicts(self, make):
+        f = make()
+        got = filt.verify_filtration(f, n_samples=4).conditions["d_normality"]
+        assert got["status"] == "pass"
+        assert got["evidence"] == {"rank_tests": three_rank_normality(f)}
 
     def test_repeated_column_is_neither_independent_nor_complementing(self):
         # level 1's frame in level 2 repeats its first column in place of its
@@ -898,12 +920,114 @@ class TestNormalityRanks:
             lambda m: np.hstack([w.frame_in_big(m), w.frame_in_big(m)[:, :1]]),
         )
         bad = dataclasses.replace(lin, witnesses=[doubled] + lin.witnesses[1:])
-        got = filt._check_normality(bad, bad.depth)
+        got = filt._check_level_samples(bad, bad.depth)["d_normality"]
         assert got["status"] == "fail"
         records = got["evidence"]["rank_tests"]
         for r in records:
             assert r["independent"] == r["complements_tangent"] == (r["level"] != 1)
         assert got["evidence"] == {"rank_tests": three_rank_normality(bad)}
+
+    def test_frame_inside_a_rotated_tangent_space_does_not_complement_it(self):
+        # level 1 of a rotated flag is spanned by B_1, and the frame B_1 C in
+        # level 2 lies in T M_1 with the column count of a complement; against
+        # the level's normal space N_1, N_1^T B_1 C is rounding noise of about
+        # 1e-16, which must not count as the two directions the frame lacks
+        from dnclab import operators as ops
+
+        flag = fl.rotated_flag([2, 4], ops.identity() + ops.rank_one(0, 3, 1.0) + ops.rank_one(4, 1, -0.5))
+        lin = filt.make_filtration_linear(flag, margin=0)
+        inside = flag.level(1).space.basis_matrix(lin.total.ambient_dim) @ np.array([[1.0, 2.0], [-0.5, 3.0]])
+        trap = filt.NormalityWitness(lambda m: inside, lin.witnesses[0].frame_in_big)
+        f = dataclasses.replace(lin, witnesses=[trap] + lin.witnesses[1:])
+        for s in f.level(1).samples:
+            _, normal = linalg.kernel_with_complement(f.level(1).constraints.jacobian(s))
+            assert linalg.rank(normal.T @ inside) > 0  # the noise counts against its own scale
+        got = filt.verify_filtration(f, n_samples=4).conditions["d_normality"]
+        assert got["status"] == "fail"
+        records = got["evidence"]["rank_tests"]
+        assert records == three_rank_normality(f)
+        trapped = [r for r in records if r["level"] == 1 and r["in"] == "next"]
+        assert len(trapped) == len(f.level(1).samples)
+        for r in trapped:
+            assert r["independent"] and not r["complements_tangent"]
+            assert r["tangency_residual"] <= 1e-12
+        assert all(r["complements_tangent"] for r in records if r not in trapped)
+
+
+def _degenerate(lvl: geo.ImplicitManifold) -> geo.ImplicitManifold:
+    """The same level cut out with its last constraint squared: the same
+    zero set, whose constraint Jacobian drops one rank on it."""
+    g = lvl.constraints
+
+    def fn(x):
+        y = g(x)
+        return np.concatenate([y[:-1], y[-1:] ** 2])
+
+    def jac(x):
+        y, j = g(x), g.jacobian(x)
+        return np.vstack([j[:-1], 2.0 * y[-1] * j[-1:]])
+
+    return dataclasses.replace(lvl, constraints=geo.SmoothMap(g.domain_dim, g.codomain_dim, fn, jac, "squared"))
+
+
+class TestOnePass:
+    """Conditions (a), (d) and Fredholm come from one pass over the level
+    samples: one evaluation and one decomposition of each level's constraint
+    Jacobian at each of its samples, and one of the total's."""
+
+    def test_each_jacobian_is_evaluated_and_decomposed_once_per_sample(self, sphere_filtration, monkeypatch):
+        f = sphere_filtration
+        assert f.witnesses is not None and f.fredholm is not None
+        evaluated, decomposed, ranked = [], [], []
+        jacobian = geo.SmoothMap.jacobian
+
+        def spy_jacobian(self, x):
+            j = jacobian(self, x).copy()  # a fresh array per call, to follow it by identity
+            evaluated.append((self, np.asarray(x, float).tobytes(), j))
+            return j
+
+        kernel_with_complement, rank = linalg.kernel_with_complement, linalg.rank
+        monkeypatch.setattr(geo.SmoothMap, "jacobian", spy_jacobian)
+        monkeypatch.setattr(linalg, "kernel_with_complement", lambda a: decomposed.append(a) or kernel_with_complement(a))
+        monkeypatch.setattr(linalg, "rank", lambda a: ranked.append(a) or rank(a))
+        assert filt.verify_filtration(f, n_samples=4).passed
+        for n in range(1, f.depth + 1):
+            for s in f.level(n).samples:
+                for g in (f.level(n).constraints, f.total.constraints):
+                    (j,) = [j for m, x, j in evaluated if m is g and x == s.tobytes()]
+                    assert sum(a is j for a in decomposed) == 1
+                    assert not any(a is j for a in ranked)
+
+    def test_off_level_sample_raises_where_frames_are_checked(self):
+        lin = filt.make_filtration_linear(fl.standard_flag([1, 2, 3]))
+        lvl = lin.level(2)
+        off = lvl.samples[0] + lin.witnesses[1].frame_in_big(lvl.samples[0])[:, 0]  # a unit normal step
+        f = dataclasses.replace(lin, levels=[lin.level(1), dataclasses.replace(lvl, samples=[off] + lvl.samples[1:]), lin.level(3)])
+        with pytest.raises(OffManifold, match="point not on"):
+            filt.verify_filtration(f, n_samples=4)
+        # without witnesses or a cutting map nothing raises, and the level's
+        # Jacobian, constant on a linear level, still has its rank
+        bare = filt.verify_filtration(dataclasses.replace(f, witnesses=None, fredholm=None), n_samples=4)
+        assert bare.conditions["a_dimensions"]["status"] == "pass"
+        assert bare.conditions["d_normality"]["status"] == "unverified"
+        # a cutting map alone finds the sample off the flag level
+        cut = filt.verify_filtration(dataclasses.replace(f, witnesses=None), n_samples=4).conditions["fredholm"]
+        assert cut["status"] == "fail"
+        missed = [r["membership_residual"] > filt.MEMBER_TOL for r in cut["evidence"]["samples"]]
+        assert missed.count(True) == 1 and missed[len(lin.level(1).samples)]
+
+    def test_degenerate_jacobian_raises_where_frames_are_checked(self):
+        lin = filt.make_filtration_linear(fl.standard_flag([1, 2, 3]))
+        f = dataclasses.replace(lin, levels=[lin.level(1), _degenerate(lin.level(2)), lin.level(3)])
+        with pytest.raises(OffManifold, match="degenerate Jacobian"):
+            filt.verify_filtration(f, n_samples=4)
+        for claims in ({"fredholm": None}, {}):
+            rep = filt.verify_filtration(dataclasses.replace(f, witnesses=None, **claims), n_samples=4)
+            got = rep.conditions["a_dimensions"]
+            assert got["status"] == "fail"
+            assert got["evidence"]["measured"] == [[1], [3], [3]]
+            assert rep.conditions["b_nesting"]["status"] == "pass"
+            assert rep.conditions["fredholm"]["status"] == ("not_claimed" if claims else "pass")
 
 
 class TestJsonSurface:

@@ -594,6 +594,38 @@ class TestRandomInstances:
             block = suites._random_block(rng, int(rng.integers(0, 4)) + 1)
             assert t == ops.shift_op(shift) + ops.finite_rank(block)
 
+    def test_bounded_instance_is_one_construction_of_the_scaled_sum(self, monkeypatch):
+        built = []
+        init = ops.SequenceOperator.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        rng = np.random.default_rng(11)
+        got = []
+        with monkeypatch.context() as m:
+            m.setattr(ops.SequenceOperator, "__init__", counted)
+            for _ in range(60):
+                before = len(built)
+                got.append(suites._random_bounded(rng))
+                assert len(built) == before + 1
+        # the same draws, scaled after they are built: bit for bit the same canonical form
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for t in got:
+            kind = int(rng.integers(0, 3))
+            kinds.add(kind)
+            if kind == 0:
+                want = suites._random_finite_rank(rng)
+            elif kind == 1:
+                shift = int(rng.integers(-2, 3))
+                want = suites._random_shifted(rng, shift).scale(float(rng.uniform(0.2, 2.0)))
+            else:
+                want = suites._random_glk(rng)
+            assert t == want
+        assert kinds == {0, 1, 2}
+
 
 class TestTransversality:
     def test_identity_always_transversal(self):
