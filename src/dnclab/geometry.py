@@ -5,7 +5,11 @@ stored sample points; tangent spaces are constraint-Jacobian kernels, and
 normal bundles of submanifold pairs are realized by orthogonal complement
 representatives inside the bigger tangent space.  A pair computes the
 adapted frame at each point once and keeps it, read-only, for the pair's
-lifetime (:meth:`ManifoldPair.adapted_frame`).
+lifetime (:meth:`ManifoldPair.adapted_frame`).  Constraints with a constant
+Jacobian (a :func:`linear_map`) have one tangent space: the manifold
+decomposes it once and serves that read-only basis at every point, and a
+pair of two such members has one adapted frame.  Membership is still
+decided at every point.
 
 Derivatives are exact wherever a map supplies them: a :class:`SmoothMap`
 may carry its Jacobian (``jac``) and the derivative of its Jacobian along a
@@ -143,8 +147,11 @@ def compose_maps(g: SmoothMap, f: SmoothMap, name: str = "") -> SmoothMap:
 
 
 def linear_map(a, name: str = "") -> SmoothMap:
-    """x -> a x, with its constant Jacobian and vanishing second derivative."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    """x -> a x, with its constant Jacobian and vanishing second derivative.
+    The map holds a read-only copy of ``a``, so that a tangent basis
+    decomposed from it once stays that of the map."""
+    a = np.array(a, dtype=float, ndmin=2)
+    a.setflags(write=False)
     zero = np.zeros(a.shape)
     return SmoothMap(a.shape[1], a.shape[0], lambda x: a @ x, lambda x: a, name, lambda x, v: zero, a)
 
@@ -185,6 +192,7 @@ class ImplicitManifold:
     samples: list = field(default_factory=list)
     region: Callable | None = None
     projector: Callable | None = None
+    _linear_basis: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.samples = [np.asarray(s, dtype=float) for s in self.samples]
@@ -197,7 +205,9 @@ class ImplicitManifold:
         return bool(inside) and self.constraint_norm(x) <= ON_MANIFOLD_TOL
 
     def tangent_basis(self, x) -> np.ndarray:
-        """Orthonormal basis (columns) of the tangent space at x; OffManifold off it."""
+        """Orthonormal basis (columns) of the tangent space at x; OffManifold off it.
+        A manifold cut out by a :func:`linear_map` returns one shared,
+        read-only basis at every point."""
         x = np.asarray(x, dtype=float)
         self.require(x)
         return self._kernel_basis(x)
@@ -208,8 +218,18 @@ class ImplicitManifold:
             raise OffManifold(f"point not on {self.name} (constraint norm {self.constraint_norm(x):.3e})")
 
     def _kernel_basis(self, x: np.ndarray) -> np.ndarray:
-        """The tangent basis at an x its caller has decided on the manifold."""
-        return self.tangent_of_kernel(linalg.nullspace(self.constraints.jacobian(x)))
+        """The tangent basis at an x its caller has decided on the manifold.
+        Constraints with a constant Jacobian (a ``matrix``) have one kernel:
+        it is decomposed once, and that read-only basis serves every point."""
+        if self._linear_basis is not None:
+            return self._linear_basis
+        matrix = self.constraints.matrix
+        jac = self.constraints.jacobian(x) if matrix is None else matrix
+        basis = self.tangent_of_kernel(linalg.nullspace(jac))
+        if matrix is not None:
+            basis.setflags(write=False)
+            self._linear_basis = basis
+        return basis
 
     def tangent_of_kernel(self, kernel: np.ndarray) -> np.ndarray:
         """An orthonormal kernel of the constraint Jacobian at a point on the
@@ -253,12 +273,15 @@ class ManifoldPair:
 
     :meth:`contains` and :meth:`adapted_frame` are memoised per pair: each
     point is decided and computed once, and the arrays a frame holds are
-    read-only so that no caller can corrupt a later hit."""
+    read-only so that no caller can corrupt a later hit.  When both members
+    are cut out by a :func:`linear_map` the frame is the same at every point
+    and is computed once for the pair; each point is still decided."""
 
     big: ImplicitManifold
     small: ImplicitManifold
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _linear_frame: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.big.ambient_dim != self.small.ambient_dim:
@@ -282,7 +305,8 @@ class ManifoldPair:
     def adapted_frame(self, m) -> tuple[np.ndarray, np.ndarray]:
         """(tangent frame of the submanifold, normal complement inside the
         big tangent space) at a submanifold point, both orthonormal and
-        read-only.  A point off the pair raises OffManifold on every call."""
+        read-only.  A point off the pair raises OffManifold on every call,
+        and a frame that fails to exist is never kept."""
         m = np.asarray(m, float)
         key = m.tobytes()
         frame = self._frames.get(key)
@@ -290,14 +314,21 @@ class ManifoldPair:
             if not self.contains(m):
                 for member in (self.small, self.big):
                     member.tangent_basis(m)  # raises the OffManifold of the member that misses m
-            t_small = self.small._kernel_basis(m)
-            nu = linalg.complement_within(t_small, self.big._kernel_basis(m))
-            if nu.shape[1] != self.big.dim - self.small.dim:
-                raise OffManifold("normal complement has wrong dimension")
-            for a in (t_small, nu):
-                a.setflags(write=False)
-            frame = self._frames[key] = (t_small, nu)
+            frame = self._linear_frame if self._linear_frame is not None else self._frame_at(m)
+            if self.small._linear_basis is not None and self.big._linear_basis is not None:
+                self._linear_frame = frame
+            self._frames[key] = frame
         return frame
+
+    def _frame_at(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The adapted frame at an m its caller has decided on the pair."""
+        t_small = self.small._kernel_basis(m)
+        nu = linalg.complement_within(t_small, self.big._kernel_basis(m))
+        if nu.shape[1] != self.big.dim - self.small.dim:
+            raise OffManifold("normal complement has wrong dimension")
+        for a in (t_small, nu):
+            a.setflags(write=False)
+        return t_small, nu
 
 
 def normal_frame(pair: ManifoldPair, m) -> np.ndarray:

@@ -362,7 +362,7 @@ def suite_composition_transversality(config: SuiteConfig) -> list[CheckResult]:
 def suite_dnc_vspace_iso(config: SuiteConfig) -> list[CheckResult]:
     check = _Recorder()
     rng = rng_for(config, 0)
-    n = config.samples
+    n = max(config.samples, 2)  # a boundary and an interior point at least
     ambient, e0 = 6, 3
     worst = 0.0
     lam_ok = True
@@ -393,7 +393,7 @@ def suite_dnc_vspace_iso(config: SuiteConfig) -> list[CheckResult]:
 def suite_dnc_product(config: SuiteConfig) -> list[CheckResult]:
     check = _Recorder()
     rng = rng_for(config, 0)
-    n = config.samples
+    n = max(config.samples, 2)  # a boundary and an interior point at least
     d1, d2 = 3, 4
     worst = 0.0
     lam_ok = True
@@ -433,7 +433,7 @@ def suite_dnc_product(config: SuiteConfig) -> list[CheckResult]:
 def suite_trivial_bundle(config: SuiteConfig) -> list[CheckResult]:
     check = _Recorder()
     rng = rng_for(config, 0)
-    n = config.samples
+    n = max(config.samples, 2)  # a tangent and a pair element at least
     dm, k = 3, 2
     worst = 0.0
     lin_worst = 0.0
@@ -676,7 +676,7 @@ def suite_normal_block_structure(config: SuiteConfig) -> list[CheckResult]:
 def suite_groupoid_axioms(config: SuiteConfig) -> list[CheckResult]:
     check = _Recorder()
     rng = rng_for(config, 0)
-    n = config.samples
+    n = max(config.samples, 2)  # a nonzero-fiber and a zero-fiber triple at least
     exact = True
     for i in range(n):
         lam = float(_dyadic(rng, 1)[0]) or 1.0
@@ -747,7 +747,7 @@ def suite_dnc_transversality(config: SuiteConfig) -> list[CheckResult]:
     ]
     for idx, (name, fp, curve) in enumerate(fixtures):
         rng = rng_for(config, idx)
-        samples = sample_points(rng, config.samples, curve)
+        samples = sample_points(rng, max(config.samples, 3), curve)  # every kind at least once
         rep = dnc.dnc_transversality_check(fp, zpair, samples, tol=config.tol)
         check(
             f"transversality-through-functor-{name}",

@@ -554,3 +554,30 @@ class TestTransversalityCheck:
         )
         with pytest.raises(PreconditionFailed, match="z_transverse_to_target_submanifold"):
             dnc.dnc_transversality_check(fp, geo.ManifoldPair(bad_z, zpair.small), [])
+
+
+class TestSampleFloors:
+    """A suite that cycles through several kinds of sample draws at least
+    one of each, however small ``--samples`` is."""
+
+    FLOORS = {
+        "dnc-vspace-iso": (2, {"boundary", "interior"}),
+        "dnc-product": (2, {"boundary", "interior"}),
+        "trivial-bundle": (2, {"tangent", "pair"}),
+        "groupoid-axioms": (2, {"tangent", "pair"}),
+        "dnc-transversality": (3, {"boundary", "interior"}),
+    }
+
+    @pytest.mark.parametrize("suite", sorted(FLOORS))
+    def test_one_sample_draws_every_kind(self, suite, monkeypatch):
+        floor, kinds = self.FLOORS[suite]
+        seen = set()
+        point, element = dnc.DncPoint, dnc.TangentGroupoidElement
+        for cls, kind in ((point, "boundary"), (point, "interior"), (element, "tangent"), (element, "pair")):
+            spy = lambda *args, _real=getattr(cls, kind), _kind=kind: seen.add(_kind) or _real(*args)
+            monkeypatch.setattr(cls, kind, staticmethod(spy))
+        one = run_suite(SuiteConfig(suite, samples=1))
+        assert seen == kinds
+        at_floor = run_suite(SuiteConfig(suite, samples=floor))
+        assert [c.to_json() for c in one.checks] == [c.to_json() for c in at_floor.checks]
+        assert one.passed

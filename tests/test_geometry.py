@@ -443,6 +443,103 @@ class TestAdaptedFrameMemo:
             geo.ManifoldPair(plane, line).adapted_frame(on_both)
 
 
+@pytest.fixture()
+def nullspaces(monkeypatch):
+    """The inputs of every ``linalg.nullspace`` call, in order."""
+    calls, real = [], linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda a: calls.append(a) or real(a))
+    return calls
+
+
+@pytest.fixture()
+def complements(monkeypatch):
+    """One entry per ``linalg.complement_within`` call."""
+    calls, real = [], linalg.complement_within
+    monkeypatch.setattr(linalg, "complement_within", lambda i, o: calls.append(1) or real(i, o))
+    return calls
+
+
+class TestLinearManifoldsDecomposeOnce:
+    """A constraint map with a constant Jacobian (``linear_map``) has one
+    tangent space: it is decomposed once per manifold, and a pair of two
+    such members has one adapted frame.  Membership is still decided at
+    every point."""
+
+    def test_one_nullspace_serves_every_point(self, nullspaces, monkeypatch):
+        plane = catalog.linear_subspace(4, 2)
+        monkeypatch.setattr(plane.constraints, "jac", None)  # the constant matrix is read instead
+        bases = [plane.tangent_basis(s) for s in plane.samples]
+        assert len(nullspaces) == 1 and nullspaces[0] is plane.constraints.matrix
+        assert all(b is bases[0] for b in bases)
+        assert bases[0].shape == (4, 2) and np.array_equal(bases[0][2:], np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            bases[0][0, 0] = 1.0
+
+    def test_off_point_raises_on_every_call(self, nullspaces):
+        plane = catalog.linear_subspace(3, 2)
+        basis = plane.tangent_basis(plane.samples[0])
+        for _ in range(2):
+            with pytest.raises(OffManifold, match=re.escape(f"not on {plane.name} ")):
+                plane.tangent_basis([0.0, 0.0, 1.0])
+        assert plane.tangent_basis(plane.samples[1]) is basis and len(nullspaces) == 1
+
+    def test_degenerate_kernel_raises_on_every_call_and_is_not_kept(self, nullspaces):
+        a = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]  # rank 1: a 2-dimensional kernel
+        line = geo.ImplicitManifold("line", 3, 1, geo.linear_map(a), samples=[np.zeros(3)])
+        for _ in range(2):
+            with pytest.raises(OffManifold, match="degenerate"):
+                line.tangent_basis(np.zeros(3))
+        assert len(nullspaces) == 2 and line._linear_basis is None
+
+    def test_constant_jacobian_is_a_read_only_copy(self):
+        a = np.eye(3)[1:]
+        f = geo.linear_map(a)
+        a[0, 0] = 5.0  # the caller's array is not the map's
+        assert np.array_equal(f.matrix, np.eye(3)[1:]) and f.jacobian(np.zeros(3)) is f.matrix
+        with pytest.raises(ValueError):
+            f.matrix[0, 0] = 1.0
+        assert geo.linear_map(a.T).matrix.flags.f_contiguous  # the copy keeps the layout
+
+    def test_linear_pair_has_one_frame(self, complements):
+        pair = catalog.linear_pair(4, 2)
+        first, second = (pair.adapted_frame(m) for m in pair.small.samples[:2])
+        assert first is second and len(complements) == 1
+        t, nu = first
+        assert t is pair.small.tangent_basis(pair.small.samples[0])
+        assert nu.shape == (4, 2) and np.allclose(np.abs(nu[2:]), np.eye(2))
+
+    def test_off_pair_point_raises_the_missing_members_error(self):
+        pair = catalog.linear_pair(3, 1)
+        frame = pair.adapted_frame(pair.small.samples[0])
+        for _ in range(2):
+            with pytest.raises(OffManifold, match=re.escape(f"not on {pair.small.name} ")):
+                pair.adapted_frame([0.0, 1.0, 0.0])
+        pair.big.region = lambda x: x[0] < 10.0
+        for _ in range(2):
+            with pytest.raises(OffManifold, match=re.escape(f"not on {pair.big.name} ")):
+                pair.adapted_frame([20.0, 0.0, 0.0])
+        assert pair.adapted_frame(pair.small.samples[1]) is frame
+
+    def test_wrong_dimension_complement_raises_on_every_call(self, complements):
+        plane = catalog.linear_subspace(3, 2)  # the xy-plane
+        z_axis = geo.ImplicitManifold("z-axis", 3, 1, geo.linear_map(np.eye(3)[:2]), samples=[np.zeros(3)])
+        pair = geo.ManifoldPair(plane, z_axis)
+        for _ in range(2):
+            with pytest.raises(OffManifold, match="wrong dimension"):
+                pair.adapted_frame(np.zeros(3))
+        assert len(complements) == 2
+
+    def test_curved_member_is_still_decomposed_at_each_point(self, nullspaces):
+        pair = catalog.parabola_pair()
+        frames = [pair.adapted_frame(m) for m in pair.small.samples]
+        flat = [a for a in nullspaces if a is pair.big.constraints.matrix]
+        assert len(flat) == 1 and len(nullspaces) == 1 + len(pair.small.samples)
+        assert len({id(t) for t, _ in frames}) == len(frames)
+        for m, (t, nu) in zip(pair.small.samples, frames):
+            tangent = np.array([1.0, 2.0 * m[0]]) / np.hypot(1.0, 2.0 * m[0])
+            assert abs(abs(tangent @ t[:, 0]) - 1.0) <= 1e-9 and abs(tangent @ nu[:, 0]) <= 1e-9
+
+
 class TestPushforward:
     def test_linear_stretch(self):
         pair = catalog.linear_pair(2, 1)

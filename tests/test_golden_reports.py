@@ -1,7 +1,8 @@
 """Byte-compared golden canonical reports at seed 42 of the configurations
-the benchmark's ``operator-sweep`` and ``filtration-towers`` workloads run:
-the four operator suites at 256 samples and truncation 24, and flag-laws
-with the six filtration suites at depth 5.
+the benchmark's ``operator-sweep``, ``filtration-towers`` and ``dnc-charts``
+workloads run: the four operator suites at 256 samples and truncation 24,
+flag-laws with the six filtration suites at depth 5, and the eight dnc
+suites at the defaults over seeds 42 .. 57.
 
 A change that means to leave every verdict and residual as it was must
 leave these bytes as they were.  Regenerate, after a change that moves a
@@ -29,12 +30,24 @@ FILTRATION_SUITES = (
     "filtration-pullbacks",
     "filtration-negative",
 )
+DNC_SUITES = (
+    "dnc-vspace-iso",
+    "dnc-product",
+    "trivial-bundle",
+    "dnc-functoriality",
+    "taylor-remainder",
+    "normal-block-structure",
+    "groupoid-axioms",
+    "dnc-transversality",
+)
+DNC_SEEDS = 16
 
 CASES = {
     "operator-sweep-seed42.json": [
         SuiteConfig(s, seed=42, samples=256, truncation=24) for s in OPERATOR_SUITES
     ],
     "filtration-towers-seed42.json": [SuiteConfig(s, seed=42, depth=5) for s in FILTRATION_SUITES],
+    "dnc-charts-seed42.json": [SuiteConfig(s, seed=42 + k) for k in range(DNC_SEEDS) for s in DNC_SUITES],
 }
 
 
