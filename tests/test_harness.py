@@ -4,12 +4,15 @@ import dataclasses
 import importlib.util
 import json
 import os
+import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dnclab
 from dnclab import cli, filtration, flags
 from dnclab.errors import ConfigError, NoConvergence, UnknownSuite
 from dnclab.report import (
@@ -299,6 +302,15 @@ class TestCli:
         assert obj["level_dimensions"] == [1, 3, 7]
         assert obj["report"]["passed"]
 
+    def test_demo_report_equals_golden(self, tmp_path):
+        # Regenerate with: dnclab demo sphere-filtration --delta 2,4,8 --depth 3
+        #   --report tests/golden/demo-sphere-seed42.json
+        path = tmp_path / "demo.json"
+        argv = ["demo", "sphere-filtration", "--delta", "2,4,8", "--depth", "3", "--report", str(path)]
+        assert cli.main(argv) == 0
+        golden = pathlib.Path(__file__).parent / "golden" / "demo-sphere-seed42.json"
+        assert path.read_bytes() == golden.read_bytes()
+
     def test_console_script_entrypoint(self):
         # the child imports the same dnclab as the tests, installed or not
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -325,6 +337,13 @@ class TestKnobs:
         config = SuiteConfig("filtration-pullbacks", seed=31337, samples=8)
         assert run_suite(config).overall == "pass"
         assert len(seeds) == 3 and set(seeds) == {config.seed}
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(dnclab.__path__)))
+def test_star_import_resolves_every_public_name(module):
+    # `import *` raises AttributeError for a name left in __all__ after its
+    # definition went
+    exec(f"from dnclab.{module} import *", {})
 
 
 class TestBenchmarkTracer:
