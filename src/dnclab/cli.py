@@ -178,6 +178,8 @@ def main(argv: list[str] | None = None) -> int:
                 delta = [int(x) for x in args.delta.split(",") if x.strip()]
             except ValueError as exc:
                 raise ConfigError(f"--delta must be comma-separated integers, got {args.delta!r}") from exc
+            if not delta:
+                raise ConfigError(f"--delta must name at least one dimension, got {args.delta!r}")
             depth = len(delta) if args.depth is None else args.depth
             spec = {"kind": "sphere", "delta": delta, "depth": depth}
             filtr = filtration_from_spec(spec)

@@ -579,11 +579,36 @@ def _transported_frame(fr: Callable, x: np.ndarray, w: np.ndarray, lam: float, r
     return out
 
 
+def _groupoid_projector(m: ImplicitManifold) -> Callable | None:
+    """A map onto 𝕋M from the projector p of M, (x, w, lam) -> (p(x),
+    (p(x) - p(x - lam w)) / lam, lam): both base points p(x) and
+    p(x - lam w) lie on M, so the image is a point of 𝕋M and the distance to
+    it bounds the distance to 𝕋M from above.  Below ``FIBER_EPS``, where the
+    divided difference is its lam = 0 limit, it is the zero-fiber point
+    (p(x), Π w, 0), Π the orthogonal projector onto T_{p(x)}M.  None when M
+    has no projector."""
+    p, d = m.projector, m.ambient_dim
+    if p is None:
+        return None
+
+    def project(z):
+        x, w, lam = z[:d], z[d : 2 * d], z[2 * d]
+        px = np.asarray(p(x), float)
+        if abs(lam) < FIBER_EPS:
+            tb = m.tangent_basis(px)
+            return np.concatenate([px, tb @ (tb.T @ w), [0.0]])
+        return np.concatenate([px, (px - np.asarray(p(x - lam * w), float)) / lam, [lam]])
+
+    return project
+
+
 def tangent_groupoid_filtration(f: Filtration) -> Filtration:
     """Deformation-space levels in coordinates (point, difference quotient,
     fiber): nonzero-fiber slices are pairs of level points, the zero-fiber
     slice is the tangent level; the gluing is the divided-difference
-    constraint, smooth across the fiber."""
+    constraint, smooth across the fiber.  A level whose base level has a
+    projector gets the map :func:`_groupoid_projector` built from it, so its
+    distances are taken in closed form; otherwise by Gauss-Newton."""
     if f.witnesses is None:
         raise MissingWitness("tangent lifts need normality witnesses")
     d = f.total.ambient_dim
@@ -602,7 +627,9 @@ def tangent_groupoid_filtration(f: Filtration) -> Filtration:
         region = None
         if m.region is not None:
             region = lambda z, r=m.region: r(z[:d]) and r(z[:d] - z[2 * d] * z[d : 2 * d])
-        return ImplicitManifold(name, 2 * d + 1, 2 * m.dim + 1, constraints, samples, region=region)
+        return ImplicitManifold(
+            name, 2 * d + 1, 2 * m.dim + 1, constraints, samples, region=region, projector=_groupoid_projector(m)
+        )
 
     levels = [glue_manifold(m, f"𝕋{m.name}") for m in f.levels]
     total = glue_manifold(f.total, f"𝕋{f.total.name}")
@@ -654,7 +681,9 @@ def tangent_filtration(f: Filtration) -> Filtration:
     """TF, the lam = 0 fiber of 𝕋F, in (point, velocity) coordinates: the
     constraints of :func:`tangent_groupoid_filtration` through z -> (z, 0),
     its frames, cutting map and flag without their fiber coordinate, and its
-    zero-fiber samples (x, v), each followed by the unit (x, 0)."""
+    zero-fiber samples (x, v), each followed by the unit (x, 0).  Its maps
+    onto the levels are those of 𝕋F through z -> (z, 0), (x, v) -> (p(x),
+    Π v), where the base level has a projector p."""
     tg = tangent_groupoid_filtration(f)
     d = f.total.ambient_dim
     zero_fiber = linear_map(np.eye(2 * d + 1, 2 * d), "(z, 0)")
@@ -667,7 +696,8 @@ def tangent_filtration(f: Filtration) -> Filtration:
                 samples += [z[: 2 * d], np.concatenate([z[:d], np.zeros(d)])]
         region = None if m.region is None else (lambda z: m.region(zero_fiber(z)))
         constraints = compose_maps(m.constraints, zero_fiber, name)
-        return ImplicitManifold(name, 2 * d, m.dim - 1, constraints, samples, region=region)
+        projector = None if m.projector is None else (lambda z: m.projector(zero_fiber(z))[: 2 * d])
+        return ImplicitManifold(name, 2 * d, m.dim - 1, constraints, samples, region=region, projector=projector)
 
     fredholm = None
     if tg.fredholm is not None:

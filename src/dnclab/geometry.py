@@ -181,8 +181,10 @@ class ImplicitManifold:
     ``constraints`` maps the ambient space to at least ambient_dim - dim
     coordinates and must have Jacobian rank exactly ambient_dim - dim at the
     samples.  ``region`` optionally restricts to an open subset;
-    ``projector`` optionally supplies an exact closest-point map used for
-    distance computations.
+    ``projector`` optionally supplies a map onto the manifold, which
+    :meth:`distance_to` uses instead of Gauss-Newton: the distance is exact
+    for closest-point maps (spheres, subspaces and their products) and an
+    upper bound otherwise.
     """
 
     name: str
@@ -242,6 +244,9 @@ class ImplicitManifold:
         return kernel
 
     def distance_to(self, x) -> float:
+        """|x - y| for y the ``projector``'s image of x, or else x's
+        :func:`newton_project` foot point: a point of the manifold either
+        way, so never below the distance to it."""
         x = np.asarray(x, dtype=float)
         if self.projector is not None:
             return float(np.linalg.norm(x - np.asarray(self.projector(x), float)))

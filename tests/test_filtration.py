@@ -334,6 +334,82 @@ def test_every_lift_of_every_base_verifies(base, lift):
         assert rep.passed
 
 
+def _sphere_tower(depth: int) -> filt.Filtration:
+    return filt.make_filtration_sphere(fl.standard_flag([2**n for n in range(1, depth + 1)]))
+
+
+def _counting_newton(monkeypatch) -> list:
+    """Wrap ``geometry.newton_project``, which ``distance_to`` calls, and
+    return the list its calls are appended to."""
+    calls, real = [], geo.newton_project
+
+    def counted(manifold, x0):
+        calls.append(manifold.name)
+        return real(manifold, x0)
+
+    monkeypatch.setattr(geo, "newton_project", counted)
+    return calls
+
+
+class TestLiftedProjectors:
+    """TF and 𝕋F levels of a base with projectors map onto themselves in
+    closed form, built from the base level's projector and tangent basis;
+    a lift of a base without projectors keeps Gauss-Newton."""
+
+    @pytest.mark.parametrize("lift", ["tangent", "tangent-groupoid"])
+    @pytest.mark.parametrize("seed", [42, 31337])
+    @pytest.mark.parametrize("depth", [4, 5])
+    def test_images_lie_on_their_levels_and_fix_level_samples(self, depth, seed, lift):
+        f = LIFTS[lift](_sphere_tower(depth))
+        samples = f.ambient_sampler(np.random.Generator(np.random.Philox(key=seed)), 32)
+        for lvl in f.levels + [f.total]:
+            assert lvl.projector is not None
+            for x in samples:
+                assert lvl.contains(lvl.projector(x))
+            for s in lvl.samples:
+                assert np.max(np.abs(lvl.projector(s) - s)) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [1e-10, -5e-10])
+    def test_groupoid_point_below_fiber_eps_maps_to_the_zero_fiber(self, lam):
+        base = _sphere_tower(4)
+        tg = filt.tangent_groupoid_filtration(base)
+        d = base.total.ambient_dim
+        rng = np.random.Generator(np.random.Philox(key=5))
+        for lvl, m in zip(tg.levels, base.levels):
+            z = np.concatenate([rng.normal(size=d), rng.normal(size=d), [lam]])
+            y = lvl.projector(z)
+            assert y[2 * d] == 0.0 and lvl.contains(y)
+            px = m.projector(z[:d])
+            tb = m.tangent_basis(px)
+            assert np.array_equal(y[:d], px)
+            assert np.allclose(y[d : 2 * d], tb @ (tb.T @ z[d : 2 * d]), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("lift", ["tangent", "tangent-groupoid"])
+    def test_density_of_a_depth5_lift_takes_no_gauss_newton_step(self, lift, monkeypatch):
+        f = LIFTS[lift](_sphere_tower(5))
+        samples = f.ambient_sampler(np.random.Generator(np.random.Philox(key=42)), 8)
+        calls = _counting_newton(monkeypatch)
+        assert filt._check_density(f, f.depth, samples)["status"] == "measured"
+        assert calls == []
+
+    @pytest.mark.parametrize("lift", ["tangent", "tangent-groupoid"])
+    def test_lift_of_a_base_without_projectors_keeps_gauss_newton(self, lift, monkeypatch):
+        # the identity covering's pullback cuts its levels out by _preimage_manifold: no projector
+        sph = _sphere_tower(2)
+        d = sph.total.ambient_dim
+        ident = filt.CoveringMap(sph.total, sph.total, geo.linear_map(np.eye(d), "id"), lambda q: [q])
+        pulled = filt.pullback_filtration_covering(ident, sph)
+        assert all(m.projector is None for m in pulled.levels)
+        f = LIFTS[lift](pulled)
+        assert all(lvl.projector is None for lvl in f.levels)
+        samples = f.ambient_sampler(np.random.Generator(np.random.Philox(key=42)), 8)
+        calls = _counting_newton(monkeypatch)
+        assert filt._check_density(f, f.depth, samples)["status"] == "measured"
+        assert len(calls) == f.depth * len(samples)
+        x, lvl = samples[0], f.level(1)
+        assert lvl.distance_to(x) == np.linalg.norm(x - geo.newton_project(lvl, x))
+
+
 class TestExactLiftJacobians:
     """The lifted constraint and cutting maps carry chain-rule Jacobians;
     each is checked by ``geometry.verify_analytic_jacobian``."""
