@@ -11,6 +11,9 @@ of the pair's constraint maps, so no finite difference enters a remainder.
 Every membership is decided at ``ON_MANIFOLD_TOL`` (1e-8), once per point,
 where the point enters: a boundary base point is projected onto the source
 submanifold before it is mapped.  ``tol`` bounds normal-vector residuals only.
+The transversality check decides what depends on a boundary base point
+alone once per base point, and tests each sample's normal vectors against
+those stored fibres.
 """
 
 from __future__ import annotations
@@ -371,16 +374,81 @@ def taylor_probe(fp: PairMap, tub1: TubularMap, tub2: TubularMap, m, x, t_list) 
 # -- transversality through the functor ------------------------------------------------
 
 
-def _in_span(v, basis, tol) -> bool:
-    q = linalg.orthonormalize(basis)
+def _in_span(v, q: np.ndarray | None, tol) -> bool:
+    """Is v within ``tol`` (1 + |v|) of the span of the orthonormal columns
+    q?  No span at all (None: the base point is off (Z, Z0)) holds nothing."""
+    if q is None:
+        return False
     resid = v - q @ (q.T @ v) if q.size else v
     return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(v)))
 
 
-def _normal_in_fiber(pair: ManifoldPair, m, normal, tangent: np.ndarray, tol: float) -> bool:
-    """Does ``normal`` lie in the normal projection at m of the span of ``tangent``?"""
+def _fiber_span(pair: ManifoldPair, m, tangent: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the normal projection at m of the span of
+    ``tangent``: the fibre a boundary normal vector at m is tested against."""
     nu = normal_frame(pair, m)
-    return _in_span(normal, nu @ (nu.T @ tangent), tol)
+    return linalg.orthonormalize(nu @ (nu.T @ tangent))
+
+
+def _image_fiber(pair: ManifoldPair, zpair: ManifoldPair, q) -> np.ndarray | None:
+    """The fibre over q of the deformation subspace of (Z, Z0) in D(pair),
+    or None when q is off (Z, Z0).  T Z at a point of Z0 is the pair's
+    adapted frame there, stacked."""
+    if not zpair.contains(q):
+        return None
+    return _fiber_span(pair, q, np.hstack(zpair.adapted_frame(q)))
+
+
+def _preimage_fiber(fp: PairMap, zpair: ManifoldPair, m, q) -> np.ndarray | None:
+    """The fibre over the accepted base point m, with image q = f(m), of the
+    deformation subspace of (f^-1 Z, f0^-1 Z0), or None when q is off
+    (Z, Z0).  T f^-1(Z) at m: the source-tangent vectors whose image under
+    Df lands in T Z at q, the adapted frame of (Z, Z0) there, stacked into
+    the orthonormal t_z (so t_z t_z^T projects onto T Z)."""
+    if not zpair.contains(q):
+        return None
+    t_z = np.hstack(zpair.adapted_frame(q))
+    t_m = np.hstack(fp.source.adapted_frame(m))
+    imgs = fp.f.jacobian(m) @ t_m
+    off = imgs - t_z @ (t_z.T @ imgs)
+    return _fiber_span(fp.source, m, t_m @ linalg.nullspace(off))
+
+
+def _adapted_block(fp: PairMap, zpair: ManifoldPair, m, q) -> np.ndarray:
+    """[blk, v] at a base point m whose image q lies on (Z, Z0): blk is the
+    adapted block matrix [nu_out t_out]^T Df [nu_in t_in], extended by the
+    scalar fiber direction, and v the target trace tangent (fiber directions
+    of Z, base of Z0, fiber axis) in the same output coordinates.  D(f) is
+    transverse there iff it has full row rank."""
+    t_in, nu_in = fp.source.adapted_frame(m)
+    t_out, nu_out = fp.target.adapted_frame(q)
+    r_out, d_out = nu_out.shape[1], t_out.shape[1]
+    blk = np.zeros((r_out + d_out + 1, nu_in.shape[1] + t_in.shape[1] + 1))
+    blk[:-1, :-1] = np.hstack([nu_out, t_out]).T @ fp.f.jacobian(m) @ np.hstack([nu_in, t_in])
+    blk[-1, -1] = 1.0
+    t_z0, nu_z = zpair.adapted_frame(q)
+    k = t_z0.shape[1] + nu_z.shape[1]
+    v = np.zeros((r_out + d_out + 1, k + t_z0.shape[1] + 1))
+    v[:r_out, :k] = nu_out.T @ np.hstack([t_z0, nu_z])
+    v[r_out:-1, k:-1] = t_out.T @ t_z0
+    v[-1, -1] = 1.0
+    return np.hstack([blk, v])
+
+
+def _boundary_facts(fp: PairMap, zpair: ManifoldPair, point) -> tuple:
+    """What D(f) transversality decides at a boundary base point alone: the
+    image fibre (:func:`_image_fiber` at q = f(m), m the accepted point),
+    the preimage fibre (:func:`_preimage_fiber`), and the block rank verdict
+    (None when q is off (Z, Z0))."""
+    m = fp.source.accept(point)
+    q = fp.f(m)
+    image_fiber = _image_fiber(fp.target, zpair, q)
+    preimage_fiber = _preimage_fiber(fp, zpair, m, q)
+    block = None
+    if image_fiber is not None:
+        a = _adapted_block(fp, zpair, m, q)
+        block = linalg.rank(a) == a.shape[0]
+    return image_fiber, preimage_fiber, block
 
 
 def dnc_membership(pair: ManifoldPair, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
@@ -388,29 +456,12 @@ def dnc_membership(pair: ManifoldPair, zpair: ManifoldPair, p: DncPoint, tol: fl
 
     Interior points: on Z.  Boundary points: base on the pair (Z, Z0) and
     normal vector in the image of the Z-tangent inside the normal space
-    representatives, to the residual ``tol``.  Both memberships are decided
-    at ``ON_MANIFOLD_TOL``.  T Z at a point of Z0 is the pair's adapted
-    frame there, stacked.
+    representatives (:func:`_image_fiber`), to the residual ``tol``.  Both
+    memberships are decided at ``ON_MANIFOLD_TOL``.
     """
     if p.kind == "interior":
         return zpair.big.contains(p.point)
-    if not zpair.contains(p.point):
-        return False
-    return _normal_in_fiber(pair, p.point, p.normal, np.hstack(zpair.adapted_frame(p.point)), tol)
-
-
-def _preimage_boundary(fp: PairMap, zpair: ManifoldPair, m, q, normal, tol: float) -> bool:
-    """Preimage membership of a boundary point at the accepted base point m
-    with image q = f(m).  T f^-1(Z) at m: the source-tangent vectors whose
-    image under Df lands in T Z at q, the adapted frame of (Z, Z0) there,
-    stacked into the orthonormal t_z (so t_z t_z^T projects onto T Z)."""
-    if not zpair.contains(q):
-        return False
-    t_z = np.hstack(zpair.adapted_frame(q))
-    t_m = np.hstack(fp.source.adapted_frame(m))
-    imgs = fp.f.jacobian(m) @ t_m
-    off = imgs - t_z @ (t_z.T @ imgs)
-    return _normal_in_fiber(fp.source, m, normal, t_m @ linalg.nullspace(off), tol)
+    return _in_span(p.normal, _image_fiber(pair, zpair, p.point), tol)
 
 
 def preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: float = 1e-7) -> bool:
@@ -422,7 +473,7 @@ def preimage_membership(fp: PairMap, zpair: ManifoldPair, p: DncPoint, tol: floa
     if not fp.source.contains(p.point):
         return False
     m = fp.source.accept(p.point)
-    return _preimage_boundary(fp, zpair, m, fp.f(m), p.normal, tol)
+    return _in_span(p.normal, _preimage_fiber(fp, zpair, m, fp.f(m)), tol)
 
 
 def dnc_transversality_check(
@@ -441,6 +492,15 @@ def dnc_transversality_check(
     boundary samples landing on Z0 get the lower-triangular block rank test
     in adapted frames; every sample gets membership equivalence through the
     functor.
+
+    A boundary point (m, xi) enters its verdicts through its base point m
+    and one span test of xi: the accepted m, its image q = f(m), whether q
+    lies on (Z, Z0), both fibres a normal vector is tested against and the
+    block rank verdict all depend on m alone.  They are decided once per
+    distinct base point within one call (:func:`_boundary_facts`), so the
+    verdicts equal those taken sample by sample; each sample is still
+    mapped by :func:`dnc_map`, and only its two normal vectors, the image's
+    and its own, are tested against the stored fibres.
     """
     z, z0 = zpair.big, zpair.small
     n_pair = fp.target
@@ -470,36 +530,25 @@ def dnc_transversality_check(
         report["checks"].append({"name": name, "passed": bool(ok), "evidence": evidence})
         report["passed"] = report["passed"] and bool(ok)
 
+    bases = {}  # base point bytes -> _boundary_facts there
+
     for i, p in enumerate(samples):
         image = dnc_map(fp, p)
-        q = image.point
-        lhs = dnc_membership(n_pair, zpair, image, tol)
         if p.kind == "interior":
+            lhs = dnc_membership(n_pair, zpair, image, tol)
             rhs = lhs and fp.source.big.contains(p.point)  # f(p) on Z is the image side's decision
             if lhs:
-                ok = is_transversal_nonlinear(fp.f, fp.source.big, z, p.point, n_pair.big, q)
+                ok = is_transversal_nonlinear(fp.f, fp.source.big, z, p.point, n_pair.big, image.point)
                 record(f"interior_transversality[{i}]", ok)
         else:
-            m = fp.source.accept(p.point)
-            rhs = _preimage_boundary(fp, zpair, m, q, p.normal, tol)
-            if zpair.contains(q):
-                t_in, nu_in = fp.source.adapted_frame(m)
-                t_out, nu_out = n_pair.adapted_frame(q)
-                r_out, d_out = nu_out.shape[1], t_out.shape[1]
-                # adapted block matrix [nu_out t_out]^T Df [nu_in t_in], extended
-                # by the scalar fiber direction
-                blk = np.zeros((r_out + d_out + 1, nu_in.shape[1] + t_in.shape[1] + 1))
-                blk[:-1, :-1] = np.hstack([nu_out, t_out]).T @ fp.f.jacobian(m) @ np.hstack([nu_in, t_in])
-                blk[-1, -1] = 1.0
-                # target trace tangent: fiber directions of Z, base of Z0, fiber axis
-                t_z0, nu_z = zpair.adapted_frame(q)
-                k = t_z0.shape[1] + nu_z.shape[1]
-                v = np.zeros((r_out + d_out + 1, k + t_z0.shape[1] + 1))
-                v[:r_out, :k] = nu_out.T @ np.hstack([t_z0, nu_z])
-                v[r_out:-1, k:-1] = t_out.T @ t_z0
-                v[-1, -1] = 1.0
-                ok = linalg.rank(np.hstack([blk, v])) == r_out + d_out + 1
-                record(f"boundary_block_transversality[{i}]", ok)
+            key = p.point.tobytes()
+            if key not in bases:
+                bases[key] = _boundary_facts(fp, zpair, p.point)
+            image_fiber, preimage_fiber, block = bases[key]
+            lhs = _in_span(image.normal, image_fiber, tol)
+            rhs = _in_span(p.normal, preimage_fiber, tol)
+            if block is not None:
+                record(f"boundary_block_transversality[{i}]", block)
         record(f"membership_equivalence[{i}]", lhs == rhs, {"image_side": lhs, "preimage_side": rhs})
 
     return report

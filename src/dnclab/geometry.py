@@ -5,7 +5,8 @@ stored sample points; tangent spaces are constraint-Jacobian kernels, and
 normal bundles of submanifold pairs are realized by orthogonal complement
 representatives inside the bigger tangent space.  A pair computes the
 adapted frame at each point once and keeps it, read-only, for the pair's
-lifetime (:meth:`ManifoldPair.adapted_frame`).  Constraints with a constant
+lifetime (:meth:`ManifoldPair.adapted_frame`), and one accepted foot point
+per point (:meth:`ManifoldPair.accept`).  Constraints with a constant
 Jacobian (a :func:`linear_map`) have one tangent space: the manifold
 decomposes it once and serves that read-only basis at every point, and a
 pair of two such members has one adapted frame.  Membership is still
@@ -276,15 +277,17 @@ def newton_project(manifold: ImplicitManifold, x0) -> np.ndarray:
 class ManifoldPair:
     """A manifold with a closed embedded submanifold, in one ambient space.
 
-    :meth:`contains` and :meth:`adapted_frame` are memoised per pair: each
-    point is decided and computed once, and the arrays a frame holds are
-    read-only so that no caller can corrupt a later hit.  When both members
-    are cut out by a :func:`linear_map` the frame is the same at every point
-    and is computed once for the pair; each point is still decided."""
+    :meth:`contains`, :meth:`accept` and :meth:`adapted_frame` are memoised
+    per pair: each point is decided and computed once, and the arrays a foot
+    point or a frame holds are read-only so that no caller can corrupt a
+    later hit.  When both members are cut out by a :func:`linear_map` the
+    frame is the same at every point and is computed once for the pair;
+    each point is still decided."""
 
     big: ImplicitManifold
     small: ImplicitManifold
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _feet: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _linear_frame: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -302,10 +305,19 @@ class ManifoldPair:
     def accept(self, m) -> np.ndarray:
         """m decided onto the pair (OffManifold off it) and replaced by its
         :func:`newton_project` onto the submanifold, a bit-identical copy
-        within 1e-10, so that a pair map sends it onto the target's."""
-        if not self.contains(m):
-            self.adapted_frame(m)  # raises the OffManifold of the member that misses m
-        return newton_project(self.small, m)
+        within 1e-10, so that a pair map sends it onto the target's.  The
+        foot point is computed once per point and kept read-only; a point
+        off the pair raises on every call and is never kept."""
+        m = np.asarray(m, float)
+        key = m.tobytes()
+        foot = self._feet.get(key)
+        if foot is None:
+            if not self.contains(m):
+                self.adapted_frame(m)  # raises the OffManifold of the member that misses m
+            foot = newton_project(self.small, m)
+            foot.setflags(write=False)
+            self._feet[key] = foot
+        return foot
 
     def adapted_frame(self, m) -> tuple[np.ndarray, np.ndarray]:
         """(tangent frame of the submanifold, normal complement inside the

@@ -1,6 +1,7 @@
 """Deformation-space points, charts, functor, groupoid algebra, the
 remainder probe, and transversality through the functor."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -542,6 +543,60 @@ class TestTransversalityCheck:
         assert rep["passed"]
         assert sum(c["name"].startswith("membership_equivalence") for c in rep["checks"]) == len(boundary)
         assert len(calls) == hypotheses + 1  # one adapted frame of (Z, Z0) at the shared base point
+
+    def test_each_base_point_is_decided_once(self, monkeypatch):
+        # with k boundary samples over the origin, the work that depends on
+        # the base point alone (the SVDs of both fibres, of the frames there and
+        # of the block rank, and the Jacobians of f beyond the one dnc_map
+        # takes per sample) is done once; counted on fresh pairs, less the
+        # hypotheses' own work
+        svds = []
+        for name in ("nullspace", "orthonormalize", "rank"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda a, name=name, real=real: svds.append(name) or real(a))
+
+        def per_base(k):
+            fp, zpair = self._fixture(catalog.linear_pair(2, 1))
+            jacobians = []
+            monkeypatch.setattr(fp.f, "jacobian", lambda x, real=fp.f.jacobian: jacobians.append(x) or real(x))
+            counts = []
+            boundary = [dnc.DncPoint.boundary([0.0, 0.0], [0.0, c]) for c in (0.3, -0.5, 0.0, 0.9)[:k]]
+            for samples in ([], boundary):
+                del svds[:], jacobians[:]
+                assert dnc.dnc_transversality_check(fp, zpair, samples)["passed"]
+                counts.append((collections.Counter(svds), len(jacobians)))
+            (svds0, jacobians0), (svds1, jacobians1) = counts
+            return svds1 - svds0, jacobians1 - jacobians0 - k
+
+        one = per_base(1)
+        assert one[0]["rank"] == 1 and one[1] == 2  # the block rank; Df in the preimage fibre and the block
+        assert per_base(4) == one
+
+    def test_fibres_are_keyed_on_the_base_point_only(self):
+        # Z = {z = x^2} touches the target's x-axis at the origin, so Z0 is the
+        # origin alone and carries no sample (Z is not transverse to the axis
+        # there); the fibre over it is the y-axis of the yz normal plane, so
+        # normal vectors at the one base point read both ways
+        pair = catalog.linear_pair(3, 1)
+        fp = geo.PairMap(geo.linear_map(np.diag([1.0, 2.0, 3.0])), pair, pair)
+        z = geo.ImplicitManifold(
+            "z=x^2",
+            3,
+            2,
+            geo.SmoothMap(3, 1, lambda p: np.array([p[2] - p[0] ** 2]), lambda p: np.array([[-2.0 * p[0], 0.0, 1.0]])),
+        )
+        zpair = geo.ManifoldPair(z, geo.ImplicitManifold("origin", 3, 0, geo.linear_map(np.eye(3))))
+        normals = [[0.0, 0.3, 0.0], [0.0, 0.0, 0.3], [0.0, -0.5, 0.0], [0.0, 0.3, 0.3]]
+        samples = [dnc.DncPoint.boundary(np.zeros(3), x) for x in normals]
+        rep = dnc.dnc_transversality_check(fp, zpair, samples)
+        assert rep["passed"]
+        evidence = [c["evidence"] for c in rep["checks"] if c["name"].startswith("membership_equivalence")]
+        assert [e["image_side"] for e in evidence] == [True, False, True, False]
+        for p, e in zip(samples, evidence):
+            assert e == {
+                "image_side": dnc.dnc_membership(fp.target, zpair, dnc.dnc_map(fp, p)),
+                "preimage_side": dnc.preimage_membership(fp, zpair, p),
+            }
 
     def test_precondition_named(self, axis_pair):
         fp, zpair = self._fixture(axis_pair)

@@ -443,6 +443,41 @@ class TestAdaptedFrameMemo:
             geo.ManifoldPair(plane, line).adapted_frame(on_both)
 
 
+class TestAcceptMemo:
+    """``ManifoldPair.accept`` projects each point onto the submanifold once
+    and keeps the foot point, read-only, as :meth:`adapted_frame` keeps
+    frames; a point off the pair is never kept."""
+
+    def test_repeat_returns_the_kept_read_only_foot(self, monkeypatch):
+        pair = catalog.parabola_pair()
+        projections = []
+        real = geo.newton_project
+        monkeypatch.setattr(geo, "newton_project", lambda man, x: projections.append(x) or real(man, x))
+        m = pair.small.samples[0] + np.array([0.0, 5e-9])  # accepted, and moved by the projection
+        first = pair.accept(m)
+        again = pair.accept(list(m))
+        fresh = real(catalog.parabola_pair().small, m)
+        assert again is first and len(projections) == 1
+        assert first.tobytes() == fresh.tobytes() and first.tobytes() != m.tobytes()
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        assert m.flags.writeable  # the caller's array is not the foot point
+
+    def test_off_pair_point_raises_the_missing_members_error(self):
+        pair = catalog.linear_pair(3, 1)
+        on_pair = pair.small.samples[0]
+        foot = pair.accept(on_pair)
+        for _ in range(2):
+            with pytest.raises(OffManifold, match=re.escape(f"not on {pair.small.name} ")):
+                pair.accept([0.0, 1.0, 0.0])
+        pair.big.region = lambda x: x[0] < 10.0
+        for _ in range(2):
+            with pytest.raises(OffManifold, match=re.escape(f"not on {pair.big.name} ")):
+                pair.accept([20.0, 0.0, 0.0])
+        assert list(pair._feet) == [on_pair.tobytes()]
+        assert pair.accept(on_pair) is foot
+
+
 @pytest.fixture()
 def nullspaces(monkeypatch):
     """The inputs of every ``linalg.nullspace`` call, in order."""
