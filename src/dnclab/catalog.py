@@ -12,9 +12,7 @@ from .errors import DomainError
 from .geometry import ImplicitManifold, ManifoldPair, SmoothMap, TubularMap, linear_map
 
 __all__ = [
-    "circle",
     "sphere",
-    "torus",
     "graph_manifold",
     "linear_subspace",
     "projective_space",
@@ -83,25 +81,6 @@ def sphere(k: int, ambient: int | None = None, n_samples: int = 8, seed: int = 7
         samples=_unit_samples(k, ambient, n_samples, seed),
         projector=projector,
     )
-
-
-def circle(n_samples: int = 8, seed: int = 7) -> ImplicitManifold:
-    return sphere(1, n_samples=n_samples, seed=seed)
-
-
-def torus(R: float = 2.0, r: float = 0.5, n_samples: int = 8, seed: int = 11) -> ImplicitManifold:
-    def g(x):
-        rho = np.sqrt(x[0] ** 2 + x[1] ** 2)
-        return np.array([(rho - R) ** 2 + x[2] ** 2 - r**2])
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    samples = []
-    for _ in range(n_samples):
-        u, v = rng.uniform(0, 2 * np.pi, size=2)
-        samples.append(
-            np.array([(R + r * np.cos(v)) * np.cos(u), (R + r * np.cos(v)) * np.sin(u), r * np.sin(v)])
-        )
-    return ImplicitManifold("torus", 3, 2, SmoothMap(3, 1, g, name="torus"), samples)
 
 
 def graph_manifold(fn, d_in: int, d_out: int, base_points, name: str = "graph") -> ImplicitManifold:
@@ -247,11 +226,11 @@ def projective_space(k: int, big_n: int | None = None, n_samples: int = 8, seed:
 # -- pairs and tubular maps ---------------------------------------------------
 
 
-def linear_pair(ambient: int, n: int, n_samples: int = 6, seed: int = 5) -> ManifoldPair:
+def linear_pair(ambient: int, n: int) -> ManifoldPair:
     """(R^ambient, leading-n coordinate subspace)."""
-    big = linear_subspace(ambient, ambient, n_samples, seed)
+    big = linear_subspace(ambient, ambient)
     big.name = f"R^{ambient}"
-    small = linear_subspace(ambient, n, n_samples, seed + 1)
+    small = linear_subspace(ambient, n, seed=6)
     return ManifoldPair(big, small)
 
 
@@ -262,14 +241,14 @@ def flat_tubular(pair: ManifoldPair, radius: float = 10.0) -> TubularMap:
     return TubularMap(pair, lambda m, x: m + x, lambda m, x: (eye, eye), radius)
 
 
-def sphere_equator_pair(k: int, ambient: int | None = None, n_samples: int = 6, seed: int = 9) -> ManifoldPair:
+def sphere_equator_pair(k: int, ambient: int | None = None, n_samples: int = 6) -> ManifoldPair:
     """(S^k, equatorial S^(k-1)) in a common ambient space."""
-    big = sphere(k, ambient, n_samples, seed)
-    small = sphere(k - 1, ambient or k + 1, n_samples, seed + 1)
+    big = sphere(k, ambient, n_samples, 9)
+    small = sphere(k - 1, ambient or k + 1, n_samples, 10)
     return ManifoldPair(big, small)
 
 
-def sphere_tubular(pair: ManifoldPair, radius: float = 0.9) -> TubularMap:
+def sphere_tubular(pair: ManifoldPair) -> TubularMap:
     """Normalized-sum tubular map for sphere pairs: (m, X) -> (m+X)/|m+X|."""
 
     def phi(m, x):
@@ -283,28 +262,28 @@ def sphere_tubular(pair: ManifoldPair, radius: float = 0.9) -> TubularMap:
         d = (np.eye(y.size) - np.outer(u, u)) / r
         return d, d
 
-    return TubularMap(pair, phi, dphi, radius)
+    return TubularMap(pair, phi, dphi, 0.9)
 
 
-def parabola_pair(ambient: int = 2, curvature: float = 1.0, n_samples: int = 6, seed: int = 3) -> ManifoldPair:
-    """(R^2, graph of y = c x^2): a curved submanifold of a flat manifold,
+def parabola_pair(n_samples: int = 6) -> ManifoldPair:
+    """(R^2, graph of y = x^2): a curved submanifold of a flat manifold,
     the standard fixture for O(h^2) triangularity defects."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=3))
     base = [np.array([t]) for t in rng.uniform(-1.0, 1.0, size=n_samples)]
-    small = graph_manifold(lambda u: np.array([curvature * u[0] ** 2]), 1, 1, base, name="parabola")
-    big = linear_subspace(2, 2, n_samples, seed + 1)
+    small = graph_manifold(lambda u: np.array([u[0] ** 2]), 1, 1, base, name="parabola")
+    big = linear_subspace(2, 2, n_samples, 4)
     big.name = "R^2"
     return ManifoldPair(big, small)
 
 
-def antipodal_cover(k: int, big_n: int | None = None, n_samples: int = 6, seed: int = 13):
+def antipodal_cover(k: int, big_n: int | None = None):
     """The 2-sheeted covering of projective space by the sphere: unit vectors
     to rank-one projections, with lifts recovered by eigendecomposition."""
     from .filtration import CoveringMap
 
     n = big_n or k + 1
-    total = sphere(k, ambient=n, n_samples=n_samples, seed=seed)
-    base = projective_space(k, big_n=n, n_samples=n_samples, seed=seed)
+    total = sphere(k, ambient=n, n_samples=6, seed=13)
+    base = projective_space(k, big_n=n, n_samples=6, seed=13)
     idx = _sym_indices(n)
 
     def lift(q):

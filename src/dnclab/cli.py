@@ -58,8 +58,12 @@ _CONFIG_FLAGS = (
         int,
         64,
         "random instances per check, capped at 32 (verification) and 16 (profiles) in filtration-sphere, "
-        "at max(10, min(N, 50)) in dnc-functoriality and at 32 in the pullback cross-check; the lift "
-        "suites use a fixed 8",
+        "at max(10, min(N, 50)) in dnc-functoriality and at 32 in the pullback cross-check, and raised to "
+        "max(N, 2) in dnc-vspace-iso, dnc-product, trivial-bundle and groupoid-axioms and to max(N, 3) in "
+        "dnc-transversality; fixed counts: 8 in the lift suites and the subsequence check of "
+        "filtration-sphere, 16 and 8 in filtration-negative, 4 and 8 besides the cross-check in "
+        "filtration-pullbacks, 20 fixture samples in normal-block-structure; flag-laws, "
+        "normal-block-structure and taylor-remainder draw nothing it sizes, and the last two nothing --seed keys",
     ),
 )
 

@@ -173,13 +173,13 @@ def _interleave_maps(a: SmoothMap, b: SmoothMap, total: int, name: str) -> Smoot
     return compose_maps(linear_map(place, "place"), _stack_maps(a, b, name), name)
 
 
-def _restrict(g: SmoothMap, start: int, total: int, name: str = "") -> SmoothMap:
+def _restrict(g: SmoothMap, start: int, total: int) -> SmoothMap:
     """z -> g(z[start : start + g.domain_dim]) on a total-coordinate space."""
     pick = linear_map(np.eye(total)[start : start + g.domain_dim], "coords")
-    return compose_maps(g, pick, name or g.name)
+    return compose_maps(g, pick, g.name)
 
 
-def _subspace_manifold(basis: np.ndarray, ambient: int, name: str, samples, region=None) -> ImplicitManifold:
+def _subspace_manifold(basis: np.ndarray, ambient: int, name: str, samples) -> ImplicitManifold:
     """Linear submanifold spanned by the (orthonormalized) columns of basis."""
     q = linalg.orthonormalize(basis)
     normal = linalg.nullspace(q.T)
@@ -193,7 +193,6 @@ def _subspace_manifold(basis: np.ndarray, ambient: int, name: str, samples, regi
         q.shape[1],
         linear_map(normal.T, name),
         samples,
-        region=region,
         projector=projector,
     )
 
@@ -353,6 +352,18 @@ def make_filtration_linear(flag: Flag, margin: int = 5) -> Filtration:
     )
 
 
+def _projector_into(p: Callable, region: Callable, samples: list) -> Callable:
+    """A map onto U ∩ E from a projector p onto E, with ``samples`` points of
+    U ∩ E: p(x) where it lies in U, else the nearest sample.  Its image stays
+    in U ∩ E, so the distance to it bounds the distance to U ∩ E from above."""
+
+    def project(x):
+        y = p(x)
+        return y if region(y) else min(samples, key=lambda s: float(np.linalg.norm(x - s)))
+
+    return project
+
+
 def make_filtration_open_subset(u_region: Callable, flag: Flag, margin: int = 5) -> Filtration:
     """Trace of the linear filtration on an open subset; requires the subset
     to meet the first level (witnessed by an actual sample)."""
@@ -379,16 +390,10 @@ def make_filtration_open_subset(u_region: Callable, flag: Flag, margin: int = 5)
         inside = [s for s in lvl.samples if u_region(s)] or [
             s * 0.0 for s in lvl.samples if u_region(s * 0.0)
         ]
+        samples = inside or witness_points
+        project = _projector_into(lvl.projector, u_region, samples)
         levels.append(
-            ImplicitManifold(
-                f"U∩{lvl.name}",
-                ambient,
-                lvl.dim,
-                lvl.constraints,
-                inside or witness_points,
-                region=u_region,
-                projector=lvl.projector,
-            )
+            ImplicitManifold(f"U∩{lvl.name}", ambient, lvl.dim, lvl.constraints, samples, u_region, project)
         )
     total_samples = [s for s in base.total.samples if u_region(s)] or witness_points
     total = _full_space(ambient, total_samples, region=u_region)

@@ -8,7 +8,7 @@ predicate.
 
 :meth:`SequenceOperator.to_dense` is the one layout of an operator as a
 matrix (the window block, then the scaled tail): canonicalisation,
-composition, sums, comparison, flattening and every rank decision work on
+composition, sums, comparison and every rank decision work on
 its truncations, and the lower triangular block [[F, 0], [P, F2]] is
 assembled from them in one place (``BlockOperator._dense``).  The straight-line
 retraction grid reuses that one layout: ``retraction_stack`` lays ``b`` out
@@ -137,14 +137,6 @@ class SequenceOperator:
         self.block = a[:rows, :n].copy()
         self.window = n
 
-    @staticmethod
-    def from_dense(shift: int, matrix, tail_scale: float = 1.0) -> "SequenceOperator":
-        """Operator whose leading columns are those of ``matrix``, each the
-        complete image of its basis vector, and whose remaining columns are
-        the (scaled) tail shift."""
-        matrix = np.asarray(matrix, dtype=float)
-        return SequenceOperator(shift, matrix.shape[1], matrix, tail_scale)
-
     # -- actions ----------------------------------------------------------
 
     def apply(self, x) -> np.ndarray:
@@ -176,12 +168,7 @@ class SequenceOperator:
             w = max(other.window, self.window - other.shift, 0, -shift)
         mid = other.output_rows(w)
         a = self.to_dense(self.output_rows(mid), mid) @ other.to_dense(mid, w)
-        return SequenceOperator.from_dense(shift, a, scale)
-
-    def __matmul__(self, other):
-        if isinstance(other, SequenceOperator):
-            return self.compose(other)
-        return self.apply(other)
+        return SequenceOperator(shift, w, a, scale)
 
     def __add__(self, other: "SequenceOperator") -> "SequenceOperator":
         if self.tail_scale != 0.0 and other.tail_scale != 0.0 and self.shift != other.shift:
@@ -194,21 +181,10 @@ class SequenceOperator:
             shift, scale = other.shift, other.tail_scale
         w = max(self.window, other.window, -shift if scale != 0.0 else 0, 0)
         rows = max(self.output_rows(w), other.output_rows(w))
-        return SequenceOperator.from_dense(shift, self.to_dense(rows, w) + other.to_dense(rows, w), scale)
+        return SequenceOperator(shift, w, self.to_dense(rows, w) + other.to_dense(rows, w), scale)
 
     def scale(self, c: float) -> "SequenceOperator":
         return SequenceOperator(self.shift, self.window, c * self.block, c * self.tail_scale)
-
-    def __mul__(self, c: float) -> "SequenceOperator":
-        return self.scale(float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def to_dense(self, rows: int, cols: int) -> np.ndarray:
         """Truncation oracle: the rows x cols matrix of T between coordinate
@@ -400,33 +376,13 @@ class BlockOperator:
         return a
 
     def fredholm_index(self, level: int | None = None) -> int:
-        """Index of the flattened operator via kernel/cokernel counts at two
+        """Index of the stacked operator via kernel/cokernel counts at two
         truncation levels (no structural shortcut: this is the oracle side)."""
         k, c = _stable(
             max(_bound(op) for op in (self.F, self.P, self.F2)), level or 0,
             lambda L: _kernel_cokernel(self.stacked_dense(L)[0]), "block kernel/cokernel counts",
         )
         return k - c
-
-    def flatten(self) -> SequenceOperator:
-        """Flatten to a single sequence-space operator via the even/odd
-        interleaving.  Requires equal tail shifts on the diagonal and an
-        annihilating tail on P, otherwise the result has no constant tail."""
-        if self.F.tail_scale != 0.0 and self.F2.tail_scale != 0.0:
-            if self.F.shift != self.F2.shift or self.F.tail_scale != self.F2.tail_scale:
-                raise NotRepresentable("diagonal tails differ; flattened tail is not a shift")
-            if self.P.tail_scale != 0.0:
-                raise NotRepresentable("P has a live tail; flattened tail is not a shift")
-            shift, scale = 2 * self.F.shift, self.F.tail_scale
-        elif self.F.tail_scale == 0.0 and self.F2.tail_scale == 0.0 and self.P.tail_scale == 0.0:
-            shift, scale = 0, 0.0
-        else:
-            raise NotRepresentable("mixed zero/shift tails do not flatten")
-        w = max(self.F.window, self.F2.window, self.P.window, -self.F.shift if scale else 0)
-        rows = max(op.output_rows(w) for op in (self.F, self.P, self.F2))
-        # factor-1 coordinate i sits at 2i, factor-2 coordinate i at 2i + 1
-        r, c = (np.arange(2 * n).reshape(2, n).T.ravel() for n in (rows, w))
-        return SequenceOperator.from_dense(shift, self._dense(rows, w, rows, w)[np.ix_(r, c)], scale)
 
     def __repr__(self) -> str:
         return f"BlockOperator(F={self.F!r}, P={self.P!r}, F2={self.F2!r})"

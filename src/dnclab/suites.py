@@ -56,8 +56,8 @@ class _Recorder:
 # -- randomized operator instances -----------------------------------------------
 
 
-def _random_glk(rng, max_window: int = 4) -> ops.SequenceOperator:
-    w = int(rng.integers(1, max_window + 1))
+def _random_glk(rng) -> ops.SequenceOperator:
+    w = int(rng.integers(1, 5))  # a window of 1 to 4
     while True:
         block = np.eye(w) + rng.normal(scale=0.8, size=(w, w))
         if abs(np.linalg.det(block)) > 1e-3:
@@ -70,15 +70,15 @@ def _random_block(rng, max_window: int) -> np.ndarray:
     return rng.normal(size=(r, c))
 
 
-def _random_finite_rank(rng, max_window: int = 3) -> ops.SequenceOperator:
-    return ops.finite_rank(_random_block(rng, max_window))
+def _random_finite_rank(rng) -> ops.SequenceOperator:
+    return ops.finite_rank(_random_block(rng, 3))
 
 
-def _random_shifted(rng, shift: int, max_window: int = 3, scaled: bool = False) -> ops.SequenceOperator:
+def _random_shifted(rng, shift: int, scaled: bool = False) -> ops.SequenceOperator:
     """``c * (shift_op(shift) + finite_rank(m))`` for a random block m, built
     as one operator from the scaled dense sum that ``+`` and ``scale`` would
     canonicalise: c is 1, or drawn from [0.2, 2) after m when ``scaled``."""
-    m = _random_block(rng, int(rng.integers(0, max_window + 1)) + 1)
+    m = _random_block(rng, int(rng.integers(0, 4)) + 1)
     c = float(rng.uniform(0.2, 2.0)) if scaled else 1.0
     w = max(m.shape[1], -shift)
     a = np.zeros((max(m.shape[0], w + shift), w))
@@ -136,12 +136,12 @@ def _stretch_pair_map(pair) -> geo.PairMap:
     return geo.PairMap(geo.linear_map(np.diag([1.0, 2.0]), "lin"), pair, pair)
 
 
-def _sphere_twist_map(alpha: float = 0.7) -> geo.SmoothMap:
+def _sphere_twist_map() -> geo.SmoothMap:
     """Rotation about the vertical axis by an angle proportional to height:
     preserves the sphere and fixes the equator pointwise."""
 
     def fn(v):
-        th = alpha * v[2]
+        th = 0.7 * v[2]
         c, s = np.cos(th), np.sin(th)
         return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1], v[2]])
 

@@ -77,6 +77,19 @@ class TestOpenSubset:
         rep = filt.verify_filtration(f)
         assert rep.conditions["d_normality"]["status"] == "pass"
 
+    def test_distance_never_undercuts_the_level(self):
+        # oracle: U ∩ E_1 = {t e_0 : t > 0.5}, so x = (0.2, 0.4, 0, ...) is
+        # 0.5 from it, while its linear foot point (0.2, 0, ...) leaves U
+        f = filt.make_filtration_open_subset(lambda x: x[0] + x[1] > 0.5, fl.standard_flag([1, 2]))
+        x = np.zeros(f.total.ambient_dim)
+        x[:2] = [0.2, 0.4]
+        assert f.level(1).distance_to(x) >= 0.5 - 1e-12
+        # the TF and 𝕋F levels project through the base level's map
+        zero = np.zeros_like(x)
+        assert filt.tangent_filtration(f).level(1).distance_to(np.concatenate([x, zero])) >= 0.5 - 1e-12
+        z = np.concatenate([x, zero, [0.0]])
+        assert filt.tangent_groupoid_filtration(f).level(1).distance_to(z) >= 0.5 - 1e-12
+
 
 class TestSphere:
     def test_dimension_shift(self, sphere_filtration):

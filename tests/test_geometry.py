@@ -201,7 +201,7 @@ class TestOneDifferentiationPath:
 
 class TestImplicitManifolds:
     def test_circle_tangent(self):
-        t = catalog.circle().tangent_basis([1.0, 0.0])
+        t = catalog.sphere(1).tangent_basis([1.0, 0.0])
         assert np.allclose(np.abs(t.ravel()), [0.0, 1.0])
 
     def test_sphere_tangent_north_pole(self):
@@ -217,12 +217,12 @@ class TestImplicitManifolds:
         assert np.allclose(np.abs(t), np.abs(want), atol=1e-10)
 
     def test_validation_at_samples(self):
-        for m in (catalog.circle(), catalog.sphere(3), catalog.torus(), catalog.projective_space(2)):
+        for m in (catalog.sphere(1), catalog.sphere(3), catalog.projective_space(2)):
             assert valid_at_samples(m)
 
     def test_off_manifold_rejected(self):
         with pytest.raises(OffManifold):
-            catalog.circle().tangent_basis([2.0, 0.0])
+            catalog.sphere(1).tangent_basis([2.0, 0.0])
 
     @pytest.mark.parametrize("k, big_n", [(1, None), (2, None), (1, 3), (2, 3), (2, 4)])
     def test_projective_jacobians_are_exact(self, k, big_n):
@@ -238,7 +238,7 @@ class TestImplicitManifolds:
 
 class TestNewtonProject:
     def test_circle_radial(self):
-        assert np.allclose(geo.newton_project(catalog.circle(), [2.0, 0.0]), [1.0, 0.0])
+        assert np.allclose(geo.newton_project(catalog.sphere(1), [2.0, 0.0]), [1.0, 0.0])
 
     def test_sphere_vertical(self):
         assert np.allclose(
@@ -247,7 +247,7 @@ class TestNewtonProject:
 
     def test_no_convergence_from_singular_start(self):
         with pytest.raises(NoConvergence):
-            geo.newton_project(catalog.circle(), [0.0, 0.0])
+            geo.newton_project(catalog.sphere(1), [0.0, 0.0])
 
 
 class TestPairsAndTubulars:
@@ -337,7 +337,7 @@ class TestOrthonormalFrames:
 
     @pytest.mark.parametrize(
         "manifold",
-        [catalog.circle(), catalog.sphere(2)] + [m for f in PAIRS.values() for p in [f()] for m in (p.big, p.small)],
+        [catalog.sphere(1), catalog.sphere(2)] + [m for f in PAIRS.values() for p in [f()] for m in (p.big, p.small)],
         ids=lambda m: m.name,
     )
     def test_bases_are_orthonormal(self, manifold):
