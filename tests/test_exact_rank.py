@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_operators import C_SCALE, columns, oracle, raw_operators
+from test_operators import C_SCALE, columns, count_svds, oracle, raw_operators
 
 from dnclab import linalg
 from dnclab import operators as ops
@@ -146,6 +146,132 @@ class TestRank:
             a = hadamard(p) @ core @ hadamard(q)
             assert exact_rank(a) == r + 1
             assert linalg.rank(a) == (r + 1 if k <= 26 else r)
+
+
+def rank_and_svds(a) -> tuple[int, int]:
+    """``linalg.rank(a)`` and the number of SVDs it took."""
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_svds(m)
+        return linalg.rank(a), len(calls)
+
+
+def outcome(rank, a):
+    """``rank(a)``, or the class and message of the LinAlgError it raises."""
+    try:
+        return rank(a)
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc)
+
+
+def svd_rule(a) -> int:
+    """The rank the SVD alone decides, as ``linalg.rank`` did before its
+    certificate."""
+    return linalg._rank_of(linalg.singular_values(a))
+
+
+@st.composite
+def deficient(draw, kind: str, wide: bool) -> np.ndarray:
+    """A dyadic matrix whose exact rank is below ``min(shape)``: a tall one
+    with a duplicated column, a zero column or a factorisation through
+    fewer columns, transposed when ``wide`` (a duplicated or zero row)."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(n + (1 if wide else 0), 7))
+    entries = st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0, -0.25, 2.0**-10])
+
+    def cells(r: int, c: int) -> np.ndarray:
+        return np.array(draw(st.lists(entries, min_size=r * c, max_size=r * c))).reshape(r, c)
+
+    if kind == "product":
+        k = draw(st.integers(1, n - 1))
+        a = cells(m, k) @ cells(k, n)
+    else:
+        a = cells(m, n)
+        i, j = draw(st.permutations(range(n)))[:2]
+        a[:, j] = a[:, i] if kind == "duplicate" else 0.0
+    return a.T if wide else a
+
+
+@st.composite
+def planted_ratio(draw):
+    """``(at, r)``: ``at(t)`` is S1 H_m diag(1, ..., 1, t) H_n S2 with
+    r = min(m, n) >= 2 diagonal entries, exact in floats for t = 2^-k; its
+    singular values are sqrt(m n), r - 1 times, and sqrt(m n) t, so
+    σ_min/σ_max = t."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    left, right = draw(signed_permutation(2**p)), draw(signed_permutation(2**q))
+
+    def at(t: float) -> np.ndarray:
+        core = np.zeros((2**p, 2**q))
+        n = min(2**p, 2**q)
+        core[range(n), range(n)] = [1.0] * (n - 1) + [t]
+        return left @ hadamard(p) @ core @ hadamard(q) @ right
+
+    return at, min(2**p, 2**q)
+
+
+class TestFullRankCertificate:
+    """``linalg.rank`` returns ``min(shape)`` without an SVD when one
+    Cholesky factorisation of the scaled Gram matrix, shifted down by
+    ``CERTIFY_RTOL²`` times its trace, completes; that needs
+    σ_min > CERTIFY_RTOL·‖a‖_F up to rounding, and any other matrix takes
+    exactly one SVD."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    @pytest.mark.parametrize("kind", ["duplicate", "zero", "product"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_never_certifies_a_deficient_matrix(self, kind, wide, data):
+        a = data.draw(deficient(kind, wide))
+        assert exact_rank(a) < min(a.shape)
+        r, svds = rank_and_svds(a)
+        assert r == svd_rule(a) < min(a.shape)
+        assert svds == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(inst=planted_ratio())
+    def test_certified_ranks_equal_the_svd_rule(self, inst):
+        # t = 2^-k for k = 10 .. 32 crosses CERTIFY_RTOL = 1e-6 (about
+        # 2^-20 against ‖a‖_F) and RANK_RTOL = 1e-8 (between 2^-27 and
+        # 2^-26 against σ_max); only a ratio clear of the first skips the SVD
+        at, n = inst
+        c = linalg.CERTIFY_RTOL
+        for k in range(10, 33):
+            a = at(2.0**-k)
+            r, svds = rank_and_svds(a)
+            assert exact_rank(a) == n
+            assert r == svd_rule(a) == (n if k <= 26 else n - 1)
+            ratio = 2.0**-k / np.sqrt(n - 1 + 4.0**-k)  # σ_min / ‖a‖_F
+            if ratio >= 2 * c:
+                assert svds == 0
+            elif ratio <= c / 2:
+                assert svds == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 2)])
+    def test_non_finite_entries_take_the_svd(self, bad, cell):
+        # the scale max|a| is not finite, so no Gram matrix is formed (the
+        # Cholesky factorisation of a NaN Gram matrix need not raise); the
+        # SVD raises on a NaN and decides an infinity as it always did
+        a = np.eye(3, 4)
+        a[cell] = bad
+        assert outcome(linalg.rank, a) == outcome(svd_rule, a)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales_give_the_svd_rank(self, scale):
+        # the Gram matrix is formed after scaling by max|a|, so it neither
+        # overflows nor underflows into a RuntimeWarning (filterwarnings =
+        # error would fail the test)
+        full = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]])
+        duplicated = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
+        for a in (full, full.T, duplicated, np.diag([1.0, 2.0**-10, 3.0])):
+            assert linalg.rank(scale * a) == svd_rule(scale * a) == exact_rank(a)
+        mixed = np.diag([1e200, 1e-200])
+        assert linalg.rank(mixed) == svd_rule(mixed) == 1
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 5)])
+    def test_zero_matrix_has_rank_zero(self, shape):
+        # no scale to divide by: the SVD decides it
+        assert rank_and_svds(np.zeros(shape)) == (0, 1)
 
 
 def clear_of_threshold(a: np.ndarray, scale: float | None = None) -> bool:

@@ -618,25 +618,27 @@ class TestFredholmPullback:
         assert rep.conditions["fredholm"]["status"] == "pass"
 
     def test_cut_dimension_is_counted_by_rank(self, monkeypatch):
-        """Each level sample's cut dimension is read from singular values
-        alone: the only SVDs with singular vectors are the flag level's
-        orthonormal basis and its normal space, and the one decomposition of
-        the level's constraint Jacobian at each sample."""
+        """Each level sample's cut dimension is read from one rank: the only
+        SVDs with singular vectors are the flag level's orthonormal basis
+        and its normal space, and the one decomposition of the level's
+        constraint Jacobian at each sample."""
         lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))
         d, p = lin.total.ambient_dim, 2
         g = geo.SmoothMap(d + p, d, lambda z: z[:d], lambda z: np.hstack([np.eye(d), np.zeros((d, p))]))
         rng = np.random.Generator(np.random.Philox(key=55))
         ntot = filt._full_space(d + p, [rng.normal(size=d + p) for _ in range(6)])
         pulled = filt.pullback_filtration_fredholm(g, ntot, p, lin, seeds=[rng.normal(size=d + p) for _ in range(6)])
-        calls = []
-        svd = np.linalg.svd
+        calls, ranks = [], []
+        svd, rank = np.linalg.svd, linalg.rank
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(kw.get("compute_uv", True)) or svd(a, **kw))
+        monkeypatch.setattr(linalg, "rank", lambda a: ranks.append(a) or rank(a))
         got = filt._check_level_samples(dataclasses.replace(pulled, witnesses=None), pulled.depth)["fredholm"]
         assert got["status"] == "pass"
         records = got["evidence"]["samples"]
         assert [r["preimage_tangent_dim"] for r in records] == [pulled.delta[r["level"]] for r in records]
         assert calls.count(True) == 2 * pulled.depth + len(records)
-        assert calls.count(False) == len(records)  # one rank decides transversality and the cut
+        assert len(ranks) == len(records)  # one rank decides transversality and the cut
+        assert calls.count(False) == 0  # and each transverse stack is certified without an SVD
 
     def test_identity_preserves(self):
         lin = filt.make_filtration_linear(fl.standard_flag([2, 4]))

@@ -156,16 +156,19 @@ class TestRankThreshold:
 
     def test_every_svd_is_taken_in_linalg(self):
         # the one rank threshold is applied to singular values from linalg,
-        # and a caller needing the values themselves reads linalg.singular_values
+        # and a caller needing the values themselves reads linalg.singular_values;
+        # rank's full-rank certificate is the one Cholesky factorisation, so
+        # every factorisation stays in the module that owns the threshold
         src = Path(linalg.__file__).parent
         for path in sorted(src.glob("*.py")):
             if path.name == "linalg.py":
                 continue
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Attribute):
-                    assert node.attr != "svd", f"{path.name}:{node.lineno} calls an SVD"
-                if isinstance(node, ast.ImportFrom):
-                    assert "svd" not in [a.name for a in node.names], f"{path.name}:{node.lineno} imports svd"
+                for name in ("svd", "cholesky"):
+                    if isinstance(node, ast.Attribute):
+                        assert node.attr != name, f"{path.name}:{node.lineno} calls {name}"
+                    if isinstance(node, ast.ImportFrom):
+                        assert name not in [a.name for a in node.names], f"{path.name}:{node.lineno} imports {name}"
 
 
 class TestOneDifferentiationPath:

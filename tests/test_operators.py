@@ -249,6 +249,13 @@ class TestFredholmIndex:
     def test_backward_shift(self):
         assert ops.fredholm_index(ops.shift_op(-1)) == 1
 
+    def test_full_rank_index_takes_no_svd(self, monkeypatch):
+        # both truncations of the unilateral shift have full column rank,
+        # which linalg.rank certifies by one Cholesky factorisation each
+        calls = count_svds(monkeypatch)
+        assert ops.fredholm_index(ops.shift_op(1)) == -1
+        assert calls == []
+
     def test_block_glk_diagonal_index_zero(self):
         f = ops.identity() + ops.rank_one(0, 0, 1.0)
         b = ops.block_lower_triangular(f, ops.rank_one(0, 0, 5.0), ops.identity())
@@ -346,6 +353,12 @@ class TestStructureGroup:
 
     def test_singular_perturbation_rejected(self):
         assert not ops.is_glk(ops.identity() + ops.rank_one(0, 0, -1.0))
+
+    def test_singular_window_takes_one_svd(self, monkeypatch):
+        # the window's certificate fails, so its rank is one values-only SVD
+        calls = count_svds(monkeypatch)
+        assert not ops.is_glk(ops.identity() + ops.rank_one(0, 1, 1.0) + ops.rank_one(1, 1, -1.0))
+        assert calls == [False]
 
     def test_inverse_witness(self):
         g = ops.identity() + ops.rank_one(0, 1, 0.7) + ops.rank_one(1, 1, 0.3)
