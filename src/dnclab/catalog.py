@@ -12,6 +12,7 @@ from .errors import DomainError
 from .geometry import ImplicitManifold, ManifoldPair, SmoothMap, TubularMap, linear_map
 
 __all__ = [
+    "leading_samples",
     "sphere",
     "graph_manifold",
     "linear_subspace",
@@ -26,16 +27,17 @@ __all__ = [
 ]
 
 
-def _unit_samples(dim_sphere: int, ambient: int, count: int, seed: int = 7) -> list[np.ndarray]:
-    """Deterministic points on the unit sphere of the leading dim_sphere+1
-    coordinates of an ambient space."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def leading_samples(rng, count: int, support: int, ambient: int, normalize: bool = False) -> list[np.ndarray]:
+    """``count`` points of R^ambient drawn from ``rng``: standard normals on
+    the leading ``support`` coordinates, scaled to unit length when
+    ``normalize``, and zeros beyond."""
     out = []
     for _ in range(count):
-        v = rng.normal(size=dim_sphere + 1)
-        v = v / np.linalg.norm(v)
+        v = rng.normal(size=support)
+        if normalize:
+            v = v / np.linalg.norm(v)
         x = np.zeros(ambient)
-        x[: dim_sphere + 1] = v
+        x[:support] = v
         out.append(x)
     return out
 
@@ -73,12 +75,13 @@ def sphere(k: int, ambient: int | None = None, n_samples: int = 8, seed: int = 7
         y[: k + 1] = head / n if n > 0 else np.eye(ambient)[0][: k + 1]
         return y
 
+    rng = np.random.Generator(np.random.Philox(key=seed))
     return ImplicitManifold(
         name=f"S^{k}" + (f"@R^{ambient}" if extra else ""),
         ambient_dim=ambient,
         dim=k,
         constraints=SmoothMap(ambient, 1 + extra, g, jac, f"sphere{k}", hvp),
-        samples=_unit_samples(k, ambient, n_samples, seed),
+        samples=leading_samples(rng, n_samples, k + 1, ambient, normalize=True),
         projector=projector,
     )
 
@@ -104,17 +107,12 @@ def linear_subspace(ambient: int, n: int, n_samples: int = 6, seed: int = 5) -> 
         return y
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    samples = []
-    for _ in range(n_samples):
-        x = np.zeros(ambient)
-        x[:n] = rng.normal(size=n)
-        samples.append(x)
     return ImplicitManifold(
         f"E_{n}@R^{ambient}",
         ambient,
         n,
         linear_map(np.eye(ambient)[n:], "linear"),
-        samples,
+        leading_samples(rng, n_samples, n, ambient),
         projector=projector,
     )
 
@@ -207,19 +205,12 @@ def projective_space(k: int, big_n: int | None = None, n_samples: int = 8, seed:
         return j
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    samples = []
-    for _ in range(n_samples):
-        v = rng.normal(size=k + 1)
-        v = v / np.linalg.norm(v)
-        x = np.zeros(n)
-        x[: k + 1] = v
-        samples.append(sym_embed(x))
     return ImplicitManifold(
         f"RP^{k}" + (f"@sym{n}" if n != k + 1 else ""),
         m,
         k,
         SmoothMap(m, n_eqs, g, jac, f"rp{k}"),
-        samples,
+        [sym_embed(x) for x in leading_samples(rng, n_samples, k + 1, n, normalize=True)],
     )
 
 

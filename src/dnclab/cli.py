@@ -35,20 +35,20 @@ def _env_default(name: str, cast, fallback):
 
 # (flag, type, default, help) of every suite configuration flag
 _CONFIG_FLAGS = (
-    ("seed", int, 42, "seed of the random instances; each check draws from (seed, suite, check)"),
+    ("seed", int, SuiteConfig.seed, "seed of the random instances; each check draws from (seed, suite, check)"),
     (
         "truncation",
         int,
-        24,
+        SuiteConfig.truncation,
         "first truncation level of both index computations (single and block operators) in "
         "block-index-zero, the only suite that reads it, raised where the operators' support "
         f"needs a deeper one; 4 to {MAX_TRUNCATION}",
     ),
-    ("depth", int, 4, f"flag levels of the sphere towers in the flag and filtration suites; 2 to {MAX_DEPTH}"),
+    ("depth", int, SuiteConfig.depth, f"flag levels of the sphere towers in the flag and filtration suites; 2 to {MAX_DEPTH}"),
     (
         "tol",
         float,
-        1e-7,
+        SuiteConfig.tol,
         "finite positive tolerance of the residual checks that take one: the normal-vector residual only in "
         "dnc-transversality (which decides every membership at 1e-8 and projects an accepted boundary base "
         "point onto the source submanifold), filtration-pair-groupoid, filtration-tangent and filtration-tangent-groupoid",
@@ -56,7 +56,7 @@ _CONFIG_FLAGS = (
     (
         "samples",
         int,
-        64,
+        SuiteConfig.samples,
         "random instances per check, capped at 32 (verification) and 16 (profiles) in filtration-sphere, "
         "at max(10, min(N, 50)) in dnc-functoriality and at 32 in the pullback cross-check, and raised to "
         "max(N, 2) in dnc-vspace-iso, dnc-product, trivial-bundle and groupoid-axioms and to max(N, 3) in "

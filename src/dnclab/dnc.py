@@ -39,7 +39,6 @@ from .geometry import (
     TubularMap,
     is_transversal_nonlinear,
     newton_project,
-    normal_frame,
     normal_map_pushforward,
 )
 
@@ -386,7 +385,7 @@ def _in_span(v, q: np.ndarray | None, tol) -> bool:
 def _fiber_span(pair: ManifoldPair, m, tangent: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the normal projection at m of the span of
     ``tangent``: the fibre a boundary normal vector at m is tested against."""
-    nu = normal_frame(pair, m)
+    _, nu = pair.adapted_frame(m)
     return linalg.orthonormalize(nu @ (nu.T @ tangent))
 
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from . import linalg
+from . import catalog, linalg
 from .errors import (
     ConfigError,
     DimensionTooSmall,
@@ -293,24 +294,6 @@ def _converged_projections(manifold: ImplicitManifold, points) -> list:
     return out
 
 
-def _truncation_sampler(support: int, ambient: int, normalize: bool = False) -> Callable:
-    """Deterministic sampler of ambient model points supported on the leading
-    coordinates reachable by the deepest level."""
-
-    def sample(rng, count):
-        out = []
-        for _ in range(count):
-            x = np.zeros(ambient)
-            v = rng.normal(size=support)
-            if normalize:
-                v = v / np.linalg.norm(v)
-            x[:support] = v
-            out.append(x)
-        return out
-
-    return sample
-
-
 # -- constructors ----------------------------------------------------------------
 
 
@@ -348,7 +331,7 @@ def make_filtration_linear(flag: Flag, margin: int = 5) -> Filtration:
         cover=cover,
         fredholm=FredholmData(ident, flag),
         claimed_dense=True,
-        ambient_sampler=_truncation_sampler(flag.delta[flag.depth], ambient),
+        ambient_sampler=partial(catalog.leading_samples, support=flag.delta[flag.depth], ambient=ambient),
     )
 
 
@@ -421,8 +404,6 @@ def make_filtration_open_subset(u_region: Callable, flag: Flag, margin: int = 5)
 def make_filtration_sphere(flag: Flag, margin: int = 5) -> Filtration:
     """Unit spheres of the flag levels: a filtration of the ambient unit
     sphere with dimension sequence shifted down by one."""
-    from . import catalog
-
     if margin < 0:
         raise DomainError(f"margin must be >= 0, got {margin}")
     if flag.delta[1] < 2:
@@ -461,7 +442,7 @@ def make_filtration_sphere(flag: Flag, margin: int = 5) -> Filtration:
         ),
         fredholm=FredholmData(ident, flag),
         claimed_dense=True,
-        ambient_sampler=_truncation_sampler(flag.delta[flag.depth], ambient, normalize=True),
+        ambient_sampler=partial(catalog.leading_samples, support=flag.delta[flag.depth], ambient=ambient, normalize=True),
     )
 
 

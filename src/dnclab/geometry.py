@@ -52,7 +52,6 @@ __all__ = [
     "numeric_jacobian",
     "verify_analytic_jacobian",
     "newton_project",
-    "normal_frame",
     "normal_map_pushforward",
     "check_block_structure",
     "is_transversal_nonlinear",
@@ -348,11 +347,6 @@ class ManifoldPair:
         return t_small, nu
 
 
-def normal_frame(pair: ManifoldPair, m) -> np.ndarray:
-    """Orthonormal basis of the normal space (quotient representatives) at m."""
-    return pair.adapted_frame(m)[1]
-
-
 @dataclass
 class TubularMap:
     """Tubular neighborhood chart: (base point, normal vector) -> manifold
@@ -440,7 +434,7 @@ def normal_map_pushforward(fp: PairMap, m, x) -> tuple[np.ndarray, np.ndarray]:
         raise OffManifold("vector does not lie in the normal frame span")
     q = fp.f(m)
     v = fp.f.jacobian(m) @ x
-    nu_t = normal_frame(fp.target, q)
+    _, nu_t = fp.target.adapted_frame(q)
     return q, nu_t @ (nu_t.T @ v)
 
 

@@ -1,18 +1,16 @@
 """Rank decisions and small shared linear-algebra helpers.
 
 Every rank decision in the laboratory is made here, by :func:`rank`,
-:func:`is_nonsingular`, :func:`rank_modulo`, :func:`kernel_with_complement`
-(and :func:`nullspace`, which reads its kernel) or :func:`orthonormalize`,
-against the one relative singular-value threshold :data:`RANK_RTOL`;
-:func:`is_nonsingular` skips the SVD only where a Gram bound proves that
-:func:`rank` would say the same, and :func:`rank` itself skips it where one
-Cholesky factorisation of the scaled Gram matrix, shifted by
-``CERTIFY_RTOL²`` times its trace, proves the rank full: its smallest
-singular value then sits about two decades above the threshold, by
-Higham's backward error bound for Cholesky (see :func:`rank`).  No
-function takes a threshold of its own,
-so the threshold is set in exactly one place, and so are the
-two truncation levels of every stabilised count, by
+:func:`rank_modulo`, :func:`kernel_with_complement` (and :func:`nullspace`,
+which reads its kernel) or :func:`orthonormalize`, against the one relative
+singular-value threshold :data:`RANK_RTOL`.  Two of them decide without an
+SVD where they can: :func:`rank`, where one Cholesky factorisation of the
+scaled Gram matrix, shifted by ``CERTIFY_RTOL²`` times its trace, proves the
+rank full (its smallest singular value then sits about two decades above
+the threshold, by Higham's backward error bound for Cholesky), and
+:func:`rank_modulo`, which ranks through :func:`rank`.  No function takes a
+threshold of its own, so the threshold is set in exactly one place, and so
+are the two truncation levels of every stabilised count, by
 :func:`truncation_levels`.  Every SVD of the laboratory is taken in this
 module too, and so is every Cholesky factorisation: a caller that needs
 singular values themselves, such as the norms of a stack of blocks, reads
@@ -27,7 +25,15 @@ it is made, and never again downstream.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+__all__ = [
+    "RANK_RTOL", "CERTIFY_RTOL", "LEVEL_MARGIN", "LEVEL_STEP", "truncation_levels", "singular_values", "rank",
+    "rank_modulo", "kernel_with_complement", "nullspace", "orthonormalize", "complement_within",
+    "min_norm_lstsq", "loglog_slope", "pad_to", "trim",
+]
 
 # Relative singular-value threshold of every rank decision: a singular value
 # counts when it exceeds RANK_RTOL times the largest one.
@@ -52,7 +58,11 @@ def truncation_levels(bound: int, floor: int = 0) -> tuple[int, int]:
 
 def _rank_of(s: np.ndarray) -> int:
     """Rank of a nonempty matrix from its descending singular values ``s``:
-    how many exceed RANK_RTOL times the largest, so 0 for a zero matrix."""
+    how many exceed RANK_RTOL times the largest, so 0 for a zero matrix.
+    The SVD of an infinite entry returns NaNs, which count as nothing, so a
+    non-finite largest value raises the LinAlgError the SVD of a NaN raises."""
+    if not math.isfinite(s[0]):
+        raise np.linalg.LinAlgError("SVD did not converge")
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
@@ -98,7 +108,8 @@ def rank(a: np.ndarray) -> int:
     certified verdict equals the SVD's by proof.  A matrix the certificate
     misses, whether rank-deficient or merely ill-conditioned, takes the SVD
     as before, and so do the zero matrix and a non-finite ``a``, neither of
-    which has a finite nonzero scale."""
+    which has a finite nonzero scale; a non-finite ``a`` then raises
+    ``np.linalg.LinAlgError`` (see :func:`_rank_of`)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
@@ -113,20 +124,6 @@ def rank(a: np.ndarray) -> int:
         except np.linalg.LinAlgError:
             pass
     return _rank_of(np.linalg.svd(a, compute_uv=False))
-
-
-def is_nonsingular(g: np.ndarray) -> bool:
-    """``rank(g) == n`` for a square ``n x n`` matrix ``g``, without an SVD
-    when ``g`` is nearly orthonormal: ``‖gᵀg − I‖_F <= 1/2``.
-
-    The eigenvalues of ``gᵀg`` are the ``σᵢ(g)²``, and by Weyl's inequality
-    (H. Weyl, *Das asymptotische Verteilungsgesetz der Eigenwerte linearer
-    partieller Differentialgleichungen*, Math. Ann. 71, 1912) each lies
-    within ``‖gᵀg − I‖_2 <= ‖gᵀg − I‖_F <= 1/2`` of 1.  So
-    ``σ_min/σ_max >= 1/√3``, far above RANK_RTOL, and :func:`rank` would
-    count all ``n``.  Any other ``g`` takes that rank."""
-    n = g.shape[1]
-    return bool(np.linalg.norm(g.T @ g - np.eye(n)) <= 0.5) or rank(g) == n
 
 
 def rank_modulo(a: np.ndarray, normal: np.ndarray) -> int:

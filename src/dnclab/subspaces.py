@@ -8,15 +8,14 @@ the tail's unit columns.  Every subspace is stored with a complement, and
 the pair is checked by rank tests at the two levels of
 ``linalg.truncation_levels``.
 
-When the two sides together have exactly ``level`` columns at a level, one
-rank test of the stacked columns decides the direct sum there: singular
-values interlace under deleting columns, so a full-rank stack leaves each
-side full rank under the same threshold, ``linalg.RANK_RTOL`` (see
-:meth:`ComplementedSubspace.verify`).  A stack within 1/2 of orthonormal,
-``‖GᵀG − I‖_F <= 1/2``, has every σᵢ² in [1/2, 3/2] by Weyl's inequality,
-so it passes without an SVD (``linalg.is_nonsingular``); preimage
-certificates and coordinate spans are orthonormal by construction.  Fewer
-columns fail without an SVD; only more columns need the three ranks.
+When the two sides together have at most ``level`` columns at a level, one
+rank of the stacked columns decides the direct sum there: singular values
+interlace under deleting columns, so a full-rank stack leaves each side full
+rank under the same threshold, ``linalg.RANK_RTOL`` (see
+:meth:`ComplementedSubspace.verify`).  ``linalg.rank`` decides a
+well-conditioned stack without an SVD, such as the orthonormal stacks of
+preimage certificates and coordinate spans; only more columns need the
+three ranks.
 """
 
 from __future__ import annotations
@@ -105,34 +104,29 @@ class ComplementedSubspace:
         ``rank([a b]) == level``, where ``a`` and ``b`` hold the columns of
         the space and of the complement.  With ``k`` columns in ``[a b]``:
 
-        - ``k < level``: the rank is at most ``k``, so the level fails
-          without an SVD;
-        - ``k == level``: the single test ``rank([a b]) == level`` decides,
-          by :func:`linalg.is_nonsingular`.  When ``G = [a b]`` has Gram
-          defect ``‖GᵀG − I‖_F <= 1/2``, every ``σᵢ(G)²`` lies in
-          ``[1/2, 3/2]`` (H. Weyl, *Das asymptotische Verteilungsgesetz der
-          Eigenwerte linearer partieller Differentialgleichungen*, Math.
-          Ann. 71, 1912), so ``σ_min/σ_max >= 1/√3 > τ`` and the level
-          passes without an SVD; any other ``G`` takes the one rank.
-          Singular values interlace when columns are deleted (R. C. Thompson,
-          *Principal submatrices IX*, Linear Algebra Appl. 5, 1972), so
+        - ``k <= level``: the single test ``rank([a b]) == level`` decides.
+          It fails when ``k < level``, since the rank is at most ``k``.
+          When ``k == level``, singular values interlace when columns are
+          deleted (R. C. Thompson, *Principal submatrices IX*, Linear
+          Algebra Appl. 5, 1972), so a passing stack has
           ``σ_min(a) >= σ_min([a b]) > τ·σ_max([a b]) >= τ·σ_max(a)`` with
-          ``τ = linalg.RANK_RTOL``,
-          and the same for ``b``: both have full column rank, and
-          ``rank(a) + rank(b) == level`` follows;
+          ``τ = linalg.RANK_RTOL``, and the same for ``b``: both have full
+          column rank, and ``rank(a) + rank(b) == level`` follows;
         - ``k > level``: the three ranks are taken.
+
+        :func:`linalg.rank` certifies a full column rank without an SVD
+        whenever the stack is well conditioned.  A stack with
+        ``‖GᵀG − I‖_F <= 1/2``, such as an orthonormal preimage certificate
+        or coordinate span, has ``σ_min/σ_max >= 1/√3``, far above
+        ``linalg.CERTIFY_RTOL``, so its level takes no SVD.
         """
         for level in linalg.truncation_levels(max(self.space.support_bound(), self.complement.support_bound())):
             a = self.space.basis_matrix(level)
             b = self.complement.basis_matrix(level)
             ab = np.hstack([a, b])
-            k = ab.shape[1]
-            if k < level:
+            if linalg.rank(ab) != level:
                 return False
-            if k == level:
-                if not linalg.is_nonsingular(ab):
-                    return False
-            elif linalg.rank(ab) != level or linalg.rank(a) + linalg.rank(b) != level:
+            if ab.shape[1] > level and linalg.rank(a) + linalg.rank(b) != level:
                 return False
         return True
 

@@ -9,7 +9,7 @@ The differential tests draw dyadic instances, the way ``suites._dyadic`` and
 ``test_operators.raw_operators`` draw them, whose float decisions should be
 exact: the nonzero singular values stay well clear of the ``RANK_RTOL``
 threshold.  They cover ``linalg.rank``, both branches of
-``ComplementedSubspace.verify`` and its Gram certificate, both ``fredholm_index``es, ``is_glk``,
+``ComplementedSubspace.verify`` on Gram-certified stacks too, both ``fredholm_index``es, ``is_glk``,
 ``is_transversal`` and ``block_is_transversal``, and they compare each
 certified preimage with the exact dense kernel.  The exact side lays
 operators out with the test's own truncation ``test_operators.oracle``;
@@ -251,10 +251,18 @@ class TestFullRankCertificate:
     def test_non_finite_entries_take_the_svd(self, bad, cell):
         # the scale max|a| is not finite, so no Gram matrix is formed (the
         # Cholesky factorisation of a NaN Gram matrix need not raise); the
-        # SVD raises on a NaN and decides an infinity as it always did
+        # SVD raises on a NaN, and the rank rule on the NaNs an infinity gives
         a = np.eye(3, 4)
         a[cell] = bad
         assert outcome(linalg.rank, a) == outcome(svd_rule, a)
+
+    @pytest.mark.parametrize("decide", [linalg.rank, linalg.nullspace, linalg.orthonormalize, linalg.kernel_with_complement])
+    @pytest.mark.parametrize("a", [np.array([[np.inf, 0.0], [0.0, 1.0]]), np.full((2, 3), -np.inf)], ids=["one", "all"])
+    def test_infinite_entries_raise(self, decide, a):
+        # the SVD of an infinity returns NaNs, which no threshold counts: a
+        # rank, kernel or basis read from them would be silently empty
+        with pytest.raises(np.linalg.LinAlgError):
+            decide(a)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_scales_give_the_svd_rank(self, scale):
@@ -403,9 +411,9 @@ def rank_calls(monkeypatch):
 
 
 class TestVerify:
-    """``verify`` makes at most one rank test per level when the columns are
-    exactly the level (none when their Gram defect certifies them), none
-    when they are fewer, and three when they are more."""
+    """``verify`` makes one rank test per level when the columns are at most
+    the level, and three when they are more; a well-conditioned stack, such
+    as an orthonormal one, takes no SVD."""
 
     @settings(max_examples=80, deadline=None)
     @given(cs=dyadic_pairs())
@@ -428,12 +436,14 @@ class TestVerify:
         collect()
         assert seen == {"few", "square", "many"}
 
-    def test_too_few_columns_fail_without_a_rank(self, rank_calls):
-        # span{e0} against the tail from 3 misses e1 and e2
+    def test_too_few_columns_fail_without_an_svd(self, monkeypatch):
+        # span{e0} against the tail from 3 misses e1 and e2; the stack has
+        # full column rank, which the certificate decides
         cs = sub.ComplementedSubspace(sub.SubspaceBasis(None, columns([1.0])), sub.SubspaceBasis(3, []))
         assert columns_at_levels(cs) == {"few"}
+        svds = count_svds(monkeypatch)
         assert not cs.verify()
-        assert rank_calls[0] == 0
+        assert svds == []
         assert not three_rank_verify(cs, exact=True)
 
     def test_square_pair_meeting_its_complement(self, rank_calls):
@@ -446,13 +456,15 @@ class TestVerify:
         assert rank_calls[0] == 1
         assert not three_rank_verify(cs, exact=True)
 
-    def test_square_pair_takes_one_rank_per_level(self, rank_calls):
-        # the stack is the identity at each level: the Gram certificate
-        # decides both levels, so not even the one rank is taken
+    def test_square_pair_takes_one_rank_per_level(self, rank_calls, monkeypatch):
+        # the stack is the identity at each level: the one rank of each
+        # level is certified without an SVD
         cs = sub.coordinate_span(3)
         assert columns_at_levels(cs) == {"square"}
+        svds = count_svds(monkeypatch)
         assert cs.verify()
-        assert rank_calls[0] == 0
+        assert rank_calls[0] == 2
+        assert svds == []
 
     def test_duplicated_vector_takes_the_three_rank_path(self, rank_calls):
         # span{e0, e0} against the tail from 1: a direct sum with one column
@@ -530,19 +542,10 @@ def count_ranks(fn):
 
 
 class TestGramCertificate:
-    """A square stack whose Gram defect is at most 1/2 passes without an
-    SVD, and only where the exact rank passes it too; any other square
-    stack takes exactly one rank."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(g=perturbed_orthonormal())
-    def test_is_nonsingular_is_exact(self, g):
-        n = g.shape[0]
-        verdict, calls = count_ranks(lambda: linalg.is_nonsingular(g))
-        assert verdict == (exact_rank(g) == n)
-        assert calls == (0 if certified(g) else 1)
-        if certified(g):
-            assert verdict
+    """A square stack whose Gram defect is at most 1/2 has σ_min/σ_max at
+    least 1/√3, so the rank certificate passes it without an SVD, and only
+    where the exact rank passes it too; every square stack takes one rank a
+    level."""
 
     @settings(max_examples=150, deadline=None)
     @given(g=perturbed_orthonormal(), data=st.data())
@@ -553,12 +556,13 @@ class TestGramCertificate:
         j = data.draw(st.integers(0, n))
         cs = sub.ComplementedSubspace(sub.SubspaceBasis(None, g[:, :j]), sub.SubspaceBasis(n, g[:, j:]))
         assert columns_at_levels(cs) == {"square"}
-        verdict, calls = count_ranks(cs.verify)
+        with pytest.MonkeyPatch.context() as m:
+            svds = count_svds(m)
+            verdict, calls = count_ranks(cs.verify)
         assert verdict == three_rank_verify(cs, exact=True)
+        assert calls == (2 if verdict else 1)  # one rank a level; a failing first level ends the test
         if certified(g):
-            assert verdict and calls == 0
-        else:  # one rank a level, and a failing first level ends the test
-            assert calls == (2 if verdict else 1)
+            assert verdict and svds == []
 
     def test_drawn_stacks_reach_every_side_of_the_bound(self):
         seen: set[str] = set()
@@ -711,13 +715,16 @@ class TestTransversality:
 
     @settings(max_examples=40, deadline=None)
     @given(raw=raw_operators(), v=dyadic_targets(7))
-    def test_preimage_certificate_verifies_without_a_rank(self, raw, v):
+    def test_preimage_certificate_verifies_without_an_svd(self, raw, v):
         # [kernel | complement | unit tail] is orthonormal by construction
         try:
             pre = ops.preimage_with_complement(ops.SequenceOperator(*raw), v)
         except NotTransversal:
             return
-        assert count_ranks(pre.verify) == (True, 0)
+        with pytest.MonkeyPatch.context() as m:
+            svds = count_svds(m)
+            assert pre.verify()
+        assert svds == []
 
     @settings(max_examples=30, deadline=None)
     @given(f=raw_operators(), f2=raw_operators(), p=raw_operators(), v1=dyadic_targets(6), v2=dyadic_targets(6))

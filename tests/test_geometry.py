@@ -256,18 +256,18 @@ class TestNewtonProject:
 class TestPairsAndTubulars:
     def test_axis_normal_frame(self):
         pair = catalog.linear_pair(2, 1)
-        nu = geo.normal_frame(pair, [2.0, 0.0])
+        _, nu = pair.adapted_frame([2.0, 0.0])
         assert np.allclose(np.abs(nu.ravel()), [0.0, 1.0])
 
     def test_equator_vertical_direction(self):
         pair = catalog.sphere_equator_pair(2)
-        nu = geo.normal_frame(pair, [1.0, 0.0, 0.0])
+        _, nu = pair.adapted_frame([1.0, 0.0, 0.0])
         assert np.allclose(np.abs(nu.ravel()), [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_rank_nullity(self):
         pair = catalog.sphere_equator_pair(3)
         for m in pair.small.samples:
-            nu = geo.normal_frame(pair, m)
+            _, nu = pair.adapted_frame(m)
             assert nu.shape[1] == pair.big.dim - pair.small.dim
 
     def test_sphere_tubular_contract(self):
@@ -407,7 +407,7 @@ class TestAdaptedFrameMemo:
         for _ in range(3):
             for m in pair.small.samples:
                 pair.adapted_frame(m)
-                geo.normal_frame(pair, list(m))
+                pair.adapted_frame(list(m))
         assert len(calls) == len(pair.small.samples)
 
     def test_returned_arrays_are_read_only(self):
