@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, OutsideChart
 from .geometry import ImplicitManifold, ManifoldPair, SmoothMap, TubularMap, linear_map
 
 __all__ = [
@@ -227,9 +227,17 @@ def linear_pair(ambient: int, n: int) -> ManifoldPair:
 
 def flat_tubular(pair: ManifoldPair, radius: float = 10.0) -> TubularMap:
     """Affine tubular map m + X; valid whenever the big manifold is flat
-    along normal directions (linear pairs)."""
-    eye = np.eye(pair.big.ambient_dim)
-    return TubularMap(pair, lambda m, x: m + x, lambda m, x: (eye, eye), radius)
+    along normal directions (linear pairs).  Its inverse is q -> (p, q - p)
+    with p the small member's closest-point ``projector`` image of q."""
+    project = pair.small.projector
+    if project is None:
+        raise DomainError(f"flat_tubular: {pair.small.name} has no projector to invert the chart with")
+
+    def inverse(q):
+        p = project(q)
+        return p, q - p
+
+    return TubularMap(pair, lambda m, x: m + x, inverse, radius)
 
 
 def sphere_equator_pair(k: int, ambient: int | None = None, n_samples: int = 6) -> ManifoldPair:
@@ -240,20 +248,26 @@ def sphere_equator_pair(k: int, ambient: int | None = None, n_samples: int = 6) 
 
 
 def sphere_tubular(pair: ManifoldPair) -> TubularMap:
-    """Normalized-sum tubular map for sphere pairs: (m, X) -> (m+X)/|m+X|."""
+    """Normalized-sum tubular map for sphere pairs: (m, X) -> (m+X)/|m+X|.
+
+    Its inverse rescales q so that its head, the small sphere's leading
+    ``small.dim + 1`` coordinates, is a unit vector m: q -> (m, q/|q_head| - m).
+    A q with no head (a pole) is outside the chart."""
+    small = pair.small
+    head = small.dim + 1
 
     def phi(m, x):
         y = m + x
         return y / np.linalg.norm(y)
 
-    def dphi(m, x):
-        y = m + x
-        r = np.linalg.norm(y)
-        u = y / r
-        d = (np.eye(y.size) - np.outer(u, u)) / r
-        return d, d
+    def inverse(q):
+        r = np.linalg.norm(q[:head])
+        if r == 0.0:
+            raise OutsideChart(f"{q} has no component along {small.name}")
+        m = small.projector(q)
+        return m, q / r - m
 
-    return TubularMap(pair, phi, dphi, 0.9)
+    return TubularMap(pair, phi, inverse, 0.9)
 
 
 def parabola_pair(n_samples: int = 6) -> ManifoldPair:

@@ -184,6 +184,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--delta must be comma-separated integers, got {args.delta!r}") from exc
             if not delta:
                 raise ConfigError(f"--delta must name at least one dimension, got {args.delta!r}")
+            if max(delta) > MAX_TRUNCATION:  # before any array of that size is built
+                raise ConfigError(f"--delta entries must be at most {MAX_TRUNCATION}, got {max(delta)}")
             depth = len(delta) if args.depth is None else args.depth
             spec = {"kind": "sphere", "delta": delta, "depth": depth}
             filtr = filtration_from_spec(spec)

@@ -5,9 +5,11 @@ nonzero scalar fiber coordinate) or a boundary point (submanifold point with
 a normal vector).  The smooth structure lives in the rescaled tubular
 charts; all smoothness claims are exercised through chart-conjugated maps
 and the linear decay of their Taylor remainders as the fiber coordinate
-shrinks to zero.  Charts are inverted by Newton steps with the exact
-Jacobian of their residual, built from the chart's ``dphi`` and the ``hvp``
-of the pair's constraint maps, so no finite difference enters a remainder.
+shrinks to zero.  Each chart is inverted in closed form by its own
+``inverse``, and every inversion checks its result: the base point on the
+pair, the normal vector in the normal fibre there and within the chart
+radius, and the chart residual within 1e-9.  No finite difference and no
+iteration enters a remainder.
 Every membership is decided at ``ON_MANIFOLD_TOL`` (1e-8), once per point,
 where the point enters: a boundary base point is projected onto the source
 submanifold before it is mapped.  ``tol`` bounds normal-vector residuals only.
@@ -26,7 +28,6 @@ from . import linalg
 from .errors import (
     DomainError,
     FiberMismatch,
-    NoConvergence,
     NotComposable,
     OutsideChart,
     PreconditionFailed,
@@ -38,7 +39,6 @@ from .geometry import (
     SmoothMap,
     TubularMap,
     is_transversal_nonlinear,
-    newton_project,
     normal_map_pushforward,
 )
 
@@ -126,82 +126,35 @@ def dnc_chart(tub: TubularMap, m, x, t: float) -> DncPoint:
     return DncPoint.interior(tub(m, t * x), t)
 
 
-def _chart_residual(tub: TubularMap, q, z):
-    """The residual R(p, eta) = (g0(p), phi(p, y) - q) of chart inversion at
-    z = (p, eta), the normal vector y it uses, and a function returning the
-    exact Jacobian of R at z.
-
-    y = P A^T eta is a constraint-gradient combination (A = Dg0(p)) projected
-    onto the big tangent space by P = I - B^T M B (B = Dg_big(p),
-    M = (B B^T)^+).  With w = A^T eta and dB = hvp_big(p, e_k), column k of
-    the p-block is (A e_k, phi_p e_k + phi_y (P hvp0(p, e_k)^T eta
-    - P dB^T M B w - B^T M dB P w)), and the eta-block is (0, phi_y P A^T).
-    """
-    co0, cob = tub.pair.small.constraints, tub.pair.big.constraints
-    n = tub.pair.small.ambient_dim
-    p, eta = z[:n], z[n:]
-    a, b = co0.jacobian(p), cob.jacobian(p)
-    w = a.T @ eta
-    y = w
-    if b.shape[0]:
-        mbw = linalg.min_norm_lstsq(b @ b.T, b @ w)
-        y = w - b.T @ mbw
-    r = np.concatenate([co0(p), tub.phi(p, y) - q])
-
-    def jacobian():
-        phi_p, phi_y = tub.dphi(p, y)
-        eye = np.eye(n)
-        dy = np.column_stack([np.atleast_2d(co0.hvp(p, e)).T @ eta for e in eye])
-        p_at = a.T
-        if b.shape[0]:
-            db = [np.atleast_2d(cob.hvp(p, e)) for e in eye]
-            u = dy - np.column_stack([d.T @ mbw for d in db])
-            v = np.column_stack([d @ y for d in db])
-            # P u - B^T M v = u - B^T M (B u + v), and P A^T likewise
-            sol = linalg.min_norm_lstsq(b @ b.T, np.hstack([b @ u + v, b @ a.T]))
-            dy = u - b.T @ sol[:, :n]
-            p_at = a.T - b.T @ sol[:, n:]
-        top = np.hstack([a, np.zeros((a.shape[0], eta.size))])
-        return np.vstack([top, np.hstack([phi_p + phi_y @ dy, phi_y @ p_at])])
-
-    return r, y, jacobian
-
-
 def _tubular_inverse(tub: TubularMap, q):
-    """Solve phi(p, Y) = q for a base point p and a normal vector Y at p, by
-    at most 60 Newton steps on :func:`_chart_residual` with its exact
-    Jacobian, to a residual of 1e-11.  Both constraint maps of the pair must
-    carry ``hvp``."""
-    small = tub.pair.small
-    for co in (small.constraints, tub.pair.big.constraints):
-        if co.hvp is None:
-            raise DomainError(f"{co.name or 'constraint map'}: chart inversion needs its hvp")
+    """The chart's closed-form ``inverse`` at q, checked before it is
+    returned: the base point lies on the pair, the normal vector lies in the
+    normal fibre there (to 1e-9 (1 + |y|)) and within the chart radius, and
+    phi(base, y) is within 1e-9 of q.  The fibre check is what rejects, for
+    the flat chart, a base point moved along the submanifold with
+    y = q - base, which passes the residual check.  A failed check raises
+    OutsideChart."""
     q = np.asarray(q, dtype=float)
-    try:
-        p0 = newton_project(small, q)
-    except NoConvergence as exc:
-        raise OutsideChart(f"no base point near {q}") from exc
-    z = np.concatenate([p0, np.zeros(small.ambient_dim - small.dim)])
-    for _ in range(60):
-        r, y, jacobian = _chart_residual(tub, q, z)
-        if np.max(np.abs(r), initial=0.0) <= 1e-11:
-            return z[: small.ambient_dim], y
-        z = z + linalg.min_norm_lstsq(jacobian(), -r)
-        if not np.all(np.isfinite(z)):
-            raise OutsideChart("tubular inversion diverged")
-    raise OutsideChart(f"tubular inversion did not converge near {q}")
+    base, y = (np.asarray(v, dtype=float) for v in tub.inverse(q))
+    if not tub.pair.contains(base):
+        raise OutsideChart(f"recovered base point off {tub.pair.small.name}")
+    if not _in_span(y, tub.pair.adapted_frame(base)[1], 1e-9):
+        raise OutsideChart("recovered normal vector outside the normal fibre")
+    if np.linalg.norm(y) > tub.valid_radius * (1 + 1e-9):
+        raise OutsideChart("recovered normal vector beyond the chart radius")
+    if np.max(np.abs(tub(base, y) - q), initial=0.0) > 1e-9:
+        raise OutsideChart("chart inversion residual above tolerance")
+    return base, y
 
 
 def dnc_chart_inverse(tub: TubularMap, p: DncPoint):
-    """Left/right inverse of the rescaled chart: point -> (base, normal, t),
-    with the recovered chart point within 1e-9 of the given one."""
+    """Left/right inverse of the rescaled chart: point -> (base, normal, t).
+    An interior point is inverted by the chart's checked closed-form
+    inverse, :func:`_tubular_inverse`, so the recovered chart point is
+    within 1e-9 of the given one."""
     if p.kind == "boundary":
         return p.point, p.normal, 0.0
     base, y = _tubular_inverse(tub, p.point)
-    if np.linalg.norm(y) > tub.valid_radius * (1 + 1e-9):
-        raise OutsideChart("recovered normal vector beyond the chart radius")
-    if np.max(np.abs(tub(base, y) - p.point), initial=0.0) > 1e-9:
-        raise OutsideChart("chart inversion residual above tolerance")
     return base, y / p.lam, p.lam
 
 
@@ -356,8 +309,10 @@ def taylor_probe(fp: PairMap, tub1: TubularMap, tub2: TubularMap, m, x, t_list) 
     """Remainder magnitudes of the rescaled chart-conjugated map against the
     normal pushforward: r(t) = | (1/t) * fiber(phi2^-1(f(phi1(m, tX)))) - f_* X |.
     It composes :func:`dnc_chart`, :func:`dnc_map` and
-    :func:`dnc_chart_inverse`, so every point passes both charts' radius
-    checks and the inverse's residual check.
+    :func:`dnc_chart_inverse`, so every point passes the first chart's
+    radius check and the four checks of the second chart's closed-form
+    inverse (base on the pair, normal vector in the fibre and within the
+    radius, residual within 1e-9).
 
     The smooth-gluing contract is r(t) <= C t; suites fit the log-log slope
     over a halving sequence and require at least 0.9.

@@ -548,20 +548,24 @@ def _divided_difference(g: SmoothMap, ambient: int) -> SmoothMap:
 def _transported_frame(fr: Callable, x: np.ndarray, w: np.ndarray, lam: float, rows: int) -> np.ndarray:
     """The frame ``fr`` at x lifted to (point, difference quotient) rows:
     k horizontal lifts (fr(x), (fr(x) - fr(x - lam w)) / lam) and k vertical
-    lifts (0, fr(x)), zero-padded to ``rows``.  Near lam = 0 the quotient is
-    its limit, the derivative of ``fr`` along w, so lam = 0 is the tangent
-    lift."""
+    lifts (0, fr(x - lam w)), zero-padded to ``rows``.  A vertical lift
+    moves w alone, so it moves the second point x - lam w along -lam dw: its
+    columns must be the frame at x - lam w, not at x.  Near lam = 0
+    the quotient is its limit, the derivative of ``fr`` along w, and the
+    vertical lifts are (0, fr(x)), so lam = 0 is the tangent lift."""
     d = x.size
     cur = np.atleast_2d(fr(x))
     k = cur.shape[1]
     if abs(lam) < FIBER_EPS:
         dcur = np.atleast_2d(central_difference(fr, x, w, default_step(x)))
+        back = cur
     else:
-        dcur = (cur - np.atleast_2d(fr(x - lam * w))) / lam
+        back = np.atleast_2d(fr(x - lam * w))
+        dcur = (cur - back) / lam
     out = np.zeros((rows, 2 * k))
     out[:d, :k] = cur  # horizontal lifts with transported second slot
     out[d : 2 * d, :k] = dcur
-    out[d : 2 * d, k:] = cur  # vertical lifts
+    out[d : 2 * d, k:] = back  # vertical lifts, at the second point
     return out
 
 

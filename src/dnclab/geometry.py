@@ -19,16 +19,16 @@ divided difference of the tangent-groupoid lift, whose lam = 0 fiber is the
 tangent lift) propagate both by the chain rule.  The tangent-groupoid lift
 refuses a map without ``jac`` and ``hvp`` rather than differencing a
 difference quotient.
-A :class:`TubularMap` carries the partial Jacobians of its chart
-(``dphi``).
+A :class:`TubularMap` carries the closed-form inverse of its chart
+(``inverse``), so no chart is inverted by iteration.
 
 Every finite difference is one quotient, :func:`central_difference`, and
 every step no caller chooses is :func:`default_step`.  One verifier,
 :func:`verify_analytic_jacobian`, checks an exact Jacobian against central
-differences; :meth:`TubularMap.verify` compares ``dphi`` with one central
-difference at :func:`default_step`, to 1e-6, instead.  Central differences
-are otherwise the fallback for maps that supply no Jacobian and
-the definition of the triangularity defect of :func:`check_block_structure`.
+differences.  Central differences are otherwise the fallback for maps that
+supply no Jacobian, the normal differential :meth:`TubularMap.verify` reads
+at the zero section, and the definition of the triangularity defect of
+:func:`check_block_structure`.
 """
 
 from __future__ import annotations
@@ -352,14 +352,14 @@ class TubularMap:
     """Tubular neighborhood chart: (base point, normal vector) -> manifold
     point, a diffeomorphism near the zero section within ``valid_radius``.
 
-    ``dphi(m, x)`` is the pair (d phi / d m, d phi / d x) of ambient x ambient
-    Jacobians at any ambient (m, x): chart inversion
-    (:func:`dnclab.dnc.dnc_chart_inverse`) takes exact Newton steps with it,
-    and :meth:`verify` checks it against central differences."""
+    ``inverse(q)`` is the chart's closed-form inverse, q -> (base point,
+    normal vector).  Chart inversion (:func:`dnclab.dnc.dnc_chart_inverse`)
+    checks each result it returns, and :meth:`verify` checks the round
+    trip."""
 
     pair: ManifoldPair
     phi: Callable
-    dphi: Callable
+    inverse: Callable
     valid_radius: float
 
     def __call__(self, m, x) -> np.ndarray:
@@ -373,12 +373,10 @@ class TubularMap:
     def verify(self) -> dict:
         """Zero-section fixing (to rounding level, 1e-12), identity normal
         differential (to 1e-6), and image containment (to 1e-8) at three
-        radii along each normal axis; ``dphi`` agrees with central
-        differences of ``phi`` (to 1e-6) at the zero section and at half the
-        radius along each normal axis.  The normal differential is read off
-        the central-difference Jacobian of phi(m, .) at the zero section,
-        the one that checks d phi / d x there, so it checks ``phi``, not
-        ``dphi``."""
+        radii along each normal axis; ``inverse`` recovers (m, x) from
+        phi(m, x) (to 1e-9) at the zero section and at half the radius along
+        each normal axis.  The normal differential is read off the
+        central-difference Jacobian of phi(m, .) at the zero section."""
         records = []
         for m in self.pair.small.samples:
             _, nu = self.pair.adapted_frame(m)
@@ -388,22 +386,20 @@ class TubularMap:
             for r in np.linspace(0.25, 1.0, 3) * self.valid_radius:
                 for i in range(nu.shape[1]):
                     img_err = max(img_err, self.pair.big.constraint_norm(self(m, r * nu[:, i])))
-            d_err = dphi_err = 0.0
+            fd_x = numeric_jacobian(lambda y: self.phi(m, y), zero)
+            d_err = float(np.max(np.abs(fd_x @ nu - nu), initial=0.0))
+            inv_err = 0.0
             for x in [zero] + [0.5 * self.valid_radius * nu[:, i] for i in range(nu.shape[1])]:
-                d_m, d_x = self.dphi(m, x)
-                fd_m = numeric_jacobian(lambda p: self.phi(p, x), m)
-                fd_x = numeric_jacobian(lambda y: self.phi(m, y), x)
-                if x is zero:
-                    d_err = float(np.max(np.abs(fd_x @ nu - nu), initial=0.0))
-                dphi_err = max(dphi_err, float(np.max(np.abs(d_m - fd_m))), float(np.max(np.abs(d_x - fd_x))))
+                base, y = self.inverse(self(m, x))
+                inv_err = max(inv_err, float(np.max(np.abs(base - m))), float(np.max(np.abs(y - x))))
             records.append(
-                {"zero_fix": zero_fix, "normal_differential": d_err, "image": img_err, "dphi": dphi_err}
+                {"zero_fix": zero_fix, "normal_differential": d_err, "image": img_err, "inverse": inv_err}
             )
         ok = all(
             r["zero_fix"] <= 1e-12
             and r["normal_differential"] <= 1e-6
             and r["image"] <= 1e-8
-            and r["dphi"] <= 1e-6
+            and r["inverse"] <= 1e-9
             for r in records
         )
         return {"passed": ok, "samples": records}

@@ -72,50 +72,94 @@ class TestChart:
         assert np.max(np.abs(x - x0)) <= 1e-8
 
 
-class TestChartNewton:
-    @pytest.mark.parametrize(
-        "tub, q",
-        [
-            (catalog.flat_tubular(catalog.linear_pair(2, 1)), [0.3, 0.7]),
-            (catalog.flat_tubular(catalog.linear_pair(4, 2)), [0.3, 0.7, 0.1, -0.2]),
-            (catalog.sphere_tubular(catalog.sphere_equator_pair(2)), [0.6, 0.0, 0.8]),
-            (catalog.sphere_tubular(catalog.sphere_equator_pair(2, ambient=4)), [0.6, 0.0, 0.8, 0.0]),
-        ],
-    )
-    def test_exact_jacobian_matches_central_differences(self, tub, q):
-        # off the solution, with a nonzero normal coefficient eta
-        rng = np.random.Generator(np.random.Philox(key=3))
-        n = tub.pair.small.ambient_dim
-        codim = n - tub.pair.small.dim
-        for _ in range(3):
-            z = np.concatenate([np.asarray(q) + 0.3 * rng.normal(size=n), 0.5 * rng.normal(size=codim)])
-            assert np.max(np.abs(z[n:])) > 0.0
-            _, _, jacobian = dnc._chart_residual(tub, q, z)
-            fd = geo.numeric_jacobian(lambda w: dnc._chart_residual(tub, q, w)[0], z)
-            assert np.max(np.abs(jacobian() - fd)) <= 1e-8
+CLOSED_FORM_CHARTS = [
+    catalog.flat_tubular(catalog.linear_pair(2, 1)),
+    catalog.flat_tubular(catalog.linear_pair(4, 2)),
+    catalog.sphere_tubular(catalog.sphere_equator_pair(2)),
+    catalog.sphere_tubular(catalog.sphere_equator_pair(2, ambient=4)),
+    catalog.sphere_tubular(catalog.sphere_equator_pair(3)),
+]
 
-    def test_constraint_map_without_hvp_is_named(self):
+
+def _wrong_inverse(tub, wrong):
+    """``tub`` with its inverse replaced by wrong(q, base, y) of the true one."""
+    return geo.TubularMap(tub.pair, tub.phi, lambda q: wrong(q, *tub.inverse(q)), tub.valid_radius)
+
+
+class TestChartNewton:
+    """Every chart is inverted in closed form, with no Newton step and no
+    finite difference, and every inversion checks its own result."""
+
+    @pytest.mark.parametrize("tub", CLOSED_FORM_CHARTS)
+    def test_closed_form_round_trips(self, tub):
+        for m in tub.pair.small.samples:
+            _, nu = tub.pair.adapted_frame(m)
+            for frac in (0.25, 0.5, 0.9):
+                for i in range(nu.shape[1]):
+                    x = frac * tub.valid_radius * nu[:, i]
+                    q = tub(m, x)
+                    base, y = tub.inverse(q)  # inverse after chart
+                    assert np.max(np.abs(base - m)) <= 1e-12
+                    assert np.max(np.abs(y - x)) <= 1e-12
+                    assert np.max(np.abs(tub(base, y) - q)) <= 1e-12  # chart after inverse
+                    base, v, t = dnc.dnc_chart_inverse(tub, dnc.DncPoint.interior(q, 0.5))
+                    assert t == 0.5 and np.max(np.abs(base - m)) <= 1e-12
+                    assert np.max(np.abs(0.5 * v - x)) <= 1e-12
+
+    def test_base_moved_along_the_axis_is_rejected(self):
+        # y = q - base keeps the chart residual at rounding level: only the fibre check sees it
+        tub = _wrong_inverse(CLOSED_FORM_CHARTS[0], lambda q, p, y: (p + [0.1, 0.0], y - [0.1, 0.0]))
+        base, y = tub.inverse(np.array([0.3, 0.7]))
+        assert np.max(np.abs(tub(base, y) - [0.3, 0.7])) <= 1e-15 and tub.pair.contains(base)
+        with pytest.raises(OutsideChart, match="normal fibre"):
+            dnc.dnc_chart_inverse(tub, dnc.DncPoint.interior([0.3, 0.7], 0.5))
+
+    def test_base_off_the_submanifold_is_rejected(self):
+        tub = _wrong_inverse(CLOSED_FORM_CHARTS[0], lambda q, p, y: (p + [0.0, 0.1], y - [0.0, 0.1]))
+        with pytest.raises(OutsideChart, match="base point off"):
+            dnc.dnc_chart_inverse(tub, dnc.DncPoint.interior([0.3, 0.7], 0.5))
+
+    def test_normal_vector_off_the_chart_point_is_rejected(self):
+        # on the pair, in the fibre and within the radius, but phi(base, y) != q
+        tub = _wrong_inverse(CLOSED_FORM_CHARTS[0], lambda q, p, y: (p, 0.5 * y))
+        with pytest.raises(OutsideChart, match="residual"):
+            dnc.dnc_chart_inverse(tub, dnc.DncPoint.interior([0.3, 0.7], 0.5))
+
+    @pytest.mark.parametrize("tub", [CLOSED_FORM_CHARTS[0], CLOSED_FORM_CHARTS[2]])
+    def test_normal_vector_beyond_the_radius_is_rejected(self, tub):
+        m = tub.pair.small.samples[0]
+        q = tub(m, 0.5 * tub.valid_radius * tub.pair.adapted_frame(m)[1][:, 0])
+        bad = _wrong_inverse(tub, lambda q, p, y: (p, 3.0 * y))
+        with pytest.raises(OutsideChart, match="radius"):
+            dnc.dnc_chart_inverse(bad, dnc.DncPoint.interior(q, 0.5))
+
+    @pytest.mark.parametrize("q", [[0.0, 0.0, 1.0], [0.0, 0.0, -0.5]])
+    def test_sphere_pole_is_outside_the_chart(self, q):
+        with pytest.raises(OutsideChart, match="no component"):
+            dnc.dnc_chart_inverse(CLOSED_FORM_CHARTS[2], dnc.DncPoint.interior(q, 0.5))
+
+    def test_flat_chart_needs_a_projector(self):
         big = catalog.linear_subspace(2, 2)
-        small = geo.ImplicitManifold(
-            "axis", 2, 1, geo.SmoothMap(2, 1, lambda x: x[1:], lambda x: np.array([[0.0, 1.0]]), "no-hvp")
-        )
-        tub = catalog.flat_tubular(geo.ManifoldPair(big, small))
-        with pytest.raises(DomainError, match="no-hvp"):
-            dnc.dnc_chart_inverse(tub, dnc.DncPoint.interior([0.3, 0.2], 0.5))
+        small = geo.ImplicitManifold("axis", 2, 1, geo.linear_map(np.array([[0.0, 1.0]]), "no-projector"))
+        with pytest.raises(DomainError, match="axis has no projector"):
+            catalog.flat_tubular(geo.ManifoldPair(big, small))
 
     def test_no_finite_differences(self, monkeypatch):
-        calls = []
-        real = geo.numeric_jacobian
+        calls, projections = [], []
+        real, real_project = geo.numeric_jacobian, geo.newton_project
         counted = lambda *a, **k: calls.append(a) or real(*a, **k)
         monkeypatch.setattr(geo, "numeric_jacobian", counted)
         monkeypatch.setattr(dnc, "numeric_jacobian", counted, raising=False)
+        project = lambda *a: projections.append(a) or real_project(*a)
+        monkeypatch.setattr(geo, "newton_project", project)
+        monkeypatch.setattr(dnc, "newton_project", project, raising=False)
         flat = catalog.flat_tubular(catalog.linear_pair(2, 1))
         sph = catalog.sphere_tubular(catalog.sphere_equator_pair(2))
         p, y = dnc._tubular_inverse(flat, [0.3, 0.7])
         assert np.allclose(p, [0.3, 0.0]) and np.allclose(y, [0.0, 0.7])
         p, y = dnc._tubular_inverse(sph, [0.8, 0.0, 0.6])
         assert np.max(np.abs(sph(p, y) - [0.8, 0.0, 0.6])) <= 1e-11
-        assert calls == []
+        assert calls == [] and projections == []
         assert run_suite(SuiteConfig("dnc-functoriality", samples=10)).passed
         assert calls == []
 

@@ -766,6 +766,55 @@ class TestPullbackLifts:
         assert cover["status"] == "unverified"
 
 
+def _tanh_pullback(seed: int) -> filt.Filtration:
+    """The linear tower (2, 4, 8) pulled back along the submersion
+    g(z) = z[:d] + A tanh(B z[d:]) from R^(d+2), A = 0.3 N(d x 2) and
+    B = N(2 x 2) drawn from Philox(seed), with exact ``jac`` and ``hvp``:
+    the pulled-back levels are curved, so their witness frames vary along
+    each level."""
+    lin = filt.make_filtration_linear(fl.standard_flag([2, 4, 8]))
+    d, p = lin.total.ambient_dim, 2
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    a, b = 0.3 * rng.normal(size=(d, p)), rng.normal(size=(p, p))
+
+    def jac(z):
+        return np.hstack([np.eye(d), (a * (1.0 - np.tanh(b @ z[d:]) ** 2)) @ b])
+
+    def hvp(z, v):
+        t = np.tanh(b @ z[d:])
+        h = np.zeros((d, d + p))
+        h[:, d:] = (a * (-2.0 * t * (1.0 - t**2) * (b @ v[d:]))) @ b
+        return h
+
+    g = geo.SmoothMap(d + p, d, lambda z: z[:d] + a @ np.tanh(b @ z[d:]), jac, "tanh", hvp)
+    return filt.pullback_filtration_fredholm(g, filt._full_space(d + p, [rng.normal(size=d + p) for _ in range(6)]), p, lin)
+
+
+class TestTransportedFrames:
+    """𝕋F's vertical witness lifts at lam != 0 are the frame at the second
+    point x - lam w, so 𝕋F of a curved tower stays normal."""
+
+    @pytest.mark.parametrize("seed", [42, 31337])
+    def test_tangent_groupoid_of_a_curved_pullback_is_normal(self, seed):
+        pulled = _tanh_pullback(seed)
+        g, (z, v) = pulled.fredholm.map, pulled.total.samples[:2]
+        assert geo.verify_analytic_jacobian(g, z)
+        dg_v = geo.SmoothMap(g.domain_dim, g.codomain_dim, lambda x: g.jacobian(x) @ v, lambda x: g.hvp(x, v))
+        assert geo.verify_analytic_jacobian(dg_v, z)
+        for f in (pulled, filt.tangent_filtration(pulled), filt.tangent_groupoid_filtration(pulled)):
+            rep = filt.verify_filtration(f, n_samples=4)
+            for key in ("a_dimensions", "b_nesting", "d_normality", "fredholm"):
+                assert rep.conditions[key]["status"] == "pass", (f.total.name, key)
+
+    def test_vertical_lifts_sit_at_the_second_point(self):
+        fr = lambda x: np.array([[np.cos(x[0])], [np.sin(x[0])]])
+        x, w, lam = np.array([0.3, 0.0]), np.array([1.0, 0.5]), 0.5
+        out = filt._transported_frame(fr, x, w, lam, 5)
+        assert np.array_equal(out[2:4, 1:], fr(x - lam * w))
+        assert np.allclose(out[2:4, :1], (fr(x) - fr(x - lam * w)) / lam)
+        assert np.array_equal(filt._transported_frame(fr, x, w, 0.0, 5)[2:4, 1:], fr(x))
+
+
 class TestCoverNeedsSamples:
     def test_cover_without_ambient_samples_is_unverified(self):
         lin = dataclasses.replace(filt.make_filtration_linear(fl.standard_flag([2, 4])), ambient_sampler=None)

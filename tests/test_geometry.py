@@ -281,7 +281,7 @@ class TestPairsAndTubulars:
 
     def test_moved_zero_section_fails_verify(self):
         tub = catalog.flat_tubular(catalog.linear_pair(3, 1))
-        moved = geo.TubularMap(tub.pair, lambda m, x: m + x + 1e-9, tub.dphi, tub.valid_radius)
+        moved = geo.TubularMap(tub.pair, lambda m, x: m + x + 1e-9, tub.inverse, tub.valid_radius)
         rep = moved.verify()
         assert not rep["passed"]
         assert all(r["zero_fix"] == pytest.approx(1e-9) for r in rep["samples"])
@@ -297,20 +297,17 @@ class TestPairsAndTubulars:
             catalog.sphere_tubular(catalog.sphere_equator_pair(2)),
         ],
     )
-    def test_wrong_dphi_fails_verify(self, tub):
-        def scaled(which):
-            def dphi(m, x):
-                parts = list(tub.dphi(m, x))
-                parts[which] = 1.01 * np.asarray(parts[which])
-                return tuple(parts)
-
-            return dphi
-
-        for which in (0, 1):
-            bad = geo.TubularMap(tub.pair, tub.phi, scaled(which), tub.valid_radius)
+    def test_wrong_inverse_fails_verify(self, tub):
+        e0 = np.eye(tub.pair.big.ambient_dim)[0]
+        wrongs = (
+            lambda base, y: (base + 1e-2 * e0, y),  # base point moved
+            lambda base, y: (base, 1.01 * y),  # normal vector scaled
+        )
+        for wrong in wrongs:
+            bad = geo.TubularMap(tub.pair, tub.phi, lambda q: wrong(*tub.inverse(q)), tub.valid_radius)
             rep = bad.verify()
             assert not rep["passed"]
-            assert all(r["dphi"] > 1e-3 for r in rep["samples"])
+            assert all(r["inverse"] > 1e-3 for r in rep["samples"])
             assert all(r["normal_differential"] <= 1e-6 for r in rep["samples"])
 
 

@@ -207,16 +207,24 @@ class TestCli:
             # a report path that cannot be written
             (["verify-all", "--samples", "8", "--report", "/nonexistent/dir/x.json"], {}),
             (["verify", "--suite", "dnc-product", "--samples", "8", "--report", "."], {}),
+            # a level beyond MAX_TRUNCATION, rejected before any array is built
+            (["demo", "sphere-filtration", "--delta", "2,4,100000"], {}),
         ],
     )
     def test_bad_input_exit_two(self, argv, env, monkeypatch, capsys):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
+        too_big = argv == ["demo", "sphere-filtration", "--delta", "2,4,100000"]
+        if too_big:
+            def unbuilt(*args):
+                raise AssertionError("a flag was built for an oversized --delta")
+
+            monkeypatch.setattr(flags, "standard_flag", unbuilt)
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err
-        if argv == ["demo", "sphere-filtration", "--delta", ""]:
-            # the default depth is taken from --delta, so the empty list is blamed on --delta
+        if too_big or argv == ["demo", "sphere-filtration", "--delta", ""]:
+            # the default depth is taken from --delta, so an empty or oversized list is blamed on --delta
             assert "--delta" in err and "depth" not in err
 
     def test_suite_error_is_reported_not_raised(self, monkeypatch, tmp_path):
