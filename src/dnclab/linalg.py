@@ -5,9 +5,11 @@ Every rank decision in the laboratory is made here, by :func:`rank`,
 which reads its kernel) or :func:`orthonormalize`, against the one relative
 singular-value threshold :data:`RANK_RTOL`.  Two of them decide without an
 SVD where they can: :func:`rank`, where one Cholesky factorisation of the
-scaled Gram matrix, shifted by ``CERTIFY_RTOL²`` times its trace, proves the
-rank full (its smallest singular value then sits about two decades above
-the threshold, by Higham's backward error bound for Cholesky), and
+Gram matrix of the matrix itself, shifted by ``CERTIFY_RTOL²`` times its
+trace ``‖a‖_F²``, proves the rank full (its smallest singular value then
+sits about two decades above the threshold, by Higham's backward error
+bound for Cholesky) whenever that trace lies in a normal range where no
+Gram entry overflows and underflow stays below the rounding, and
 :func:`rank_modulo`, which ranks through :func:`rank`.  No function takes a
 threshold of its own, so the threshold is set in exactly one place, and so
 are the two truncation levels of every stabilised count, by
@@ -77,25 +79,31 @@ def rank(a: np.ndarray) -> int:
     largest, from a values-only SVD unless a Cholesky certificate proves
     the rank full first.
 
-    The certificate, for a finite nonzero ``a`` with ``p = min(a.shape)``
-    and ``q = max(a.shape)``: scale by ``s = max|aᵢⱼ|``, so ``b = a/s`` has
-    entries of size at most 1 and the Gram matrix ``G = b bᵀ`` or ``bᵀb``
-    (``p x p``, from the smaller side) can neither overflow nor warn; shift
-    its diagonal down by ``δ = c²·tr(G)``, with ``c = CERTIFY_RTOL`` and
-    ``tr(G) = ‖b‖_F²``; if ``np.linalg.cholesky`` completes, the rank is
-    ``p``.
+    The certificate, for ``a`` with ``p = min(a.shape)`` and
+    ``q = max(a.shape)``: take ``t = ‖a‖_F²`` from one ``np.vdot``; when
+    ``1e-290 < t < 1e290``, form the Gram matrix ``G = a aᵀ`` or ``aᵀa``
+    (``p x p``, from the smaller side) of ``a`` itself, shift its diagonal
+    down by ``δ = c²·t``, with ``c = CERTIFY_RTOL``; if
+    ``np.linalg.cholesky`` completes, the rank is ``p``.
+
+    The guard.  Every entry of ``G``, and every partial sum forming it, is
+    at most ``t`` in size, so below ``1e290`` nothing overflows or warns.
+    Above ``1e-290`` gradual underflow in forming ``G`` adds at most
+    ``pq·2⁻¹⁰⁷⁴`` in norm, far below ``u·t``.  The zero matrix, a
+    non-finite ``a`` (whose ``t`` is infinite or NaN) and a matrix of
+    extreme scale fail the guard and take the SVD.
 
     Why this is sound.  With the unit roundoff ``u = 2⁻⁵³`` and
     ``γₖ = ku/(1 − ku)``, a Cholesky factorisation that completes in
     floating point gives ``RᵀR = G − δI + ΔG`` with
-    ``|ΔG| <= γₚ₊₁|Rᵀ||R|``, so ``‖ΔG‖₂ <= γₚ₊₁‖R‖_F² ≈ γₚ₊₁·tr(G)``
+    ``|ΔG| <= γₚ₊₁|Rᵀ||R|``, so ``‖ΔG‖₂ <= γₚ₊₁‖R‖_F² ≈ γₚ₊₁·t``
     (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
     SIAM 2002, Thm 10.3; J. W. Demmel, *On floating point errors in
     Cholesky*, LAPACK Working Note 14, 1989).  Forming ``G`` adds an error
-    of at most ``γ_q·tr(G)`` in norm, and the shift and the scaling a few
-    ``u·tr(G)`` more.  ``RᵀR`` is positive semidefinite, so the exact Gram
-    matrix of ``b`` has ``σ_min(b)² >= (c² − (p + q + 4)u)·tr(G)``, and
-    ``tr(G) = ‖b‖_F² >= σ_max(b)²``.  Hence
+    of at most ``γ_q·t`` in norm, underflow at most ``u·t``, and the shift
+    and the rounding of ``t`` a few ``u·t`` more.  ``RᵀR`` is positive
+    semidefinite, so the exact Gram matrix of ``a`` has
+    ``σ_min(a)² >= (c² − (p + q + 4)u)·t``, and ``t >= σ_max(a)²``.  Hence
 
         σ_min(a)/σ_max(a) >= c·√(1 − (p + q + 4)u/c²),
 
@@ -107,17 +115,15 @@ def rank(a: np.ndarray) -> int:
     ``q·u·σ_max(a)``, so the SVD rule would count all ``p`` of them: a
     certified verdict equals the SVD's by proof.  A matrix the certificate
     misses, whether rank-deficient or merely ill-conditioned, takes the SVD
-    as before, and so do the zero matrix and a non-finite ``a``, neither of
-    which has a finite nonzero scale; a non-finite ``a`` then raises
-    ``np.linalg.LinAlgError`` (see :func:`_rank_of`)."""
+    as before, and so does every matrix outside the guard; a non-finite
+    ``a`` then raises ``np.linalg.LinAlgError`` (see :func:`_rank_of`)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    s = float(np.abs(a).max())
-    if 0.0 < s < np.inf:
-        b = a / s
-        g = b @ b.T if a.shape[0] <= a.shape[1] else b.T @ b
-        g.ravel()[:: g.shape[0] + 1] -= CERTIFY_RTOL**2 * np.vdot(b, b)
+    t = float(np.vdot(a, a))
+    if 1e-290 < t < 1e290:
+        g = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+        g.ravel()[:: g.shape[0] + 1] -= CERTIFY_RTOL**2 * t
         try:
             np.linalg.cholesky(g)
             return min(a.shape)

@@ -25,6 +25,11 @@ test im(T) + V = codomain, stabilised over two truncation levels.
 ``preimage_with_complement`` makes that decision and then builds its
 certificate, T^-1(V) with a verified complement: one SVD of (I - P_V) T
 gives the preimage as its kernel and the complement as its row space.
+P_V is read from V's frame (``SubspaceBasis.frame``), made once per
+subspace and kept, so the preimages, the block preimage (from the
+block-diagonal of the two factor frames) and the witnesses never
+orthonormalise V again.  The block witness is the two-step argument
+itself: one solve of F against e1', then one of F2 against e2' - P e1.
 
 Coordinates are 0-based internally; e_i is the i-th standard basis vector.
 """
@@ -517,11 +522,11 @@ def _preimage_head(op: SequenceOperator, v: ComplementedSubspace) -> tuple[int, 
     return max(w, v.space.support_bound() + abs(s), reach - s, 0) + 1, False
 
 
-def _off_subspace(a: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """(I - P_V) A for V = span(vb), whose kernel is the preimage: x in the
-    head span with A x in V  <=>  (I - P_V) A x = 0."""
-    q = linalg.orthonormalize(vb)
-    return (np.eye(a.shape[0]) - q @ q.T) @ a
+def _off_subspace(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(I - P_V) A for V spanned by the orthonormal columns ``q``, whose
+    kernel is the preimage: x in the head span with A x in V  <=>
+    (I - P_V) A x = 0."""
+    return a - q @ (q.T @ a)
 
 
 def is_transversal(op: SequenceOperator, v: ComplementedSubspace) -> bool:
@@ -540,7 +545,7 @@ def preimage_with_complement(
         raise NotTransversal("operator is not transversal to the subspace")
     head, has_tail = _preimage_head(op, v)
     rows = max(op.output_rows(head), v.space.support_bound(), 1)
-    off = _off_subspace(op.to_dense(rows, head), v.space.basis_matrix(rows))
+    off = _off_subspace(op.to_dense(rows, head), v.space.frame(rows))
     kernel, w_basis = linalg.kernel_with_complement(off)  # the complement is the row space of ``off``
     result = ComplementedSubspace(
         SubspaceBasis(head if has_tail else None, kernel),
@@ -565,11 +570,9 @@ def transversality_witness(
     rows, _ = linalg.truncation_levels(max(_bound(op, v), e_prime.size + _bound(op)))
     cols = rows - op.shift  # image of the domain truncation stays inside rows
     a = op.to_dense(rows, cols)
-    vb = v.space.basis_matrix(rows)
-    q = linalg.orthonormalize(vb)
-    proj_off = np.eye(rows) - q @ q.T
+    q = v.space.frame(rows)
     target = linalg.pad_to(e_prime, rows)
-    e = linalg.min_norm_lstsq(proj_off @ a, proj_off @ target)
+    e = linalg.min_norm_lstsq(_off_subspace(a, q), _off_subspace(target, q))
     remainder = target - a @ e
     vvec = q @ (q.T @ remainder)
     actual = op.apply(e)
@@ -588,18 +591,14 @@ def block_transversality_witness(
     e2_prime,
 ):
     """Constructive split for the lower triangular operator against V1 (+) V2,
-    mirroring the two-step argument: solve per factor, then correct the
-    second factor for the coupling term P e1."""
+    the two-step argument itself: split e1' = F e1 + w1 first, then split
+    what the coupling leaves of the second factor, e2' - P e1 = F2 e2 + w2,
+    so that P e1 + F2 e2 + w2 = e2'.  One witness solve per factor."""
     e1, w1 = transversality_witness(b.F, v1, e1_prime)
-    e2, w2 = transversality_witness(b.F2, v2, e2_prime)
     coupling = b.P.apply(e1)
-    e_corr, v_corr = transversality_witness(b.F2, v2, coupling)
-    n2 = max(e2.size, e_corr.size)
-    m2 = max(w2.size, v_corr.size)
-    return (
-        (e1, linalg.pad_to(e2, n2) - linalg.pad_to(e_corr, n2)),
-        (w1, linalg.pad_to(w2, m2) - linalg.pad_to(v_corr, m2)),
-    )
+    n = max(np.size(e2_prime), coupling.size)
+    e2, w2 = transversality_witness(b.F2, v2, linalg.pad_to(e2_prime, n) - linalg.pad_to(coupling, n))
+    return (e1, e2), (w1, w2)
 
 
 def block_is_transversal(
@@ -620,20 +619,22 @@ def block_is_transversal(
         )
         cols1 = rows1 + abs(b.F.shift) + b.F.window
         cols2 = rows2 + abs(b.F2.shift) + b.F2.window
-        a = np.hstack([b._dense(rows1, cols1, rows2, cols2), _sum_basis(v1, v2, rows1, rows2)])
+        vb = _sum_basis(v1.space.basis_matrix(rows1), v2.space.basis_matrix(rows2))
+        a = np.hstack([b._dense(rows1, cols1, rows2, cols2), vb])
         return linalg.rank(a) == rows1 + rows2
 
     bound = max(_bound(b.F, v1), _bound(b.F2, v2), _bound(b.P))
     return _stable(bound, 0, surjective, "block transversality rank test")
 
 
-def _sum_basis(v1: ComplementedSubspace, v2: ComplementedSubspace, rows1: int, rows2: int) -> np.ndarray:
-    """Block-diagonal columns spanning V1 (+) V2 at truncations (rows1, rows2)."""
-    vb1 = v1.space.basis_matrix(rows1)
-    vb2 = v2.space.basis_matrix(rows2)
-    vb = np.zeros((rows1 + rows2, vb1.shape[1] + vb2.shape[1]))
-    vb[:rows1, : vb1.shape[1]] = vb1
-    vb[rows1:, vb1.shape[1] :] = vb2
+def _sum_basis(vb1: np.ndarray, vb2: np.ndarray) -> np.ndarray:
+    """Block-diagonal columns spanning V1 (+) V2 from columns ``vb1`` and
+    ``vb2`` spanning each factor at its truncation; orthonormal when both
+    are."""
+    (rows1, k1), (rows2, k2) = vb1.shape, vb2.shape
+    vb = np.zeros((rows1 + rows2, k1 + k2))
+    vb[:rows1, :k1] = vb1
+    vb[rows1:, k1:] = vb2
     return vb
 
 
@@ -678,7 +679,7 @@ def block_preimage_with_complement(
         h2 = max(h2, b.P.output_rows(h1) + abs(b.F2.shift) + 1)
     rows1 = max(b.F.output_rows(h1), v1.space.support_bound(), 1)
     rows2 = max(b.F2.output_rows(h2), b.P.output_rows(h1), v2.space.support_bound(), 1)
-    off = _off_subspace(b._dense(rows1, h1, rows2, h2), _sum_basis(v1, v2, rows1, rows2))
+    off = _off_subspace(b._dense(rows1, h1, rows2, h2), _sum_basis(v1.space.frame(rows1), v2.space.frame(rows2)))
     kernel = linalg.nullspace(off)
     joint = np.zeros((2 * max(h1, h2), kernel.shape[1]))  # (x1, x2) -> x1 at 2i, x2 at 2i + 1
     joint[0 : 2 * h1 : 2], joint[1 : 2 * h2 : 2] = kernel[:h1], kernel[h1:]

@@ -4,9 +4,13 @@ A subspace is either the span of finitely many finite-support vectors, or
 cofinite: all coordinates beyond ``tail_start`` together with a finite list
 of correction vectors.  The finite vectors are held as one trimmed column
 block (support x count), so a truncation's basis matrix is that block beside
-the tail's unit columns.  Every subspace is stored with a complement, and
-the pair is checked by rank tests at the two levels of
-``linalg.truncation_levels``.
+the tail's unit columns.  The block is read-only, and its orthonormal frame
+is made once: :meth:`SubspaceBasis.frame` orthonormalises the finite part's
+rows below ``tail_start`` on first use, keeps the result, and lays it out
+beside the tail's unit columns at any level, so a projector onto the
+subspace costs one SVD per subspace, not one per use.  Every subspace is
+stored with a complement, and the pair is checked by rank tests at the two
+levels of ``linalg.truncation_levels``.
 
 When the two sides together have at most ``level`` columns at a level, one
 rank of the stacked columns decides the direct sum there: singular values
@@ -42,9 +46,10 @@ class SubspaceBasis:
     The finite part is one column block: each column is a vector on the
     leading coordinates.  Construction trims it once, dropping its zero
     columns and its trailing zero rows, so its height is the support bound
-    of the finite part."""
+    of the finite part, and makes it read-only, so the orthonormal frame
+    kept from it can never go stale."""
 
-    __slots__ = ("tail_start", "block")
+    __slots__ = ("tail_start", "block", "_finite_frame")
 
     def __init__(self, tail_start: int | None, block):
         self.tail_start = tail_start
@@ -53,19 +58,43 @@ class SubspaceBasis:
             block = np.zeros((0, 0))
         nonzero = block != 0.0
         rows = np.flatnonzero(nonzero.any(axis=1))
-        self.block = block[: rows[-1] + 1 if rows.size else 0, nonzero.any(axis=0)]
+        self.block = block[: rows[-1] + 1 if rows.size else 0, nonzero.any(axis=0)]  # a copy: boolean indexing
+        self.block.flags.writeable = False
+        self._finite_frame = None
 
     def support_bound(self) -> int:
         return max(self.block.shape[0], self.tail_start or 0)
 
     def basis_matrix(self, level: int) -> np.ndarray:
         """Columns spanning the subspace's trace at truncation ``level``."""
-        h, k = self.block.shape
-        if h > level:  # the block is trimmed, so its last row holds a nonzero entry
+        return self._beside_tail(self.block, level)
+
+    def frame(self, level: int) -> np.ndarray:
+        """Orthonormal columns spanning the subspace's trace at truncation
+        ``level``: an orthonormal basis of the finite part's rows below
+        ``tail_start``, then the tail's unit columns.
+
+        The unit columns span every coordinate from ``tail_start`` on, so the
+        finite part adds only its rows below it.  Their basis is taken by one
+        ``linalg.orthonormalize`` on the first call and kept for every level.
+        Its rank is decided on the finite part alone, against the largest
+        singular value of those rows and not against the unit tail: a
+        correction column 1e-9 the size of the tail keeps its direction,
+        where ``orthonormalize(basis_matrix(level))`` would drop it.
+        ValueError below the support, as :meth:`basis_matrix`."""
+        if self._finite_frame is None:
+            self._finite_frame = linalg.orthonormalize(self.block[: self.tail_start])
+        return self._beside_tail(self._finite_frame, level)
+
+    def _beside_tail(self, columns: np.ndarray, level: int) -> np.ndarray:
+        """``columns``, a block no taller than the finite part, beside the
+        tail's unit columns at truncation ``level``."""
+        if self.block.shape[0] > level:  # the block is trimmed, so its last row holds a nonzero entry
             raise ValueError("cannot truncate nonzero coordinates")
         tail = np.arange(level if self.tail_start is None else self.tail_start, level)
+        h, k = columns.shape
         m = np.zeros((level, k + tail.size))
-        m[:h, :k] = self.block
+        m[:h, :k] = columns
         m[tail, k + np.arange(tail.size)] = 1.0  # the coordinate tail e_i, i >= tail_start
         return m
 

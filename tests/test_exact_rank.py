@@ -210,11 +210,11 @@ def planted_ratio(draw):
 
 
 class TestFullRankCertificate:
-    """``linalg.rank`` returns ``min(shape)`` without an SVD when one
-    Cholesky factorisation of the scaled Gram matrix, shifted down by
-    ``CERTIFY_RTOL²`` times its trace, completes; that needs
-    σ_min > CERTIFY_RTOL·‖a‖_F up to rounding, and any other matrix takes
-    exactly one SVD."""
+    """``linalg.rank`` returns ``min(shape)`` without an SVD when
+    ``t = ‖a‖_F²`` lies inside the guard ``(1e-290, 1e290)`` and one
+    Cholesky factorisation of the Gram matrix of ``a``, shifted down by
+    ``CERTIFY_RTOL²·t``, completes; that needs σ_min > CERTIFY_RTOL·‖a‖_F
+    up to rounding, and any other matrix takes exactly one SVD."""
 
     @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
     @pytest.mark.parametrize("kind", ["duplicate", "zero", "product"])
@@ -230,15 +230,29 @@ class TestFullRankCertificate:
     @settings(max_examples=30, deadline=None)
     @given(inst=planted_ratio())
     def test_certified_ranks_equal_the_svd_rule(self, inst):
-        # t = 2^-k for k = 10 .. 32 crosses CERTIFY_RTOL = 1e-6 (about
-        # 2^-20 against ‖a‖_F) and RANK_RTOL = 1e-8 (between 2^-27 and
-        # 2^-26 against σ_max); only a ratio clear of the first skips the SVD
+        self.check_planted(inst, 1.0)
+
+    @pytest.mark.parametrize("scale", [2.0**400, 2.0**-400], ids=["2^400", "2^-400"])
+    @settings(max_examples=30, deadline=None)
+    @given(inst=planted_ratio())
+    def test_scaled_certified_ranks_equal_the_svd_rule(self, scale, inst):
+        # ‖a‖_F² stays inside the guard, so the Gram matrix of a itself
+        # decides, with no RuntimeWarning (filterwarnings = error would fail
+        # the test)
+        self.check_planted(inst, scale)
+
+    @staticmethod
+    def check_planted(inst, scale: float) -> None:
+        """``scale`` times the planted matrices for t = 2^-k, k = 10 .. 32,
+        which cross CERTIFY_RTOL = 1e-6 (about 2^-20 against ‖a‖_F) and
+        RANK_RTOL = 1e-8 (between 2^-27 and 2^-26 against σ_max): each rank
+        is the SVD rule's, and only a ratio clear of the first skips the SVD."""
         at, n = inst
         c = linalg.CERTIFY_RTOL
         for k in range(10, 33):
-            a = at(2.0**-k)
+            a = scale * at(2.0**-k)
             r, svds = rank_and_svds(a)
-            assert exact_rank(a) == n
+            assert exact_rank(at(2.0**-k)) == n
             assert r == svd_rule(a) == (n if k <= 26 else n - 1)
             ratio = 2.0**-k / np.sqrt(n - 1 + 4.0**-k)  # σ_min / ‖a‖_F
             if ratio >= 2 * c:
@@ -249,9 +263,10 @@ class TestFullRankCertificate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("cell", [(0, 0), (1, 2)])
     def test_non_finite_entries_take_the_svd(self, bad, cell):
-        # the scale max|a| is not finite, so no Gram matrix is formed (the
-        # Cholesky factorisation of a NaN Gram matrix need not raise); the
-        # SVD raises on a NaN, and the rank rule on the NaNs an infinity gives
+        # ‖a‖_F² is not finite, so it fails the guard and no Gram matrix is
+        # formed (the Cholesky factorisation of a NaN Gram matrix need not
+        # raise); the SVD raises on a NaN, and the rank rule on the NaNs an
+        # infinity gives
         a = np.eye(3, 4)
         a[cell] = bad
         assert outcome(linalg.rank, a) == outcome(svd_rule, a)
@@ -266,9 +281,9 @@ class TestFullRankCertificate:
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_scales_give_the_svd_rank(self, scale):
-        # the Gram matrix is formed after scaling by max|a|, so it neither
-        # overflows nor underflows into a RuntimeWarning (filterwarnings =
-        # error would fail the test)
+        # ‖a‖_F² overflows or underflows, fails the guard, and the SVD
+        # decides, with no RuntimeWarning (filterwarnings = error would fail
+        # the test)
         full = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]])
         duplicated = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
         for a in (full, full.T, duplicated, np.diag([1.0, 2.0**-10, 3.0])):
@@ -276,9 +291,27 @@ class TestFullRankCertificate:
         mixed = np.diag([1e200, 1e-200])
         assert linalg.rank(mixed) == svd_rule(mixed) == 1
 
+    def test_a_tiny_column_gives_the_svd_rank(self):
+        # ‖a‖_F² lies inside the guard, but the Gram matrix holds the
+        # subnormal products of the column scaled by 1e-160; no RuntimeWarning
+        full = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]])
+        for a, want in ((full, 2), (full.T, 1), (hadamard(2), 3), (np.diag([1.0, 2.0**-10, 3.0]), 2)):
+            a = a.copy()
+            a[:, 0] *= 1e-160
+            assert linalg.rank(a) == svd_rule(a) == want
+
+    @pytest.mark.parametrize("k", [-520, -510, 510, 520])
+    @pytest.mark.parametrize("a", [np.eye(3), hadamard(2), np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]])], ids=["eye", "hadamard", "full"])
+    def test_outside_the_guard_takes_one_svd(self, k, a):
+        # ‖2^k a‖_F² is about 2^2k: finite but outside the guard at
+        # k = ±510, subnormal at -520 (where the shift underflows and
+        # rounding could certify anything) and infinite at 520; each takes
+        # exactly one SVD, though a is well conditioned
+        assert rank_and_svds(2.0**k * a) == (min(a.shape), 1)
+
     @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 5)])
     def test_zero_matrix_has_rank_zero(self, shape):
-        # no scale to divide by: the SVD decides it
+        # ‖a‖_F² = 0 fails the guard: the SVD decides it
         assert rank_and_svds(np.zeros(shape)) == (0, 1)
 
 

@@ -303,7 +303,7 @@ class TestTruncationLevels:
 
     def test_block_transversality_levels_are_one_step_apart(self, monkeypatch):
         b = ops.block_lower_triangular(ops.identity(), ops.rank_one(0, 0, 2.0), ops.identity())
-        rows1 = self.record(monkeypatch, ops, "_sum_basis", lambda a: a[2])  # the level, for identity F
+        rows1 = self.record(monkeypatch, ops, "_sum_basis", lambda a: len(a[0]))  # V1's rows: the level, for identity F
         assert ops.block_is_transversal(b, sub.coordinate_span(2), sub.coordinate_span(1))
         assert rows1 == [2 + 8, 2 + 8 + 5]
 
@@ -332,7 +332,7 @@ class TestTruncationLevels:
         assert ops.is_transversal(ident, v1)
         assert rows == [2 + m, 2 + m + s]
 
-        rows1 = self.record(monkeypatch, ops, "_sum_basis", lambda a: a[2])
+        rows1 = self.record(monkeypatch, ops, "_sum_basis", lambda a: len(a[0]))
         assert ops.block_is_transversal(b2, v1, v2)
         assert rows1 == [2 + m, 2 + m + s]
 
@@ -673,6 +673,47 @@ class TestTransversality:
         r2 = linalg.pad_to(e(1), n2) - linalg.pad_to(y2, n2) - linalg.pad_to(w2, n2)
         assert np.linalg.norm(r1) <= 1e-10 and np.linalg.norm(r2) <= 1e-10
 
+    def test_block_witness_with_a_coupling_past_e2(self):
+        # P e1 = 3 e_6 reaches past the support of e2' = e_0: the one solve
+        # against F2 takes e2' - P e1, seven coordinates long
+        f2 = ops.identity() + ops.rank_one(1, 1, 0.5)
+        b = ops.block_lower_triangular(ops.identity(), ops.rank_one(6, 2, 3.0), f2)
+        v1, v2 = sub.coordinate_span(1), sub.coordinate_span(1)
+        (x1, x2), (w1, w2) = ops.block_transversality_witness(b, v1, v2, e(2), e(0))
+        assert np.array_equal(x1, e(2)) and b.P.apply(x1).size == 7
+        for target, got, w in zip((e(2), e(0)), b.apply(x1, x2), (w1, w2)):
+            n = max(target.size, got.size, w.size)
+            assert np.linalg.norm(linalg.pad_to(target, n) - linalg.pad_to(got, n) - linalg.pad_to(w, n)) <= 1e-10
+
+    def test_block_certificate_and_witness_orthonormalise_each_subspace_once(self, monkeypatch):
+        # six suite instances: each V's frame is made by one orthonormalize
+        # of its own block (never of the block-diagonal _sum_basis) and kept
+        # for the factor preimage, the block preimage and the witness, which
+        # solves once per factor
+        rng = np.random.default_rng(5)
+        orthonormalised, witnesses = [], []
+        orthonormalize, witness = linalg.orthonormalize, ops.transversality_witness
+
+        def spy_orthonormalize(v):
+            orthonormalised.append(v)
+            return orthonormalize(v)
+
+        def spy_witness(*args):
+            witnesses.append(args)
+            return witness(*args)
+
+        monkeypatch.setattr(linalg, "orthonormalize", spy_orthonormalize)
+        monkeypatch.setattr(ops, "transversality_witness", spy_witness)
+        for _ in range(6):
+            (t1, v1), (t2, v2) = suites._transversal_instance(rng), suites._transversal_instance(rng)
+            b = ops.block_lower_triangular(t1, suites._random_bounded(rng), t2)
+            del orthonormalised[:], witnesses[:]
+            ops.block_preimage_with_complement(b, v1, v2)
+            ops.block_transversality_witness(b, v1, v2, e(3), e(1))
+            owners = [v for a in orthonormalised for v in (v1, v2) if np.shares_memory(a, v.space.block)]
+            assert len(owners) == len(orthonormalised) == 2 and owners[0] is not owners[1]
+            assert len(witnesses) == 2
+
     def test_witness_requires_transversality(self):
         t = ops.SequenceOperator(0, 2, np.zeros((2, 2)))
         with pytest.raises(NotTransversal):
@@ -800,7 +841,7 @@ def preimage_matrix(t, v):
     takes, at the truncations it uses."""
     head, _ = ops._preimage_head(t, v)
     rows = max(t.output_rows(head), v.space.support_bound(), 1)
-    return ops._off_subspace(t.to_dense(rows, head), v.space.basis_matrix(rows)), head
+    return ops._off_subspace(t.to_dense(rows, head), v.space.frame(rows)), head
 
 
 class TestOneFactorisation:
@@ -987,6 +1028,78 @@ class TestBasisMatrix:
         assert basis.support_bound() == 10
         with pytest.raises(ValueError):
             basis.basis_matrix(2)
+
+
+def frame_cases():
+    """Bases whose frames the tests compare with the projector of
+    ``orthonormalize(basis_matrix(level))``: a coordinate span and its
+    cofinite complement, both halves of a ``subspace_image`` (columns not
+    orthonormal), of an interleaving, and a cofinite basis whose
+    corrections reach past ``tail_start``."""
+    g = ops.identity() + ops.rank_one(0, 1, 1.0) + ops.rank_one(3, 0, -0.5) + ops.rank_one(2, 2, 2.0)
+    v = sub.ComplementedSubspace(sub.SubspaceBasis(None, columns([1.0, 2.0], [0.0, 1.0, 1.0])), sub.SubspaceBasis(2, columns([0.0, 0.0, 0.0])))
+    image = sub.subspace_image(g, sub.coordinate_span(2))
+    mixed = sub.interleave_subspaces(sub.subspace_image(g, sub.coordinate_span(3)), sub.coordinate_span(1))
+    reaching = sub.SubspaceBasis(2, columns([1.0, 1.0, 3.0, -2.0], [0.0, 1.0, 0.0, 0.0, 5.0], [2.0, 0.0, 1.0]))
+    span = sub.coordinate_span(3)
+    return [
+        span.space, span.complement, image.space, image.complement, v.space,
+        mixed.space, mixed.complement, reaching, sub.SubspaceBasis(None, []),
+    ]
+
+
+class TestFrames:
+    """``SubspaceBasis.frame``: orthonormal columns spanning the trace of
+    ``basis_matrix``, from one orthonormalisation of the finite part."""
+
+    @pytest.mark.parametrize("basis", frame_cases())
+    def test_frame_projects_onto_the_basis_span(self, basis):
+        for level in linalg.truncation_levels(basis.support_bound()):
+            q = basis.frame(level)
+            assert np.allclose(q.T @ q, np.eye(q.shape[1]), rtol=0.0, atol=1e-12)
+            want = linalg.orthonormalize(basis.basis_matrix(level))
+            assert np.allclose(q @ q.T, want @ want.T, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("basis", frame_cases())
+    def test_below_the_support_is_a_value_error_as_for_the_basis(self, basis):
+        for level in range(basis.support_bound()):
+            try:
+                basis.basis_matrix(level)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    basis.frame(level)
+            else:
+                q, want = basis.frame(level), linalg.orthonormalize(basis.basis_matrix(level))
+                assert np.allclose(q @ q.T, want @ want.T, rtol=0.0, atol=1e-12)
+
+    def test_finite_part_orthonormalised_once(self, monkeypatch):
+        basis = frame_cases()[-2]
+        calls = []
+        orthonormalize = linalg.orthonormalize
+        monkeypatch.setattr(linalg, "orthonormalize", lambda v: calls.append(v.shape) or orthonormalize(v))
+        levels = (*linalg.truncation_levels(basis.support_bound()), basis.support_bound(), 40)
+        assert [basis.frame(level).shape[0] for level in levels] == list(levels)
+        assert calls == [(2, 3)]  # the rows below tail_start only
+
+    def test_block_is_read_only(self):
+        given = columns([1.0, 2.0], [0.0, 3.0])
+        basis = sub.SubspaceBasis(None, given)
+        with pytest.raises(ValueError):
+            basis.block[0, 0] = 5.0
+        given[0, 0] = 5.0  # the caller's array is copied, not frozen
+        assert basis.block[0, 0] == 1.0
+
+    def test_rank_is_decided_on_the_finite_part(self):
+        # a correction 1e-9 e_0 beside the unit tail from e_2: the frame
+        # keeps its direction, since its rank is decided on the finite part
+        # alone; the SVD of the whole basis matrix counts it below RANK_RTOL
+        # of the unit columns and drops it
+        basis = sub.SubspaceBasis(2, columns([1e-9]))
+        level = 10
+        q = basis.frame(level)
+        assert q.shape == (level, level - 1)
+        assert np.allclose(q @ (q.T @ e(0, level)), e(0, level), rtol=0.0, atol=1e-12)
+        assert linalg.orthonormalize(basis.basis_matrix(level)).shape == (level, level - 2)
 
 
 def same_basis(got: sub.ComplementedSubspace, want: sub.ComplementedSubspace) -> bool:
