@@ -2,11 +2,12 @@
 deterministic JSON reports.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
-The flags of verify and verify-all can also be set through environment
-variables with the DNCLAB_ prefix (DNCLAB_SEED, DNCLAB_TRUNCATION,
-DNCLAB_DEPTH, DNCLAB_TOL, DNCLAB_SAMPLES, DNCLAB_REPORT), read after the
-command line is parsed and only by those two commands, so a malformed one
-cannot break list-suites or demo; the demo flags read none.
+The flags are the only configuration.  verify and verify-all refuse to run
+while a variable with the DNCLAB_ prefix is set, so a leftover one cannot
+pass silently at a value it no longer sets; list-suites and demo read no
+environment variable.  verify writes its report only to --report; verify-all
+and demo write theirs to --report or else to stdout, which then carries the
+report alone, with the console lines on stderr.
 """
 
 from __future__ import annotations
@@ -21,16 +22,6 @@ from .report import MAX_DEPTH, MAX_TRUNCATION, SuiteConfig, canonical_json
 from .suites import list_suites, run_all, run_suite
 
 ENV_PREFIX = "DNCLAB_"
-
-
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad {ENV_PREFIX}{name.upper()}={raw!r}") from exc
 
 
 # (flag, type, default, help) of every suite configuration flag
@@ -73,32 +64,24 @@ _REPORT_FLAG = ("report", str, None, "write the JSON report here")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    # a flag left off the command line parses to None, and _config_from fills
-    # it in after parsing, so no other command reads DNCLAB_*
-    for name, cast, fallback, text in _CONFIG_FLAGS + (_REPORT_FLAG,):
-        shown = "" if fallback is None else f"default {fallback}; "
-        p.add_argument(f"--{name}", type=cast, default=None, help=f"{text} ({shown}also {ENV_PREFIX}{name.upper()})")
-
-
-def _resolve_env_defaults(args) -> None:
-    """Set each config flag not given on the command line from its DNCLAB_*
-    variable, or else from its default; a malformed variable is a ConfigError."""
-    for name, cast, fallback, _ in _CONFIG_FLAGS + (_REPORT_FLAG,):
-        if getattr(args, name) is None:
-            setattr(args, name, _env_default(name, cast, fallback))
+    for name, cast, default, text in _CONFIG_FLAGS + (_REPORT_FLAG,):
+        shown = "" if default is None else f" (default {default})"
+        p.add_argument(f"--{name}", type=cast, default=default, help=text + shown)
 
 
 def _config_from(args, suite: str = "") -> SuiteConfig:
-    """The suite configuration of a command with config flags; it resolves
-    their DNCLAB_* values first, --report included."""
-    _resolve_env_defaults(args)
+    """The suite configuration of a command with config flags, from the flags
+    alone; a set DNCLAB_* variable is a ConfigError."""
+    leftover = sorted(k for k in os.environ if k.startswith(ENV_PREFIX))
+    if leftover:
+        raise ConfigError(f"dnclab is configured by its flags alone; unset {', '.join(leftover)} and pass the flags instead")
     return SuiteConfig(suite, **{name: getattr(args, name) for name, *_ in _CONFIG_FLAGS})
 
 
-def _print_report(rep) -> None:
+def _print_report(rep, out=None) -> None:
     for c in rep.checks:
-        print(f"  [{c.status.upper():4s}] {c.name}  ({c.runtime_ms:.0f} ms)")
-    print(f"{rep.suite}: {rep.overall} ({rep.runtime_ms:.0f} ms)")
+        print(f"  [{c.status.upper():4s}] {c.name}  ({c.runtime_ms:.0f} ms)", file=out)
+    print(f"{rep.suite}: {rep.overall} ({rep.runtime_ms:.0f} ms)", file=out)
 
 
 def _write(path: str | None, payload) -> None:
@@ -162,10 +145,11 @@ def main(argv: list[str] | None = None) -> int:
             t0 = time.perf_counter()
             reports = run_all(config)
             total_ms = (time.perf_counter() - t0) * 1000
+            console = None if args.report else sys.stderr  # stdout then carries the report alone
             for rep in reports:
-                _print_report(rep)
+                _print_report(rep, console)
             overall = all(r.passed for r in reports)
-            print(f"overall: {'pass' if overall else 'fail'} ({len(reports)} suites, {total_ms:.0f} ms)")
+            print(f"overall: {'pass' if overall else 'fail'} ({len(reports)} suites, {total_ms:.0f} ms)", file=console)
             payload = {
                 "config": config.to_json(),
                 "suites": [r.to_json() for r in reports],

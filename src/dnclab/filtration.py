@@ -180,9 +180,8 @@ def _restrict(g: SmoothMap, start: int, total: int) -> SmoothMap:
     return compose_maps(g, pick, g.name)
 
 
-def _subspace_manifold(basis: np.ndarray, ambient: int, name: str, samples) -> ImplicitManifold:
-    """Linear submanifold spanned by the (orthonormalized) columns of basis."""
-    q = linalg.orthonormalize(basis)
+def _subspace_manifold(q: np.ndarray, ambient: int, name: str, samples) -> ImplicitManifold:
+    """Linear submanifold spanned by the orthonormal columns of q."""
     normal = linalg.nullspace(q.T)
 
     def projector(x):
@@ -303,16 +302,16 @@ def make_filtration_linear(flag: Flag, margin: int = 5) -> Filtration:
     if margin < 0:
         raise DomainError(f"margin must be >= 0, got {margin}")
     ambient = max(s.space.support_bound() for s in flag.subspaces) + margin
-    levels = []
+    levels, qs = [], []
     for n, sub in enumerate(flag.subspaces, start=1):
         basis = sub.space.basis_matrix(ambient)
         rng = np.random.Generator(np.random.Philox(key=100 + n))
         samples = [basis @ rng.normal(size=basis.shape[1]) for _ in range(6)]
-        levels.append(_subspace_manifold(basis, ambient, f"E_{flag.delta[n]}", samples))
+        qs.append(linalg.orthonormalize(basis))
+        levels.append(_subspace_manifold(qs[-1], ambient, f"E_{flag.delta[n]}", samples))
     total_rng = np.random.Generator(np.random.Philox(key=99))
     total = _full_space(ambient, [total_rng.normal(size=ambient) for _ in range(6)])
 
-    qs = [linalg.orthonormalize(sub.space.basis_matrix(ambient)) for sub in flag.subspaces]
     witnesses = _constant_witnesses(
         [linalg.complement_within(cur, nxt) for cur, nxt in zip(qs, qs[1:])],
         [linalg.complement_within(q, np.eye(ambient)) for q in qs],

@@ -263,12 +263,26 @@ class TestCli:
         obj = json.loads(path.read_text())
         assert obj["suite"] == "dnc-product" and obj["overall"] == "pass"
 
-    def test_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("DNCLAB_SAMPLES", "8")
+    def test_a_set_variable_is_refused_and_the_flag_is_read(self, monkeypatch, tmp_path, capsys):
+        # a valid DNCLAB_SAMPLES sets nothing: verify refuses to run while it is set
         path = tmp_path / "rep.json"
-        assert cli.main(["verify", "--suite", "dnc-product", "--report", str(path)]) == 0
-        obj = json.loads(path.read_text())
-        assert obj["config"]["samples"] == 8
+        argv = ["verify", "--suite", "dnc-product", "--report", str(path)]
+        monkeypatch.setenv("DNCLAB_SAMPLES", "8")
+        assert cli.main(argv) == 2
+        assert "unset DNCLAB_SAMPLES" in capsys.readouterr().err and not path.exists()
+        monkeypatch.delenv("DNCLAB_SAMPLES")
+        assert cli.main(argv + ["--samples", "8"]) == 0
+        assert json.loads(path.read_text())["config"]["samples"] == 8
+
+    def test_verify_all_without_report_writes_only_the_report_to_stdout(self, tmp_path, capsys):
+        path = tmp_path / "all.json"
+        assert cli.main(["verify-all", "--samples", "4", "--report", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "\noverall: pass (19 suites" in out and err == ""
+        assert cli.main(["verify-all", "--samples", "4"]) == 0
+        out, err = capsys.readouterr()
+        assert out == path.read_text() and json.loads(out)["overall"] == "pass"
+        assert "\noverall: pass (19 suites" in err
 
     @pytest.mark.parametrize("name, cast", [(name, cast) for name, cast, *_ in cli._CONFIG_FLAGS])
     def test_each_config_flag_reaches_the_report(self, name, cast, tmp_path):
@@ -285,18 +299,30 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [["verify", "--suite", "flag-laws"], ["verify-all"]])
     def test_config_commands_reject_a_bad_variable(self, argv, monkeypatch, capsys):
-        monkeypatch.setenv("DNCLAB_SEED", "abc")
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == "configuration error: bad DNCLAB_SEED='abc'\n"
+        # a malformed value, a valid one, and two variables, named in sorted order
+        cases = [
+            ({"DNCLAB_SEED": "abc"}, "DNCLAB_SEED"),
+            ({"DNCLAB_SEED": "7"}, "DNCLAB_SEED"),
+            ({"DNCLAB_TOL": "1e-6", "DNCLAB_DEPTH": "3"}, "DNCLAB_DEPTH, DNCLAB_TOL"),
+        ]
+        for env, names in cases:
+            with monkeypatch.context() as m:
+                for name, value in env.items():
+                    m.setenv(name, value)
+                assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"configuration error: dnclab is configured by its flags alone; unset {names} and pass the flags instead\n"
 
     @pytest.mark.parametrize("command", [["verify", "--suite", "x"], ["verify-all"]])
     def test_help_names_each_default(self, command, capsys):
         with pytest.raises(SystemExit):
             cli._parser().parse_args(command + ["--help"])
         text = " ".join(capsys.readouterr().out.split())
-        for name, _, fallback, _ in cli._CONFIG_FLAGS:
-            assert f"(default {fallback}; also DNCLAB_{name.upper()})" in text
-        assert "(also DNCLAB_REPORT)" in text
+        for name, _, default, _ in cli._CONFIG_FLAGS:
+            assert f"(default {default})" in text
+            assert getattr(cli._parser().parse_args(command), name) == getattr(SuiteConfig, name) == default
+        assert "DNCLAB_" not in text
 
     def test_demo_reads_no_environment_variable(self, monkeypatch, tmp_path):
         argv = ["demo", "sphere-filtration", "--delta", "2,4", "--report"]
