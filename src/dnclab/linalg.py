@@ -1,22 +1,26 @@
 """Rank decisions and small shared linear-algebra helpers.
 
 Every rank decision in the laboratory is made here, by :func:`rank`,
-:func:`rank_modulo`, :func:`kernel_with_complement` (and :func:`nullspace`,
-which reads its kernel) or :func:`orthonormalize`, against the one relative
-singular-value threshold :data:`RANK_RTOL`.  Two of them decide without an
-SVD where they can: :func:`rank`, where one Cholesky factorisation of the
-Gram matrix of the matrix itself, shifted by ``CERTIFY_RTOL²`` times its
-trace ``‖a‖_F²``, proves the rank full (its smallest singular value then
-sits about two decades above the threshold, by Higham's backward error
-bound for Cholesky) whenever that trace lies in a normal range where no
-Gram entry overflows and underflow stays below the rounding, and
-:func:`rank_modulo`, which ranks through :func:`rank`.  No function takes a
-threshold of its own, so the threshold is set in exactly one place, and so
-are the two truncation levels of every stabilised count, by
-:func:`truncation_levels`.  Every SVD of the laboratory is taken in this
-module too, and so is every Cholesky factorisation: a caller that needs
-singular values themselves, such as the norms of a stack of blocks, reads
-them from :func:`singular_values`.
+:func:`certify_rows`, :func:`rank_modulo`, :func:`kernel_with_complement`
+(and :func:`nullspace`, which reads its kernel) or :func:`orthonormalize`,
+against the one relative singular-value threshold :data:`RANK_RTOL`.  Three
+of them decide without an SVD where they can: :func:`rank`, where one
+Cholesky factorisation of the Gram matrix of the matrix itself, shifted by
+``CERTIFY_RTOL²`` times its trace ``‖a‖_F²``, proves the rank full (its
+smallest singular value then sits about two decades above the threshold, by
+Higham's backward error bound for Cholesky) whenever that trace lies in a
+normal range where no Gram entry overflows and underflow stays below the
+rounding; :func:`certify_rows`, the same certificate on the row Gram matrix,
+which proves full row rank of the matrix and of every leading block of its
+rows at once, so that one factorisation settles a count at both truncation
+levels when the lower level's matrix is a leading row block of the upper
+one's; and :func:`rank_modulo`, which ranks through :func:`rank`.  The two
+share one certificate, :func:`_certifies`.  No function takes a threshold of
+its own, so the threshold is set in exactly one place, and so are the two
+truncation levels of every stabilised count, by :func:`truncation_levels`.
+Every SVD of the laboratory is taken in this module too, and so is every
+Cholesky factorisation: a caller that needs singular values themselves, such
+as the norms of a stack of blocks, reads them from :func:`singular_values`.
 
 :func:`nullspace` and :func:`orthonormalize` return orthonormal column
 bases, :func:`kernel_with_complement` returns a kernel and its orthogonal
@@ -33,7 +37,7 @@ import numpy as np
 
 __all__ = [
     "RANK_RTOL", "CERTIFY_RTOL", "LEVEL_MARGIN", "LEVEL_STEP", "truncation_levels", "singular_values", "rank",
-    "rank_modulo", "kernel_with_complement", "nullspace", "orthonormalize", "complement_within",
+    "certify_rows", "rank_modulo", "kernel_with_complement", "nullspace", "orthonormalize", "complement_within",
     "min_norm_lstsq", "loglog_slope", "pad_to", "trim",
 ]
 
@@ -118,18 +122,63 @@ def rank(a: np.ndarray) -> int:
     as before, and so does every matrix outside the guard; a non-finite
     ``a`` then raises ``np.linalg.LinAlgError`` (see :func:`_rank_of`)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
-        return 0
+    if a.size and _certifies(a):
+        return min(a.shape)
+    return _svd_rank(a)
+
+
+def _svd_rank(a: np.ndarray) -> int:
+    """The SVD rule of :func:`rank` alone, for a 2-d float ``a``: 0 when
+    ``a`` is empty, else one values-only SVD.  For a wide or square ``a``
+    that :func:`certify_rows` has refused, this is :func:`rank`'s verdict,
+    whose certificate would factorise the same Gram matrix and fail again."""
+    return 0 if a.size == 0 else _rank_of(np.linalg.svd(a, compute_uv=False))
+
+
+def _certifies(a: np.ndarray) -> bool:
+    """The full-rank certificate of :func:`rank` for a nonempty 2-d float
+    ``a``: the guard on ``t = ‖a‖_F²``, the Gram matrix from the smaller
+    side (the row Gram matrix ``a aᵀ`` when ``a`` is square or wide) shifted
+    down by ``CERTIFY_RTOL²·t``, and whether its Cholesky factorisation
+    completes."""
     t = float(np.vdot(a, a))
-    if 1e-290 < t < 1e290:
-        g = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-        g.ravel()[:: g.shape[0] + 1] -= CERTIFY_RTOL**2 * t
-        try:
-            np.linalg.cholesky(g)
-            return min(a.shape)
-        except np.linalg.LinAlgError:
-            pass
-    return _rank_of(np.linalg.svd(a, compute_uv=False))
+    if not 1e-290 < t < 1e290:
+        return False
+    g = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    g.ravel()[:: g.shape[0] + 1] -= CERTIFY_RTOL**2 * t
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def certify_rows(a: np.ndarray) -> bool:
+    """True when :func:`rank`'s certificate proves that ``a`` has full row
+    rank, and with it every leading block of rows ``a[:k]``: one Cholesky
+    factorisation of the shifted row Gram matrix ``a aᵀ − c²‖a‖_F² I``
+    (``c = CERTIFY_RTOL``) completes.  False proves nothing; a tall ``a``,
+    which cannot have full row rank, is False without a factorisation, and
+    an empty, non-finite or extreme-scale one fails :func:`rank`'s guard.
+
+    Why one factorisation settles every leading block.  The leading ``k x k``
+    block of the Gram matrix is ``a[:k] a[:k]ᵀ``, and the leading block of a
+    Cholesky factor is the factor of the leading principal submatrix
+    (G. H. Golub and C. F. Van Loan, *Matrix Computations*, 4th ed., §4.2).
+    So the leading ``k x k`` block ``R₁₁`` of the computed factor satisfies
+    ``R₁₁ᵀR₁₁ = a[:k] a[:k]ᵀ − c²t I + ΔG₁₁``, where ``ΔG₁₁``, the leading
+    block of the backward error in :func:`rank`'s proof, is bounded as that
+    one is: ``‖ΔG₁₁‖₂ <= γₚ₊₁‖R₁₁‖_F² <= γₚ₊₁‖R‖_F²``, and the rounding of the
+    leading Gram entries is bounded as before.  The shift ``c²t`` is at least
+    ``c²‖a[:k]‖_F²`` and ``‖a[:k]‖_F² >= σ_max(a[:k])²``, so the bound of
+    :func:`rank` holds for ``a[:k]`` too:
+    ``σ_min(a[:k])/σ_max(a[:k]) >= 0.88c``, and the SVD rule counts all
+    ``k`` rows.  Zero columns change no singular value, so the same verdict
+    holds for ``a[:k]`` with its zero columns deleted.  For a wide or square
+    ``a`` this is the very factorisation :func:`rank` makes, so
+    ``certify_rows(a)`` implies ``rank(a) == a.shape[0]``."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    return a.shape[0] <= a.shape[1] and _certifies(a)
 
 
 def rank_modulo(a: np.ndarray, normal: np.ndarray) -> int:

@@ -18,7 +18,15 @@ four square blocks of that layout.  Two-level rule: a
 kernel/cokernel count or a transversality rank verdict is believed only when
 the two truncation levels of ``linalg.truncation_levels`` give the same
 answer; otherwise StabilizationFailure is raised rather than the disagreement
-being resolved silently.
+being resolved silently.  For a single operator, the lower level's matrix is
+a leading row block of the upper one's, with zero columns added (for a tall
+index truncation, of its transpose), so ``fredholm_index`` and
+``is_transversal`` first try one ``linalg.certify_rows`` of the upper level,
+which proves full row rank at both levels from one Cholesky factorisation;
+only a matrix it misses is ranked at each level.  The block decisions
+(``BlockOperator.fredholm_index``, ``block_is_transversal``) rank each level,
+since their lower level is not a leading block of the [[F, 0], [P, F2]]
+layout.
 
 ``is_transversal`` is the one transversality decision: the surjectivity rank
 test im(T) + V = codomain, stabilised over two truncation levels.
@@ -285,7 +293,12 @@ def _stable(bound: int, floor: int, decide, what: str):
     ``linalg.truncation_levels(bound, floor)``, believed only when the two
     agree; a disagreement raises StabilizationFailure."""
     lo, hi = linalg.truncation_levels(bound, floor)
-    first, second = decide(lo), decide(hi)
+    return _agree(lo, decide(lo), hi, decide(hi), what)
+
+
+def _agree(lo: int, first, hi: int, second, what: str):
+    """``first``, the value at level ``lo``, when it equals ``second``, the
+    value at level ``hi``; StabilizationFailure otherwise."""
     if first != second:
         raise StabilizationFailure(f"{what} {first} at level {lo} vs {second} at level {hi}")
     return first
@@ -296,16 +309,44 @@ def _kernel_cokernel(a: np.ndarray) -> tuple[int, int]:
     return a.shape[1] - r, a.shape[0] - r
 
 
+def _counts_at_each_level(op: SequenceOperator, level: int | None) -> tuple[int, int]:
+    """The kernel/cokernel counts of ``op``, one rank at each truncation
+    level, stabilised."""
+    return _stable(
+        _bound(op), level or 0, lambda L: _kernel_cokernel(op.to_dense(op.output_rows(L), L)), "kernel/cokernel counts"
+    )
+
+
 def fredholm_index(op: SequenceOperator, level: int | None = None) -> int:
     """dim ker - dim coker, by finite linear algebra at two truncation levels.
 
     Counts must agree across the levels and, for a genuine shift tail, match
     the structural value -shift; any disagreement raises StabilizationFailure
     rather than being silently resolved.
+
+    One certificate settles both levels when it can.  Level L lays out
+    ``a_L = op.to_dense(r_L, L)`` with ``r_L = op.output_rows(L)``, which
+    holds the whole image of the first L columns, so ``a_hi[r_lo:, :lo]`` is
+    zero and ``a_hi[:r_lo, :lo]`` is ``a_lo``.  For a wide (or square)
+    ``a_hi``, the leading ``r_lo`` rows are ``a_lo`` with zero columns added:
+    the columns past ``lo`` are tail columns, which map to rows at or beyond
+    ``r_lo``, since ``lo`` exceeds the window and the block's rows by the
+    level margin.  For a tall ``a_hi``, the
+    leading ``lo`` rows of ``a_hiᵀ`` are ``a_loᵀ`` with zero columns added.
+    So when ``linalg.certify_rows`` passes ``a_hi`` (wide) or ``a_hiᵀ`` (tall),
+    both levels have full row (column) rank, and their counts follow from the
+    shapes: ``(L - r_L, 0)`` (``(0, r_L - L)``).  Otherwise both levels are
+    decided one rank each, as :func:`_counts_at_each_level`.
     """
-    k, c = _stable(
-        _bound(op), level or 0, lambda L: _kernel_cokernel(op.to_dense(op.output_rows(L), L)), "kernel/cokernel counts"
-    )
+    lo, hi = linalg.truncation_levels(_bound(op), level or 0)
+    a = op.to_dense(op.output_rows(hi), hi)
+    r_lo, r_hi = op.output_rows(lo), a.shape[0]
+    wide = r_hi <= hi
+    if linalg.certify_rows(a if wide else a.T):
+        first, second = ((lo - r_lo, 0), (hi - r_hi, 0)) if wide else ((0, r_lo - lo), (0, r_hi - hi))
+        k, c = _agree(lo, first, hi, second, "kernel/cokernel counts")
+    else:
+        k, c = _counts_at_each_level(op, level)
     idx = k - c
     if op.tail_scale != 0.0 and idx != -op.shift:
         raise StabilizationFailure(
@@ -499,11 +540,11 @@ def retraction_ratio_bound(bs, level: int) -> np.ndarray:
 # -- transversality to complemented subspaces --------------------------------
 
 
-def _surjectivity_rank_ok(op: SequenceOperator, v: ComplementedSubspace, rows: int) -> bool:
-    cols = rows + abs(op.shift) + op.window  # enough domain coordinates to hit every row
-    a = op.to_dense(rows, cols)
-    vb = v.space.basis_matrix(rows)
-    return linalg.rank(np.hstack([a, vb])) == rows
+def _surjectivity_stack(op: SequenceOperator, v: ComplementedSubspace, rows: int) -> np.ndarray:
+    """[T | V] at truncation ``rows``: T on enough domain coordinates to hit
+    every row, beside V's columns."""
+    cols = rows + abs(op.shift) + op.window
+    return np.hstack([op.to_dense(rows, cols), v.space.basis_matrix(rows)])
 
 
 def _preimage_head(op: SequenceOperator, v: ComplementedSubspace) -> tuple[int, bool]:
@@ -529,10 +570,30 @@ def _off_subspace(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return a - q @ (q.T @ a)
 
 
+def _transversal_at_each_level(op: SequenceOperator, v: ComplementedSubspace, upper: np.ndarray) -> bool:
+    """The surjectivity rank test at each truncation level, stabilised, given
+    the upper level's stack ``upper``, whose certificate has failed: its rank
+    is the SVD rule's, as ``linalg.rank`` would find it after the same
+    certificate, so it is taken without factorising ``upper`` again."""
+    lo, hi = linalg.truncation_levels(_bound(op, v))
+    first = linalg.rank(_surjectivity_stack(op, v, lo)) == lo
+    return _agree(lo, first, hi, linalg._svd_rank(upper) == hi, "transversality rank test")
+
+
 def is_transversal(op: SequenceOperator, v: ComplementedSubspace) -> bool:
     """im(T) + V = codomain, by the rank test stabilized over two truncation
-    levels."""
-    return _stable(_bound(op, v), 0, lambda L: _surjectivity_rank_ok(op, v, L), "transversality rank test")
+    levels.
+
+    One certificate of the upper level settles both when it can: the rows
+    below ``lo`` of ``[T | V]`` at ``hi`` are the ``lo``-level stack with zero
+    columns added.  T's columns past ``lo + |s| + w`` are tail columns, which
+    land on rows at or beyond ``lo``, and so do V's tail units past ``lo``;
+    V's finite columns lie within its support, below ``lo``.  So when
+    ``linalg.certify_rows`` passes the upper stack, both levels are
+    surjective.  Otherwise both are decided one rank each, as
+    :func:`_transversal_at_each_level`."""
+    upper = _surjectivity_stack(op, v, linalg.truncation_levels(_bound(op, v))[1])
+    return linalg.certify_rows(upper) or _transversal_at_each_level(op, v, upper)
 
 
 def preimage_with_complement(
@@ -564,9 +625,12 @@ def transversality_witness(
     e solves the equation projected off V by minimum-norm least squares; the
     remainder is projected back onto V.  The returned pair is checked against
     the exact operator action; NotTransversal if the defining equation cannot
-    be met to 1e-10.
+    be met to 1e-10 (a NaN residual does not meet it), DomainError if ``e_prime``
+    has a non-finite coordinate.
     """
     e_prime = np.asarray(e_prime, dtype=float).ravel()
+    if not np.isfinite(e_prime).all():
+        raise DomainError("witness target has a non-finite coordinate")
     rows, _ = linalg.truncation_levels(max(_bound(op, v), e_prime.size + _bound(op)))
     cols = rows - op.shift  # image of the domain truncation stays inside rows
     a = op.to_dense(rows, cols)
@@ -578,7 +642,7 @@ def transversality_witness(
     actual = op.apply(e)
     n = max(rows, actual.size)
     resid = linalg.pad_to(target, n) - linalg.pad_to(actual, n) - linalg.pad_to(vvec, n)
-    if np.linalg.norm(resid) > 1e-10:
+    if not np.linalg.norm(resid) <= 1e-10:
         raise NotTransversal("witness equation e' = T e + v not satisfiable")
     return linalg.trim(e), linalg.trim(vvec)
 

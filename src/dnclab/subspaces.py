@@ -16,10 +16,12 @@ When the two sides together have at most ``level`` columns at a level, one
 rank of the stacked columns decides the direct sum there: singular values
 interlace under deleting columns, so a full-rank stack leaves each side full
 rank under the same threshold, ``linalg.RANK_RTOL`` (see
-:meth:`ComplementedSubspace.verify`).  ``linalg.rank`` decides a
-well-conditioned stack without an SVD, such as the orthonormal stacks of
-preimage certificates and coordinate spans; only more columns need the
-three ranks.
+:meth:`ComplementedSubspace.verify`).  The lower level's stack is the
+upper one's leading rows with zero columns deleted, so when the upper stack
+is square, one ``linalg.certify_rows`` of it settles both levels from one
+Cholesky factorisation, without laying out the lower level.  The certificate and ``linalg.rank`` decide a well-conditioned stack
+without an SVD, such as the orthonormal stacks of preimage certificates and
+coordinate spans; only more columns need the three ranks.
 """
 
 from __future__ import annotations
@@ -143,12 +145,32 @@ class ComplementedSubspace:
           column rank, and ``rank(a) + rank(b) == level`` follows;
         - ``k > level``: the three ranks are taken.
 
-        :func:`linalg.rank` certifies a full column rank without an SVD
-        whenever the stack is well conditioned.  A stack with
-        ``‖GᵀG − I‖_F <= 1/2``, such as an orthonormal preimage certificate
-        or coordinate span, has ``σ_min/σ_max >= 1/√3``, far above
-        ``linalg.CERTIFY_RTOL``, so its level takes no SVD.
+        When the upper level has ``k == hi``, one certificate of it settles
+        both levels.  The rows below ``lo`` of ``[a b]`` at ``hi`` are the
+        ``lo``-level stack with zero columns added: the finite columns lie
+        within the support bound, below ``lo``, and the tail units past
+        ``lo`` land on rows at or beyond it.  So when ``linalg.certify_rows``
+        passes the square upper stack, the lower stack has rank ``lo`` too,
+        and it has exactly ``lo`` columns: without a cofinite side the upper
+        stack's rows from ``lo`` on are zero, which no certificate passes,
+        and with two the lower stack has ``2 lo − hi < lo`` columns.  Both
+        levels then pass the single test.  Otherwise each level is decided
+        as above, by :meth:`_verify_at_each_level`.
+
+        :func:`linalg.rank` and :func:`linalg.certify_rows` certify a full
+        rank without an SVD whenever the stack is well conditioned.  A stack
+        with ``‖GᵀG − I‖_F <= 1/2``, such as an orthonormal preimage
+        certificate or coordinate span, has ``σ_min/σ_max >= 1/√3``, far
+        above ``linalg.CERTIFY_RTOL``, so it takes no SVD.
         """
+        hi = linalg.truncation_levels(max(self.space.support_bound(), self.complement.support_bound()))[1]
+        ab = np.hstack([self.space.basis_matrix(hi), self.complement.basis_matrix(hi)])
+        if ab.shape[1] == hi and linalg.certify_rows(ab):
+            return True
+        return self._verify_at_each_level()
+
+    def _verify_at_each_level(self) -> bool:
+        """The direct-sum test of :meth:`verify`, ranked at each level."""
         for level in linalg.truncation_levels(max(self.space.support_bound(), self.complement.support_bound())):
             a = self.space.basis_matrix(level)
             b = self.complement.basis_matrix(level)

@@ -312,9 +312,10 @@ def suite_block_transversality(config: SuiteConfig) -> list[CheckResult]:
         m2 = max(e2.size, y2.size, w2.size, 1)
         r1 = np.linalg.norm(linalg.pad_to(e1, m1) - linalg.pad_to(y1, m1) - linalg.pad_to(w1, m1))
         r2 = np.linalg.norm(linalg.pad_to(e2, m2) - linalg.pad_to(y2, m2) - linalg.pad_to(w2, m2))
-        resid = max(float(r1), float(r2))
-        worst_resid = max(worst_resid, resid)
-        if resid > 1e-10:
+        # np.maximum keeps a NaN residual, which max() drops when it comes second
+        resid = float(np.maximum(r1, r2))
+        worst_resid = float(np.maximum(worst_resid, resid))
+        if not resid <= 1e-10:  # a NaN residual fails too
             failures += 1
     return check(
         "block-transversality-and-witnesses",

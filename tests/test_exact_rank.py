@@ -11,7 +11,10 @@ exact: the nonzero singular values stay well clear of the ``RANK_RTOL``
 threshold.  They cover ``linalg.rank``, both branches of
 ``ComplementedSubspace.verify`` on Gram-certified stacks too, both ``fredholm_index``es, ``is_glk``,
 ``is_transversal`` and ``block_is_transversal``, and they compare each
-certified preimage with the exact dense kernel.  The exact side lays
+certified preimage with the exact dense kernel.  ``TestTwoLevelCertificate``
+checks the one-factorisation certificate of ``is_transversal``,
+``fredholm_index`` and ``verify``: its premise, and its verdicts against the
+per-level decisions and the exact oracle.  The exact side lays
 operators out with the test's own truncation ``test_operators.oracle``;
 subspace columns come from ``SubspaceBasis.basis_matrix``, which
 ``test_operators.TestBasisMatrix`` checks against a loop.
@@ -22,6 +25,7 @@ singular value falls below ``RANK_RTOL = 1e-8`` of the largest, at k = 27
 when the two are 2^-k apart.
 """
 
+import contextlib
 from fractions import Fraction
 
 import numpy as np
@@ -490,12 +494,15 @@ class TestVerify:
         assert not three_rank_verify(cs, exact=True)
 
     def test_square_pair_takes_one_rank_per_level(self, rank_calls, monkeypatch):
-        # the stack is the identity at each level: the one rank of each
-        # level is certified without an SVD
+        # the stack is the identity at each level: one certificate of the
+        # upper level settles both without a rank or an SVD, and ranked at
+        # each level, the one rank of each is certified without an SVD
         cs = sub.coordinate_span(3)
         assert columns_at_levels(cs) == {"square"}
         svds = count_svds(monkeypatch)
         assert cs.verify()
+        assert rank_calls[0] == 0
+        assert cs._verify_at_each_level()
         assert rank_calls[0] == 2
         assert svds == []
 
@@ -593,7 +600,11 @@ class TestGramCertificate:
             svds = count_svds(m)
             verdict, calls = count_ranks(cs.verify)
         assert verdict == three_rank_verify(cs, exact=True)
-        assert calls == (2 if verdict else 1)  # one rank a level; a failing first level ends the test
+        # none when the upper level's certificate settles both; otherwise one
+        # rank a level, and a failing first level ends the test
+        hi = linalg.truncation_levels(n)[1]
+        upper = np.hstack([cs.space.basis_matrix(hi), cs.complement.basis_matrix(hi)])
+        assert calls == (0 if linalg.certify_rows(upper) else 2 if verdict else 1)
         if certified(g):
             assert verdict and svds == []
 
@@ -785,3 +796,282 @@ class TestTransversality:
         v = sub.coordinate_span(0)
         assert exact_transversal(raw, v)
         assert ops.is_transversal(ops.SequenceOperator(*raw), v) == (k <= 26)
+
+
+# -- one certificate for both levels -------------------------------------------------
+
+
+def outcome_of(fn, *args):
+    """``fn(*args)``, or the StabilizationFailure it raises, as a comparable value."""
+    try:
+        return fn(*args)
+    except StabilizationFailure as exc:
+        return ("StabilizationFailure", str(exc))
+
+
+def per_level_transversal(op, v) -> bool:
+    """The transversality decision ranked at each level, as it was made
+    before the upper level's certificate."""
+    return ops._stable(
+        ops._bound(op, v), 0, lambda L: linalg.rank(ops._surjectivity_stack(op, v, L)) == L, "transversality rank test"
+    )
+
+
+def upper_transversal_stack(op, v) -> np.ndarray:
+    return ops._surjectivity_stack(op, v, linalg.truncation_levels(ops._bound(op, v))[1])
+
+
+def index_layouts(op) -> tuple[np.ndarray, np.ndarray]:
+    """``fredholm_index``'s truncations at the lower and the upper level."""
+    return tuple(op.to_dense(op.output_rows(L), L) for L in linalg.truncation_levels(ops._bound(op)))
+
+
+def pair_layouts(cs: sub.ComplementedSubspace) -> tuple[np.ndarray, np.ndarray]:
+    """``verify``'s stacks ``[a b]`` at the lower and the upper level."""
+    bound = max(cs.space.support_bound(), cs.complement.support_bound())
+    return tuple(
+        np.hstack([cs.space.basis_matrix(L), cs.complement.basis_matrix(L)]) for L in linalg.truncation_levels(bound)
+    )
+
+
+def zero_columns_inserted(upper: np.ndarray, lower: np.ndarray) -> bool:
+    """``upper`` is ``lower`` with zero columns inserted: matching the
+    columns of ``upper`` in order, each equals the next unmatched column of
+    ``lower`` or is zero, and every column of ``lower`` is matched."""
+    if upper.shape[0] != lower.shape[0]:
+        return False
+    j = 0
+    for col in upper.T:
+        if j < lower.shape[1] and np.array_equal(col, lower[:, j]):
+            j += 1
+        elif col.any():
+            return False
+    return j == lower.shape[1]
+
+
+# (LEVEL_MARGIN, LEVEL_STEP): the defaults, wider levels, and levels too
+# narrow for the exact oracle's verdicts, where only the premise and the
+# per-level decisions are compared
+NARROW = (2, 1)
+LEVELS = [(linalg.LEVEL_MARGIN, linalg.LEVEL_STEP), (11, 3), NARROW]
+
+
+at_each_setting = pytest.mark.parametrize("levels", LEVELS, ids=lambda p: f"margin{p[0]}-step{p[1]}")
+
+
+@contextlib.contextmanager
+def truncation_levels_at(levels):
+    """``linalg.LEVEL_MARGIN`` and ``linalg.LEVEL_STEP`` set to ``levels``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "LEVEL_MARGIN", levels[0])
+        m.setattr(linalg, "LEVEL_STEP", levels[1])
+        yield
+
+
+class TestTwoLevelCertificate:
+    """``is_transversal``, ``fredholm_index`` and ``verify`` decide both
+    truncation levels from one ``linalg.certify_rows`` of the upper level
+    when it completes, and rank each level otherwise.  The lower level's
+    matrix is a leading row block of the upper one's with zero columns
+    inserted (of the transposes, for a tall index truncation), so a certified
+    verdict equals the per-level verdict by proof; these tests check the
+    premise, the verdicts against the per-level decisions and the exact
+    oracle, and that the certificate saves the lower level's work."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(inst=sandwiched(CLEAR + [2.0**-27]))
+    def test_a_certificate_proves_every_leading_block_full(self, inst):
+        # the singular values of a sandwiched instance are exact, so the
+        # certificate completes exactly when a is wide or square with
+        # σ_min > c‖a‖_F, and then every leading block has full row rank,
+        # by the SVD rule and exactly
+        a, _ = inst
+        certified = linalg.certify_rows(a)
+        s = linalg.singular_values(a)
+        assert certified == (a.shape[0] <= a.shape[1] and s[-1] > linalg.CERTIFY_RTOL * np.linalg.norm(a))
+        if certified:
+            assert linalg.rank(a) == a.shape[0]
+            assert all(exact_rank(a[:k]) == svd_rule(a[:k]) == k for k in range(1, a.shape[0] + 1))
+
+    @pytest.mark.parametrize("a", [np.full((2, 3), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]]), np.zeros((2, 3))])
+    def test_a_matrix_outside_the_guard_is_not_certified(self, a):
+        assert not linalg.certify_rows(a)
+
+    @at_each_setting
+    @settings(max_examples=40, deadline=None)
+    @given(raw=raw_operators(), v=dyadic_targets(7))
+    def test_upper_transversality_stack_leads_with_the_lower_one(self, levels, raw, v):
+        with truncation_levels_at(levels):
+            op = ops.SequenceOperator(*raw)
+            lo, hi = linalg.truncation_levels(ops._bound(op, v))
+            upper = ops._surjectivity_stack(op, v, hi)
+            assert zero_columns_inserted(upper[:lo], ops._surjectivity_stack(op, v, lo))
+
+    @at_each_setting
+    @settings(max_examples=40, deadline=None)
+    @given(raw=raw_operators())
+    def test_upper_index_truncation_leads_with_the_lower_one(self, levels, raw):
+        with truncation_levels_at(levels):
+            op = ops.SequenceOperator(*raw)
+            lo, _ = linalg.truncation_levels(ops._bound(op))
+            a_lo, a_hi = index_layouts(op)
+            r_lo = a_lo.shape[0]
+            assert not a_hi[r_lo:, :lo].any()
+            assert zero_columns_inserted(a_hi[:r_lo], a_lo)
+            assert zero_columns_inserted(a_hi.T[:lo], a_lo.T)
+
+    @at_each_setting
+    @settings(max_examples=40, deadline=None)
+    @given(cs=st.one_of(dyadic_pairs(), dyadic_pairs(8, SUITE_ENTRIES)))
+    def test_upper_pair_stack_leads_with_the_lower_one(self, levels, cs):
+        with truncation_levels_at(levels):
+            lower, upper = pair_layouts(cs)
+            assert zero_columns_inserted(upper[: lower.shape[0]], lower)
+
+    @at_each_setting
+    @settings(max_examples=40, deadline=None)
+    @given(raw=raw_operators(), v=dyadic_targets(7))
+    def test_is_transversal_equals_the_per_level_decisions(self, levels, raw, v):
+        with truncation_levels_at(levels):
+            op = ops.SequenceOperator(*raw)
+            verdict = outcome_of(ops.is_transversal, op, v)
+            assert verdict == outcome_of(per_level_transversal, op, v)
+            assert verdict == outcome_of(ops._transversal_at_each_level, op, v, upper_transversal_stack(op, v))
+            if levels != NARROW:
+                assert verdict == exact_transversal(raw, v)
+
+    @at_each_setting
+    @settings(max_examples=40, deadline=None)
+    @given(raw=raw_operators())
+    def test_fredholm_index_equals_the_per_level_decisions(self, levels, raw):
+        with truncation_levels_at(levels):
+            op = ops.SequenceOperator(*raw)
+            index = outcome_of(ops.fredholm_index, op)
+            counts = outcome_of(ops._counts_at_each_level, op, None)
+            assert index == (counts if isinstance(counts[0], str) else counts[0] - counts[1])
+            if levels != NARROW:
+                if op.tail_scale == 0.0:
+                    assert isinstance(index, tuple)  # not Fredholm
+                else:
+                    k, c = operator_counts(raw, 16)
+                    assert index == k - c
+
+    @at_each_setting
+    @settings(max_examples=40, deadline=None)
+    @given(cs=dyadic_pairs(), wide=dyadic_pairs(8, SUITE_ENTRIES))
+    def test_verify_equals_the_per_level_decisions(self, levels, cs, wide):
+        with truncation_levels_at(levels):
+            assert wide.verify() == wide._verify_at_each_level()
+            verdict = cs.verify()
+            assert verdict == cs._verify_at_each_level()
+            if levels != NARROW:
+                assert verdict == three_rank_verify(cs, exact=True)
+
+    def test_drawn_instances_reach_both_sides_of_the_certificate(self):
+        seen: set[tuple[str, bool]] = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(raw=raw_operators(), v=dyadic_targets(7), cs=dyadic_pairs())
+        def collect(raw, v, cs):
+            op = ops.SequenceOperator(*raw)
+            seen.add(("transversal", linalg.certify_rows(upper_transversal_stack(op, v))))
+            a_hi = index_layouts(op)[1]
+            seen.add(("index", linalg.certify_rows(a_hi if a_hi.shape[0] <= a_hi.shape[1] else a_hi.T)))
+            upper = pair_layouts(cs)[1]
+            seen.add(("verify", upper.shape[1] == upper.shape[0] and linalg.certify_rows(upper)))
+
+        collect()
+        assert seen == {(site, ok) for site in ("transversal", "index", "verify") for ok in (True, False)}
+
+    @staticmethod
+    def spied(monkeypatch) -> dict:
+        """Spy on Cholesky factorisations, SVDs and the two layouts; the
+        returned dict gets the count of each and the levels laid out."""
+        seen = {"cholesky": 0, "svd": 0, "levels": []}
+        cholesky, svd = np.linalg.cholesky, np.linalg.svd
+        to_dense, basis_matrix = ops.SequenceOperator.to_dense, sub.SubspaceBasis.basis_matrix
+
+        def count(key, fn):
+            def spy(*args, **kwargs):
+                seen[key] += 1
+                return fn(*args, **kwargs)
+
+            return spy
+
+        def layout(fn, pick):
+            def spy(*args):
+                seen["levels"].append(pick(args))
+                return fn(*args)
+
+            return spy
+
+        monkeypatch.setattr(np.linalg, "cholesky", count("cholesky", cholesky))
+        monkeypatch.setattr(np.linalg, "svd", count("svd", svd))
+        monkeypatch.setattr(ops.SequenceOperator, "to_dense", layout(to_dense, lambda a: a[2]))
+        monkeypatch.setattr(sub.SubspaceBasis, "basis_matrix", layout(basis_matrix, lambda a: a[1]))
+        return seen
+
+    def test_a_certified_pair_takes_one_factorisation_and_no_lower_layout(self, monkeypatch):
+        op, v, cs = ops.shift_op(-1), sub.coordinate_span(2), sub.coordinate_span(3)
+        t_hi = linalg.truncation_levels(ops._bound(op, v))[1]
+        i_hi = linalg.truncation_levels(ops._bound(op))[1]
+        v_hi = linalg.truncation_levels(3)[1]
+        seen = self.spied(monkeypatch)
+        assert ops.is_transversal(op, v)
+        assert seen == {"cholesky": 1, "svd": 0, "levels": [t_hi + 1 + 1, t_hi]}  # T's columns, then V's
+        seen.update(cholesky=0, levels=[])
+        assert ops.fredholm_index(op) == 1
+        assert seen == {"cholesky": 1, "svd": 0, "levels": [i_hi]}
+        seen.update(cholesky=0, levels=[])
+        assert cs.verify()
+        assert seen == {"cholesky": 1, "svd": 0, "levels": [v_hi, v_hi]}
+
+    @pytest.mark.parametrize("k", [26, 27])
+    def test_planted_hadamard_instance_falls_back(self, k):
+        # M = H diag(1, 1, 1, 2^-k) H, invertible for every k: at k = 27 its
+        # smallest singular value is 2^-27 of the largest, below both
+        # RANK_RTOL and the certificate's 0.88 CERTIFY_RTOL, so the
+        # certificate fails at every site and the per-level ranks decide,
+        # against the exact verdict; at k = 26 the per-level ranks still
+        # count M full, where the certificate fails as well
+        h = hadamard(2)
+        m = h @ np.diag([1.0, 1.0, 1.0, 2.0**-k]) @ h
+        raw = (0, 4, m, 1.0)
+        op, v = ops.SequenceOperator(*raw), sub.coordinate_span(0)
+        cs = sub.ComplementedSubspace(sub.SubspaceBasis(None, m), sub.SubspaceBasis(4, []))
+        a_hi = index_layouts(op)[1]
+        assert not linalg.certify_rows(upper_transversal_stack(op, v))
+        assert not linalg.certify_rows(a_hi)
+        assert not linalg.certify_rows(pair_layouts(cs)[1])
+        full = k <= 26
+        assert exact_transversal(raw, v) and three_rank_verify(cs, exact=True)
+        assert ops.is_transversal(op, v) == per_level_transversal(op, v) == full
+        assert ops._counts_at_each_level(op, None) == ((0, 0) if full else (1, 1))
+        assert ops.fredholm_index(op) == 0
+        assert cs.verify() == cs._verify_at_each_level() == full
+
+    @settings(max_examples=30, deadline=None)
+    @given(raw=raw_operators(), v=dyadic_targets(7), cs=dyadic_pairs())
+    def test_without_the_certificate_each_level_decides(self, raw, v, cs):
+        # a certificate that never completes leaves every verdict, and every
+        # StabilizationFailure, to the per-level decisions
+        op = ops.SequenceOperator(*raw)
+        certified = (
+            outcome_of(ops.is_transversal, op, v),
+            outcome_of(ops.fredholm_index, op),
+            cs.verify(),
+        )
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(linalg, "certify_rows", lambda a: False)
+            refused = (
+                outcome_of(ops.is_transversal, op, v),
+                outcome_of(ops.fredholm_index, op),
+                cs.verify(),
+            )
+        counts = outcome_of(ops._counts_at_each_level, op, None)
+        per_level = (
+            outcome_of(per_level_transversal, op, v),
+            counts if isinstance(counts[0], str) else counts[0] - counts[1],
+            cs._verify_at_each_level(),
+        )
+        assert refused == per_level == certified

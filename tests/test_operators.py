@@ -299,6 +299,9 @@ class TestTruncationLevels:
         assert block_levels == [24, 29]
         cols.clear()
         assert ops.fredholm_index(op, level=24) == -1
+        assert cols == [29]  # certified: the lower level is a leading block of the upper one
+        cols.clear()
+        assert ops._counts_at_each_level(op, 24) == (0, 1)
         assert cols == [24, 29]
 
     def test_block_transversality_levels_are_one_step_apart(self, monkeypatch):
@@ -319,6 +322,9 @@ class TestTruncationLevels:
 
         cols = self.record(monkeypatch, ops.SequenceOperator, "to_dense", lambda a: a[1:])
         assert ops.fredholm_index(op) == -1
+        assert [c for _, c in cols] == [2 + m + s]  # certified from the upper level alone
+        cols.clear()
+        assert ops._counts_at_each_level(op, None) == (0, 1)
         assert [c for _, c in cols] == [2 + m, 2 + m + s]
         cols.clear()
         ops.transversality_witness(ident, v1, e(0))  # bound max(2, 1 + 0)
@@ -328,9 +334,12 @@ class TestTruncationLevels:
         assert b.fredholm_index() == 0
         assert levels == [1 + m, 1 + m + s]
 
-        rows = self.record(monkeypatch, ops, "_surjectivity_rank_ok", lambda a: a[2])
+        rows = self.record(monkeypatch, ops, "_surjectivity_stack", lambda a: a[2])
         assert ops.is_transversal(ident, v1)
-        assert rows == [2 + m, 2 + m + s]
+        assert rows == [2 + m + s]
+        rows.clear()
+        assert ops._transversal_at_each_level(ident, v1, ops._surjectivity_stack(ident, v1, 2 + m + s))
+        assert rows == [2 + m + s, 2 + m]
 
         rows1 = self.record(monkeypatch, ops, "_sum_basis", lambda a: len(a[0]))
         assert ops.block_is_transversal(b2, v1, v2)
@@ -338,6 +347,9 @@ class TestTruncationLevels:
 
         basis = self.record(monkeypatch, sub.SubspaceBasis, "basis_matrix", lambda a: a[1])
         assert v3.verify()
+        assert basis == [3 + m + s] * 2
+        basis.clear()
+        assert v3._verify_at_each_level()
         assert basis == [3 + m] * 2 + [3 + m + s] * 2
 
 
@@ -714,6 +726,23 @@ class TestTransversality:
             assert len(owners) == len(orthonormalised) == 2 and owners[0] is not owners[1]
             assert len(witnesses) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_witness_target_is_refused(self, bad):
+        # a NaN target used to come back as a pair of NaNs, since the
+        # residual test NaN > 1e-10 is false
+        with pytest.raises(DomainError):
+            ops.transversality_witness(ops.identity(), sub.coordinate_span(2), [bad])
+        b = ops.block_lower_triangular(ops.identity(), ops.rank_one(0, 0, 2.0), ops.identity())
+        v1, v2 = sub.coordinate_span(2), sub.coordinate_span(1)
+        for targets in (([bad], e(1)), (e(1), [0.0, bad])):
+            with pytest.raises(DomainError):
+                ops.block_transversality_witness(b, v1, v2, *targets)
+
+    def test_a_nan_residual_is_no_witness(self, monkeypatch):
+        monkeypatch.setattr(linalg, "min_norm_lstsq", lambda a, b: np.full(a.shape[1], np.nan))
+        with pytest.raises(NotTransversal):
+            ops.transversality_witness(ops.identity(), sub.coordinate_span(2), e(2))
+
     def test_witness_requires_transversality(self):
         t = ops.SequenceOperator(0, 2, np.zeros((2, 2)))
         with pytest.raises(NotTransversal):
@@ -945,6 +974,26 @@ class TestBlockTransversalitySuite:
         assert not check.passed
         assert check.residuals["failures"] == 1
         assert check.residuals["max_witness_residual"] >= 1.0
+
+    @pytest.mark.parametrize("factor", [0, 1])
+    def test_a_nan_witness_is_one_failure(self, monkeypatch, factor):
+        # in either factor: max(r1, nan) is r1, so a NaN second residual was dropped
+        witness = ops.block_transversality_witness
+        seen = [0]
+
+        def spoil_first(*args, **kwargs):
+            xs, ws = witness(*args, **kwargs)
+            seen[0] += 1
+            if seen[0] == 1:
+                ws = list(ws)
+                ws[factor] = np.full(max(ws[factor].size, 1), np.nan)
+            return xs, tuple(ws)
+
+        monkeypatch.setattr(ops, "block_transversality_witness", spoil_first)
+        (check,) = suites.suite_block_transversality(self.CONFIG)
+        assert not check.passed
+        assert check.residuals["failures"] == 1
+        assert np.isnan(check.residuals["max_witness_residual"])
 
 
 class TestCompositionTransversality:
